@@ -8,13 +8,12 @@ construction where a pure DP mechanism leaks almost an entire entry.
 
 __version__ = "0.1.0"
 
-from .leakage import LeakageReport, eps_max, pml, pml_entry, pml_profile, pml_report
+from .leakage import LeakageReport, eps_max, pml, pml_entry, pml_report
 from .mechanisms import (FiniteMechanism, LaplaceMechanism, dp_level_finite,
                          dp_level_laplace, l1_sensitivity, laplace_for_query,
                          laplace_log_density, randomized_response)
 from .probability import (DatabaseModel, ExplicitJointModel, FiniteDistribution,
-                          JointFinite, ProductModel, condition_on_entry,
-                          marginal_of_entry)
+                          ProductModel)
 from .constructions import (BobModel, CorrelatedBinaryModel, EtaSchedule,
                             bob_pml, calibrated_mechanism, cond_density_binomial,
                             cond_density_closed_form, find_limit_n, lower_bound,
@@ -28,7 +27,6 @@ __all__ = [
     "ExplicitJointModel",
     "FiniteDistribution",
     "FiniteMechanism",
-    "JointFinite",
     "LaplaceMechanism",
     "LeakageReport",
     "ProductModel",
@@ -36,7 +34,6 @@ __all__ = [
     "calibrated_mechanism",
     "cond_density_binomial",
     "cond_density_closed_form",
-    "condition_on_entry",
     "dp_level_finite",
     "dp_level_laplace",
     "eps_max",
@@ -46,11 +43,9 @@ __all__ = [
     "laplace_log_density",
     "lower_bound",
     "marginal_density",
-    "marginal_of_entry",
     "pml",
     "pml_d1",
     "pml_entry",
-    "pml_profile",
     "pml_report",
     "randomized_response",
     "sweep",

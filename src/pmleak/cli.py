@@ -31,44 +31,24 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_TOLERANCE = 2
 
-DEFAULTS = {
-    "analyze": {"out": None, "svg": None, "y": None, "y_grid": None,
-                "reproducible": False},
-    "thm3": {"n": None, "n_range": (10, 2000, 24), "alpha": 0.25, "eta": 0.5,
-             "eta_poly": None, "epsilon": 0.1, "y": -0.3, "out": None,
-             "svg": None, "reproducible": False},
-    "bob": {"k": 5, "epsilon": 0.1, "scale": 10_000.0, "y_grid": None,
-            "out": None, "reproducible": False},
-    "oracle": {"seed": 2024, "achievability_trials": 1000, "gain_trials": 10_000,
-               "kernel_trials": 10_000, "tol": 1e-12, "mechanism": None},
-    "dp_check": {"target": None, "entries": 1, "tol": 1e-9},
-}
+#: namespace entries that are plumbing or output paths, not run parameters
+_NOT_META = frozenset({"command", "func", "config", "mechanism", "out", "svg",
+                       "reproducible"})
 
 
-def _load_config(path):
-    if path is None:
-        return {}
+def _load_config(path, options):
+    """Config-file values keyed by option dest; every key must name an option."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must contain a JSON object")
-    return cfg
-
-
-def _resolve(args, command):
-    """flags > config > defaults; argparse stores unset flags as None."""
-    cfg = _load_config(getattr(args, "config", None))
-    out = dict(DEFAULTS[command])
+    out = {}
     for key, value in cfg.items():
         k = key.replace("-", "_")
-        if k not in out:
+        if k not in options or k in ("command", "func", "config"):
             raise ValueError(f"unknown config field {key!r}")
         out[k] = value
-    for key in out:
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            out[key] = flag
-    return argparse.Namespace(**out)
+    return out
 
 
 def _grid(spec):
@@ -102,9 +82,7 @@ def _load_analysis_spec(path):
 def _base_meta(command, opts, seed=None):
     meta = {"tool": "pmleak", "version": __version__, "command": command}
     for key, value in sorted(vars(opts).items()):
-        if key in ("out", "svg", "reproducible"):
-            continue
-        if value is not None:
+        if key not in _NOT_META and value is not None:
             meta[key.replace("_", "-")] = value
     if seed is not None:
         meta["seed"] = seed
@@ -120,9 +98,8 @@ def _emit(table, opts):
         sys.stdout.write(text)
 
 
-def cmd_analyze(args) -> int:
-    opts = _resolve(args, "analyze")
-    mech, prior, _ = _load_analysis_spec(args.mechanism)
+def cmd_analyze(opts) -> int:
+    mech, prior, _ = _load_analysis_spec(opts.mechanism)
     if isinstance(mech, FiniteMechanism):
         if opts.y is not None:
             ys = [mech.y_labels[mech.y_index(_parse_finite_y(v, mech))] for v in opts.y]
@@ -137,7 +114,7 @@ def cmd_analyze(args) -> int:
             raise ValueError("continuous mechanism needs --y or --y-grid")
     table = ResultTable(("y", "pml_nats", "argmax_label", "eps_max"),
                         meta=_base_meta("analyze", opts))
-    table.meta["mechanism-file"] = args.mechanism
+    table.meta["mechanism-file"] = opts.mechanism
     for y in ys:
         rep = pml_report(prior, mech, y)
         table.append(y, rep.pml, rep.argmax_label, rep.eps_max)
@@ -152,8 +129,7 @@ def _parse_finite_y(v, mech):
     raise ValueError(f"outcome {v!r} not in mechanism output alphabet")
 
 
-def cmd_thm3(args) -> int:
-    opts = _resolve(args, "thm3")
+def cmd_thm3(opts) -> int:
     if opts.eta_poly is not None:
         c, r = opts.eta_poly
         schedule = EtaSchedule.polynomial(float(c), float(r))
@@ -163,6 +139,8 @@ def cmd_thm3(args) -> int:
         n_values = [int(opts.n)]
     else:
         start, stop, count = opts.n_range
+        if int(count) < 1:
+            raise ValueError("n-range count must be at least 1")
         n_values = sorted({int(round(v)) for v in
                            np.geomspace(max(int(start), 1), int(stop), int(count))})
     y = float(opts.y)
@@ -185,8 +163,7 @@ def cmd_thm3(args) -> int:
     return EXIT_OK
 
 
-def cmd_bob(args) -> int:
-    opts = _resolve(args, "bob")
+def cmd_bob(opts) -> int:
     k = int(opts.k)
     epsilon = float(opts.epsilon)
     model = BobModel(k=k, scale=float(opts.scale))
@@ -204,8 +181,7 @@ def cmd_bob(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    opts = _resolve(args, "oracle")
+def cmd_oracle(opts) -> int:
     channel = None
     if opts.mechanism:
         mech, _, _ = _load_analysis_spec(opts.mechanism)
@@ -232,9 +208,8 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 
-def cmd_dp_check(args) -> int:
-    opts = _resolve(args, "dp_check")
-    mech, _, _ = _load_analysis_spec(args.mechanism)
+def cmd_dp_check(opts) -> int:
+    mech, _, _ = _load_analysis_spec(opts.mechanism)
     if isinstance(mech, FiniteMechanism):
         level = dp_level_finite(mech, num_entries=int(opts.entries))
     else:
@@ -250,70 +225,76 @@ def cmd_dp_check(args) -> int:
 
 
 def build_parser():
+    """The pmleak parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="pmleak",
         description="Pointwise maximal leakage analysis of privacy mechanisms.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file with default option values")
+        p.set_defaults(func=func)
+        return p
+
+    def table_output(p):
         p.add_argument("--out", help="CSV output path (default: stdout)")
-        p.add_argument("--reproducible", action="store_true", default=None,
+        p.add_argument("--reproducible", action="store_true",
                        help="suppress the timestamp header line")
 
-    p = sub.add_parser("analyze", help="PML profile of a mechanism spec file")
-    common(p)
+    p = command("analyze", cmd_analyze, "PML profile of a mechanism spec file")
+    table_output(p)
     p.add_argument("--mechanism", required=True, help="mechanism spec JSON file")
     p.add_argument("--y", nargs="+", help="outcome value(s)")
     p.add_argument("--y-grid", nargs=3, type=float, metavar=("START", "STOP", "COUNT"))
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("thm3", help="correlated-database sweep: bound vs exact PML")
-    common(p)
+    p = command("thm3", cmd_thm3, "correlated-database sweep: bound vs exact PML")
+    table_output(p)
     p.add_argument("--n", type=int)
-    p.add_argument("--n-range", nargs=3, type=float, metavar=("START", "STOP", "COUNT"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eta", type=float)
+    p.add_argument("--n-range", nargs=3, type=float, metavar=("START", "STOP", "COUNT"),
+                   default=(10, 2000, 24))
+    p.add_argument("--alpha", type=float, default=0.25)
+    p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--eta-poly", nargs=2, type=float, metavar=("C", "R"))
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--y", type=float)
+    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--y", type=float, default=-0.3)
     p.add_argument("--svg", help="SVG plot output path")
-    p.set_defaults(func=cmd_thm3)
 
-    p = sub.add_parser("bob", help="noisy counting-query attribute leakage")
-    common(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--scale", type=float)
+    p = command("bob", cmd_bob, "noisy counting-query attribute leakage")
+    table_output(p)
+    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--scale", type=float, default=10_000.0)
     p.add_argument("--y-grid", nargs=3, type=float, metavar=("START", "STOP", "COUNT"))
-    p.set_defaults(func=cmd_bob)
 
-    p = sub.add_parser("oracle", help="adversary-model validation trials")
-    p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--achievability-trials", type=int)
-    p.add_argument("--gain-trials", type=int)
-    p.add_argument("--kernel-trials", type=int)
-    p.add_argument("--tol", type=float)
+    p = command("oracle", cmd_oracle, "adversary-model validation trials")
+    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--achievability-trials", type=int, default=1000)
+    p.add_argument("--gain-trials", type=int, default=10_000)
+    p.add_argument("--kernel-trials", type=int, default=10_000)
+    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--mechanism", help="fixed finite channel spec (optional)")
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("dp-check", help="DP level of a mechanism spec file")
-    p.add_argument("--config", help="JSON file with default option values")
+    p = command("dp-check", cmd_dp_check, "DP level of a mechanism spec file")
     p.add_argument("--mechanism", required=True)
     p.add_argument("--target", type=float)
-    p.add_argument("--entries", type=int)
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=cmd_dp_check, command="dp_check")
+    p.add_argument("--entries", type=int, default=1)
+    p.add_argument("--tol", type=float, default=1e-9)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # the file's values become the subcommand's defaults, so
+            # flags > config > built-in defaults
+            cfg = _load_config(args.config, vars(args))
+            commands[args.command].set_defaults(**cfg)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

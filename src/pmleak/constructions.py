@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .logdomain import (LOG_TWO, LOG_ZERO, LogReal, log_add, log_binom,
-                        log_sub, log_sum_exp, signed_log_sum)
+                        log_sum_exp, signed_log_sum)
 from .mechanisms import LaplaceMechanism, laplace_log_density
 from .probability import DatabaseModel, FiniteDistribution
 
@@ -105,7 +105,7 @@ class EtaSchedule:
     def __post_init__(self):
         if self.mode not in ("constant", "polynomial"):
             raise ValueError(f"unknown eta schedule mode {self.mode!r}")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("c must be positive")
         if self.mode == "polynomial" and self.r < 1:
             raise ValueError("polynomial rate r must be at least 1")
@@ -127,7 +127,7 @@ class EtaSchedule:
 
 def calibrated_scale(n: int, epsilon: float) -> float:
     """Laplace scale b = 1 / (epsilon * (n+1)) for the empirical-frequency query."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     return 1.0 / (epsilon * (n + 1))
 
@@ -144,8 +144,9 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
 
     The output is a mixture of 2^n Laplace densities whose centers depend
     only on the tail's Hamming weight, so the uniform part collapses to
-    n+1 binomially weighted terms (minus the all-d1 string, which carries
-    weight eta instead).
+    n+1 binomially weighted terms.  The all-d1 string (Hamming weight n*d1)
+    carries weight eta instead, so its term is left out of the sum; taking
+    it back out by subtraction cancels catastrophically when it dominates.
     """
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
@@ -153,8 +154,8 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     m = n + 1
     lap_peak = laplace_log_density(float(d1), b, y)  # all-d1 tail: center is d1 itself
     terms = [log_binom(n, i) + laplace_log_density((d1 + i) / m, b, y) for i in range(n + 1)]
-    total = log_sum_exp(terms)
-    uniform_part = log_sub(total, lap_peak)
+    terms[n * d1] = LOG_ZERO
+    uniform_part = log_sum_exp(terms)
     return log_add(math.log(model.eta) + lap_peak,
                    math.log1p(-model.eta) - _log_two_pow_minus_one(n) + uniform_part)
 
@@ -173,7 +174,7 @@ def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y:
     """
     if y > 0:
         raise ValueError("closed form valid only for y <= 0")
-    if b <= 0:
+    if not b > 0:
         raise ValueError("scale must be positive")
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
@@ -193,18 +194,23 @@ def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y:
     return -math.log(2.0 * b) - _log_two_pow_minus_one(n) + y / b + mag
 
 
-def marginal_density(model: CorrelatedBinaryModel, b: float, y: float,
-                     method: str = "auto") -> LogReal:
-    """log P_Y(y): the alpha-weighted mixture of the two conditional densities."""
-    if method == "auto":
-        method = "closed" if y <= 0 else "binomial"
-    evaluator = {"closed": cond_density_closed_form,
-                 "binomial": cond_density_binomial}.get(method)
-    if evaluator is None:
-        raise ValueError(f"unknown evaluator {method!r}")
-    c1 = evaluator(model, b, 1, y)
-    c0 = evaluator(model, b, 0, y)
+def _cond_densities(model: CorrelatedBinaryModel, b: float, y: float) -> tuple:
+    """(log P(y | D_1 = 0), log P(y | D_1 = 1)): closed forms for y <= 0,
+    the binomial sum otherwise."""
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
+    evaluator = cond_density_closed_form if y <= 0 else cond_density_binomial
+    return evaluator(model, b, 0, y), evaluator(model, b, 1, y)
+
+
+def _mixture(model: CorrelatedBinaryModel, c0: LogReal, c1: LogReal) -> LogReal:
+    """log P_Y(y) from the two conditional densities, weighted by the law of D_1."""
     return log_add(math.log1p(-model.alpha) + c1, math.log(model.alpha) + c0)
+
+
+def marginal_density(model: CorrelatedBinaryModel, b: float, y: float) -> LogReal:
+    """log P_Y(y): the alpha-weighted mixture of the two conditional densities."""
+    return _mixture(model, *_cond_densities(model, b, y))
 
 
 def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
@@ -215,14 +221,8 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     evaluated via the binomial sum and maxed explicitly.
     """
     b = calibrated_scale(model.n, epsilon)
-    if y <= 0:
-        c0 = cond_density_closed_form(model, b, 0, y)
-        c1 = cond_density_closed_form(model, b, 1, y)
-    else:
-        c0 = cond_density_binomial(model, b, 0, y)
-        c1 = cond_density_binomial(model, b, 1, y)
-    log_py = log_add(math.log1p(-model.alpha) + c1, math.log(model.alpha) + c0)
-    return max(c0, c1) - log_py
+    c0, c1 = _cond_densities(model, b, y)
+    return max(c0, c1) - _mixture(model, c0, c1)
 
 
 def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:
@@ -241,7 +241,7 @@ def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:
         raise ValueError("alpha must lie in (0, 0.5)")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     l2 = n * LOG_TWO + math.log(eta)                  # log 2^n eta
     le = math.log1p(math.exp(-epsilon))               # log (1 + e^-eps)
@@ -264,7 +264,7 @@ def find_limit_n(alpha: float, schedule: EtaSchedule, epsilon: float,
     Doubling search; n values where the schedule's eta leaves (0, 1) are
     skipped.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     target = -math.log(alpha)
     n = 1
@@ -290,7 +290,7 @@ class BobModel:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ValueError("scale must be positive")
         if self.prior is not None:
             if self.prior.labels != tuple(range(1, self.k + 1)):
@@ -305,7 +305,7 @@ class BobModel:
 
 def bob_mechanism(model: BobModel, epsilon: float) -> LaplaceMechanism:
     """Laplace-noised count: sensitivity 1, scale 1/epsilon, centers scale * j."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     labels = tuple(range(1, model.k + 1))
     return LaplaceMechanism(lambda j: model.scale * j, 1.0 / epsilon,

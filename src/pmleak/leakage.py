@@ -31,8 +31,7 @@ class LeakageReport:
     pml: float
     argmax_label: object
     eps_max: float
-    upper_bound_satisfied: bool
-    context: str = "secret"
+    context: str
 
 
 def eps_max(prior: FiniteDistribution) -> float:
@@ -57,32 +56,17 @@ def pml(prior: FiniteDistribution, log_likelihoods) -> float:
     return max(lls) - log_py
 
 
-def _argmax_label(labels, values):
-    # ties broken by lowest label index
-    best = max(range(len(values)), key=lambda i: (values[i], -i))
-    return labels[best]
+def _report(prior: FiniteDistribution, lls, y, context) -> LeakageReport:
+    # argmax ties broken by lowest label index
+    best = max(range(len(lls)), key=lambda i: (lls[i], -i))
+    return LeakageReport(y=y, pml=pml(prior, lls), argmax_label=prior.labels[best],
+                         eps_max=eps_max(prior), context=context)
 
 
-def pml_report(prior: FiniteDistribution, mech, y, context="secret") -> LeakageReport:
+def pml_report(prior: FiniteDistribution, mech, y) -> LeakageReport:
     """PML of mechanism outcome y under the given prior, as a full report."""
     lls = [mech.log_likelihood(x, y) for x in prior.labels]
-    value = pml(prior, lls)
-    em = eps_max(prior)
-    return LeakageReport(
-        y=y,
-        pml=value,
-        argmax_label=_argmax_label(prior.labels, lls),
-        eps_max=em,
-        upper_bound_satisfied=value <= em + 1e-9,
-        context=context,
-    )
-
-
-def pml_profile(prior: FiniteDistribution, mech, y_grid) -> list[LeakageReport]:
-    grid = list(y_grid)
-    if not grid:
-        raise ValueError("empty grid")
-    return [pml_report(prior, mech, y) for y in grid]
+    return _report(prior, lls, y, "secret")
 
 
 def entry_log_likelihoods(model: DatabaseModel, mech, i: int, y) -> list[float]:
@@ -105,16 +89,7 @@ def pml_entry(model: DatabaseModel, mech, i: int, y) -> LeakageReport:
     """PML of database entry i at mechanism outcome y."""
     prior = model.entry_marginal(i)
     lls = entry_log_likelihoods(model, mech, i, y)
-    value = pml(prior, lls)
-    em = eps_max(prior)
-    return LeakageReport(
-        y=y,
-        pml=value,
-        argmax_label=_argmax_label(prior.labels, lls),
-        eps_max=em,
-        upper_bound_satisfied=value <= em + 1e-9,
-        context=f"entry-{i}",
-    )
+    return _report(prior, lls, y, f"entry-{i}")
 
 
 @dataclass(frozen=True)

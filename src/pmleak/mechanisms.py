@@ -29,7 +29,6 @@ class FiniteMechanism:
     x_labels: tuple
     y_labels: tuple
     logp: np.ndarray  # shape (|X|, |Y|), each row a distribution
-    tol: float = ROW_TOL
 
     def __post_init__(self):
         m = np.asarray(self.logp, dtype=float)
@@ -40,18 +39,18 @@ class FiniteMechanism:
         with np.errstate(divide="ignore"):
             masses = np.log(np.exp(m).sum(axis=1))
         for x, mass in zip(self.x_labels, masses):
-            if not abs(mass) <= self.tol:
+            if not abs(mass) <= ROW_TOL:
                 raise ValueError(f"channel row for {x!r} has mass exp({mass:.6g})")
         object.__setattr__(self, "_xi", {x: i for i, x in enumerate(self.x_labels)})
         object.__setattr__(self, "_yi", {y: i for i, y in enumerate(self.y_labels)})
 
     @classmethod
-    def from_probs(cls, x_labels, y_labels, rows, tol=ROW_TOL):
+    def from_probs(cls, x_labels, y_labels, rows):
         rows = np.asarray(rows, dtype=float)
         if np.any(rows < 0):
             raise ValueError("negative channel probability")
         with np.errstate(divide="ignore"):
-            return cls(tuple(x_labels), tuple(y_labels), np.log(rows), tol=tol)
+            return cls(tuple(x_labels), tuple(y_labels), np.log(rows))
 
     def x_index(self, x) -> int:
         try:
@@ -65,9 +64,6 @@ class FiniteMechanism:
         except KeyError:
             raise KeyError(f"outcome {y!r} not in channel") from None
 
-    def row(self, x) -> np.ndarray:
-        return self.logp[self.x_index(x)]
-
     def log_likelihood(self, x, y) -> LogReal:
         return float(self.logp[self.x_index(x), self.y_index(y)])
 
@@ -76,7 +72,7 @@ class LaplaceMechanism:
     """Laplace noise added to a real-valued query: Y | X=x ~ Lap(f(x), b)."""
 
     def __init__(self, query: Callable, scale: float, sensitivity=None, labels=None):
-        if scale <= 0:
+        if not scale > 0:
             raise ValueError("scale must be positive")
         self.query = query
         self.scale = float(scale)
@@ -97,7 +93,7 @@ class LaplaceMechanism:
 
 def laplace_log_density(center: float, b: float, y: float) -> LogReal:
     """log of the Lap(center, b) density at y."""
-    if b <= 0:
+    if not b > 0:
         raise ValueError("scale must be positive")
     return -math.log(2.0 * b) - abs(y - center) / b
 
@@ -133,12 +129,8 @@ def neighbors(x: tuple, alphabet):
                 yield x[:i] + (d2,) + x[i + 1:]
 
 
-def l1_sensitivity(f: Callable, num_entries: int, alphabet, analytic=None) -> float:
+def l1_sensitivity(f: Callable, num_entries: int, alphabet) -> float:
     """Largest |f(x) - f(x')| over neighboring databases in alphabet^num_entries."""
-    if analytic is not None:
-        if analytic < 0:
-            raise ValueError("sensitivity must be non-negative")
-        return float(analytic)
     alphabet = tuple(alphabet)
     if len(alphabet) ** num_entries > ENUMERATION_LIMIT:
         raise ValueError("sensitivity requires analytic form")
@@ -153,7 +145,7 @@ def l1_sensitivity(f: Callable, num_entries: int, alphabet, analytic=None) -> fl
 def laplace_for_query(f: Callable, epsilon: float, num_entries=None, alphabet=None,
                       sensitivity=None) -> LaplaceMechanism:
     """Laplace mechanism calibrated to f: scale b = sensitivity / epsilon."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if sensitivity is None:
         if num_entries is None or alphabet is None:

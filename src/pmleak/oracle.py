@@ -8,9 +8,6 @@ checked against what an actual adversary achieves:
 - every sampled gain function and guessing kernel yields a log-ratio at
   most the PML (soundness), and
 - the indicator gains attain it exactly (achievability).
-
-Also provides full-joint enumeration of structured database models, the
-ground truth behind every small-instance cross-check.
 """
 
 from __future__ import annotations
@@ -23,8 +20,7 @@ import numpy as np
 from .logdomain import LOG_ZERO, log_sum_exp
 from .leakage import pml
 from .mechanisms import FiniteMechanism
-from .probability import (DatabaseModel, ExplicitJointModel, FiniteDistribution,
-                          JointFinite)
+from .probability import FiniteDistribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,21 +108,6 @@ def randomized_function_ratio(prior: FiniteDistribution, log_likelihoods,
     if peak <= 0:
         raise ValueError("kernel assigns no mass")
     return math.log(float(np.max(p_u_post))) - math.log(peak)
-
-
-def enumerate_joint(model: DatabaseModel) -> ExplicitJointModel:
-    """Materialize the full joint over all databases (ground-truth oracle)."""
-    return ExplicitJointModel.from_model(model)
-
-
-def induced_joint(model: DatabaseModel, mech: FiniteMechanism) -> JointFinite:
-    """Explicit joint of (database, outcome) for a finite-output mechanism."""
-    atoms = list(model.atoms())
-    logp = np.full((len(atoms), len(mech.y_labels)), float("-inf"))
-    for i, (x, lp) in enumerate(atoms):
-        if lp > LOG_ZERO:
-            logp[i] = lp + mech.row(x)
-    return JointFinite(tuple(x for x, _ in atoms), mech.y_labels, logp)
 
 
 # --- randomized adversary trials ------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -25,10 +25,11 @@ NORMALIZATION_TOL = 1e-9
 ENUMERATION_LIMIT = 1 << 16
 
 
-def _check_mass(logp, tol, what="distribution"):
+def _check_mass(logp, what="distribution"):
     total = log_sum_exp(logp)
-    if not abs(total) <= tol:
-        raise ValueError(f"{what} mass is exp({total:.6g}), outside tolerance {tol:g}")
+    if not abs(total) <= NORMALIZATION_TOL:
+        raise ValueError(f"{what} mass is exp({total:.6g}), "
+                         f"outside tolerance {NORMALIZATION_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class FiniteDistribution:
 
     labels: tuple
     logp: tuple[LogReal, ...]
-    tol: float = field(default=NORMALIZATION_TOL, compare=False)
 
     def __post_init__(self):
         if len(self.labels) == 0:
@@ -46,12 +46,12 @@ class FiniteDistribution:
             raise ValueError("labels and logp length mismatch")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")
-        if any(lp > 0 and not math.isclose(lp, 0.0, abs_tol=self.tol) for lp in self.logp):
+        if any(lp > NORMALIZATION_TOL for lp in self.logp):
             raise ValueError("log-probability above 0")
-        _check_mass(self.logp, self.tol)
+        _check_mass(self.logp)
 
     @classmethod
-    def from_probs(cls, labels, probs, tol=NORMALIZATION_TOL, normalize=False):
+    def from_probs(cls, labels, probs, normalize=False):
         probs = [float(p) for p in probs]
         if any(p < 0 for p in probs):
             raise ValueError("negative probability")
@@ -61,17 +61,7 @@ class FiniteDistribution:
                 raise ValueError("cannot normalize zero mass")
             probs = [p / total for p in probs]
         logp = tuple(math.log(p) if p > 0 else LOG_ZERO for p in probs)
-        return cls(tuple(labels), logp, tol=tol)
-
-    @classmethod
-    def from_logp(cls, labels, logp, tol=NORMALIZATION_TOL, normalize=False):
-        logp = tuple(float(v) for v in logp)
-        if normalize:
-            total = log_sum_exp(logp)
-            if total == LOG_ZERO:
-                raise ValueError("cannot normalize zero mass")
-            logp = tuple(v - total for v in logp)
-        return cls(tuple(labels), logp, tol=tol)
+        return cls(tuple(labels), logp)
 
     @classmethod
     def uniform(cls, labels):
@@ -109,40 +99,6 @@ class FiniteDistribution:
     def require_full_support(self, message="distribution lacks full support"):
         if not self.full_support:
             raise ValueError(message)
-
-
-@dataclass(frozen=True, eq=False)
-class JointFinite:
-    """Explicit joint law over a finite product alphabet, log-domain matrix."""
-
-    x_labels: tuple
-    y_labels: tuple
-    logp: np.ndarray  # shape (|X|, |Y|)
-    tol: float = NORMALIZATION_TOL
-
-    def __post_init__(self):
-        m = np.asarray(self.logp, dtype=float)
-        if m.shape != (len(self.x_labels), len(self.y_labels)):
-            raise ValueError("joint matrix shape mismatch")
-        object.__setattr__(self, "logp", m)
-        m.flags.writeable = False
-        _check_mass(m.ravel().tolist(), self.tol, what="joint")
-
-    def marginal_x(self) -> FiniteDistribution:
-        logs = [log_sum_exp(row.tolist()) for row in self.logp]
-        return FiniteDistribution(self.x_labels, tuple(logs), tol=self.tol)
-
-    def marginal_y(self) -> FiniteDistribution:
-        logs = [log_sum_exp(col.tolist()) for col in self.logp.T]
-        return FiniteDistribution(self.y_labels, tuple(logs), tol=self.tol)
-
-    def conditional_x_given_y(self, y) -> FiniteDistribution:
-        j = self.y_labels.index(y)
-        col = self.logp[:, j].tolist()
-        total = log_sum_exp(col)
-        if total == LOG_ZERO:
-            raise ValueError("unsupported condition")
-        return FiniteDistribution(self.x_labels, tuple(v - total for v in col), tol=self.tol)
 
 
 class DatabaseModel(ABC):
@@ -262,7 +218,7 @@ class ProductModel(DatabaseModel):
 class ExplicitJointModel(DatabaseModel):
     """Fully materialized joint table over the database alphabet."""
 
-    def __init__(self, alphabet, num_entries, table, tol=NORMALIZATION_TOL):
+    def __init__(self, alphabet, num_entries, table):
         self._alphabet = tuple(alphabet)
         self._num_entries = int(num_entries)
         self._require_enumerable(len(self._alphabet) ** self._num_entries)
@@ -270,7 +226,7 @@ class ExplicitJointModel(DatabaseModel):
         for x in self._table:
             if len(x) != self._num_entries or any(d not in self._alphabet for d in x):
                 raise ValueError(f"atom {x!r} outside the database alphabet")
-        _check_mass([lp for lp in self._table.values()], tol, what="joint")
+        _check_mass(list(self._table.values()), what="joint")
 
     @classmethod
     def from_model(cls, model: DatabaseModel):
@@ -288,12 +244,3 @@ class ExplicitJointModel(DatabaseModel):
     def joint_logp(self, x):
         return self._table.get(tuple(x), LOG_ZERO)
 
-
-def marginal_of_entry(model: DatabaseModel, i: int) -> FiniteDistribution:
-    """Marginal law of entry i, summing out the other entries."""
-    return model.entry_marginal(i)
-
-
-def condition_on_entry(model: DatabaseModel, i: int, d) -> FiniteDistribution:
-    """Law of the remaining entries given entry i takes the value d."""
-    return model.conditional_rest(i, d)

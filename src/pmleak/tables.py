@@ -44,7 +44,3 @@ class ResultTable:
         for row in self.rows:
             lines.append(",".join(format_value(v) for v in row))
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path, reproducible: bool = False):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv(reproducible=reproducible))

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -236,3 +237,46 @@ class TestConfigAndReproducibility:
     def test_missing_mechanism_file(self, tmp_path):
         assert main(["analyze", "--mechanism",
                      str(tmp_path / "nope.json")]) == EXIT_VALIDATION
+
+
+
+NAN_LAPLACE = {"kind": "laplace", "scale": float("nan"), "sensitivity": 1.0,
+               "labels": [0, 1], "centers": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--mechanism", "{spec}", "--y", "0.5"],
+    ["dp-check", "--mechanism", "{spec}"],
+    ["thm3", "--n", "100", "--epsilon", "nan"],
+    ["thm3", "--n", "100", "--y", "nan"],
+    ["bob", "--epsilon", "nan"],
+    ["thm3", "--n-range", "4", "4096", "0"],
+], ids=["analyze-nan-scale", "dp-check-nan-scale", "thm3-nan-epsilon",
+        "thm3-nan-y", "bob-nan-epsilon", "thm3-zero-count"])
+def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, NAN_LAPLACE)
+    assert main([a.format(spec=spec) for a in argv]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm3", "--n-range", "4", "4096", "24", "--alpha", "0.25", "--eta", "0.5",
+     "--epsilon", "0.1", "--y", "-0.3", "--reproducible",
+     "--out", "sweep_eta_constant.csv", "--svg", "sweep_eta_constant.svg"],
+    ["thm3", "--n-range", "4", "4096", "24", "--alpha", "0.25",
+     "--eta-poly", "1.0", "1.0", "--epsilon", "0.1", "--y", "-0.3", "--reproducible",
+     "--out", "sweep_eta_polynomial.csv", "--svg", "sweep_eta_polynomial.svg"],
+    ["bob", "--k", "5", "--epsilon", "0.1", "--reproducible",
+     "--out", "counting_query.csv"],
+], ids=["sweep_eta_constant", "sweep_eta_polynomial", "counting_query"])
+def test_committed_results_reproduce_byte_identically(tmp_path, argv):
+    """The artifact commands of scripts/reproduce_results.py, against results/."""
+    outputs = [a for a in argv if a.endswith((".csv", ".svg"))]
+    assert main([str(tmp_path / a) if a in outputs else a for a in argv]) == EXIT_OK
+    for name in outputs:
+        assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name

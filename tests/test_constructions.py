@@ -70,6 +70,23 @@ class TestCondDensities:
                       -10, 11, limit=400)
         assert val == pytest.approx(1.0, abs=1e-8)
 
+    def test_binomial_peak_term_without_cancellation(self):
+        # tiny eta, large epsilon: the all-d1 term dominates the Hamming-weight
+        # sum, so subtracting it back out would leave cancellation noise
+        import mpmath
+        n, eta, epsilon, y, d1 = 3, 1e-12, 40.0, 0.01, 0
+        model = CorrelatedBinaryModel(n, 0.25, eta)
+        b = calibrated_scale(n, epsilon)
+        with mpmath.workdps(80):
+            want = mpmath.mpf(0)
+            for rest in itertools.product((0, 1), repeat=n):
+                w = (mpmath.mpf(eta) if all(s == d1 for s in rest)
+                     else (1 - mpmath.mpf(eta)) / (2 ** n - 1))
+                center = mpmath.mpf(d1 + sum(rest)) / (n + 1)
+                want += w * mpmath.exp(-abs(mpmath.mpf(y) - center) / b) / (2 * b)
+            got = mpmath.exp(cond_density_binomial(model, b, d1, y))
+            assert float(abs(got / want - 1)) <= 1e-12
+
     def test_n1_two_component_mixture_by_hand(self):
         # n = 1: tail is a single bit; weights eta (same as d1) and 1-eta
         model = CorrelatedBinaryModel(1, 0.25, 0.3)
@@ -102,7 +119,7 @@ class TestMarginalDensity:
         from scipy.optimize import brentq
         y_star = brentq(f, 0.0, 1.0)
         v = cond_density_binomial(model, b, 0, y_star)
-        assert marginal_density(model, b, y_star, method="binomial") == pytest.approx(v, abs=1e-9)
+        assert marginal_density(model, b, y_star) == pytest.approx(v, abs=1e-9)
 
     def test_matches_enumeration(self):
         n, alpha, eta, epsilon, y = 6, 0.25, 0.5, 1.0, -0.3
@@ -131,7 +148,7 @@ class TestPmlD1:
         y = 0.8
         c0 = cond_density_binomial(model, b, 0, y)
         c1 = cond_density_binomial(model, b, 1, y)
-        den = marginal_density(model, b, y, method="binomial")
+        den = marginal_density(model, b, y)
         assert pml_d1(model, 1.0, y) == pytest.approx(max(c0, c1) - den, abs=1e-12)
 
     def test_cross_module_consistency(self):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmleak.constructions import CorrelatedBinaryModel, calibrated_mechanism, pml_d1
-from pmleak.leakage import (eps_max, pml, pml_entry, pml_profile, pml_report,
-                            theorem2_check)
+from pmleak.leakage import eps_max, pml, pml_entry, pml_report, theorem2_check
 from pmleak.logdomain import LOG_ZERO
 from pmleak.mechanisms import (FiniteMechanism, product_mechanism,
                                randomized_response)
@@ -85,7 +84,6 @@ class TestPml:
                 rep = pml_report(prior, mech, y)
                 assert rep.pml >= -1e-12
                 assert rep.pml <= rep.eps_max + 1e-9
-                assert rep.upper_bound_satisfied
 
 
 class TestPmlEntry:
@@ -150,14 +148,14 @@ class TestProfile:
     def test_singleton_grid(self):
         prior = FiniteDistribution.uniform((0, 1))
         mech = randomized_response(0.25)
-        profile = pml_profile(prior, mech, [0])
-        assert len(profile) == 1
-        assert profile[0].pml == pytest.approx(pml_report(prior, mech, 0).pml)
+        rep = pml_report(prior, mech, 0)
+        assert rep.y == 0 and rep.context == "secret"
+        assert rep.pml == pytest.approx(math.log(1.5))
 
     def test_symmetric_channel_symmetric_profile(self):
         prior = FiniteDistribution.uniform((0, 1))
         mech = randomized_response(0.25)
-        profile = pml_profile(prior, mech, [0, 1])
+        profile = [pml_report(prior, mech, y) for y in (0, 1)]
         assert profile[0].pml == pytest.approx(profile[1].pml)
 
     def test_thm3_profile_finite(self):
@@ -168,8 +166,3 @@ class TestProfile:
         for y in np.linspace(-2.0, 0.0, 11):
             rep = pml_entry(joint, mech, 0, float(y))
             assert math.isfinite(rep.pml)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="empty grid"):
-            pml_profile(FiniteDistribution.uniform((0, 1)),
-                        randomized_response(0.25), [])

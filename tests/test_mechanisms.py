@@ -33,9 +33,6 @@ class TestSensitivity:
         assert worst == 1.0
         assert l1_sensitivity(sum, 3, (0, 1)) == pytest.approx(1.0)
 
-    def test_analytic_override(self):
-        assert l1_sensitivity(sum, 10 ** 6, (0, 1), analytic=1.0) == 1.0
-
     def test_non_enumerable_without_analytic(self):
         with pytest.raises(ValueError, match="analytic form"):
             l1_sensitivity(sum, 10 ** 6, (0, 1))

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from pmleak.leakage import pml, pml_entry
-from pmleak.mechanisms import randomized_response
-from pmleak.oracle import (GainFunction, GuessKernel, enumerate_joint,
-                           gain_ratio, indicator_gain, induced_joint,
-                           randomized_function_ratio, random_channel,
+from pmleak.oracle import (GainFunction, GuessKernel, gain_ratio,
+                           indicator_gain, randomized_function_ratio, random_channel,
                            random_full_support_prior, random_gain,
                            random_kernel, run_adversary_trials)
 from pmleak.constructions import CorrelatedBinaryModel, calibrated_mechanism, pml_d1
-from pmleak.probability import FiniteDistribution, ProductModel
+from pmleak.probability import (ExplicitJointModel, FiniteDistribution,
+                                ProductModel)
 
 
 def scenario(seed=0, nx=4, ny=5):
@@ -96,39 +95,32 @@ class TestRandomizedFunctionRatio:
 
 class TestEnumerateJoint:
     def test_correlated_model_atom_count_and_mass(self):
-        joint = enumerate_joint(CorrelatedBinaryModel(3, 0.25, 0.5))
+        joint = ExplicitJointModel.from_model(CorrelatedBinaryModel(3, 0.25, 0.5))
         atoms = list(joint.atoms())
         assert len(atoms) == 16
         assert math.fsum(math.exp(lp) for _, lp in atoms) == pytest.approx(1.0)
 
     def test_product_atom_mass(self):
         model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 3)
-        joint = enumerate_joint(model)
+        joint = ExplicitJointModel.from_model(model)
         assert math.exp(joint.joint_logp((1, 1, 0))) == pytest.approx(0.063)
 
     def test_conditional_all_ones_mass(self):
-        joint = enumerate_joint(CorrelatedBinaryModel(3, 0.25, 0.5))
+        joint = ExplicitJointModel.from_model(CorrelatedBinaryModel(3, 0.25, 0.5))
         cond = joint.conditional_rest(0, 1)
         assert cond.prob((1, 1, 1)) == pytest.approx(0.5)
 
     def test_cutoff(self):
         with pytest.raises(ValueError, match="enumeration cutoff exceeded"):
-            enumerate_joint(CorrelatedBinaryModel(20, 0.25, 0.5))
+            ExplicitJointModel.from_model(CorrelatedBinaryModel(20, 0.25, 0.5))
 
     def test_consistency_with_structured_queries(self):
         model = CorrelatedBinaryModel(6, 0.3, 0.4)
-        joint = enumerate_joint(model)
+        joint = ExplicitJointModel.from_model(model)
         mech = calibrated_mechanism(model, 1.0)
         for y in (-0.7, -0.1):
             assert pml_entry(joint, mech, 0, y).pml == pytest.approx(
                 pml_d1(model, 1.0, y), abs=1e-9)
-
-    def test_induced_joint_marginals(self):
-        model = ProductModel.iid(FiniteDistribution.bernoulli(0.4), 2)
-        mech = randomized_response(0.25)
-        from pmleak.mechanisms import product_mechanism
-        joint = induced_joint(model, product_mechanism(mech, 2))
-        assert joint.marginal_x().prob((1, 1)) == pytest.approx(0.16)
 
 
 class TestTrials:

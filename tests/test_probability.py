@@ -1,15 +1,13 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pmleak.constructions import CorrelatedBinaryModel
 from pmleak.logdomain import LOG_ZERO, log_sum_exp
 from pmleak.probability import (ExplicitJointModel, FiniteDistribution,
-                                JointFinite, ProductModel, condition_on_entry,
-                                marginal_of_entry)
+                                ProductModel)
 
 
 def brute_force_correlated_joint(n, alpha, eta):
@@ -53,27 +51,15 @@ class TestFiniteDistribution:
         assert abs(log_sum_exp(d.logp)) <= 1e-9
 
 
-class TestJointFinite:
-    def test_marginals(self):
-        logp = np.log([[0.1, 0.2], [0.3, 0.4]])
-        j = JointFinite(("a", "b"), (0, 1), logp)
-        assert j.marginal_x().prob("a") == pytest.approx(0.3)
-        assert j.marginal_y().prob(1) == pytest.approx(0.6)
-
-    def test_mass_checked(self):
-        with pytest.raises(ValueError, match="mass"):
-            JointFinite(("a",), (0, 1), np.log([[0.4, 0.4]]))
-
-
 class TestProductModel:
     def test_marginal_is_entry_marginal(self):
         model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 5)
         for i in range(5):
-            assert marginal_of_entry(model, i).prob(1) == pytest.approx(0.3)
+            assert model.entry_marginal(i).prob(1) == pytest.approx(0.3)
 
     def test_conditioning_is_independence(self):
         model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 3)
-        cond = condition_on_entry(model, 1, 0)
+        cond = model.conditional_rest(1, 0)
         # product marginal over remaining entries, unchanged
         assert cond.prob((1, 0)) == pytest.approx(0.3 * 0.7)
 
@@ -84,22 +70,22 @@ class TestProductModel:
     def test_index_out_of_range(self):
         model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 3)
         with pytest.raises(IndexError):
-            marginal_of_entry(model, 3)
+            model.entry_marginal(3)
 
     def test_condition_on_impossible_symbol(self):
         model = ProductModel.iid(FiniteDistribution.from_probs((0, 1), (1.0, 0.0)), 2)
         with pytest.raises(ValueError, match="unsupported condition"):
-            condition_on_entry(model, 0, 1)
+            model.conditional_rest(0, 1)
 
 
 class TestCorrelatedBinaryModel:
     def test_first_entry_marginal_is_alpha(self):
         model = CorrelatedBinaryModel(8, 0.25, 0.5)
-        assert marginal_of_entry(model, 0).prob(0) == pytest.approx(0.25)
+        assert model.entry_marginal(0).prob(0) == pytest.approx(0.25)
 
     def test_conditional_tail_given_first(self):
         model = CorrelatedBinaryModel(4, 0.25, 0.5)
-        cond = condition_on_entry(model, 0, 1)
+        cond = model.conditional_rest(0, 1)
         assert cond.prob((1, 1, 1, 1)) == pytest.approx(0.5)
         assert cond.prob((0, 1, 0, 1)) == pytest.approx(0.5 / 15)
 
@@ -108,14 +94,14 @@ class TestCorrelatedBinaryModel:
         model = CorrelatedBinaryModel(n, alpha, eta)
         table = brute_force_correlated_joint(n, alpha, eta)
         want = sum(p for x, p in table.items() if x[2] == 1)
-        assert marginal_of_entry(model, 2).prob(1) == pytest.approx(want, rel=1e-12)
+        assert model.entry_marginal(2).prob(1) == pytest.approx(want, rel=1e-12)
 
     def test_conditional_of_tail_entry_against_enumeration(self):
         n, alpha, eta = 3, 0.25, 0.5
         model = CorrelatedBinaryModel(n, alpha, eta)
         table = brute_force_correlated_joint(n, alpha, eta)
         p_d2_0 = sum(p for x, p in table.items() if x[2] == 0)
-        cond = condition_on_entry(model, 2, 0)
+        cond = model.conditional_rest(2, 0)
         for rest in itertools.product((0, 1), repeat=n):
             x = rest[:2] + (0,) + rest[2:]
             assert cond.prob(rest) == pytest.approx(table[x] / p_d2_0, rel=1e-12)
@@ -128,10 +114,10 @@ class TestCorrelatedBinaryModel:
 
     def test_analytic_queries_scale_far_beyond_enumeration(self):
         model = CorrelatedBinaryModel(5000, 0.25, 0.5)
-        assert marginal_of_entry(model, 0).prob(0) == pytest.approx(0.25)
-        assert 0.0 < marginal_of_entry(model, 17).prob(1) < 1.0
+        assert model.entry_marginal(0).prob(0) == pytest.approx(0.25)
+        assert 0.0 < model.entry_marginal(17).prob(1) < 1.0
         with pytest.raises(ValueError, match="enumeration cutoff exceeded"):
-            condition_on_entry(model, 0, 1)
+            model.conditional_rest(0, 1)
 
 
 @pytest.mark.parametrize("model", [
@@ -142,9 +128,9 @@ class TestCorrelatedBinaryModel:
 def test_law_of_total_probability(model):
     """Re-mixing conditionals with the entry marginal reconstructs the joint."""
     for i in range(model.num_entries):
-        marg = marginal_of_entry(model, i)
+        marg = model.entry_marginal(i)
         for d in model.alphabet:
-            cond = condition_on_entry(model, i, d)
+            cond = model.conditional_rest(i, d)
             for rest, lp in zip(cond.labels, cond.logp):
                 if lp == LOG_ZERO:
                     continue
