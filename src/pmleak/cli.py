@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -112,6 +113,8 @@ def cmd_analyze(opts) -> int:
             ys = [float(v) for v in opts.y]
         else:
             raise ValueError("continuous mechanism needs --y or --y-grid")
+        if not all(math.isfinite(y) for y in ys):
+            raise ValueError("outcome y must be finite")
     table = ResultTable(("y", "pml_nats", "argmax_label", "eps_max"),
                         meta=_base_meta("analyze", opts))
     table.meta["mechanism-file"] = opts.mechanism
@@ -152,10 +155,10 @@ def cmd_thm3(opts) -> int:
     _emit(table, opts)
     if opts.svg:
         ns = [row.n for row in rows]
-        series = [
-            Series("lower bound", tuple(ns), tuple(row.bound for row in rows)),
-            Series("exact PML", tuple(ns), tuple(row.exact_pml for row in rows)),
-        ]
+        series = []
+        if rows and rows[0].bound is not None:  # no bound is drawn for y > 0
+            series.append(Series("lower bound", tuple(ns), tuple(row.bound for row in rows)))
+        series.append(Series("exact PML", tuple(ns), tuple(row.exact_pml for row in rows)))
         em = rows[0].eps_max if rows else 0.0
         write_line_chart(opts.svg, series, title="Per-entry PML vs database size",
                          xlabel="n", ylabel="PML (nats)",
@@ -303,3 +306,7 @@ def main(argv=None) -> int:
 
 def entry_point():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -9,8 +9,11 @@ entire first entry: its per-entry PML approaches log(1/alpha), the leakage
 of releasing the entry unperturbed.
 
 Everything here is evaluated in log domain so the analysis scales to n in
-the thousands; the closed forms for y <= 0 and a binomial-sum evaluator
-valid for all y cross-check each other and, for small n, full enumeration.
+the millions.  The closed forms for y <= 0 cost O(1); the binomial-sum
+evaluator, valid for all y, sums only the roughly 10*sqrt(n) terms around
+its mode in one numpy reduction, with the truncation bound stated in its
+docstring.  The two cross-check each other and, for small n, full
+enumeration.
 """
 
 from __future__ import annotations
@@ -20,10 +23,17 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .logdomain import (LOG_TWO, LOG_ZERO, LogReal, log_add, log_binom,
                         log_sum_exp, signed_log_sum)
 from .mechanisms import LaplaceMechanism, laplace_log_density
 from .probability import DatabaseModel, FiniteDistribution
+
+
+#: binomial standard deviations (at most sqrt(n)/2) summed on each side of
+#: the mode in cond_density_binomial
+_WINDOW_SIGMAS = 9.5
 
 
 def _log_two_pow_minus_one(n: int) -> float:
@@ -129,6 +139,8 @@ def calibrated_scale(n: int, epsilon: float) -> float:
     """Laplace scale b = 1 / (epsilon * (n+1)) for the empirical-frequency query."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
     return 1.0 / (epsilon * (n + 1))
 
 
@@ -145,19 +157,54 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     The output is a mixture of 2^n Laplace densities whose centers depend
     only on the tail's Hamming weight, so the uniform part collapses to
     n+1 binomially weighted terms.  The all-d1 string (Hamming weight n*d1)
-    carries weight eta instead, so its term is left out of the sum; taking
-    it back out by subtraction cancels catastrophically when it dominates.
+    carries weight eta instead, so its term is left out of the sum by its
+    index; taking it back out by subtraction cancels catastrophically when
+    it dominates.
+
+    Only a window of about 10*sqrt(n) terms around the mode is summed, as
+    one numpy reduction.  With s = y(n+1) - d1 and t = 1/((n+1)b), term i
+    is a_i = log C(n,i) - t|s - i| up to a constant: a sum of two concave
+    functions of i, so the terms are log-concave with the single mode
+    clip(s, n/(1+e^t), n/(1+e^-t)), and each step a_{i+1} - a_i falls by
+    at least 4/(n+2) from the one before.  The window reaches
+    9.5 (sqrt(n)/2 + 1) + 2 indices to each side of the mode, 9.5 binomial
+    standard deviations (sigma <= sqrt(n)/2), so its edge terms sit at
+    least 45 nats below the largest term.  Truncation bound: if the last
+    step inside the window has log-ratio -delta, every step beyond it is
+    smaller still and the omitted tail on that side is at most
+    e^{a_edge} e^{-delta} / (1 - e^{-delta}).
     """
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
+    if not b > 0:
+        raise ValueError("scale must be positive")
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
     n = model.n
     m = n + 1
+    q = math.exp(-1.0 / (m * b))  # e^-t cannot overflow, however small b is
+    # the mode at d1 = 0; at d1 = 1 it is at most one index lower, so both
+    # conditionals sum one window from one anchor
+    mode = min(max(y * m, n * q / (1.0 + q)), n / (1.0 + q))
+    half = math.ceil(_WINDOW_SIGMAS * (math.sqrt(n) / 2 + 1)) + 2
+    lo = max(0, math.floor(mode) - half - 1)
+    hi = min(n, math.ceil(mode) + half)
+    i = np.arange(lo, hi + 1, dtype=float)
+    # log C(n, i) - log C(n, lo), from the exact ratios C(n, i+1) / C(n, i)
+    log_c = np.empty(len(i))
+    log_c[0] = 0.0
+    np.cumsum(np.log((n - i[:-1]) / i[1:]), out=log_c[1:])
+    terms = log_c - np.abs(y - (d1 + i) / m) / b
+    if lo <= n * d1 <= hi:
+        terms[n * d1 - lo] = LOG_ZERO
+    top = terms.max()
+    # the constants of size n are added apart from the terms: their rounding
+    # is then the same at d1 = 0 and 1 and cancels from the PML
+    log_scale = (math.log1p(-model.eta) - _log_two_pow_minus_one(n)
+                 + log_binom(n, lo) - math.log(2.0 * b))
+    uniform_part = log_scale + (top + math.log(np.exp(terms - top).sum()))
     lap_peak = laplace_log_density(float(d1), b, y)  # all-d1 tail: center is d1 itself
-    terms = [log_binom(n, i) + laplace_log_density((d1 + i) / m, b, y) for i in range(n + 1)]
-    terms[n * d1] = LOG_ZERO
-    uniform_part = log_sum_exp(terms)
-    return log_add(math.log(model.eta) + lap_peak,
-                   math.log1p(-model.eta) - _log_two_pow_minus_one(n) + uniform_part)
+    return log_add(math.log(model.eta) + lap_peak, uniform_part)
 
 
 def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y: float) -> LogReal:
@@ -217,8 +264,10 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     """Exact PML of entry 0 at outcome y under the calibrated Laplace mechanism.
 
     For y <= 0 the d1 = 0 branch provably dominates and the closed forms
-    apply; for y > 0 dominance is not established, so both branches are
-    evaluated via the binomial sum and maxed explicitly.
+    apply, at O(1) cost; for y > 0 dominance is not established, so both
+    branches are evaluated via the binomial sum, a roughly 10*sqrt(n)-term
+    numpy reduction each whose truncation error is bounded in
+    cond_density_binomial, and maxed explicitly.
     """
     b = calibrated_scale(model.n, epsilon)
     c0, c1 = _cond_densities(model, b, y)
@@ -292,6 +341,8 @@ class BobModel:
             raise ValueError("k must be at least 1")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
+        if not math.isfinite(self.scale):
+            raise ValueError("scale must be finite")
         if self.prior is not None:
             if self.prior.labels != tuple(range(1, self.k + 1)):
                 raise ValueError("prior labels must be 1..k")
@@ -307,6 +358,8 @@ def bob_mechanism(model: BobModel, epsilon: float) -> LaplaceMechanism:
     """Laplace-noised count: sensitivity 1, scale 1/epsilon, centers scale * j."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
     labels = tuple(range(1, model.k + 1))
     return LaplaceMechanism(lambda j: model.scale * j, 1.0 / epsilon,
                             sensitivity=1.0, labels=labels)
@@ -322,8 +375,10 @@ def bob_pml(model: BobModel, epsilon: float, y: float) -> float:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One n of a sweep; ``bound`` is None where lower_bound does not hold (y > 0)."""
+
     n: int
-    bound: float
+    bound: Optional[float]
     exact_pml: float
     enum_pml: Optional[float]
     eps_max: float
@@ -331,14 +386,17 @@ class SweepRow:
 
 def sweep(n_values, alpha: float, schedule: EtaSchedule, epsilon: float,
           y: float, enum_limit: int = 15) -> list[SweepRow]:
-    """Bound vs exact PML across n; enumeration cross-check where feasible."""
+    """Bound vs exact PML across n; enumeration cross-check where feasible.
+
+    lower_bound holds only for y <= 0, so rows at y > 0 carry no bound.
+    """
     from .leakage import pml_entry
     from .probability import ExplicitJointModel
     rows = []
     for n in sorted(set(int(v) for v in n_values)):
         eta = schedule.eta(n)
         model = CorrelatedBinaryModel(n, alpha, eta)
-        bound = lower_bound(n, alpha, eta, epsilon)
+        bound = lower_bound(n, alpha, eta, epsilon) if y <= 0 else None
         exact = pml_d1(model, epsilon, y)
         enum_pml = None
         if n <= enum_limit:

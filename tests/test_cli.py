@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -242,23 +245,60 @@ class TestConfigAndReproducibility:
 
 NAN_LAPLACE = {"kind": "laplace", "scale": float("nan"), "sensitivity": 1.0,
                "labels": [0, 1], "centers": [0.0, 1.0]}
+LAPLACE = dict(NAN_LAPLACE, scale=1.0)
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--mechanism", "{spec}", "--y", "0.5"],
-    ["dp-check", "--mechanism", "{spec}"],
-    ["thm3", "--n", "100", "--epsilon", "nan"],
-    ["thm3", "--n", "100", "--y", "nan"],
-    ["bob", "--epsilon", "nan"],
-    ["thm3", "--n-range", "4", "4096", "0"],
-], ids=["analyze-nan-scale", "dp-check-nan-scale", "thm3-nan-epsilon",
-        "thm3-nan-y", "bob-nan-epsilon", "thm3-zero-count"])
-def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["analyze", "--mechanism", "{spec}", "--y", "0.5"],
+                 "scale must be positive", id="analyze-nan-scale"),
+    pytest.param(["dp-check", "--mechanism", "{spec}"],
+                 "scale must be positive", id="dp-check-nan-scale"),
+    pytest.param(["thm3", "--n", "100", "--epsilon", "nan"],
+                 "epsilon must be positive", id="thm3-nan-epsilon"),
+    pytest.param(["thm3", "--n", "100", "--y", "nan"], "y must be finite", id="thm3-nan-y"),
+    pytest.param(["bob", "--epsilon", "nan"], "epsilon must be positive", id="bob-nan-epsilon"),
+    pytest.param(["thm3", "--n-range", "4", "4096", "0"],
+                 "n-range count must be at least 1", id="thm3-zero-count"),
+    pytest.param(["analyze", "--mechanism", "{lap}", "--y", "nan"],
+                 "outcome y must be finite", id="analyze-nan-y"),
+    pytest.param(["analyze", "--mechanism", "{lap}", "--y-grid", "0", "nan", "3"],
+                 "outcome y must be finite", id="analyze-nan-y-grid"),
+    pytest.param(["thm3", "--n", "10", "--epsilon", "inf"],
+                 "epsilon must be finite", id="thm3-inf-epsilon"),
+    pytest.param(["bob", "--scale", "inf", "--y-grid", "0", "1", "2"],
+                 "scale must be finite", id="bob-inf-scale"),
+])
+def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv, message):
     spec = write_spec(tmp_path, NAN_LAPLACE)
-    assert main([a.format(spec=spec) for a in argv]) == EXIT_VALIDATION
+    lap = write_spec(tmp_path, LAPLACE, name="lap.json")
+    assert main([a.format(spec=spec, lap=lap) for a in argv]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert f"error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_thm3_at_positive_y_reports_no_bound(tmp_path):
+    # lower_bound holds only for y <= 0; at n = 50, y = 0.5 it would read
+    # 1.157 against an exact PML of about 0
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert main(["thm3", "--n", "50", "--y", "0.5", "--out", str(out),
+                 "--svg", str(svg)]) == EXIT_OK
+    _, header, rows = read_table(out)
+    assert rows[0][header.index("lower_bound")] == ""
+    assert abs(float(rows[0][header.index("exact_pml")])) < 1e-9
+    text = svg.read_text()
+    assert "exact PML" in text and "lower bound" not in text
+
+
+@pytest.mark.parametrize("module", ["pmleak", "pmleak.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.startswith("usage: pmleak")
 
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"

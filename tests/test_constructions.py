@@ -1,8 +1,10 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import laplace as scipy_laplace
 
@@ -12,8 +14,12 @@ from pmleak.constructions import (BobModel, CorrelatedBinaryModel, EtaSchedule,
                                   cond_density_closed_form, find_limit_n,
                                   lower_bound, marginal_density, pml_d1, sweep)
 from pmleak.leakage import pml_entry
-from pmleak.mechanisms import dp_level_laplace
+from pmleak.logdomain import LOG_ZERO, log_add, log_binom, log_sum_exp
+from pmleak.mechanisms import dp_level_laplace, laplace_log_density
 from pmleak.probability import ExplicitJointModel
+
+#: float64 unit roundoff
+U = 2.0 ** -53
 
 
 def enumerated_cond_density(n, alpha, eta, b, d1, y):
@@ -26,6 +32,47 @@ def enumerated_cond_density(n, alpha, eta, b, d1, y):
         center = (d1 + sum(rest)) / (n + 1)
         total += w * scipy_laplace.pdf(y, loc=center, scale=b)
     return total
+
+
+def loop_cond_density(model, b, d1, y):
+    """O(n) oracle: all n+1 Hamming-weight terms, the all-d1 one left out by index."""
+    n = model.n
+    m = n + 1
+    lap_peak = laplace_log_density(float(d1), b, y)
+    terms = [log_binom(n, i) + laplace_log_density((d1 + i) / m, b, y) for i in range(n + 1)]
+    terms[n * d1] = LOG_ZERO
+    uniform_part = log_sum_exp(terms)
+    log_rest = math.log1p(-model.eta) - math.log(2 ** n - 1)  # exact big int
+    return log_add(math.log(model.eta) + lap_peak, log_rest + uniform_part)
+
+
+def mp_log_cond_density(n, eta, b, d1, y, dps=50):
+    """log P(y | d1) from the 2^n-string mixture grouped by Hamming weight, in mpmath."""
+    with mpmath.workdps(dps):
+        b, y, eta = mpmath.mpf(b), mpmath.mpf(y), mpmath.mpf(eta)
+        total = mpmath.mpf(0)
+        for i in range(n + 1):
+            if i != n * d1:
+                center = mpmath.mpf(d1 + i) / (n + 1)
+                total += math.comb(n, i) * mpmath.exp(-abs(y - center) / b)
+        peak = eta * mpmath.exp(-abs(y - d1) / b)
+        return float(mpmath.log((peak + (1 - eta) / (2 ** n - 1) * total) / (2 * b)))
+
+
+@st.composite
+def positive_outcomes(draw):
+    """(n, d1, y) with y in (0, 1.5): anywhere, on a bin edge, or one ulp off one."""
+    n = draw(st.integers(1, 60))
+    d1 = draw(st.sampled_from((0, 1)))
+    place = draw(st.sampled_from(("free", "edge", "above", "below")))
+    if place == "free":
+        y = draw(st.floats(0.0, 1.5, exclude_min=True, exclude_max=True))
+    else:
+        y = (d1 + draw(st.integers(0, n))) / (n + 1)
+        if place != "edge":
+            y = math.nextafter(y, 2.0 if place == "above" else -1.0)
+    assume(0.0 < y < 1.5)
+    return n, d1, y
 
 
 class TestCondDensities:
@@ -86,6 +133,40 @@ class TestCondDensities:
                 want += w * mpmath.exp(-abs(mpmath.mpf(y) - center) / b) / (2 * b)
             got = mpmath.exp(cond_density_binomial(model, b, d1, y))
             assert float(abs(got / want - 1)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(outcome=positive_outcomes(), eta=st.floats(1e-12, 0.5),
+           epsilon=st.floats(0.01, 200.0))
+    def test_binomial_matches_mpmath_at_positive_y(self, outcome, eta, epsilon):
+        n, d1, y = outcome
+        model = CorrelatedBinaryModel(n, 0.25, eta)
+        b = calibrated_scale(n, epsilon)
+        want = mp_log_cond_density(n, eta, b, d1, y)
+        got = cond_density_binomial(model, b, d1, y)
+        # rounding y, the centers and the exponents perturbs log P by at
+        # most about U (1 + |log P| + y (n+1) epsilon); allow 256 times that
+        assert abs(got - want) <= 256 * U * (1 + abs(want) + y * (n + 1) * epsilon)
+
+    @pytest.mark.parametrize("n", [10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("d1", [0, 1])
+    def test_binomial_window_matches_full_sum_at_large_n(self, n, d1):
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        b = calibrated_scale(n, 0.1)
+        # at the mode, on a bin edge below the mode, near 1 and above 1
+        for y in (0.5, (d1 + n // 3) / (n + 1), 0.999, 1.2):
+            want = loop_cond_density(model, b, d1, y)
+            got = cond_density_binomial(model, b, d1, y)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("n, b", [(3, 1e-4), (3, 2.5e-5), (100, 1e-6)])
+    def test_binomial_tiny_scale_is_finite(self, n, b):
+        # t = 1/((n+1) b) reaches about 1e4, where e^t overflows a float
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        for d1 in (0, 1):
+            for y in (0.01, 0.3, 1.2):
+                got = cond_density_binomial(model, b, d1, y)
+                assert math.isfinite(got)
+                assert got == pytest.approx(loop_cond_density(model, b, d1, y), rel=1e-12)
 
     def test_n1_two_component_mixture_by_hand(self):
         # n = 1: tail is a single bit; weights eta (same as d1) and 1-eta
@@ -259,6 +340,12 @@ class TestSweep:
         for r in rows:
             assert r.bound <= r.exact_pml + 1e-12
             assert r.exact_pml <= r.eps_max + 1e-9
+
+    def test_positive_y_rows_carry_no_bound(self):
+        # lower_bound holds only for y <= 0
+        row, = sweep([50], 0.25, EtaSchedule.constant(0.5), 0.1, 0.5)
+        assert row.bound is None
+        assert row.exact_pml == pml_d1(CorrelatedBinaryModel(50, 0.25, 0.5), 0.1, 0.5)
 
     def test_enum_column_only_for_small_n(self):
         rows = sweep([8, 64], 0.25, EtaSchedule.constant(0.5), 0.5, -0.3)
