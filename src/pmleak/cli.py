@@ -144,8 +144,10 @@ def cmd_thm3(opts) -> int:
         start, stop, count = opts.n_range
         if int(count) < 1:
             raise ValueError("n-range count must be at least 1")
-        n_values = sorted({int(round(v)) for v in
-                           np.geomspace(max(int(start), 1), int(stop), int(count))})
+        start = max(start, 1.0)
+        if not (start < math.inf and 1.0 <= stop < math.inf):
+            raise ValueError("n-range ends must be finite and STOP at least 1")
+        n_values = sorted({int(round(v)) for v in np.geomspace(start, stop, int(count))})
     y = float(opts.y)
     rows = sweep(n_values, float(opts.alpha), schedule, float(opts.epsilon), y)
     table = ResultTable(("n", "lower_bound", "exact_pml", "enum_pml", "eps_max"),

@@ -18,7 +18,6 @@ enumeration.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -34,6 +33,9 @@ from .probability import DatabaseModel, FiniteDistribution
 #: binomial standard deviations (at most sqrt(n)/2) summed on each side of
 #: the mode in cond_density_binomial
 _WINDOW_SIGMAS = 9.5
+
+#: largest n whose sweep row is cross-checked by enumerating the 2^(n+1) atoms
+SWEEP_ENUM_LIMIT = 15
 
 
 def _log_two_pow_minus_one(n: int) -> float:
@@ -56,6 +58,8 @@ class CorrelatedBinaryModel(DatabaseModel):
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if not self.n < 2 ** 53:  # the centers (d1+i)/(n+1) need n+1 exact as a float
+            raise ValueError("n must be below 2^53")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 0.5)")
         if not 0.0 < self.eta < 1.0:
@@ -88,20 +92,6 @@ class CorrelatedBinaryModel(DatabaseModel):
         frac_given0 = (1.0 - self.eta) * (2 ** (self.n - 1) / (2 ** self.n - 1))
         p1 = (1.0 - self.alpha) * frac_given1 + self.alpha * frac_given0
         return FiniteDistribution.from_probs((0, 1), (1.0 - p1, p1))
-
-    def conditional_rest(self, i, d):
-        self._check_index(i)
-        if d not in self.alphabet:
-            raise KeyError(f"symbol {d!r} not in alphabet")
-        if i != 0:
-            return super().conditional_rest(i, d)
-        self._require_enumerable(2 ** self.n)
-        log_uniform = math.log1p(-self.eta) - _log_two_pow_minus_one(self.n)
-        labels, logs = [], []
-        for rest in itertools.product((0, 1), repeat=self.n):
-            labels.append(rest)
-            logs.append(math.log(self.eta) if all(s == d for s in rest) else log_uniform)
-        return FiniteDistribution(tuple(labels), tuple(logs))
 
 
 @dataclass(frozen=True)
@@ -141,7 +131,10 @@ def calibrated_scale(n: int, epsilon: float) -> float:
         raise ValueError("epsilon must be positive")
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
-    return 1.0 / (epsilon * (n + 1))
+    scale = 1.0 / (epsilon * (n + 1))
+    if not math.isfinite(scale):
+        raise ValueError("Laplace scale must be finite")
+    return scale
 
 
 def calibrated_mechanism(model: CorrelatedBinaryModel, epsilon: float) -> LaplaceMechanism:
@@ -260,17 +253,26 @@ def marginal_density(model: CorrelatedBinaryModel, b: float, y: float) -> LogRea
     return _mixture(model, *_cond_densities(model, b, y))
 
 
+def _pml_outcome(y: float) -> float:
+    """clip(y, 0, 1), where entry 0 leaks as at y: every Laplace center lies in
+    [0, 1], so outside it the PML is constant, and ±y/b would drown the centers."""
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
+    return min(max(y, 0.0), 1.0)
+
+
 def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     """Exact PML of entry 0 at outcome y under the calibrated Laplace mechanism.
 
-    For y <= 0 the d1 = 0 branch provably dominates and the closed forms
-    apply, at O(1) cost; for y > 0 dominance is not established, so both
-    branches are evaluated via the binomial sum, a roughly 10*sqrt(n)-term
-    numpy reduction each whose truncation error is bounded in
-    cond_density_binomial, and maxed explicitly.
+    Evaluated at clip(y, 0, 1), which has the same PML.  For y <= 0 the d1 = 0
+    branch provably dominates and the closed forms apply, at O(1) cost; for
+    y > 0 dominance is not established, so both branches are evaluated via
+    the binomial sum, a roughly 10*sqrt(n)-term numpy reduction each whose
+    truncation error is bounded in cond_density_binomial, and maxed
+    explicitly.
     """
     b = calibrated_scale(model.n, epsilon)
-    c0, c1 = _cond_densities(model, b, y)
+    c0, c1 = _cond_densities(model, b, _pml_outcome(y))
     return max(c0, c1) - _mixture(model, c0, c1)
 
 
@@ -385,13 +387,12 @@ class SweepRow:
 
 
 def sweep(n_values, alpha: float, schedule: EtaSchedule, epsilon: float,
-          y: float, enum_limit: int = 15) -> list[SweepRow]:
-    """Bound vs exact PML across n; enumeration cross-check where feasible.
+          y: float) -> list[SweepRow]:
+    """Bound vs exact PML across n; enumeration cross-check up to SWEEP_ENUM_LIMIT.
 
     lower_bound holds only for y <= 0, so rows at y > 0 carry no bound.
     """
     from .leakage import pml_entry
-    from .probability import ExplicitJointModel
     rows = []
     for n in sorted(set(int(v) for v in n_values)):
         eta = schedule.eta(n)
@@ -399,10 +400,9 @@ def sweep(n_values, alpha: float, schedule: EtaSchedule, epsilon: float,
         bound = lower_bound(n, alpha, eta, epsilon) if y <= 0 else None
         exact = pml_d1(model, epsilon, y)
         enum_pml = None
-        if n <= enum_limit:
-            joint = ExplicitJointModel.from_model(model)
+        if n <= SWEEP_ENUM_LIMIT:
             mech = calibrated_mechanism(model, epsilon)
-            enum_pml = pml_entry(joint, mech, 0, y).pml
+            enum_pml = pml_entry(model, mech, 0, _pml_outcome(y)).pml
         rows.append(SweepRow(n=n, bound=bound, exact_pml=exact,
                              enum_pml=enum_pml, eps_max=-math.log(alpha)))
     return rows

@@ -69,26 +69,26 @@ def pml_report(prior: FiniteDistribution, mech, y) -> LeakageReport:
     return _report(prior, lls, y, "secret")
 
 
-def entry_log_likelihoods(model: DatabaseModel, mech, i: int, y) -> list[float]:
-    """log P(y | D_i = d) for each symbol d: the channel induced on entry i.
-
-    Mixes the full-database channel over the conditional law of the other
-    entries.
-    """
-    prior = model.entry_marginal(i)
-    out = []
-    for d in prior.labels:
-        cond = model.conditional_rest(i, d)
-        terms = [lp + mech.log_likelihood(rest[:i] + (d,) + rest[i:], y)
-                 for rest, lp in zip(cond.labels, cond.logp) if lp > LOG_ZERO]
-        out.append(log_sum_exp(terms) if terms else LOG_ZERO)
-    return out
+def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
+    """(law of entry i, [log P(y | D_i = d) for each symbol d]) in one pass
+    over the atoms: each atom joins the bucket of x[i], whose masses give the
+    law of entry i and weight its likelihoods into the induced channel."""
+    model._check_index(i)
+    buckets = {d: [] for d in model.alphabet}
+    for x, lp in model.atoms():
+        if lp > LOG_ZERO:
+            buckets[x[i]].append((lp, mech.log_likelihood(x, y)))
+    law, lls = [], []
+    for atoms in buckets.values():
+        lcond = log_sum_exp([lp for lp, _ in atoms]) if atoms else LOG_ZERO
+        law.append(lcond)
+        lls.append(log_sum_exp([lp - lcond + ll for lp, ll in atoms]) if atoms else LOG_ZERO)
+    return FiniteDistribution(model.alphabet, tuple(law)), lls
 
 
 def pml_entry(model: DatabaseModel, mech, i: int, y) -> LeakageReport:
     """PML of database entry i at mechanism outcome y."""
-    prior = model.entry_marginal(i)
-    lls = entry_log_likelihoods(model, mech, i, y)
+    prior, lls = entry_channel(model, mech, i, y)
     return _report(prior, lls, y, f"entry-{i}")
 
 
@@ -119,10 +119,6 @@ def theorem2_check(mech: FiniteMechanism, epsilon_dp: float, num_entries: int,
     exceeds epsilon_dp for an epsilon_dp-DP mechanism.
     """
     alphabet = tuple(alphabet)
-    if num_entries == 1 and mech.x_labels and not isinstance(mech.x_labels[0], tuple):
-        # lift a scalar-labeled channel so its inputs look like 1-entry databases
-        mech = FiniteMechanism(tuple((x,) for x in mech.x_labels),
-                               mech.y_labels, mech.logp)
     rng = np.random.default_rng(seed)
     prior_specs = []
     for _ in range(prior_samples):
@@ -142,10 +138,8 @@ def theorem2_check(mech: FiniteMechanism, epsilon_dp: float, num_entries: int,
         model = ProductModel(tuple(
             FiniteDistribution.from_probs(alphabet, p, normalize=True) for p in spec))
         for i in range(num_entries):
-            lls_by_y = [entry_log_likelihoods(model, mech, i, y) for y in mech.y_labels]
-            prior = model.entry_marginal(i)
-            for y, lls in zip(mech.y_labels, lls_by_y):
-                value = pml(prior, lls)
+            for y in mech.y_labels:
+                value = pml(*entry_channel(model, mech, i, y))
                 if value > best:
                     best = value
                     witness = (spec, i, y)

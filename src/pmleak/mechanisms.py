@@ -74,6 +74,8 @@ class LaplaceMechanism:
     def __init__(self, query: Callable, scale: float, sensitivity=None, labels=None):
         if not scale > 0:
             raise ValueError("scale must be positive")
+        if not math.isfinite(scale):
+            raise ValueError("Laplace scale must be finite")
         self.query = query
         self.scale = float(scale)
         self.sensitivity = None if sensitivity is None else float(sensitivity)

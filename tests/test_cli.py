@@ -267,6 +267,14 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
                  "epsilon must be finite", id="thm3-inf-epsilon"),
     pytest.param(["bob", "--scale", "inf", "--y-grid", "0", "1", "2"],
                  "scale must be finite", id="bob-inf-scale"),
+    pytest.param(["thm3", "--n", "100", "--epsilon", "1e-320"],
+                 "Laplace scale must be finite", id="thm3-scale-overflow"),
+    pytest.param(["bob", "--epsilon", "1e-320"],
+                 "Laplace scale must be finite", id="bob-scale-overflow"),
+    pytest.param(["thm3", "--n-range", "4", "1e30", "3"],
+                 "n must be below 2^53", id="thm3-n-range-beyond-float"),
+    pytest.param(["thm3", "--n-range", "4", "inf", "3"],
+                 "n-range ends must be finite", id="thm3-n-range-inf"),
 ])
 def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv, message):
     spec = write_spec(tmp_path, NAN_LAPLACE)

@@ -347,6 +347,17 @@ class TestSweep:
         assert row.bound is None
         assert row.exact_pml == pml_d1(CorrelatedBinaryModel(50, 0.25, 0.5), 0.1, 0.5)
 
+    @pytest.mark.parametrize("y, edge", [(-1e15, 0.0), (-1e12, 0.0), (1e12, 1.0), (1e15, 1.0)])
+    def test_pml_is_constant_outside_the_unit_interval(self, y, edge):
+        # every Laplace center lies in [0, 1], so far outcomes leak as its edges do
+        schedule = EtaSchedule.constant(0.5)
+        rows = sweep([5, 1000], 0.25, schedule, 0.1, y)
+        for row, at_edge in zip(rows, sweep([5, 1000], 0.25, schedule, 0.1, edge)):
+            assert row.exact_pml == at_edge.exact_pml
+            assert row.exact_pml <= row.eps_max + 1e-9
+        assert abs(rows[0].exact_pml - rows[0].enum_pml) <= 1e-9
+        assert rows[0].exact_pml > 0.01
+
     def test_enum_column_only_for_small_n(self):
         rows = sweep([8, 64], 0.25, EtaSchedule.constant(0.5), 0.5, -0.3)
         assert rows[0].enum_pml is not None

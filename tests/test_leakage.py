@@ -117,10 +117,40 @@ class TestPmlEntry:
                         assert pml_entry(model, mech, i, y).pml <= level + 1e-9
 
 
+    def test_correlated_model_matches_its_explicit_joint(self):
+        model = CorrelatedBinaryModel(6, 0.25, 0.5)
+        joint = ExplicitJointModel.from_model(model)
+        mech = calibrated_mechanism(model, 1.0)
+        for i in (0, 3, 6):
+            for y in (-0.3, 0.0, 0.4, 1.2):
+                got, want = pml_entry(model, mech, i, y), pml_entry(joint, mech, i, y)
+                assert got.pml == want.pml
+                assert got.argmax_label == want.argmax_label
+
+    def test_product_model_matches_its_explicit_joint(self):
+        # non-iid entries over a 3-symbol alphabet
+        model = ProductModel(tuple(FiniteDistribution.from_probs((0, 1, 2), p)
+                                   for p in ((0.2, 0.3, 0.5), (0.6, 0.1, 0.3), (0.25, 0.25, 0.5))))
+        joint = ExplicitJointModel.from_model(model)
+        base = FiniteMechanism.from_probs((0, 1, 2), (0, 1),
+                                          [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
+        mech = product_mechanism(base, 3)
+        for i in (0, 1, 2):
+            for y in mech.y_labels:
+                assert pml_entry(model, mech, i, y).pml == pml_entry(joint, mech, i, y).pml
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_entry_index_out_of_range(self, i):
+        model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 3)
+        mech = product_mechanism(randomized_response(0.25), 3)
+        with pytest.raises(IndexError):
+            pml_entry(model, mech, i, (0, 0, 0))
+
+
 class TestTheorem2Check:
     def test_randomized_response_supremum(self):
         p, q = 0.25, 0.01
-        mech = randomized_response(p)
+        mech = product_mechanism(randomized_response(p), 1)
         level = math.log(3.0)
         rep = theorem2_check(mech, level, 1, (0, 1), prior_samples=50,
                              grid_resolution=99, seed=3, grid_span=(q, 1.0 - q))
@@ -132,16 +162,17 @@ class TestTheorem2Check:
         assert rep.max_observed_pml >= edge - 1e-9
 
     def test_leakage_free_channel(self):
-        mech = FiniteMechanism.from_probs((0, 1), (0, 1), [[0.5, 0.5], [0.5, 0.5]])
-        rep = theorem2_check(mech, 0.0, 1, (0, 1), prior_samples=20,
+        base = FiniteMechanism.from_probs((0, 1), (0, 1), [[0.5, 0.5], [0.5, 0.5]])
+        rep = theorem2_check(product_mechanism(base, 1), 0.0, 1, (0, 1), prior_samples=20,
                              grid_resolution=9, seed=5)
         assert rep.max_observed_pml == pytest.approx(0.0, abs=1e-12)
 
     def test_witness_reported(self):
-        rep = theorem2_check(randomized_response(0.25), math.log(3.0), 1, (0, 1),
+        rep = theorem2_check(product_mechanism(randomized_response(0.25), 1),
+                             math.log(3.0), 1, (0, 1),
                              prior_samples=10, grid_resolution=9, seed=1)
         assert rep.witness_prior is not None
-        assert rep.witness_outcome in (0, 1)
+        assert rep.witness_outcome in ((0,), (1,))
 
 
 class TestProfile:
