@@ -17,7 +17,7 @@ from .probability import (DatabaseModel, ExplicitJointModel, FiniteDistribution,
 from .constructions import (BobModel, CorrelatedBinaryModel, EtaSchedule,
                             bob_pml, calibrated_mechanism, cond_density_binomial,
                             cond_density_closed_form, find_limit_n, lower_bound,
-                            marginal_density, pml_d1, sweep)
+                            pml_d1, sweep)
 
 __all__ = [
     "BobModel",
@@ -42,7 +42,6 @@ __all__ = [
     "laplace_for_query",
     "laplace_log_density",
     "lower_bound",
-    "marginal_density",
     "pml",
     "pml_d1",
     "pml_entry",

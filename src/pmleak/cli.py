@@ -53,13 +53,14 @@ def _load_config(path, options):
 
 
 def _grid(spec):
-    start, stop, count = spec
-    count = int(count)
+    start, stop, count = float(spec[0]), float(spec[1]), int(spec[2])
     if count < 1:
         raise ValueError("grid count must be at least 1")
+    if not math.isfinite(stop - start):  # a non-finite end, or a span that overflows
+        raise ValueError("outcome y must be finite")
     if count == 1:
-        return [float(start)]
-    return list(np.linspace(float(start), float(stop), count))
+        return [start]
+    return list(np.linspace(start, stop, count))
 
 
 def _load_analysis_spec(path):

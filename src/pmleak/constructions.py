@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .logdomain import (LOG_TWO, LOG_ZERO, LogReal, log_add, log_binom,
-                        log_sum_exp, signed_log_sum)
+                        log_sum_exp)
 from .mechanisms import LaplaceMechanism, laplace_log_density
 from .probability import DatabaseModel, FiniteDistribution
 
@@ -38,9 +38,17 @@ _WINDOW_SIGMAS = 9.5
 SWEEP_ENUM_LIMIT = 15
 
 
+def _log1mexp(v: float) -> LogReal:
+    """log(1 - e^v) for v <= 0, LOG_ZERO at v = 0; expm1 near 0, log1p below -log 2."""
+    if v > -LOG_TWO:
+        d = -math.expm1(v)
+        return math.log(d) if d > 0 else LOG_ZERO
+    return math.log1p(-math.exp(v))
+
+
 def _log_two_pow_minus_one(n: int) -> float:
     """log(2^n - 1), overflow-free."""
-    return n * LOG_TWO + math.log1p(-math.exp(-n * LOG_TWO))
+    return n * LOG_TWO + _log1mexp(-n * LOG_TWO)
 
 
 @dataclass(frozen=True)
@@ -81,17 +89,6 @@ class CorrelatedBinaryModel(DatabaseModel):
         if all(d == d1 for d in rest):
             return lp + math.log(self.eta)
         return lp + math.log1p(-self.eta) - _log_two_pow_minus_one(self.n)
-
-    def entry_marginal(self, i):
-        self._check_index(i)
-        if i == 0:
-            return FiniteDistribution.from_probs((0, 1), (self.alpha, 1.0 - self.alpha))
-        # exact big-int ratios: of the 2^n - 1 uniform strings given D_1 = d,
-        # 2^(n-1) - d of them carry a 1 at any fixed tail position
-        frac_given1 = self.eta + (1.0 - self.eta) * ((2 ** (self.n - 1) - 1) / (2 ** self.n - 1))
-        frac_given0 = (1.0 - self.eta) * (2 ** (self.n - 1) / (2 ** self.n - 1))
-        p1 = (1.0 - self.alpha) * frac_given1 + self.alpha * frac_given0
-        return FiniteDistribution.from_probs((0, 1), (1.0 - p1, p1))
 
 
 @dataclass(frozen=True)
@@ -204,13 +201,16 @@ def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y:
     """log P(Y = y | D_1 = d1) in closed form; valid only for y <= 0.
 
     For y <= 0 every |y - center| opens to center - y, so the binomial sum
-    telescopes to (1 + q)^n with q = exp(-1/(b(n+1))):
+    telescopes to (1 + q)^n with q = exp(-1/(b(n+1))), and e^{-1/b} = q^{n+1}:
 
-        d1 = 0:  e^{y/b} / (2b(2^n-1)) * [2^n eta - 1 + (1-eta)(1+q)^n]
-        d1 = 1:  e^{y/b} / (2b(2^n-1)) * [(2^n eta - 1) e^{-1/b}
-                                          + (1-eta) q (1+q)^n]
+        d1 = 0:  e^{y/b} / (2b(2^n-1)) * [eta(2^n-1) + (1-eta)((1+q)^n - 1)]
+        d1 = 1:  e^{y/b} / (2b(2^n-1)) * q [eta q^n (2^n-1)
+                                            + (1-eta)((1+q)^n - q^n)]
 
-    The bracketed subtraction is carried as signed log-domain terms.
+    Both brackets are sums of positive masses.  Dividing by 2^n - 1 cancels
+    n log 2 analytically: the uniform part becomes ((1+q)/2)^n (1-eta)/(1-2^-n)
+    times 1 - (1+q)^-n, resp. 1 - (q/(1+q))^n, and a term that underflows
+    to zero is LOG_ZERO.
     """
     if y > 0:
         raise ValueError("closed form valid only for y <= 0")
@@ -220,37 +220,17 @@ def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y:
         raise ValueError("d1 must be a bit")
     n = model.n
     log_q = -1.0 / (b * (n + 1))
-    log_pow = n * math.log1p(math.exp(log_q))  # log (1+q)^n
-    s1 = n * LOG_TWO + math.log(model.eta)     # log 2^n eta
-    t2 = math.log1p(-model.eta) + log_pow
+    log1p_q = math.log1p(math.exp(log_q))  # log (1+q)
+    # log [(1-eta) ((1+q)/2)^n / (1 - 2^-n)] = log [(1-eta) (1+q)^n / (2^n - 1)]
+    log_uniform = (math.log1p(-model.eta) + n * math.log1p(math.expm1(log_q) / 2)
+                   - _log1mexp(-n * LOG_TWO))
+    # each bracket divided by 2^n - 1
     if d1 == 0:
-        sign, mag = signed_log_sum([(1, s1), (-1, 0.0), (1, t2)])
+        bracket = log_add(math.log(model.eta), log_uniform + _log1mexp(-n * log1p_q))
     else:
-        inv_b = 1.0 / b
-        sign, mag = signed_log_sum([(1, s1 - inv_b), (-1, -inv_b), (1, t2 + log_q)])
-    if sign <= 0:
-        # mathematically impossible: the bracket is a sum of positive masses
-        raise ArithmeticError("conditional density bracket lost positivity")
-    return -math.log(2.0 * b) - _log_two_pow_minus_one(n) + y / b + mag
-
-
-def _cond_densities(model: CorrelatedBinaryModel, b: float, y: float) -> tuple:
-    """(log P(y | D_1 = 0), log P(y | D_1 = 1)): closed forms for y <= 0,
-    the binomial sum otherwise."""
-    if not math.isfinite(y):
-        raise ValueError("y must be finite")
-    evaluator = cond_density_closed_form if y <= 0 else cond_density_binomial
-    return evaluator(model, b, 0, y), evaluator(model, b, 1, y)
-
-
-def _mixture(model: CorrelatedBinaryModel, c0: LogReal, c1: LogReal) -> LogReal:
-    """log P_Y(y) from the two conditional densities, weighted by the law of D_1."""
-    return log_add(math.log1p(-model.alpha) + c1, math.log(model.alpha) + c0)
-
-
-def marginal_density(model: CorrelatedBinaryModel, b: float, y: float) -> LogReal:
-    """log P_Y(y): the alpha-weighted mixture of the two conditional densities."""
-    return _mixture(model, *_cond_densities(model, b, y))
+        bracket = log_q + log_add(math.log(model.eta) + n * log_q,
+                                  log_uniform + _log1mexp(n * (log_q - log1p_q)))
+    return -math.log(2.0 * b) + y / b + bracket
 
 
 def _pml_outcome(y: float) -> float:
@@ -272,8 +252,12 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     explicitly.
     """
     b = calibrated_scale(model.n, epsilon)
-    c0, c1 = _cond_densities(model, b, _pml_outcome(y))
-    return max(c0, c1) - _mixture(model, c0, c1)
+    y = _pml_outcome(y)
+    evaluator = cond_density_closed_form if y <= 0 else cond_density_binomial
+    c0, c1 = evaluator(model, b, 0, y), evaluator(model, b, 1, y)
+    # log P_Y(y): the two conditionals weighted by the law of D_1
+    mixture = log_add(math.log1p(-model.alpha) + c1, math.log(model.alpha) + c0)
+    return max(c0, c1) - mixture
 
 
 def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:
@@ -283,8 +267,10 @@ def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:
         log [ 2^n eta alpha + (2/e^eps)^n eta e^-eps (1-alpha)
               + (1+e^-eps)^n (1-eta) ]
 
-    Returns -inf (a vacuous bound) if the numerator loses positivity,
-    which can happen for tiny n * eta.
+    The numerator is eta(2^n-1) + (1-eta)((1+e^-eps)^n - 1), a sum of
+    positive masses.  Both brackets are divided by 2^n eta before the log,
+    so no n-sized constant is rounded and the bound reads exactly
+    log(1/alpha) once the other terms fall below the last bit.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -294,17 +280,12 @@ def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:
         raise ValueError("eta must lie in (0, 1)")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    l2 = n * LOG_TWO + math.log(eta)                  # log 2^n eta
-    le = math.log1p(math.exp(-epsilon))               # log (1 + e^-eps)
-    t_mix = n * le + math.log1p(-eta)                 # log (1+e^-eps)^n (1-eta)
-    sign, num = signed_log_sum([(1, l2), (1, t_mix), (-1, 0.0)])
-    if sign <= 0:
-        return LOG_ZERO
-    den = log_sum_exp([
-        l2 + math.log(alpha),
-        n * (LOG_TWO - epsilon) + math.log(eta) - epsilon + math.log1p(-alpha),
-        t_mix,
-    ])
+    # log [(1-eta)/eta ((1+e^-eps)/2)^n]: the uniform strings' share
+    log_uniform = (math.log1p(-eta) - math.log(eta)
+                   + n * math.log1p(math.expm1(-epsilon) / 2))
+    num = log_add(_log1mexp(-n * LOG_TWO),
+                  log_uniform + _log1mexp(-n * math.log1p(math.exp(-epsilon))))
+    den = log_sum_exp([math.log(alpha), math.log1p(-alpha) - (n + 1) * epsilon, log_uniform])
     return num - den
 
 

@@ -28,21 +28,6 @@ def log_add(a: LogReal, b: LogReal) -> LogReal:
     return a + math.log1p(math.exp(b - a))
 
 
-def log_sub(a: LogReal, b: LogReal) -> LogReal:
-    """log(e^a - e^b); requires a >= b."""
-    if b == LOG_ZERO:
-        return a
-    if b > a:
-        raise ValueError("log_sub requires a >= b")
-    if a == b:
-        return LOG_ZERO
-    d = b - a  # strictly negative
-    if d > -LOG_TWO:
-        # e^d close to 1: expm1 keeps the cancellation accurate
-        return a + math.log(-math.expm1(d))
-    return a + math.log1p(-math.exp(d))
-
-
 def log_sum_exp(values: Iterable[LogReal]) -> LogReal:
     """log sum of exponentials, max-shifted; fsum keeps the tail accurate."""
     vals = list(values)
@@ -52,23 +37,6 @@ def log_sum_exp(values: Iterable[LogReal]) -> LogReal:
     if m == LOG_ZERO or math.isnan(m):
         return m
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
-
-
-def signed_log_sum(terms: Iterable[tuple[int, LogReal]]) -> tuple[int, LogReal]:
-    """Sum of signed log-magnitude terms; returns (sign, log|sum|).
-
-    Used for expressions mixing additions with a subtraction of
-    exponentially large terms, e.g. ``2**n * eta - 1``.
-    """
-    pos = [m for s, m in terms if s > 0 and m != LOG_ZERO]
-    neg = [m for s, m in terms if s < 0 and m != LOG_ZERO]
-    lp = log_sum_exp(pos) if pos else LOG_ZERO
-    ln = log_sum_exp(neg) if neg else LOG_ZERO
-    if lp == ln:
-        return 0, LOG_ZERO
-    if lp > ln:
-        return 1, log_sub(lp, ln)
-    return -1, log_sub(ln, lp)
 
 
 def log_binom(n: int, k: int) -> float:

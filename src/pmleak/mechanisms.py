@@ -9,7 +9,6 @@ is performed.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -80,14 +79,9 @@ class LaplaceMechanism:
         self.scale = float(scale)
         self.sensitivity = None if sensitivity is None else float(sensitivity)
         self.labels = None if labels is None else tuple(labels)
-        self._centers: dict = {}
 
     def center(self, x) -> float:
-        c = self._centers.get(x)
-        if c is None:
-            c = float(self.query(x))
-            self._centers[x] = c
-        return c
+        return float(self.query(x))
 
     def log_likelihood(self, x, y) -> LogReal:
         return laplace_log_density(self.center(x), self.scale, y)
@@ -205,39 +199,12 @@ def dp_level_finite(mech: FiniteMechanism, num_entries: int = 1, alphabet=None) 
 #   {"kind": "laplace", "labels": [...], "centers": [...], "scale": b,
 #    "sensitivity": d?}
 #   {"kind": "randomized_response", "p": 0.25}
-# Labels may be scalars or lists (lists round-trip as tuples).  An optional
-# top-level "prior": [...] rides along for CLI use and is preserved verbatim.
+# Labels may be scalars or lists (lists become tuples).  An optional
+# top-level "prior": [...] gives the CLI's prior over the secret labels.
 
 
 def _label_from_json(v):
     return tuple(v) if isinstance(v, list) else v
-
-
-def _label_to_json(v):
-    return list(v) if isinstance(v, tuple) else v
-
-
-def mechanism_to_dict(mech) -> dict:
-    if isinstance(mech, FiniteMechanism):
-        return {
-            "kind": "finite",
-            "x_labels": [_label_to_json(x) for x in mech.x_labels],
-            "y_labels": [_label_to_json(y) for y in mech.y_labels],
-            "rows": np.exp(mech.logp).tolist(),
-        }
-    if isinstance(mech, LaplaceMechanism):
-        if mech.labels is None:
-            raise ValueError("laplace mechanism needs explicit labels to serialize")
-        d = {
-            "kind": "laplace",
-            "labels": [_label_to_json(x) for x in mech.labels],
-            "centers": [mech.center(x) for x in mech.labels],
-            "scale": mech.scale,
-        }
-        if mech.sensitivity is not None:
-            d["sensitivity"] = mech.sensitivity
-        return d
-    raise ValueError(f"cannot serialize mechanism of type {type(mech).__name__}")
 
 
 def mechanism_from_dict(d: dict):
@@ -257,13 +224,3 @@ def mechanism_from_dict(d: dict):
         return randomized_response(float(d["p"]))
     raise ValueError(f"unknown mechanism kind {kind!r}")
 
-
-def load_mechanism(path):
-    with open(path) as fh:
-        return mechanism_from_dict(json.load(fh))
-
-
-def save_mechanism(mech, path):
-    with open(path, "w") as fh:
-        json.dump(mechanism_to_dict(mech), fh, indent=2)
-        fh.write("\n")

@@ -1,9 +1,9 @@
 """Finite-alphabet probability objects in log domain.
 
 Provides distributions over labeled finite alphabets, explicit joints, and
-database models (joint laws over n entries from a common alphabet) with
-marginal and conditional queries.  Structured models answer those queries
-analytically; anything else falls back to enumeration below a hard cutoff.
+database models (joint laws over n entries from a common alphabet).  Every
+model enumerates its atoms below a hard cutoff, and `leakage.entry_channel`
+computes the law and induced channel of one entry from them.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ class FiniteDistribution:
         labels = tuple(labels)
         return cls(labels, (-math.log(len(labels)),) * len(labels))
 
-    @classmethod
-    def bernoulli(cls, p):
-        """Binary distribution with labels (0, 1) and P(1) = p."""
-        return cls.from_probs((0, 1), (1.0 - p, p))
-
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -90,9 +85,6 @@ class FiniteDistribution:
     def logprob(self, label) -> LogReal:
         return self.logp[self.index(label)]
 
-    def prob(self, label) -> float:
-        return math.exp(self.logprob(label))
-
     def probs(self) -> np.ndarray:
         return np.exp(np.asarray(self.logp))
 
@@ -104,10 +96,9 @@ class FiniteDistribution:
 class DatabaseModel(ABC):
     """Joint law over ``num_entries`` entries drawn from a common alphabet.
 
-    Subclasses either materialize the joint (ExplicitJointModel) or answer
-    marginal/conditional queries analytically (ProductModel and the
-    correlated construction), which is what makes large-n asymptotics
-    tractable.
+    Subclasses either materialize the joint (ExplicitJointModel) or compute
+    each atom's mass from a formula (ProductModel and the correlated
+    construction).
     """
 
     @property
@@ -136,38 +127,10 @@ class DatabaseModel(ABC):
         for x in itertools.product(self.alphabet, repeat=self.num_entries):
             yield x, self.joint_logp(x)
 
-    def entry_marginal(self, i) -> FiniteDistribution:
-        self._check_index(i)
-        buckets = {d: [] for d in self.alphabet}
-        for x, lp in self.atoms():
-            if lp > LOG_ZERO:
-                buckets[x[i]].append(lp)
-        logs = tuple(log_sum_exp(v) if v else LOG_ZERO for v in buckets.values())
-        return FiniteDistribution(tuple(self.alphabet), logs)
-
-    def conditional_rest(self, i, d) -> FiniteDistribution:
-        """Law of the remaining entries given entry i equals d.
-
-        Labels of the result are tuples over the other positions, in their
-        original order.
-        """
-        self._check_index(i)
-        if d not in self.alphabet:
-            raise KeyError(f"symbol {d!r} not in alphabet")
-        lcond = self.entry_marginal(i).logprob(d)
-        if lcond == LOG_ZERO:
-            raise ValueError("unsupported condition")
-        labels, logs = [], []
-        for x, lp in self.atoms():
-            if x[i] == d:
-                labels.append(x[:i] + x[i + 1:])
-                logs.append(lp - lcond)
-        return FiniteDistribution(tuple(labels), tuple(logs))
-
 
 @dataclass(frozen=True)
 class ProductModel(DatabaseModel):
-    """Independent entries; marginals and conditionals are analytic."""
+    """Independent entries: each atom's mass is the product of the marginals."""
 
     marginals: tuple[FiniteDistribution, ...]
 
@@ -195,12 +158,9 @@ class ProductModel(DatabaseModel):
             raise ValueError("tuple length mismatch")
         return sum(m.logprob(d) for m, d in zip(self.marginals, x))
 
-    def entry_marginal(self, i):
-        self._check_index(i)
-        return self.marginals[i]
-
     def conditional_rest(self, i, d):
-        # independence: conditioning changes nothing beyond dropping entry i
+        # no library caller; kept because perfbench/tracer.py wraps it by name.
+        # Independence: conditioning changes nothing beyond dropping entry i
         self._check_index(i)
         if self.marginals[i].logprob(d) == LOG_ZERO:
             raise ValueError("unsupported condition")

@@ -275,6 +275,13 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
                  "n must be below 2^53", id="thm3-n-range-beyond-float"),
     pytest.param(["thm3", "--n-range", "4", "inf", "3"],
                  "n-range ends must be finite", id="thm3-n-range-inf"),
+    pytest.param(["bob", "--y-grid", "0", "inf", "3"],
+                 "outcome y must be finite", id="bob-inf-y-grid"),
+    pytest.param(["bob", "--y-grid", "nan", "1", "3"],
+                 "outcome y must be finite", id="bob-nan-y-grid"),
+    # the default grid stops at (k+1) * scale, which overflows
+    pytest.param(["bob", "--k", "3", "--scale", "1e308"],
+                 "outcome y must be finite", id="bob-default-grid-overflow"),
 ])
 def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv, message):
     spec = write_spec(tmp_path, NAN_LAPLACE)
@@ -283,6 +290,25 @@ def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # eta = 1e-17: a bracket formed by subtracting terms much larger than
+    # its value would lose it to rounding (exact 2.67e-5 against enum
+    # 8.0143e-5 at epsilon = 30) or its sign (epsilon = 40)
+    pytest.param(["--n", "1", "--eta", "1e-17", "--epsilon", "40"], id="tiny-eta-epsilon-40"),
+    pytest.param(["--n", "1", "--eta", "1e-17", "--epsilon", "30"], id="tiny-eta-epsilon-30"),
+    # q = exp(-epsilon) is 0 in floats: its terms must drop out, not raise
+    pytest.param(["--n", "10", "--epsilon", "1e300"], id="underflowing-q"),
+])
+def test_thm3_closed_form_edges(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert main(["thm3", *argv, "--out", str(out)]) == EXIT_OK
+    _, header, rows = read_table(out)
+    row = dict(zip(header, map(float, rows[0])))
+    assert all(math.isfinite(v) for v in row.values())
+    assert row["exact_pml"] <= row["eps_max"] + 1e-9
+    assert abs(row["exact_pml"] - row["enum_pml"]) <= 1e-12
 
 
 def test_thm3_at_positive_y_reports_no_bound(tmp_path):

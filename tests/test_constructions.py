@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from pmleak.constructions import (BobModel, CorrelatedBinaryModel, EtaSchedule,
                                   bob_mechanism, bob_pml, calibrated_mechanism,
                                   calibrated_scale, cond_density_binomial,
                                   cond_density_closed_form, find_limit_n,
-                                  lower_bound, marginal_density, pml_d1, sweep)
+                                  lower_bound, pml_d1, sweep)
 from pmleak.leakage import pml_entry
 from pmleak.logdomain import LOG_ZERO, log_add, log_binom, log_sum_exp
 from pmleak.mechanisms import dp_level_laplace, laplace_log_density
@@ -20,6 +21,8 @@ from pmleak.probability import ExplicitJointModel
 
 #: float64 unit roundoff
 U = 2.0 ** -53
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def enumerated_cond_density(n, alpha, eta, b, d1, y):
@@ -147,6 +150,16 @@ class TestCondDensities:
         # most about U (1 + |log P| + y (n+1) epsilon); allow 256 times that
         assert abs(got - want) <= 256 * U * (1 + abs(want) + y * (n + 1) * epsilon)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 60), d1=st.sampled_from((0, 1)), eta=st.floats(1e-12, 0.5),
+           epsilon=st.floats(0.01, 200.0), y=st.floats(-2.0, 0.0))
+    def test_closed_form_matches_mpmath(self, n, d1, eta, epsilon, y):
+        model = CorrelatedBinaryModel(n, 0.25, eta)
+        b = calibrated_scale(n, epsilon)
+        want = mp_log_cond_density(n, eta, b, d1, y)
+        got = cond_density_closed_form(model, b, d1, y)
+        assert abs(got - want) <= 1e-13 * (1 + abs(want))
+
     @pytest.mark.parametrize("n", [10 ** 4, 10 ** 5])
     @pytest.mark.parametrize("d1", [0, 1])
     def test_binomial_window_matches_full_sum_at_large_n(self, n, d1):
@@ -181,6 +194,13 @@ class TestCondDensities:
                 assert got == pytest.approx(want, rel=1e-12)
 
 
+def marginal_density(model, epsilon, y):
+    """log P_Y(y) as pml_d1 implies it: pml_d1 = max(c0, c1) - log P_Y(y)."""
+    b = calibrated_scale(model.n, epsilon)
+    evaluator = cond_density_closed_form if y <= 0 else cond_density_binomial
+    return max(evaluator(model, b, d1, y) for d1 in (0, 1)) - pml_d1(model, epsilon, y)
+
+
 class TestMarginalDensity:
     def test_mixture_bounds(self):
         model = CorrelatedBinaryModel(6, 0.25, 0.5)
@@ -188,19 +208,19 @@ class TestMarginalDensity:
         for y in (-1.5, -0.3):
             c0 = cond_density_closed_form(model, b, 0, y)
             c1 = cond_density_closed_form(model, b, 1, y)
-            m = marginal_density(model, b, y)
+            m = marginal_density(model, 1.0, y)
             assert min(c0, c1) - 1e-12 <= m <= max(c0, c1) + 1e-12
 
     def test_equal_mixture_of_equal_values(self):
         # at the crossing point of the two conditionals the mixture equals either
         model = CorrelatedBinaryModel(3, 0.3, 0.5)
-        b = 0.25
+        b = calibrated_scale(3, 1.0)  # 0.25
         f = lambda y: (math.exp(cond_density_binomial(model, b, 1, y))
                        - math.exp(cond_density_binomial(model, b, 0, y)))
         from scipy.optimize import brentq
         y_star = brentq(f, 0.0, 1.0)
         v = cond_density_binomial(model, b, 0, y_star)
-        assert marginal_density(model, b, y_star) == pytest.approx(v, abs=1e-9)
+        assert marginal_density(model, 1.0, y_star) == pytest.approx(v, abs=1e-9)
 
     def test_matches_enumeration(self):
         n, alpha, eta, epsilon, y = 6, 0.25, 0.5, 1.0, -0.3
@@ -208,7 +228,7 @@ class TestMarginalDensity:
         b = calibrated_scale(n, epsilon)
         want = ((1 - alpha) * enumerated_cond_density(n, alpha, eta, b, 1, y)
                 + alpha * enumerated_cond_density(n, alpha, eta, b, 0, y))
-        assert math.exp(marginal_density(model, b, y)) == pytest.approx(want, rel=1e-10)
+        assert math.exp(marginal_density(model, epsilon, y)) == pytest.approx(want, rel=1e-10)
 
 
 class TestPmlD1:
@@ -229,7 +249,7 @@ class TestPmlD1:
         y = 0.8
         c0 = cond_density_binomial(model, b, 0, y)
         c1 = cond_density_binomial(model, b, 1, y)
-        den = marginal_density(model, b, y)
+        den = log_add(math.log(0.75) + c1, math.log(0.25) + c0)
         assert pml_d1(model, 1.0, y) == pytest.approx(max(c0, c1) - den, abs=1e-12)
 
     def test_cross_module_consistency(self):
@@ -268,6 +288,32 @@ class TestLowerBound:
         schedule = EtaSchedule.polynomial(1.0, 1.0)
         n = find_limit_n(0.25, schedule, 0.1, 0.01)
         assert math.log(4.0) - lower_bound(n, 0.25, schedule.eta(n), 0.1) < 0.01
+
+    @pytest.mark.parametrize("n", [10 ** 11, 10 ** 12, 2 * 10 ** 15, 2 ** 53 - 1])
+    def test_reads_eps_max_at_large_n(self, n):
+        # n log 2 must cancel before the log: carried at full size in both
+        # brackets, its rounding (about n * 1e-16) swamps the bound
+        target = math.log(4.0)
+        bound = lower_bound(n, 0.25, 0.5, 0.1)
+        assert target - 1e-9 <= bound <= target + 1e-12
+        assert bound <= pml_d1(CorrelatedBinaryModel(n, 0.25, 0.5), 0.1, -0.3) + 1e-12
+
+    @pytest.mark.parametrize("name, schedule", [
+        ("sweep_eta_constant", EtaSchedule.constant(0.5)),
+        ("sweep_eta_polynomial", EtaSchedule.polynomial(1.0, 1.0))], ids=["constant", "polynomial"])
+    def test_matches_mpmath_at_committed_sweep_n(self, name, schedule):
+        lines = (RESULTS / f"{name}.csv").read_text().splitlines()
+        ns = [int(line.split(",")[0]) for line in lines if line[:1].isdigit()]
+        assert len(ns) > 10
+        for n in ns:
+            eta = schedule.eta(n)
+            with mpmath.workdps(60):
+                e, q = mpmath.mpf(eta), mpmath.exp(-mpmath.mpf(0.1))
+                num = 2 ** n * e + (1 + q) ** n * (1 - e) - 1
+                den = (2 ** n * e * mpmath.mpf(0.25) + (2 * q) ** n * e * q * mpmath.mpf(0.75)
+                       + (1 + q) ** n * (1 - e))
+                want = float(mpmath.log(num / den))
+            assert abs(lower_bound(n, 0.25, eta, 0.1) - want) <= 2e-15
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,8 @@ class TestEpsMax:
         assert eps_max(prior) == pytest.approx(math.log(4))
 
     def test_bernoulli_half(self):
-        assert eps_max(FiniteDistribution.bernoulli(0.5)) == pytest.approx(math.log(2))
+        prior = FiniteDistribution.from_probs((0, 1), (0.5, 0.5))
+        assert eps_max(prior) == pytest.approx(math.log(2))
 
     def test_zero_atom_rejected(self):
         prior = FiniteDistribution.from_probs((0, 1), (1.0, 0.0))
@@ -88,7 +89,7 @@ class TestPml:
 
 class TestPmlEntry:
     def test_mechanism_ignoring_entry(self):
-        model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 2)
+        model = ProductModel.iid(FiniteDistribution.from_probs((0, 1), (0.7, 0.3)), 2)
         # channel reads only entry 0
         x_labels = tuple((a, b) for a in (0, 1) for b in (0, 1))
         rows = [[0.8, 0.2] if x[0] == 0 else [0.2, 0.8] for x in x_labels]
@@ -111,7 +112,7 @@ class TestPmlEntry:
             level = math.log((1 - p) / p)
             for n in (1, 2, 3):
                 mech = product_mechanism(randomized_response(p), n)
-                model = ProductModel.iid(FiniteDistribution.bernoulli(0.35), n)
+                model = ProductModel.iid(FiniteDistribution.from_probs((0, 1), (0.65, 0.35)), n)
                 for i in range(n):
                     for y in mech.y_labels:
                         assert pml_entry(model, mech, i, y).pml <= level + 1e-9
@@ -141,7 +142,7 @@ class TestPmlEntry:
 
     @pytest.mark.parametrize("i", [-1, 3])
     def test_entry_index_out_of_range(self, i):
-        model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 3)
+        model = ProductModel.iid(FiniteDistribution.from_probs((0, 1), (0.7, 0.3)), 3)
         mech = product_mechanism(randomized_response(0.25), 3)
         with pytest.raises(IndexError):
             pml_entry(model, mech, i, (0, 0, 0))
@@ -192,7 +193,6 @@ class TestProfile:
     def test_thm3_profile_finite(self):
         model = CorrelatedBinaryModel(6, 0.25, 0.5)
         mech = calibrated_mechanism(model, 1.0)
-        prior = model.entry_marginal(0)
         joint = ExplicitJointModel.from_model(model)
         for y in np.linspace(-2.0, 0.0, 11):
             rep = pml_entry(joint, mech, 0, float(y))

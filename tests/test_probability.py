@@ -4,10 +4,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from pmleak.constructions import CorrelatedBinaryModel
-from pmleak.logdomain import LOG_ZERO, log_sum_exp
+from pmleak.constructions import CorrelatedBinaryModel, calibrated_mechanism, pml_d1
+from pmleak.leakage import entry_channel
+from pmleak.logdomain import log_sum_exp
+from pmleak.mechanisms import LaplaceMechanism
 from pmleak.probability import (ExplicitJointModel, FiniteDistribution,
                                 ProductModel)
+
+BERNOULLI_03 = FiniteDistribution.from_probs((0, 1), (0.7, 0.3))
 
 
 def brute_force_correlated_joint(n, alpha, eta):
@@ -31,7 +35,7 @@ class TestFiniteDistribution:
 
     def test_normalize(self):
         d = FiniteDistribution.from_probs(("a", "b"), (2.0, 6.0), normalize=True)
-        assert d.prob("b") == pytest.approx(0.75)
+        assert math.exp(d.logprob("b")) == pytest.approx(0.75)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -41,10 +45,6 @@ class TestFiniteDistribution:
         assert FiniteDistribution.uniform((1, 2, 3)).full_support
         assert not FiniteDistribution.from_probs((1, 2), (1.0, 0.0)).full_support
 
-    def test_bernoulli_convention(self):
-        d = FiniteDistribution.bernoulli(0.3)
-        assert d.prob(1) == pytest.approx(0.3)
-
     @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=8))
     def test_normalized_construction_has_unit_mass(self, weights):
         d = FiniteDistribution.from_probs(range(len(weights)), weights, normalize=True)
@@ -53,24 +53,27 @@ class TestFiniteDistribution:
 
 class TestProductModel:
     def test_marginal_is_entry_marginal(self):
-        model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 5)
+        # the entry law entry_channel sums from the atoms is the entry's marginal
+        model = ProductModel.iid(BERNOULLI_03, 5)
+        mech = LaplaceMechanism(sum, 1.0)
         for i in range(5):
-            assert model.entry_marginal(i).prob(1) == pytest.approx(0.3)
+            law, _ = entry_channel(model, mech, i, 0.5)
+            assert math.exp(law.logprob(1)) == pytest.approx(0.3)
 
     def test_conditioning_is_independence(self):
-        model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 3)
+        model = ProductModel.iid(BERNOULLI_03, 3)
         cond = model.conditional_rest(1, 0)
         # product marginal over remaining entries, unchanged
-        assert cond.prob((1, 0)) == pytest.approx(0.3 * 0.7)
+        assert math.exp(cond.logprob((1, 0))) == pytest.approx(0.3 * 0.7)
 
     def test_atom_mass(self):
-        model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 3)
+        model = ProductModel.iid(BERNOULLI_03, 3)
         assert math.exp(model.joint_logp((1, 1, 0))) == pytest.approx(0.063)
 
     def test_index_out_of_range(self):
-        model = ProductModel.iid(FiniteDistribution.bernoulli(0.3), 3)
+        model = ProductModel.iid(BERNOULLI_03, 3)
         with pytest.raises(IndexError):
-            model.entry_marginal(3)
+            model.conditional_rest(3, 0)
 
     def test_condition_on_impossible_symbol(self):
         model = ProductModel.iid(FiniteDistribution.from_probs((0, 1), (1.0, 0.0)), 2)
@@ -78,33 +81,46 @@ class TestProductModel:
             model.conditional_rest(0, 1)
 
 
+def brute_force_outcome_density(table, mech, y, keep=lambda x: True):
+    """Linear-domain sum of P(x) p(y | x) over the atoms x of a joint table
+    that satisfy ``keep``."""
+    return math.fsum(p * math.exp(mech.log_likelihood(x, y))
+                     for x, p in table.items() if keep(x))
+
+
 class TestCorrelatedBinaryModel:
     def test_first_entry_marginal_is_alpha(self):
         model = CorrelatedBinaryModel(8, 0.25, 0.5)
-        assert model.entry_marginal(0).prob(0) == pytest.approx(0.25)
+        law, _ = entry_channel(model, calibrated_mechanism(model, 1.0), 0, -0.3)
+        assert math.exp(law.logprob(0)) == pytest.approx(0.25, rel=1e-12)
 
     def test_conditional_tail_given_first(self):
+        # P(tail | D_1 = 1) = P(D_1 = 1, tail) / (1 - alpha)
         model = CorrelatedBinaryModel(4, 0.25, 0.5)
-        cond = model.conditional_rest(0, 1)
-        assert cond.prob((1, 1, 1, 1)) == pytest.approx(0.5)
-        assert cond.prob((0, 1, 0, 1)) == pytest.approx(0.5 / 15)
+        cond = lambda tail: math.exp(model.joint_logp((1,) + tail)) / 0.75
+        assert cond((1, 1, 1, 1)) == pytest.approx(0.5)
+        assert cond((0, 1, 0, 1)) == pytest.approx(0.5 / 15)
 
     def test_marginal_of_tail_entry_against_enumeration(self):
         n, alpha, eta = 4, 0.25, 0.5
         model = CorrelatedBinaryModel(n, alpha, eta)
         table = brute_force_correlated_joint(n, alpha, eta)
         want = sum(p for x, p in table.items() if x[2] == 1)
-        assert model.entry_marginal(2).prob(1) == pytest.approx(want, rel=1e-12)
+        law, _ = entry_channel(model, calibrated_mechanism(model, 1.0), 2, 0.4)
+        assert math.exp(law.logprob(1)) == pytest.approx(want, rel=1e-12)
 
     def test_conditional_of_tail_entry_against_enumeration(self):
+        # the induced channel p(y | D_2 = d) mixes p(y | x) over P(x | D_2 = d)
         n, alpha, eta = 3, 0.25, 0.5
         model = CorrelatedBinaryModel(n, alpha, eta)
+        mech = calibrated_mechanism(model, 1.0)
         table = brute_force_correlated_joint(n, alpha, eta)
-        p_d2_0 = sum(p for x, p in table.items() if x[2] == 0)
-        cond = model.conditional_rest(2, 0)
-        for rest in itertools.product((0, 1), repeat=n):
-            x = rest[:2] + (0,) + rest[2:]
-            assert cond.prob(rest) == pytest.approx(table[x] / p_d2_0, rel=1e-12)
+        for y in (-0.3, 0.2, 0.6):
+            _, lls = entry_channel(model, mech, 2, y)
+            for d in (0, 1):
+                mass = sum(p for x, p in table.items() if x[2] == d)
+                want = brute_force_outcome_density(table, mech, y, lambda x: x[2] == d) / mass
+                assert math.exp(lls[d]) == pytest.approx(want, rel=1e-12)
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -114,30 +130,28 @@ class TestCorrelatedBinaryModel:
 
     def test_analytic_queries_scale_far_beyond_enumeration(self):
         model = CorrelatedBinaryModel(5000, 0.25, 0.5)
-        assert model.entry_marginal(0).prob(0) == pytest.approx(0.25)
-        assert 0.0 < model.entry_marginal(17).prob(1) < 1.0
+        assert 0.0 < pml_d1(model, 1.0, -0.3) <= math.log(4.0) + 1e-9
         with pytest.raises(ValueError, match="enumeration cutoff exceeded"):
-            model.conditional_rest(0, 1)
+            entry_channel(model, calibrated_mechanism(model, 1.0), 0, -0.3)
 
 
 @pytest.mark.parametrize("model", [
-    ProductModel.iid(FiniteDistribution.bernoulli(0.3), 4),
+    ProductModel.iid(BERNOULLI_03, 4),
     CorrelatedBinaryModel(5, 0.3, 0.4),
     ExplicitJointModel.from_model(CorrelatedBinaryModel(3, 0.25, 0.5)),
 ])
 def test_law_of_total_probability(model):
-    """Re-mixing conditionals with the entry marginal reconstructs the joint."""
-    for i in range(model.num_entries):
-        marg = model.entry_marginal(i)
-        for d in model.alphabet:
-            cond = model.conditional_rest(i, d)
-            for rest, lp in zip(cond.labels, cond.logp):
-                if lp == LOG_ZERO:
-                    continue
-                x = rest[:i] + (d,) + rest[i:]
-                want = math.exp(model.joint_logp(x))
-                got = math.exp(lp + marg.logprob(d))
-                assert got == pytest.approx(want, abs=1e-9)
+    """Re-mixing the induced channel with the entry law gives the outcome
+    density of the joint, for every entry."""
+    mech = LaplaceMechanism(lambda x: sum(x) / len(x), 0.5)
+    table = {x: math.exp(model.joint_logp(x))
+             for x in itertools.product(model.alphabet, repeat=model.num_entries)}
+    for y in (-0.2, 0.4):
+        want = brute_force_outcome_density(table, mech, y)
+        for i in range(model.num_entries):
+            law, lls = entry_channel(model, mech, i, y)
+            got = math.fsum(math.exp(lp + ll) for lp, ll in zip(law.logp, lls))
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_explicit_joint_respects_cutoff():
