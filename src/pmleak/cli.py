@@ -5,7 +5,8 @@ Subcommands: analyze, thm3, bob, oracle, dp-check.  Outputs CSV tables
 parameterization.  Option precedence: command-line flags override
 config-file values, which override built-in defaults.
 
-Exit codes: 0 success, 1 validation error, 2 tolerance/acceptance violation.
+Exit codes: 0 success, 1 validation or numerical error, 2 tolerance/acceptance
+violation.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ EXIT_TOLERANCE = 2
 _NOT_META = frozenset({"command", "func", "config", "mechanism", "out", "svg",
                        "reproducible"})
 
+#: most points a grid or n-range COUNT may ask for
+MAX_COUNT = 1_000_000
+
 
 def _load_config(path, options):
     """Config-file values keyed by option dest; every key must name an option."""
@@ -52,10 +56,19 @@ def _load_config(path, options):
     return out
 
 
+def _count(value, what):
+    """A COUNT option as an int; checked before anything is allocated."""
+    value = float(value)
+    if not 1 <= value <= MAX_COUNT:  # NaN fails too
+        raise ValueError(f"{what} count must be at least 1 and at most {MAX_COUNT}, "
+                         f"got {value:g}")
+    if value != int(value):
+        raise ValueError(f"{what} count must be a whole number, got {value:g}")
+    return int(value)
+
+
 def _grid(spec):
-    start, stop, count = float(spec[0]), float(spec[1]), int(spec[2])
-    if count < 1:
-        raise ValueError("grid count must be at least 1")
+    start, stop, count = float(spec[0]), float(spec[1]), _count(spec[2], "grid")
     if not math.isfinite(stop - start):  # a non-finite end, or a span that overflows
         raise ValueError("outcome y must be finite")
     if count == 1:
@@ -143,12 +156,11 @@ def cmd_thm3(opts) -> int:
         n_values = [int(opts.n)]
     else:
         start, stop, count = opts.n_range
-        if int(count) < 1:
-            raise ValueError("n-range count must be at least 1")
+        count = _count(count, "n-range")
         start = max(start, 1.0)
         if not (start < math.inf and 1.0 <= stop < math.inf):
             raise ValueError("n-range ends must be finite and STOP at least 1")
-        n_values = sorted({int(round(v)) for v in np.geomspace(start, stop, int(count))})
+        n_values = sorted({int(round(v)) for v in np.geomspace(start, stop, count)})
     y = float(opts.y)
     rows = sweep(n_values, float(opts.alpha), schedule, float(opts.epsilon), y)
     table = ResultTable(("n", "lower_bound", "exact_pml", "enum_pml", "eps_max"),
@@ -209,6 +221,7 @@ def cmd_oracle(opts) -> int:
           f"max excess over pml = {report.max_gain_excess:.3e}")
     print(f"kernel trials = {report.kernel_trials}, "
           f"max excess over pml = {report.max_kernel_excess:.3e}")
+    print(f"max reference gap = {report.max_reference_gap:.3e}")
     print(f"tolerance = {report.tolerance:.3e}")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_TOLERANCE
@@ -302,7 +315,7 @@ def main(argv=None) -> int:
             commands[args.command].set_defaults(**cfg)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pmleak import cli
 from pmleak.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 
 
@@ -169,6 +170,22 @@ class TestOracle:
         assert main(["oracle", "--gain-trials", "0"]) == EXIT_VALIDATION
         assert "empty trial set" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_mass_outcome(self, tmp_path, capsys):
+        # outcome 2 has P_Y = 0 under every prior, and x = 2 never yields 1
+        spec = write_spec(tmp_path, {"kind": "finite", "x_labels": [0, 1, 2],
+                                     "y_labels": [0, 1, 2],
+                                     "rows": [[0.5, 0.5, 0], [0.25, 0.75, 0], [1, 0, 0]]})
+        code = main(["oracle", "--mechanism", spec, "--seed", "3",
+                     "--achievability-trials", "300", "--gain-trials", "300",
+                     "--kernel-trials", "300"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK and lines[-1] == "PASS"
+        assert lines[-3].startswith("max reference gap = ")
+        assert lines[-2] == "tolerance = 1.000e-12"
+        maxima = [float(line.rsplit("= ", 1)[1]) for line in lines[1:5]]
+        assert all(math.isfinite(v) for v in maxima)
+
     def test_fixed_channel(self, tmp_path, capsys):
         spec = write_spec(tmp_path, RR_QUARTER)
         code = main(["oracle", "--mechanism", spec, "--seed", "1",
@@ -282,6 +299,15 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
     # the default grid stops at (k+1) * scale, which overflows
     pytest.param(["bob", "--k", "3", "--scale", "1e308"],
                  "outcome y must be finite", id="bob-default-grid-overflow"),
+    # COUNT is checked before anything is allocated (1e13 points are 72.8 TiB)
+    pytest.param(["bob", "--y-grid", "0", "1", "inf"],
+                 "grid count must be at least 1 and at most 1000000", id="bob-inf-count"),
+    pytest.param(["thm3", "--n-range", "4", "4096", "inf"],
+                 "n-range count must be at least 1 and at most 1000000", id="thm3-inf-count"),
+    pytest.param(["bob", "--y-grid", "0", "1", "1e13"],
+                 "grid count must be at least 1 and at most 1000000", id="bob-huge-count"),
+    pytest.param(["bob", "--y-grid", "0", "1", "2.5"],
+                 "grid count must be a whole number", id="bob-fractional-count"),
 ])
 def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv, message):
     spec = write_spec(tmp_path, NAN_LAPLACE)
@@ -354,3 +380,13 @@ def test_committed_results_reproduce_byte_identically(tmp_path, argv):
     assert main([str(tmp_path / a) if a in outputs else a for a in argv]) == EXIT_OK
     for name in outputs:
         assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
+
+
+def test_numerical_failure_is_a_one_line_error(monkeypatch, capsys):
+    def overflow(opts):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "cmd_thm3", overflow)
+    assert main(["thm3", "--n", "4"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: math range error\n"
