@@ -34,6 +34,10 @@ from .probability import DatabaseModel, FiniteDistribution
 #: the mode in cond_density_binomial
 _WINDOW_SIGMAS = 9.5
 
+#: most terms cond_density_binomial sums (80 MB a float array); its window
+#: of about 9.5*sqrt(n) terms passes this near n = 1.1e12
+WINDOW_LIMIT = 10 ** 7
+
 #: largest n whose sweep row is cross-checked by enumerating the 2^(n+1) atoms
 SWEEP_ENUM_LIMIT = 15
 
@@ -116,6 +120,8 @@ class EtaSchedule:
         return cls("polynomial", c, r)
 
     def eta(self, n: int) -> float:
+        if not n >= 1:  # c / n**r is complex at n < 0 and divides by 0 at n = 0
+            raise ValueError("n must be at least 1")
         value = self.c if self.mode == "constant" else self.c / n ** self.r
         if not 0.0 < value < 1.0:
             raise ValueError(f"eta schedule leaves (0, 1) at n={n}")
@@ -162,7 +168,8 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     least 45 nats below the largest term.  Truncation bound: if the last
     step inside the window has log-ratio -delta, every step beyond it is
     smaller still and the omitted tail on that side is at most
-    e^{a_edge} e^{-delta} / (1 - e^{-delta}).
+    e^{a_edge} e^{-delta} / (1 - e^{-delta}).  A window of more than
+    WINDOW_LIMIT terms is a ValueError.
     """
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
@@ -179,6 +186,9 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     half = math.ceil(_WINDOW_SIGMAS * (math.sqrt(n) / 2 + 1)) + 2
     lo = max(0, math.floor(mode) - half - 1)
     hi = min(n, math.ceil(mode) + half)
+    if hi - lo + 1 > WINDOW_LIMIT:  # checked before anything is allocated
+        raise ValueError(f"n = {n} needs a window of {hi - lo + 1} binomial terms at "
+                         f"y in (0, 1), above the limit of {WINDOW_LIMIT}")
     i = np.arange(lo, hi + 1, dtype=float)
     # log C(n, i) - log C(n, lo), from the exact ratios C(n, i+1) / C(n, i)
     log_c = np.empty(len(i))

@@ -109,11 +109,12 @@ def product_mechanism(base: FiniteMechanism, n: int) -> FiniteMechanism:
     y_labels = tuple(itertools.product(base.y_labels, repeat=n))
     if len(x_labels) * len(y_labels) > ENUMERATION_LIMIT:
         raise ValueError("enumeration cutoff exceeded")
-    logp = np.empty((len(x_labels), len(y_labels)))
-    for i, xs in enumerate(x_labels):
-        for j, ys in enumerate(y_labels):
-            logp[i, j] = sum(base.logp[base.x_index(x), base.y_index(y)]
-                             for x, y in zip(xs, ys))
+    # cell (xs, ys) adds the base cells of each entry left to right, so one
+    # more entry is an outer sum whose rows and columns follow product order
+    logp = base.logp
+    for _ in range(n - 1):
+        logp = (logp[:, None, :, None] + base.logp[None, :, None, :]).reshape(
+            logp.shape[0] * base.logp.shape[0], -1)
     return FiniteMechanism(x_labels, y_labels, logp)
 
 

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmleak import cli
 from pmleak.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
@@ -308,6 +312,12 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
                  "grid count must be at least 1 and at most 1000000", id="bob-huge-count"),
     pytest.param(["bob", "--y-grid", "0", "1", "2.5"],
                  "grid count must be a whole number", id="bob-fractional-count"),
+    # c / n**r is complex at n = -1, r = 1.5: a TypeError traceback, found by
+    # the argv fuzz test below
+    pytest.param(["thm3", "--n=-1", "--eta-poly", "0.5", "1.5"],
+                 "n must be at least 1", id="thm3-negative-n-eta-poly"),
+    pytest.param(["thm3", "--n", "0", "--eta-poly", "0.5", "1.5"],
+                 "n must be at least 1", id="thm3-zero-n-eta-poly"),
 ])
 def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv, message):
     spec = write_spec(tmp_path, NAN_LAPLACE)
@@ -390,3 +400,82 @@ def test_numerical_failure_is_a_one_line_error(monkeypatch, capsys):
     assert main(["thm3", "--n", "4"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err == "error: math range error\n"
+
+
+@pytest.mark.parametrize("n", ["2000000000000000", "9007199254740991"])
+def test_thm3_window_beyond_limit_is_a_one_line_error(capsys, n):
+    assert main(["thm3", "--n", n, "--y", "0.5"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "above the limit" in err
+
+
+# --- fuzzing the argv of the commands that need no input file ---
+
+# values on or past the edge of every option's range
+_ODD = st.sampled_from(["0", "-0", "-1", "5e-324", "1e-320", "1e308", "-1e308",
+                        "nan", "inf", "-inf", "1e30"])
+
+
+def _value(valid):
+    """A draw from `valid` three times in four, else an odd value."""
+    return st.integers(0, 3).flatmap(lambda i: _ODD if i == 0 else valid.map(str))
+
+
+@st.composite
+def _thm3_argv(draw):
+    y = float(draw(_value(st.floats(-2.0, 2.0))))
+    # y >= 1 is evaluated at y = 1, so for y > 0 the binomial window
+    # allocates about 80 * sqrt(n) bytes per conditional (400 MB at
+    # n = 1e12): n stays at most 1e6 there for memory, until an evaluator
+    # whose cost does not grow with n replaces the window; y <= 0 is O(1)
+    size = _value(st.integers(1, 10 ** 6 if not y <= 0 else 2 ** 53 - 1))
+    argv = ["thm3", f"--y={y}", "--alpha=" + draw(_value(st.floats(0.01, 0.49))),
+            "--epsilon=" + draw(_value(st.floats(0.01, 50.0)))]
+    if draw(st.booleans()):
+        argv += ["--n=" + draw(size)]
+    else:
+        argv += ["--n-range", draw(size), draw(size), draw(_value(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        argv += ["--eta=" + draw(_value(st.floats(0.01, 0.99)))]
+    else:
+        argv += ["--eta-poly", draw(_value(st.floats(0.01, 2.0))),
+                 draw(_value(st.floats(1.0, 3.0)))]
+    return argv
+
+
+@st.composite
+def _bob_argv(draw):
+    argv = ["bob", "--k=" + draw(_value(st.integers(1, 8))),
+            "--epsilon=" + draw(_value(st.floats(0.01, 10.0))),
+            "--scale=" + draw(_value(st.floats(1.0, 1e5)))]
+    if draw(st.booleans()):
+        argv += ["--y-grid", draw(_value(st.floats(-1e5, 1e6))),
+                 draw(_value(st.floats(-1e5, 1e6))), draw(_value(st.integers(1, 20)))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=st.one_of(_thm3_argv(), _bob_argv()))
+def test_fuzzed_argv_exits_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_TOLERANCE)
+        assert "Traceback" not in err.getvalue()
+        if code != EXIT_OK:
+            return
+        _, header, rows = read_table(out)
+    assert all(cell.strip().lower() not in ("nan", "inf", "-inf")
+               for row in rows for cell in row)
+    if argv[0] == "thm3":
+        for row in rows:
+            values = dict(zip(header, row))
+            em = float(values["eps_max"])
+            assert float(values["exact_pml"]) <= em + 1e-9
+            assert values["lower_bound"] == "" or float(values["lower_bound"]) <= em + 1e-9

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pathlib
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -180,6 +181,25 @@ class TestCondDensities:
                 got = cond_density_binomial(model, b, d1, y)
                 assert math.isfinite(got)
                 assert got == pytest.approx(loop_cond_density(model, b, d1, y), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2 * 10 ** 15, 2 ** 53 - 1])
+    def test_binomial_window_beyond_limit_is_rejected_before_allocating(self, n):
+        # the window would hold about 9.5 sqrt(n) terms: 4e8 floats at 2e15
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        b = calibrated_scale(n, 0.1)
+        tracemalloc.start()
+        try:
+            for d1 in (0, 1):
+                with pytest.raises(ValueError, match="window of .* above the limit"):
+                    cond_density_binomial(model, b, d1, 0.5)
+            with pytest.raises(ValueError, match="window of .* above the limit"):
+                pml_d1(model, 0.1, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # y <= 0 takes the closed form, which has no window
+        assert math.isfinite(pml_d1(model, 0.1, -0.3))
 
     def test_n1_two_component_mixture_by_hand(self):
         # n = 1: tail is a single bit; weights eta (same as d1) and 1-eta

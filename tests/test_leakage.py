@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmleak.constructions import CorrelatedBinaryModel, calibrated_mechanism, pml_d1
-from pmleak.leakage import eps_max, pml, pml_entry, pml_report, theorem2_check
+from pmleak import leakage
+from pmleak.leakage import (entry_channel, eps_max, pml, pml_entry, pml_report,
+                            theorem2_check)
 from pmleak.logdomain import LOG_ZERO
 from pmleak.mechanisms import (FiniteMechanism, product_mechanism,
                                randomized_response)
@@ -174,6 +177,142 @@ class TestTheorem2Check:
                              prior_samples=10, grid_resolution=9, seed=1)
         assert rep.witness_prior is not None
         assert rep.witness_outcome in ((0,), (1,))
+
+
+def loop_priors(alphabet, n, prior_samples, grid_resolution, seed, grid_span):
+    """The checked priors drawn one Dirichlet row at a time, as a (P, n, k) array."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(prior_samples):
+        rows = [np.clip(rng.dirichlet(np.ones(len(alphabet))), 1e-3, None) for _ in range(n)]
+        specs.append([row / row.sum() for row in rows])
+    if len(alphabet) == 2 and grid_resolution > 0:
+        specs += [[(1.0 - q, q)] * n for q in np.linspace(*grid_span, grid_resolution)]
+    return np.array(specs, dtype=float)
+
+
+def scalar_entry_pml(alphabet, spec, mech, i, y):
+    model = ProductModel(tuple(FiniteDistribution.from_probs(alphabet, row, normalize=True)
+                               for row in spec))
+    return pml(*entry_channel(model, mech, i, y))
+
+
+def random_channel(rng, x_labels, y_labels):
+    rows = rng.dirichlet(np.ones(len(y_labels)), size=len(x_labels))
+    return FiniteMechanism.from_probs(x_labels, y_labels, rows)
+
+
+def zero_cell_channel():
+    # outcome "c" has zero mass under every database: it leaks nothing
+    x_labels = tuple(itertools.product((0, 1), repeat=2))
+    rows = [[0.6, 0.4, 0.0], [0.0, 1.0, 0.0], [0.3, 0.7, 0.0], [0.9, 0.1, 0.0]]
+    return FiniteMechanism.from_probs(x_labels, ("a", "b", "c"), rows)
+
+
+TERNARY_BASE = FiniteMechanism.from_probs((0, 1, 2), (0, 1),
+                                          [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
+
+# (mechanism, entries, alphabet, grid resolution)
+BATCH_CASES = {
+    "rr-n1": (product_mechanism(randomized_response(0.25), 1), 1, (0, 1), 9),
+    "rr-n2": (product_mechanism(randomized_response(0.1), 2), 2, (0, 1), 9),
+    "rr-n3": (product_mechanism(randomized_response(0.4), 3), 3, (0, 1), 9),
+    "non-product": (random_channel(np.random.default_rng(11),
+                                   tuple(itertools.product((0, 1), repeat=2)),
+                                   ("a", "b", "c")), 2, (0, 1), 9),
+    "zero-cells": (zero_cell_channel(), 2, (0, 1), 9),
+    "ternary-no-grid": (product_mechanism(TERNARY_BASE, 2), 2, (0, 1, 2), 0),
+}
+
+
+class TestTheorem2Batch:
+    """The array pass of theorem2_check against the scalar pml(*entry_channel(...))."""
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_priors_follow_the_per_row_stream(self, case):
+        mech, n, alphabet, res = BATCH_CASES[case]
+        got = leakage._product_priors(alphabet, n, 20, res, 4, (0.01, 0.99))
+        want = loop_priors(alphabet, n, 20, res, 4, (0.01, 0.99))
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+
+    def test_priors_are_floored(self):
+        # 800 ternary rows: a few Dirichlet draws fall below the floor
+        got = leakage._product_priors((0, 1, 2), 4, 200, 0, 4, (0.01, 0.99))
+        assert np.allclose(got, loop_priors((0, 1, 2), 4, 200, 0, 4, None),
+                           rtol=0.0, atol=1e-15)
+        assert np.any(got < 1e-3) and got.min() >= 1e-3 / (1.0 + 2e-3)
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_every_value_matches_the_scalar_path(self, case):
+        mech, n, alphabet, res = BATCH_CASES[case]
+        probs = leakage._product_priors(alphabet, n, 20, res, 4, (0.01, 0.99))
+        values = leakage._entry_pmls(mech, alphabet, probs)
+        assert values.shape == (len(probs), n, len(mech.y_labels))
+        assert np.all(np.isfinite(values))
+        rng = np.random.default_rng(7)
+        for p, i, y in zip(rng.integers(len(probs), size=40), rng.integers(n, size=40),
+                           rng.integers(len(mech.y_labels), size=40)):
+            want = scalar_entry_pml(alphabet, probs[p].tolist(), mech, int(i),
+                                    mech.y_labels[y])
+            assert abs(values[p, i, y] - want) <= 1e-12
+
+    def test_zero_mass_outcome_leaks_nothing(self):
+        mech, n, alphabet, res = BATCH_CASES["zero-cells"]
+        probs = leakage._product_priors(alphabet, n, 5, res, 0, (0.01, 0.99))
+        assert np.all(leakage._entry_pmls(mech, alphabet, probs)[:, :, 2] == 0.0)
+
+    def test_blocks_of_priors_agree_with_one_pass(self, monkeypatch):
+        mech, n, alphabet, res = BATCH_CASES["rr-n3"]
+        probs = leakage._product_priors(alphabet, n, 20, res, 4, (0.01, 0.99))
+        whole = leakage._entry_pmls(mech, alphabet, probs)
+        monkeypatch.setattr(leakage, "_BLOCK_ENTRIES", 3 * mech.logp.size)
+        assert np.array_equal(leakage._entry_pmls(mech, alphabet, probs), whole)
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_witness_replays_to_the_supremum(self, case):
+        mech, n, alphabet, res = BATCH_CASES[case]
+        rep = theorem2_check(mech, 10.0, n, alphabet, prior_samples=20,
+                             grid_resolution=res, seed=4)
+        assert 0.0 <= rep.reference_gap <= 1e-12
+        priors = loop_priors(alphabet, n, 20, res, 4, (0.01, 0.99))
+        assert np.any(np.all(np.abs(priors - np.array(rep.witness_prior)) <= 1e-15,
+                             axis=(1, 2)))
+        replayed = scalar_entry_pml(alphabet, rep.witness_prior, mech,
+                                    rep.witness_entry, rep.witness_outcome)
+        assert abs(replayed - rep.max_observed_pml) <= 1e-12
+        # and it is the largest value over every prior, entry and outcome
+        worst = max(scalar_entry_pml(alphabet, spec.tolist(), mech, i, y)
+                    for spec in priors for i in range(n) for y in mech.y_labels)
+        assert abs(worst - rep.max_observed_pml) <= 1e-12
+
+    def test_grid_reaching_the_simplex_edge_is_rejected(self):
+        mech = product_mechanism(randomized_response(0.25), 2)
+        with pytest.raises(ValueError, match="PML requires full-support prior"):
+            theorem2_check(mech, math.log(3.0), 2, (0, 1), prior_samples=5,
+                           grid_resolution=9, grid_span=(0.0, 1.0))
+
+    def test_channel_missing_an_atom_is_rejected(self):
+        x_labels = ((0, 0), (0, 1), (1, 0))  # no (1, 1)
+        mech = FiniteMechanism.from_probs(x_labels, (0, 1), [[0.5, 0.5]] * 3)
+        with pytest.raises(KeyError, match=r"\(1, 1\)"):
+            theorem2_check(mech, 1.0, 2, (0, 1), prior_samples=5)
+
+    @pytest.mark.parametrize("alphabet, n, message", [
+        ((), 1, "empty alphabet"),
+        ((0, 0), 1, "duplicate labels"),
+        ((0, 1), 0, "at least one entry"),
+        ((0, 1), 17, "enumeration cutoff exceeded"),
+    ])
+    def test_bad_alphabet_or_size_is_rejected(self, alphabet, n, message):
+        mech = product_mechanism(randomized_response(0.25), 1)
+        with pytest.raises(ValueError, match=message):
+            theorem2_check(mech, 1.0, n, alphabet, prior_samples=5)
+
+    def test_empty_prior_set_is_rejected(self):
+        mech = product_mechanism(TERNARY_BASE, 1)
+        with pytest.raises(ValueError, match="no priors to check"):
+            theorem2_check(mech, 1.0, 1, (0, 1, 2), prior_samples=0)
 
 
 class TestProfile:

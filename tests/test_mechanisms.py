@@ -140,6 +140,20 @@ class TestDpLevelFinite:
         level = dp_level_finite(mech, num_entries=3, alphabet=(0, 1))
         assert level == pytest.approx(math.log(3.0))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("base", [
+        randomized_response(0.1),
+        FiniteMechanism.from_probs((0, 1, 2), ("a", "b"), [[0.7, 0.3], [0.4, 0.6], [0.0, 1.0]]),
+    ], ids=["rr", "3x2"])
+    def test_product_mechanism_matches_the_cell_loop(self, base, n):
+        mech = product_mechanism(base, n)
+        assert mech.x_labels == tuple(itertools.product(base.x_labels, repeat=n))
+        assert mech.y_labels == tuple(itertools.product(base.y_labels, repeat=n))
+        want = np.array([[sum(base.logp[base.x_index(x), base.y_index(y)]
+                              for x, y in zip(xs, ys)) for ys in mech.y_labels]
+                         for xs in mech.x_labels])
+        assert np.array_equal(mech.logp, want)
+
     def test_level_zero_iff_neighbor_rows_equal(self):
         rows = np.array([[0.2, 0.8], [0.21, 0.79]])
         mech = FiniteMechanism.from_probs((0, 1), (0, 1), rows)
