@@ -73,7 +73,7 @@ def _grid(spec):
         raise ValueError("outcome y must be finite")
     if count == 1:
         return [start]
-    return list(np.linspace(start, stop, count))
+    return np.linspace(start, stop, count).tolist()
 
 
 def _load_analysis_spec(path):
@@ -88,10 +88,8 @@ def _load_analysis_spec(path):
     else:
         raise ValueError("mechanism spec needs labels")
     if prior_probs is None:
-        prior = FiniteDistribution.uniform(labels)
-    else:
-        prior = FiniteDistribution.from_probs(labels, prior_probs)
-    return mech, prior, raw
+        return mech, FiniteDistribution.uniform(labels)
+    return mech, FiniteDistribution.from_probs(labels, prior_probs)
 
 
 def _base_meta(command, opts, seed=None):
@@ -114,10 +112,10 @@ def _emit(table, opts):
 
 
 def cmd_analyze(opts) -> int:
-    mech, prior, _ = _load_analysis_spec(opts.mechanism)
+    mech, prior = _load_analysis_spec(opts.mechanism)
     if isinstance(mech, FiniteMechanism):
         if opts.y is not None:
-            ys = [mech.y_labels[mech.y_index(_parse_finite_y(v, mech))] for v in opts.y]
+            ys = [_parse_finite_y(v, mech) for v in opts.y]
         else:
             ys = list(mech.y_labels)
     else:
@@ -189,8 +187,7 @@ def cmd_bob(opts) -> int:
         ys = _grid(opts.y_grid)
     else:
         ys = _grid((0.0, (k + 1) * model.scale, 4 * k + 5))
-    prior = model.attribute_prior()
-    em = eps_max(prior)
+    em = eps_max(model.attribute_prior())
     table = ResultTable(("y", "pml_nats", "eps_max"), meta=_base_meta("bob", opts))
     table.meta["dp-level"] = dp_level_laplace(bob_mechanism(model, epsilon))
     for y in ys:
@@ -200,12 +197,9 @@ def cmd_bob(opts) -> int:
 
 
 def cmd_oracle(opts) -> int:
-    channel = None
-    if opts.mechanism:
-        mech, _, _ = _load_analysis_spec(opts.mechanism)
-        if not isinstance(mech, FiniteMechanism):
-            raise ValueError("oracle trials need a finite mechanism")
-        channel = mech
+    channel = _load_analysis_spec(opts.mechanism)[0] if opts.mechanism else None
+    if channel is not None and not isinstance(channel, FiniteMechanism):
+        raise ValueError("oracle trials need a finite mechanism")
     report = run_adversary_trials(
         seed=int(opts.seed),
         achievability_trials=int(opts.achievability_trials),
@@ -228,7 +222,7 @@ def cmd_oracle(opts) -> int:
 
 
 def cmd_dp_check(opts) -> int:
-    mech, _, _ = _load_analysis_spec(opts.mechanism)
+    mech, _ = _load_analysis_spec(opts.mechanism)
     if isinstance(mech, FiniteMechanism):
         level = dp_level_finite(mech, num_entries=int(opts.entries))
     else:

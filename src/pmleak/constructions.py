@@ -24,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
+from .leakage import pml_entry, pml_report
 from .logdomain import (LOG_TWO, LOG_ZERO, LogReal, log_add, log_binom,
-                        log_sum_exp)
+                        log_sum_exp, log_sum_exp_array)
 from .mechanisms import LaplaceMechanism, laplace_log_density
 from .probability import DatabaseModel, FiniteDistribution
 
@@ -122,7 +123,10 @@ class EtaSchedule:
     def eta(self, n: int) -> float:
         if not n >= 1:  # c / n**r is complex at n < 0 and divides by 0 at n = 0
             raise ValueError("n must be at least 1")
-        value = self.c if self.mode == "constant" else self.c / n ** self.r
+        try:
+            value = self.c if self.mode == "constant" else self.c / n ** self.r
+        except OverflowError:  # n ** r beyond the float range: eta is 0
+            value = 0.0
         if not 0.0 < value < 1.0:
             raise ValueError(f"eta schedule leaves (0, 1) at n={n}")
         return value
@@ -197,12 +201,11 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     terms = log_c - np.abs(y - (d1 + i) / m) / b
     if lo <= n * d1 <= hi:
         terms[n * d1 - lo] = LOG_ZERO
-    top = terms.max()
     # the constants of size n are added apart from the terms: their rounding
     # is then the same at d1 = 0 and 1 and cancels from the PML
     log_scale = (math.log1p(-model.eta) - _log_two_pow_minus_one(n)
                  + log_binom(n, lo) - math.log(2.0 * b))
-    uniform_part = log_scale + (top + math.log(np.exp(terms - top).sum()))
+    uniform_part = log_scale + log_sum_exp_array(terms)
     lap_peak = laplace_log_density(float(d1), b, y)  # all-d1 tail: center is d1 itself
     return log_add(math.log(model.eta) + lap_peak, uniform_part)
 
@@ -282,12 +285,7 @@ def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:
     so no n-sized constant is rounded and the bound reads exactly
     log(1/alpha) once the other terms fall below the last bit.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must lie in (0, 0.5)")
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    CorrelatedBinaryModel(n, alpha, eta)  # checks n, alpha and eta
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     # log [(1-eta)/eta ((1+e^-eps)/2)^n]: the uniform strings' share
@@ -300,8 +298,8 @@ def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:
 
 
 def find_limit_n(alpha: float, schedule: EtaSchedule, epsilon: float,
-                 delta: float, n_max: int = 10 ** 6) -> int:
-    """Smallest power-of-two n with log(1/alpha) - lower_bound(n) < delta.
+                 delta: float) -> int:
+    """Smallest power-of-two n <= 10^6 with log(1/alpha) - lower_bound(n) < delta.
 
     Doubling search; n values where the schedule's eta leaves (0, 1) are
     skipped.
@@ -310,7 +308,7 @@ def find_limit_n(alpha: float, schedule: EtaSchedule, epsilon: float,
         raise ValueError("delta must be positive")
     target = -math.log(alpha)
     n = 1
-    while n <= n_max:
+    while n <= 10 ** 6:
         try:
             gap = target - lower_bound(n, alpha, schedule.eta(n), epsilon)
         except ValueError:
@@ -318,7 +316,7 @@ def find_limit_n(alpha: float, schedule: EtaSchedule, epsilon: float,
         if gap < delta:
             return n
         n *= 2
-    raise ValueError(f"no n <= {n_max} brings the bound within {delta} of log(1/alpha)")
+    raise ValueError(f"no n <= 1000000 brings the bound within {delta} of log(1/alpha)")
 
 
 @dataclass(frozen=True)
@@ -327,7 +325,6 @@ class BobModel:
 
     k: int
     scale: float = 10_000.0
-    prior: Optional[FiniteDistribution] = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -336,14 +333,8 @@ class BobModel:
             raise ValueError("scale must be positive")
         if not math.isfinite(self.scale):
             raise ValueError("scale must be finite")
-        if self.prior is not None:
-            if self.prior.labels != tuple(range(1, self.k + 1)):
-                raise ValueError("prior labels must be 1..k")
-            self.prior.require_full_support("prior must have full support")
 
     def attribute_prior(self) -> FiniteDistribution:
-        if self.prior is not None:
-            return self.prior
         return FiniteDistribution.uniform(tuple(range(1, self.k + 1)))
 
 
@@ -360,10 +351,7 @@ def bob_mechanism(model: BobModel, epsilon: float) -> LaplaceMechanism:
 
 def bob_pml(model: BobModel, epsilon: float, y: float) -> float:
     """PML of the sensitive attribute at noisy-count outcome y."""
-    from .leakage import pml
-    prior = model.attribute_prior()
-    mech = bob_mechanism(model, epsilon)
-    return pml(prior, [mech.log_likelihood(j, y) for j in prior.labels])
+    return pml_report(model.attribute_prior(), bob_mechanism(model, epsilon), y).pml
 
 
 @dataclass(frozen=True)
@@ -383,7 +371,6 @@ def sweep(n_values, alpha: float, schedule: EtaSchedule, epsilon: float,
 
     lower_bound holds only for y <= 0, so rows at y > 0 carry no bound.
     """
-    from .leakage import pml_entry
     rows = []
     for n in sorted(set(int(v) for v in n_values)):
         eta = schedule.eta(n)

@@ -18,20 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, log_sum_exp
-from .mechanisms import FiniteMechanism
-from .probability import ENUMERATION_LIMIT, DatabaseModel, FiniteDistribution, ProductModel
+from .logdomain import LOG_ZERO, log_sum_exp, log_sum_exp_array
+from .mechanisms import FiniteMechanism, LaplaceMechanism
+from .probability import (DatabaseModel, FiniteDistribution, ProductModel,
+                          require_enumerable)
+
+#: smallest mass of a sampled prior symbol, before renormalizing
+PRIOR_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
 class LeakageReport:
     """PML of one outcome, with the prior's leakage capacity for context."""
 
-    y: object
     pml: float
     argmax_label: object
     eps_max: float
-    context: str
 
 
 def eps_max(prior: FiniteDistribution) -> float:
@@ -56,17 +58,34 @@ def pml(prior: FiniteDistribution, log_likelihoods) -> float:
     return max(lls) - log_py
 
 
-def _report(prior: FiniteDistribution, lls, y, context) -> LeakageReport:
+def pml_batch(log_prior, lls, axis):
+    """`pml` along `axis` of arrays of log P(x) and log P(y | x), which
+    broadcast: (PML, log P(y)), with PML 0 where P(y) = 0."""
+    log_py = log_sum_exp_array(log_prior + lls, axis)
+    value = np.subtract(lls.max(axis=axis), log_py, out=np.zeros_like(log_py),
+                        where=log_py > LOG_ZERO)
+    return value, log_py
+
+
+def _report(prior: FiniteDistribution, lls) -> LeakageReport:
     # argmax ties broken by lowest label index
     best = max(range(len(lls)), key=lambda i: (lls[i], -i))
-    return LeakageReport(y=y, pml=pml(prior, lls), argmax_label=prior.labels[best],
-                         eps_max=eps_max(prior), context=context)
+    return LeakageReport(pml=pml(prior, lls), argmax_label=prior.labels[best],
+                         eps_max=eps_max(prior))
 
 
 def pml_report(prior: FiniteDistribution, mech, y) -> LeakageReport:
-    """PML of mechanism outcome y under the given prior, as a full report."""
-    lls = [mech.log_likelihood(x, y) for x in prior.labels]
-    return _report(prior, lls, y, "secret")
+    """PML of mechanism outcome y under the given prior, as a full report.
+
+    A Laplace outcome is clipped to the hull of the prior's centers, where
+    the PML is the same, and its log-likelihoods are taken relative to the
+    nearest center's, so no large |y - center| / b is rounded into the PML."""
+    if not isinstance(mech, LaplaceMechanism):
+        return _report(prior, [mech.log_likelihood(x, y) for x in prior.labels])
+    centers = [mech.center(x) for x in prior.labels]
+    y = min(max(float(y), min(centers)), max(centers))
+    dist = [abs(y - c) for c in centers]
+    return _report(prior, [(min(dist) - d) / mech.scale for d in dist])
 
 
 def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
@@ -89,7 +108,7 @@ def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
 def pml_entry(model: DatabaseModel, mech, i: int, y) -> LeakageReport:
     """PML of database entry i at mechanism outcome y."""
     prior, lls = entry_channel(model, mech, i, y)
-    return _report(prior, lls, y, f"entry-{i}")
+    return _report(prior, lls)
 
 
 @dataclass(frozen=True)
@@ -110,19 +129,8 @@ class Theorem2Report:
     reference_gap: float  # |batch - scalar| at the witness, replayed through pml
 
 
-#: smallest mass of a sampled prior symbol, before renormalizing
-_PRIOR_FLOOR = 1e-3
-
 #: entries of the largest array one block of priors scores (8 MB of floats)
 _BLOCK_ENTRIES = 1 << 20
-
-
-def _lse(v, axis):
-    """log-sum-exp along `axis`, max-shifted; LOG_ZERO where every entry is."""
-    top = v.max(axis=axis, keepdims=True)
-    top[top == LOG_ZERO] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(v - top).sum(axis=axis)) + top.squeeze(axis)
 
 
 def _product_priors(alphabet: tuple, num_entries: int, prior_samples: int,
@@ -139,7 +147,7 @@ def _product_priors(alphabet: tuple, num_entries: int, prior_samples: int,
         raise ValueError("product model needs at least one entry")
     rng = np.random.default_rng(seed)
     probs = np.clip(rng.dirichlet(np.ones(k), size=(prior_samples, num_entries)),
-                    _PRIOR_FLOOR, None)
+                    PRIOR_FLOOR, None)
     if k == 2 and grid_resolution > 0:
         q = np.linspace(grid_span[0], grid_span[1], grid_resolution)
         grid = np.stack([1.0 - q, q], axis=1)[:, None, :]
@@ -166,12 +174,9 @@ def _block_pmls(log_prior, digits, channel):
         # the atoms with D_i = d: index d on axis i of the (k, ..., k) atom grid
         mass = np.moveaxis(log_mass, i + 1, 1).reshape(size, k, -1)      # (P, k, A/k)
         lls = np.moveaxis(channel, i, 0).reshape(k, mass.shape[2], -1)   # (k, A/k, Y)
-        law = _lse(mass, 2)                                              # log P(D_i = d)
-        cond = _lse((mass - law[:, :, None])[..., None] + lls, 2)        # log P(y | D_i = d)
-        log_py = _lse(law[:, :, None] + cond, 1)
-        # an outcome of zero marginal density leaks nothing, as in pml
-        out[:, i] = np.subtract(cond.max(axis=1), log_py, out=np.zeros_like(log_py),
-                                where=log_py > LOG_ZERO)
+        law = log_sum_exp_array(mass, 2)                                 # log P(D_i = d)
+        cond = log_sum_exp_array((mass - law[:, :, None])[..., None] + lls, 2)  # log P(y | d)
+        out[:, i] = pml_batch(law[:, :, None], cond, axis=1)[0]
     return out
 
 
@@ -181,8 +186,7 @@ def _entry_pmls(mech: FiniteMechanism, alphabet: tuple, probs) -> np.ndarray:
     batched `pml(*entry_channel(...))`.  Atoms are taken in
     itertools.product order and read their channel rows by label."""
     n, k = probs.shape[1:]
-    if k ** n > ENUMERATION_LIMIT:
-        raise ValueError("enumeration cutoff exceeded")
+    require_enumerable(k ** n)
     atoms = itertools.product(alphabet, repeat=n)
     channel = mech.logp[[mech.x_index(x) for x in atoms]]
     digits = np.array(list(itertools.product(range(k), repeat=n)))
@@ -194,8 +198,7 @@ def _entry_pmls(mech: FiniteMechanism, alphabet: tuple, probs) -> np.ndarray:
 
 def theorem2_check(mech: FiniteMechanism, epsilon_dp: float, num_entries: int,
                    alphabet, prior_samples: int = 50, grid_resolution: int = 25,
-                   seed: int = 0, tol: float = 1e-9,
-                   grid_span=(0.01, 0.99)) -> Theorem2Report:
+                   seed: int = 0, grid_span=(0.01, 0.99)) -> Theorem2Report:
     """Estimate sup over product priors, outcomes, entries of per-entry PML.
 
     The forward direction of the DP equivalence says the estimate never
@@ -222,6 +225,6 @@ def theorem2_check(mech: FiniteMechanism, epsilon_dp: float, num_entries: int,
         witness_prior=spec,
         witness_entry=i,
         witness_outcome=outcome,
-        forward_ok=best <= epsilon_dp + tol,
+        forward_ok=best <= epsilon_dp + 1e-9,
         reference_gap=abs(best - scalar),
     )

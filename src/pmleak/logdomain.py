@@ -1,4 +1,4 @@
-"""Numerically stable log-domain scalar arithmetic.
+"""Numerically stable log-domain arithmetic, on scalars and numpy arrays.
 
 All probabilities and densities in this package are carried as natural-log
 values, with ``-inf`` encoding exact zero.  Nothing here ever materializes
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from typing import Iterable
+
+import numpy as np
 
 # A log-domain non-negative real: log of the magnitude, -inf for zero.
 LogReal = float
@@ -37,6 +39,20 @@ def log_sum_exp(values: Iterable[LogReal]) -> LogReal:
     if m == LOG_ZERO or math.isnan(m):
         return m
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+
+
+def log_sum_exp_array(v, axis=-1):
+    """`log_sum_exp` along `axis` of an array, max-shifted; LOG_ZERO where
+    every entry is (or there is none), NaN where one is +inf, without a warning."""
+    top = v.max(axis=axis, keepdims=True, initial=LOG_ZERO)
+    top[top == LOG_ZERO] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(np.exp(v - top).sum(axis=axis)) + top.squeeze(axis)
+
+
+def log_array(v):
+    """Elementwise log of a non-negative array, LOG_ZERO at 0 without a warning."""
+    return np.log(v, out=np.full(v.shape, LOG_ZERO), where=v != 0)
 
 
 def log_binom(n: int, k: int) -> float:

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, LogReal
-from .probability import ENUMERATION_LIMIT
+from .logdomain import LOG_ZERO, LogReal, log_array, log_sum_exp_array
+from .probability import ENUMERATION_LIMIT, require_enumerable
 
 ROW_TOL = 1e-9
 
@@ -35,9 +35,7 @@ class FiniteMechanism:
             raise ValueError("channel matrix shape mismatch")
         object.__setattr__(self, "logp", m)
         m.flags.writeable = False
-        with np.errstate(divide="ignore"):
-            masses = np.log(np.exp(m).sum(axis=1))
-        for x, mass in zip(self.x_labels, masses):
+        for x, mass in zip(self.x_labels, log_sum_exp_array(m, axis=1)):
             if not abs(mass) <= ROW_TOL:
                 raise ValueError(f"channel row for {x!r} has mass exp({mass:.6g})")
         object.__setattr__(self, "_xi", {x: i for i, x in enumerate(self.x_labels)})
@@ -48,8 +46,7 @@ class FiniteMechanism:
         rows = np.asarray(rows, dtype=float)
         if np.any(rows < 0):
             raise ValueError("negative channel probability")
-        with np.errstate(divide="ignore"):
-            return cls(tuple(x_labels), tuple(y_labels), np.log(rows))
+        return cls(tuple(x_labels), tuple(y_labels), log_array(rows))
 
     def x_index(self, x) -> int:
         try:
@@ -107,8 +104,7 @@ def product_mechanism(base: FiniteMechanism, n: int) -> FiniteMechanism:
         raise ValueError("need at least one entry")
     x_labels = tuple(itertools.product(base.x_labels, repeat=n))
     y_labels = tuple(itertools.product(base.y_labels, repeat=n))
-    if len(x_labels) * len(y_labels) > ENUMERATION_LIMIT:
-        raise ValueError("enumeration cutoff exceeded")
+    require_enumerable(len(x_labels) * len(y_labels))
     # cell (xs, ys) adds the base cells of each entry left to right, so one
     # more entry is an outer sum whose rows and columns follow product order
     logp = base.logp
@@ -219,6 +215,8 @@ def mechanism_from_dict(d: dict):
     if kind == "laplace":
         labels = tuple(_label_from_json(x) for x in d["labels"])
         centers = dict(zip(labels, map(float, d["centers"])))
+        if not all(map(math.isfinite, centers.values())):
+            raise ValueError("Laplace centers must be finite")
         return LaplaceMechanism(centers.__getitem__, float(d["scale"]),
                                 sensitivity=d.get("sensitivity"), labels=labels)
     if kind == "randomized_response":

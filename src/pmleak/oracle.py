@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, log_sum_exp
-from .leakage import pml
+from .logdomain import LOG_ZERO, log_array, log_sum_exp
+from .leakage import PRIOR_FLOOR, pml, pml_batch
 from .mechanisms import ROW_TOL, FiniteMechanism
 from .probability import FiniteDistribution
 
@@ -123,9 +123,6 @@ _BLOCK = 1024
 #: alphabets get fewer trials per block, so memory does not grow with them
 _BLOCK_ENTRIES = _BLOCK * 8 * 8
 
-#: smallest mass of a sampled prior atom, before renormalizing
-_PRIOR_FLOOR = 1e-3
-
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -149,11 +146,6 @@ class OracleReport:
                 and self.max_reference_gap <= self.tolerance)
 
 
-def _log(v):
-    """Elementwise log, -inf where v is 0, without a divide warning."""
-    return np.log(v, out=np.full(v.shape, LOG_ZERO), where=v > 0)
-
-
 def _first(counts, width):
     """(T, width) mask of the first counts[t] entries of each row."""
     return np.arange(width) < counts[:, None]
@@ -173,7 +165,6 @@ class _Scenarios:
 
     valid: np.ndarray      # (T, A) bool: x inside the trial's alphabet
     prior: np.ndarray      # (T, A) P(x)
-    log_prior: np.ndarray  # (T, A)
     lls: np.ndarray        # (T, A) log P(y | x)
     target: np.ndarray     # (T,) PML of y
     post: np.ndarray       # (T, A) P(x | y); the prior where P_Y(y) = 0
@@ -181,7 +172,7 @@ class _Scenarios:
     def trial(self, t):
         """Trial t as the scalar functions take it: (prior, log-likelihoods)."""
         nx = int(self.valid[t].sum())
-        prior = FiniteDistribution(tuple(range(nx)), tuple(self.log_prior[t, :nx].tolist()))
+        prior = FiniteDistribution(tuple(range(nx)), tuple(np.log(self.prior[t, :nx]).tolist()))
         return prior, self.lls[t, :nx].tolist()
 
 
@@ -191,13 +182,13 @@ def _random_channels(rng, size, width):
     valid = _first(rng.integers(2, width + 1, size=size), width)
     ny = rng.integers(2, width + 1, size=size)
     rows = _dirichlet(rng, (size, width, width), _first(ny, width)[:, None, :])
-    log_mass = _log(rows.sum(axis=2))
+    log_mass = log_array(rows.sum(axis=2))
     bad = np.argwhere(valid & ~(np.abs(log_mass) <= ROW_TOL))
     if len(bad):
         t, x = bad[0]
         raise ValueError(f"channel row for {int(x)!r} has mass exp({log_mass[t, x]:.6g})")
     y = rng.integers(0, ny)
-    return valid, np.where(valid, _log(rows[np.arange(size), :, y]), LOG_ZERO)
+    return valid, np.where(valid, log_array(rows[np.arange(size), :, y]), LOG_ZERO)
 
 
 def _draw_scenarios(rng, size, max_alphabet, channel) -> _Scenarios:
@@ -208,21 +199,17 @@ def _draw_scenarios(rng, size, max_alphabet, channel) -> _Scenarios:
     else:
         valid = np.ones((size, len(channel.x_labels)), dtype=bool)
         lls = channel.logp[:, rng.integers(len(channel.y_labels), size=size)].T
-    prior = np.where(valid, np.maximum(_dirichlet(rng, valid.shape, valid), _PRIOR_FLOOR), 0.0)
+    prior = np.where(valid, np.maximum(_dirichlet(rng, valid.shape, valid), PRIOR_FLOOR), 0.0)
     prior /= prior.sum(axis=1, keepdims=True)
     if not np.all(prior[valid] > 0):
         raise ValueError("PML requires full-support prior")
 
-    log_prior = _log(prior)
-    joint = lls + log_prior
-    top = joint.max(axis=1)
-    dead = top == LOG_ZERO  # P_Y(y) = 0: the outcome teaches nothing
-    shift = np.where(dead, 0.0, top)
-    mass = np.exp(joint - shift[:, None]).sum(axis=1)
-    log_py = shift + np.log(np.where(dead, 1.0, mass))
-    target = np.where(dead, 0.0, lls.max(axis=1) - log_py)
-    post = np.where(dead[:, None], prior, np.exp(joint - log_py[:, None]))
-    return _Scenarios(valid, prior, log_prior, lls, target, post)
+    log_prior = log_array(prior)
+    target, log_py = pml_batch(log_prior, lls, axis=1)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where P_Y(y) = 0
+        post = np.where((log_py == LOG_ZERO)[:, None], prior,
+                        np.exp(lls + log_prior - log_py[:, None]))
+    return _Scenarios(valid, prior, lls, target, post)
 
 
 def _draw_gains(rng, valid, max_guesses):
@@ -263,7 +250,7 @@ def _gain_ratios(s: _Scenarios, g) -> np.ndarray:
     den = np.einsum("ta,taw->tw", s.prior, g).max(axis=1)
     if not np.all(den > 0):
         raise ValueError("degenerate gain")
-    return _log(num) - np.log(den)
+    return log_array(num) - np.log(den)
 
 
 def _kernel_ratios(s: _Scenarios, k) -> np.ndarray:

@@ -25,6 +25,12 @@ NORMALIZATION_TOL = 1e-9
 ENUMERATION_LIMIT = 1 << 16
 
 
+def require_enumerable(count):
+    """Reject a query that would materialize more than ENUMERATION_LIMIT atoms."""
+    if count > ENUMERATION_LIMIT:
+        raise ValueError("enumeration cutoff exceeded")
+
+
 def _check_mass(logp, what="distribution"):
     total = log_sum_exp(logp)
     if not abs(total) <= NORMALIZATION_TOL:
@@ -117,13 +123,9 @@ class DatabaseModel(ABC):
         if not 0 <= i < self.num_entries:
             raise IndexError(f"entry index {i} out of range [0, {self.num_entries})")
 
-    def _require_enumerable(self, count):
-        if count > ENUMERATION_LIMIT:
-            raise ValueError("enumeration cutoff exceeded")
-
     def atoms(self) -> Iterator[tuple]:
         """All (database tuple, log-mass) pairs, in lexicographic order."""
-        self._require_enumerable(len(self.alphabet) ** self.num_entries)
+        require_enumerable(len(self.alphabet) ** self.num_entries)
         for x in itertools.product(self.alphabet, repeat=self.num_entries):
             yield x, self.joint_logp(x)
 
@@ -140,10 +142,6 @@ class ProductModel(DatabaseModel):
         base = self.marginals[0].labels
         if any(m.labels != base for m in self.marginals):
             raise ValueError("entries must share one alphabet")
-
-    @classmethod
-    def iid(cls, marginal: FiniteDistribution, n: int):
-        return cls((marginal,) * n)
 
     @property
     def alphabet(self):
@@ -167,7 +165,7 @@ class ProductModel(DatabaseModel):
         rest = self.marginals[:i] + self.marginals[i + 1:]
         if not rest:
             return FiniteDistribution(((),), (0.0,))
-        self._require_enumerable(len(self.alphabet) ** len(rest))
+        require_enumerable(len(self.alphabet) ** len(rest))
         labels, logs = [], []
         for combo in itertools.product(self.alphabet, repeat=len(rest)):
             labels.append(combo)
@@ -181,7 +179,7 @@ class ExplicitJointModel(DatabaseModel):
     def __init__(self, alphabet, num_entries, table):
         self._alphabet = tuple(alphabet)
         self._num_entries = int(num_entries)
-        self._require_enumerable(len(self._alphabet) ** self._num_entries)
+        require_enumerable(len(self._alphabet) ** self._num_entries)
         self._table = dict(table)
         for x in self._table:
             if len(x) != self._num_entries or any(d not in self._alphabet for d in x):

@@ -11,6 +11,8 @@ MARGIN_LEFT = 64
 MARGIN_RIGHT = 16
 MARGIN_TOP = 28
 MARGIN_BOTTOM = 44
+WIDTH = 720
+HEIGHT = 460
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,8 @@ def _ticks(lo: float, hi: float, count: int = 6):
     return out or [lo, hi]
 
 
-def render_line_chart(series, *, title="", xlabel="", ylabel="", hlines=(),
-                      width=720, height=460, logx=False) -> str:
-    """Render series as polylines; hlines is a list of (label, y) asymptotes."""
-    series = [s if isinstance(s, Series) else Series(*s) for s in series]
+def write_line_chart(path, series, *, title, xlabel, ylabel, hlines, logx):
+    """Write series as SVG polylines; hlines is a list of (label, y) asymptotes."""
     if not series:
         raise ValueError("nothing to plot")
 
@@ -72,8 +72,8 @@ def render_line_chart(series, *, title="", xlabel="", ylabel="", hlines=(),
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(v):
         return MARGIN_LEFT + (tx(v) - x_lo) / (x_hi - x_lo) * plot_w
@@ -82,13 +82,11 @@ def render_line_chart(series, *, title="", xlabel="", ylabel="", hlines=(),
         return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    if title:
-        out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-                   f'font-size="14">{title}</text>')
 
     # axes frame
     out.append(f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" '
@@ -108,13 +106,11 @@ def render_line_chart(series, *, title="", xlabel="", ylabel="", hlines=(),
                    f'y2="{y:.1f}" stroke="black"/>')
         out.append(f'<text x="{MARGIN_LEFT - 7}" y="{y + 4:.1f}" '
                    f'text-anchor="end">{t:.4g}</text>')
-    if xlabel:
-        out.append(f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 8}" '
-                   f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        cy = MARGIN_TOP + plot_h / 2
-        out.append(f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
-                   f'transform="rotate(-90 14 {cy:.1f})">{ylabel}</text>')
+    out.append(f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 8}" '
+               f'text-anchor="middle">{xlabel}</text>')
+    cy = MARGIN_TOP + plot_h / 2
+    out.append(f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
+               f'transform="rotate(-90 14 {cy:.1f})">{ylabel}</text>')
 
     for label, y in hlines:
         yy = py(y)
@@ -137,9 +133,5 @@ def render_line_chart(series, *, title="", xlabel="", ylabel="", hlines=(),
         out.append(f'<text x="{lx + 28}" y="{ly}">{s.name}</text>')
 
     out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def write_line_chart(path, series, **kwargs):
     with open(path, "w") as fh:
-        fh.write(render_line_chart(series, **kwargs))
+        fh.write("\n".join(out) + "\n")

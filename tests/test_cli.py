@@ -9,7 +9,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmleak import cli
 from pmleak.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
@@ -284,6 +284,9 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
                  "outcome y must be finite", id="analyze-nan-y"),
     pytest.param(["analyze", "--mechanism", "{lap}", "--y-grid", "0", "nan", "3"],
                  "outcome y must be finite", id="analyze-nan-y-grid"),
+    # JSON admits Infinity: the PML at every y would be NaN
+    pytest.param(["analyze", "--mechanism", "{inf_lap}", "--y", "0"],
+                 "Laplace centers must be finite", id="analyze-inf-centers"),
     pytest.param(["thm3", "--n", "10", "--epsilon", "inf"],
                  "epsilon must be finite", id="thm3-inf-epsilon"),
     pytest.param(["bob", "--scale", "inf", "--y-grid", "0", "1", "2"],
@@ -318,11 +321,15 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
                  "n must be at least 1", id="thm3-negative-n-eta-poly"),
     pytest.param(["thm3", "--n", "0", "--eta-poly", "0.5", "1.5"],
                  "n must be at least 1", id="thm3-zero-n-eta-poly"),
+    # n ** r overflows the float range, so eta = c / n**r is 0
+    pytest.param(["thm3", "--n", "1128", "--eta-poly", "1024", "1024"],
+                 "eta schedule leaves (0, 1) at n=1128", id="thm3-eta-poly-overflow"),
 ])
 def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv, message):
     spec = write_spec(tmp_path, NAN_LAPLACE)
     lap = write_spec(tmp_path, LAPLACE, name="lap.json")
-    assert main([a.format(spec=spec, lap=lap) for a in argv]) == EXIT_VALIDATION
+    inf_lap = write_spec(tmp_path, dict(LAPLACE, centers=[math.inf] * 2), name="inf.json")
+    assert main([a.format(spec=spec, lap=lap, inf_lap=inf_lap) for a in argv]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err
@@ -457,6 +464,16 @@ def _bob_argv(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(argv=st.one_of(_thm3_argv(), _bob_argv()))
+# y far beyond the centers, where |y - center| / b drowned the PML
+@example(argv=["bob", "--k=2", "--epsilon=1", "--scale=100000", "--y-grid", "1e21", "1e22", "2"])
+# outcomes 2.5e5 noise scales from their nearest center, inside the centers' hull
+@example(argv=["bob", "--k=2", "--epsilon=10", "--scale=100000"])
+# every |y - center| / b overflows to inf between the centers
+@example(argv=["bob", "--k=2", "--epsilon=1e308", "--scale=1e30"])
+# (y - center) / b overflowed on a numpy float and warned
+@example(argv=["bob", "--k=1", "--epsilon=467", "--scale=1e-320", "--y-grid", "467", "1e308", "4"])
+# n ** r overflowed in the eta schedule
+@example(argv=["thm3", "--n=1128", "--eta-poly", "1024", "1024"])
 def test_fuzzed_argv_exits_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "out.csv"
@@ -468,6 +485,7 @@ def test_fuzzed_argv_exits_cleanly(argv):
                 code = exc.code
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_TOLERANCE)
         assert "Traceback" not in err.getvalue()
+        assert "Warning" not in err.getvalue()
         if code != EXIT_OK:
             return
         _, header, rows = read_table(out)
@@ -479,3 +497,7 @@ def test_fuzzed_argv_exits_cleanly(argv):
             em = float(values["eps_max"])
             assert float(values["exact_pml"]) <= em + 1e-9
             assert values["lower_bound"] == "" or float(values["lower_bound"]) <= em + 1e-9
+    else:
+        for row in rows:
+            values = dict(zip(header, row))
+            assert float(values["pml_nats"]) <= float(values["eps_max"]) + 1e-12

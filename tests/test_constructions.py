@@ -342,6 +342,8 @@ class TestLowerBound:
             lower_bound(10, 0.6, 0.5, 0.1)
         with pytest.raises(ValueError):
             lower_bound(10, 0.25, 0.5, -1.0)
+        with pytest.raises(ValueError, match="below 2\\^53"):
+            lower_bound(2 ** 53, 0.25, 0.5, 0.1)
 
 
 class TestEtaSchedule:
@@ -366,6 +368,10 @@ class TestBob:
         for j in range(1, 6):
             value = bob_pml(model, 0.1, 10_000.0 * j)
             assert value == pytest.approx(math.log(5.0), abs=1e-6)
+        # beyond the outer center the PML is that center's, however far y lies
+        model = BobModel(k=2, scale=100_000.0)
+        for y in (200_000.0, 1e6, 1e21, 1e22):
+            assert bob_pml(model, 1.0, y) == pytest.approx(math.log(2.0), rel=0, abs=1e-15)
 
     def test_single_attribute_leaks_nothing(self):
         model = BobModel(k=1)
@@ -374,8 +380,13 @@ class TestBob:
 
     def test_bounded_by_log_k(self):
         model = BobModel(k=5)
-        for y in np.linspace(-5000, 60000, 40):
-            assert bob_pml(model, 0.1, float(y)) <= math.log(5.0) + 1e-9
+        # and the default grid of `pmleak bob`, linspace(0, 60000, 25)
+        for y in [*np.linspace(-5000, 60000, 40), *np.linspace(0, 60000, 25)]:
+            assert bob_pml(model, 0.1, float(y)) <= math.log(5.0) + 1e-15
+        # outcomes up to 2.5e5 noise scales from their nearest center
+        model = BobModel(k=2, scale=100_000.0)
+        for y in np.linspace(0, 300_000, 13):
+            assert bob_pml(model, 10.0, float(y)) <= math.log(2.0) + 1e-15
 
     def test_mechanism_is_tenth_dp(self):
         assert dp_level_laplace(bob_mechanism(BobModel(k=5), 0.1)) == pytest.approx(0.1)

@@ -120,7 +120,7 @@ class TestEnumerateJoint:
         assert math.fsum(math.exp(lp) for _, lp in atoms) == pytest.approx(1.0)
 
     def test_product_atom_mass(self):
-        model = ProductModel.iid(FiniteDistribution.from_probs((0, 1), (0.7, 0.3)), 3)
+        model = ProductModel((FiniteDistribution.from_probs((0, 1), (0.7, 0.3)),) * 3)
         joint = ExplicitJointModel.from_model(model)
         assert math.exp(joint.joint_logp((1, 1, 0))) == pytest.approx(0.063)
 

@@ -54,29 +54,29 @@ class TestFiniteDistribution:
 class TestProductModel:
     def test_marginal_is_entry_marginal(self):
         # the entry law entry_channel sums from the atoms is the entry's marginal
-        model = ProductModel.iid(BERNOULLI_03, 5)
+        model = ProductModel((BERNOULLI_03,) * 5)
         mech = LaplaceMechanism(sum, 1.0)
         for i in range(5):
             law, _ = entry_channel(model, mech, i, 0.5)
             assert math.exp(law.logprob(1)) == pytest.approx(0.3)
 
     def test_conditioning_is_independence(self):
-        model = ProductModel.iid(BERNOULLI_03, 3)
+        model = ProductModel((BERNOULLI_03,) * 3)
         cond = model.conditional_rest(1, 0)
         # product marginal over remaining entries, unchanged
         assert math.exp(cond.logprob((1, 0))) == pytest.approx(0.3 * 0.7)
 
     def test_atom_mass(self):
-        model = ProductModel.iid(BERNOULLI_03, 3)
+        model = ProductModel((BERNOULLI_03,) * 3)
         assert math.exp(model.joint_logp((1, 1, 0))) == pytest.approx(0.063)
 
     def test_index_out_of_range(self):
-        model = ProductModel.iid(BERNOULLI_03, 3)
+        model = ProductModel((BERNOULLI_03,) * 3)
         with pytest.raises(IndexError):
             model.conditional_rest(3, 0)
 
     def test_condition_on_impossible_symbol(self):
-        model = ProductModel.iid(FiniteDistribution.from_probs((0, 1), (1.0, 0.0)), 2)
+        model = ProductModel((FiniteDistribution.from_probs((0, 1), (1.0, 0.0)),) * 2)
         with pytest.raises(ValueError, match="unsupported condition"):
             model.conditional_rest(0, 1)
 
@@ -136,7 +136,7 @@ class TestCorrelatedBinaryModel:
 
 
 @pytest.mark.parametrize("model", [
-    ProductModel.iid(BERNOULLI_03, 4),
+    ProductModel((BERNOULLI_03,) * 4),
     CorrelatedBinaryModel(5, 0.3, 0.4),
     ExplicitJointModel.from_model(CorrelatedBinaryModel(3, 0.25, 0.5)),
 ])
