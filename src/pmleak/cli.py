@@ -229,8 +229,10 @@ def cmd_dp_check(opts) -> int:
         level = dp_level_laplace(mech)
     print(f"dp level = {level:.12g}")
     if opts.target is not None:
-        target = float(opts.target)
-        ok = level <= target + float(opts.tol)
+        target, tol = float(opts.target), float(opts.tol)
+        if math.isnan(target) or not tol >= 0:
+            raise ValueError("target must be a number and tol at least 0")
+        ok = level <= target + tol
         print(f"target = {target:.12g}: {'meets' if ok else 'exceeds'}")
         if not ok:
             return EXIT_TOLERANCE

@@ -39,6 +39,9 @@ _WINDOW_SIGMAS = 9.5
 #: of about 9.5*sqrt(n) terms passes this near n = 1.1e12
 WINDOW_LIMIT = 10 ** 7
 
+#: the first entry's two values, as a column against the window's indices
+_BITS = np.array([[0.0], [1.0]])
+
 #: largest n whose sweep row is cross-checked by enumerating the 2^(n+1) atoms
 SWEEP_ENUM_LIMIT = 15
 
@@ -86,14 +89,24 @@ class CorrelatedBinaryModel(DatabaseModel):
     def num_entries(self):
         return self.n + 1
 
+    def _log_mass(self, d1, all_equal: bool) -> LogReal:
+        """Log-mass of a database with first entry d1 and a tail all equal to it or not."""
+        lp = math.log(self.alpha) if d1 == 0 else math.log1p(-self.alpha)
+        if all_equal:
+            return lp + math.log(self.eta)
+        return lp + math.log1p(-self.eta) - _log_two_pow_minus_one(self.n)
+
     def joint_logp(self, x):
         if len(x) != self.num_entries:
             raise ValueError("tuple length mismatch")
-        d1, rest = x[0], x[1:]
-        lp = math.log(self.alpha) if d1 == 0 else math.log1p(-self.alpha)
-        if all(d == d1 for d in rest):
-            return lp + math.log(self.eta)
-        return lp + math.log1p(-self.eta) - _log_two_pow_minus_one(self.n)
+        return self._log_mass(x[0], all(d == x[0] for d in x[1:]))
+
+    def log_masses(self, digits):
+        # four values, picked by d1 and whether the tail equals it
+        values = np.array([[self._log_mass(d1, all_equal) for all_equal in (False, True)]
+                           for d1 in (0, 1)])
+        all_equal = (digits[:, 1:] == digits[:, :1]).all(axis=1)
+        return values[digits[:, 0], all_equal.astype(np.intp)]
 
 
 @dataclass(frozen=True)
@@ -147,8 +160,8 @@ def calibrated_scale(n: int, epsilon: float) -> float:
 def calibrated_mechanism(model: CorrelatedBinaryModel, epsilon: float) -> LaplaceMechanism:
     """Empirical frequency of ones under Laplace noise at DP level epsilon."""
     m = model.num_entries
-    return LaplaceMechanism(lambda x: sum(x) / m, calibrated_scale(model.n, epsilon),
-                            sensitivity=1.0 / m)
+    return LaplaceMechanism(lambda x: np.sum(x, axis=-1) / m,
+                            calibrated_scale(model.n, epsilon), sensitivity=1.0 / m)
 
 
 def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: float) -> LogReal:
@@ -177,6 +190,12 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     """
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
+    return _cond_densities_binomial(model, b, y)[d1]
+
+
+def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float) -> list:
+    """[log P(Y = y | D_1 = d1) for d1 = 0, 1], the evaluator and bound of
+    `cond_density_binomial`: both rows of terms in one (2, W) reduction."""
     if not b > 0:
         raise ValueError("scale must be positive")
     if not math.isfinite(y):
@@ -198,16 +217,26 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     log_c = np.empty(len(i))
     log_c[0] = 0.0
     np.cumsum(np.log((n - i[:-1]) / i[1:]), out=log_c[1:])
-    terms = log_c - np.abs(y - (d1 + i) / m) / b
-    if lo <= n * d1 <= hi:
-        terms[n * d1 - lo] = LOG_ZERO
+    # row d1: log_c - |y - (d1 + i) / m| / b, in place on one (2, W) array; a
+    # distance over b that overflows is a term of zero mass
+    terms = np.add(_BITS, i)
+    terms /= m
+    np.subtract(y, terms, out=terms)
+    np.abs(terms, out=terms)
+    with np.errstate(over="ignore"):
+        terms /= b
+    np.subtract(log_c, terms, out=terms)
+    for d1 in (0, 1):
+        if lo <= n * d1 <= hi:
+            terms[d1, n * d1 - lo] = LOG_ZERO
     # the constants of size n are added apart from the terms: their rounding
     # is then the same at d1 = 0 and 1 and cancels from the PML
     log_scale = (math.log1p(-model.eta) - _log_two_pow_minus_one(n)
                  + log_binom(n, lo) - math.log(2.0 * b))
-    uniform_part = log_scale + log_sum_exp_array(terms)
-    lap_peak = laplace_log_density(float(d1), b, y)  # all-d1 tail: center is d1 itself
-    return log_add(math.log(model.eta) + lap_peak, uniform_part)
+    uniform_part = (log_scale + log_sum_exp_array(terms)).tolist()
+    # the all-d1 tail: its center is d1 itself
+    return [log_add(math.log(model.eta) + laplace_log_density(float(d1), b, y), uniform)
+            for d1, uniform in enumerate(uniform_part)]
 
 
 def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y: float) -> LogReal:
@@ -260,14 +289,16 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     Evaluated at clip(y, 0, 1), which has the same PML.  For y <= 0 the d1 = 0
     branch provably dominates and the closed forms apply, at O(1) cost; for
     y > 0 dominance is not established, so both branches are evaluated via
-    the binomial sum, a roughly 10*sqrt(n)-term numpy reduction each whose
-    truncation error is bounded in cond_density_binomial, and maxed
-    explicitly.
+    the binomial sum, one numpy reduction over two rows of roughly
+    10*sqrt(n) terms whose truncation error is bounded in
+    cond_density_binomial, and maxed explicitly.
     """
     b = calibrated_scale(model.n, epsilon)
     y = _pml_outcome(y)
-    evaluator = cond_density_closed_form if y <= 0 else cond_density_binomial
-    c0, c1 = evaluator(model, b, 0, y), evaluator(model, b, 1, y)
+    if y <= 0:
+        c0, c1 = (cond_density_closed_form(model, b, d1, y) for d1 in (0, 1))
+    else:
+        c0, c1 = _cond_densities_binomial(model, b, y)
     # log P_Y(y): the two conditionals weighted by the law of D_1
     mixture = log_add(math.log1p(-model.alpha) + c1, math.log(model.alpha) + c0)
     return max(c0, c1) - mixture

@@ -13,15 +13,14 @@ on product distributions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .logdomain import LOG_ZERO, log_sum_exp, log_sum_exp_array
 from .mechanisms import FiniteMechanism, LaplaceMechanism
-from .probability import (DatabaseModel, FiniteDistribution, ProductModel,
-                          require_enumerable)
+from .probability import (DatabaseModel, FiniteDistribution, ProductModel, atom_labels,
+                          atom_table)
 
 #: smallest mass of a sampled prior symbol, before renormalizing
 PRIOR_FLOOR = 1e-3
@@ -89,20 +88,25 @@ def pml_report(prior: FiniteDistribution, mech, y) -> LeakageReport:
 
 
 def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
-    """(law of entry i, [log P(y | D_i = d) for each symbol d]) in one pass
-    over the atoms: each atom joins the bucket of x[i], whose masses give the
-    law of entry i and weight its likelihoods into the induced channel."""
+    """(law of entry i, [log P(y | D_i = d) for each symbol d]) in one array
+    pass over the atoms: the model gives every atom's log-mass and the
+    mechanism every atom's log-likelihood, and for each symbol d the atoms
+    with D_i = d give the law of entry i and weight their likelihoods into
+    the induced channel, both reduced by the scalar `log_sum_exp`."""
     model._check_index(i)
-    buckets = {d: [] for d in model.alphabet}
-    for x, lp in model.atoms():
-        if lp > LOG_ZERO:
-            buckets[x[i]].append((lp, mech.log_likelihood(x, y)))
-    law, lls = [], []
-    for atoms in buckets.values():
-        lcond = log_sum_exp([lp for lp, _ in atoms]) if atoms else LOG_ZERO
+    digits = atom_table(model.alphabet, model.num_entries)
+    log_mass = model.log_masses(digits)
+    live = log_mass > LOG_ZERO
+    digits, log_mass = digits[live], log_mass[live]
+    lls = mech.log_likelihoods(atom_labels(model.alphabet, digits), y)
+    law, cond = [], []
+    for d in range(len(model.alphabet)):
+        atoms = digits[:, i] == d
+        lp = log_mass[atoms]
+        lcond = log_sum_exp(lp.tolist()) if lp.size else LOG_ZERO
         law.append(lcond)
-        lls.append(log_sum_exp([lp - lcond + ll for lp, ll in atoms]) if atoms else LOG_ZERO)
-    return FiniteDistribution(model.alphabet, tuple(law)), lls
+        cond.append(log_sum_exp((lp - lcond + lls[atoms]).tolist()) if lp.size else LOG_ZERO)
+    return FiniteDistribution(model.alphabet, tuple(law)), cond
 
 
 def pml_entry(model: DatabaseModel, mech, i: int, y) -> LeakageReport:
@@ -183,13 +187,10 @@ def _block_pmls(log_prior, digits, channel):
 def _entry_pmls(mech: FiniteMechanism, alphabet: tuple, probs) -> np.ndarray:
     """PML of every (prior, entry, outcome) as a (P, n, |Y|) array, for the
     product priors with marginals probs (P, n, k) over alphabet: the
-    batched `pml(*entry_channel(...))`.  Atoms are taken in
-    itertools.product order and read their channel rows by label."""
-    n, k = probs.shape[1:]
-    require_enumerable(k ** n)
-    atoms = itertools.product(alphabet, repeat=n)
-    channel = mech.logp[[mech.x_index(x) for x in atoms]]
-    digits = np.array(list(itertools.product(range(k), repeat=n)))
+    batched `pml(*entry_channel(...))`.  Atoms are the rows of
+    `atom_table` and read their channel rows by label, as in `entry_channel`."""
+    digits = atom_table(alphabet, probs.shape[1])
+    channel = mech.rows(atom_labels(alphabet, digits))
     log_prior = np.log(probs)
     block = max(1, _BLOCK_ENTRIES // channel.size)
     return np.concatenate([_block_pmls(log_prior[start:start + block], digits, channel)

@@ -47,7 +47,8 @@ def log_sum_exp_array(v, axis=-1):
     top = v.max(axis=axis, keepdims=True, initial=LOG_ZERO)
     top[top == LOG_ZERO] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(np.exp(v - top).sum(axis=axis)) + top.squeeze(axis)
+        shifted = np.subtract(v, top)
+        return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + top.squeeze(axis)
 
 
 def log_array(v):

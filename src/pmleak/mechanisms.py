@@ -63,9 +63,23 @@ class FiniteMechanism:
     def log_likelihood(self, x, y) -> LogReal:
         return float(self.logp[self.x_index(x), self.y_index(y)])
 
+    def rows(self, atoms: np.ndarray) -> np.ndarray:
+        """The logp row of every row of an (A, m) label table, each read as
+        the tuple x label."""
+        return self.logp[[self.x_index(x) for x in map(tuple, atoms.tolist())]]
+
+    def log_likelihoods(self, atoms: np.ndarray, y) -> np.ndarray:
+        """log P(y | x) for every row x of an (A, m) label table."""
+        return self.rows(atoms)[:, self.y_index(y)]
+
 
 class LaplaceMechanism:
-    """Laplace noise added to a real-valued query: Y | X=x ~ Lap(f(x), b)."""
+    """Laplace noise added to a real-valued query: Y | X=x ~ Lap(f(x), b).
+
+    A query used on a database model's atoms reads its database along the
+    last axis, so that one call gives every row of a label table its value
+    (``np.sum(x, axis=-1) / m``, not ``sum``).
+    """
 
     def __init__(self, query: Callable, scale: float, sensitivity=None, labels=None):
         if not scale > 0:
@@ -75,6 +89,8 @@ class LaplaceMechanism:
         self.query = query
         self.scale = float(scale)
         self.sensitivity = None if sensitivity is None else float(sensitivity)
+        if self.sensitivity is not None and not 0 <= self.sensitivity < math.inf:
+            raise ValueError("sensitivity must be finite and at least 0")
         self.labels = None if labels is None else tuple(labels)
 
     def center(self, x) -> float:
@@ -82,6 +98,16 @@ class LaplaceMechanism:
 
     def log_likelihood(self, x, y) -> LogReal:
         return laplace_log_density(self.center(x), self.scale, y)
+
+    def log_likelihoods(self, atoms: np.ndarray, y) -> np.ndarray:
+        """log P(y | x) for every row x of an (A, m) label table: the query
+        applied row-wise, then `laplace_log_density` elementwise."""
+        centers = np.asarray(self.query(atoms), dtype=float)
+        if centers.shape != atoms.shape[:1]:
+            raise ValueError(f"query gives shape {centers.shape} on {len(atoms)} atoms, "
+                             "not one value per atom")
+        with np.errstate(over="ignore"):  # an overflowing distance gives -inf, as on floats
+            return -math.log(2.0 * self.scale) - np.abs(y - centers) / self.scale
 
 
 def laplace_log_density(center: float, b: float, y: float) -> LogReal:
@@ -169,12 +195,17 @@ def dp_level_finite(mech: FiniteMechanism, num_entries: int = 1, alphabet=None) 
     every pair of secrets is neighboring.  For a finite output set the
     per-outcome ratio check is equivalent to the event-wise definition.
     """
+    if num_entries < 1:
+        raise ValueError("need at least one entry")
     index = {x: i for i, x in enumerate(mech.x_labels)}
     if num_entries == 1:
         pairs = itertools.permutations(mech.x_labels, 2)
     else:
-        if alphabet is None:
-            alphabet = tuple(sorted({d for x in mech.x_labels for d in x}))
+        if not all(isinstance(x, tuple) and len(x) == num_entries for x in mech.x_labels):
+            raise ValueError(f"with {num_entries} entries every secret label must be "
+                             f"a tuple of {num_entries} symbols")
+        if alphabet is None:  # the maximum over neighbors does not depend on its order
+            alphabet = tuple(dict.fromkeys(d for x in mech.x_labels for d in x))
         pairs = ((x, x2) for x in mech.x_labels for x2 in neighbors(x, alphabet)
                  if x2 in index)
     worst = 0.0

@@ -2,7 +2,8 @@
 
 Provides distributions over labeled finite alphabets, explicit joints, and
 database models (joint laws over n entries from a common alphabet).  Every
-model enumerates its atoms below a hard cutoff, and `leakage.entry_channel`
+model lists its atoms below a hard cutoff as one table of alphabet indices
+and gives all their log-masses in one call, and `leakage.entry_channel`
 computes the law and induced channel of one entry from them.
 """
 
@@ -29,6 +30,24 @@ def require_enumerable(count):
     """Reject a query that would materialize more than ENUMERATION_LIMIT atoms."""
     if count > ENUMERATION_LIMIT:
         raise ValueError("enumeration cutoff exceeded")
+
+
+def atom_table(alphabet, num_entries: int) -> np.ndarray:
+    """The alphabet^num_entries atoms as an (A, num_entries) table of
+    alphabet indices, in itertools.product order."""
+    k = len(alphabet)
+    require_enumerable(k ** num_entries)
+    grid = np.indices((k,) * num_entries, dtype=np.min_scalar_type(max(k - 1, 0)))
+    return grid.reshape(num_entries, k ** num_entries).T
+
+
+def atom_labels(alphabet, digits) -> np.ndarray:
+    """The table of alphabet indices `digits` with each index replaced by its
+    label: a numeric array for a numeric alphabet, else an object array."""
+    labels = np.asarray(alphabet)
+    if labels.ndim != 1 or labels.dtype.kind not in "biuf":
+        labels = np.fromiter(alphabet, dtype=object, count=len(alphabet))
+    return labels[digits]
 
 
 def _check_mass(logp, what="distribution"):
@@ -119,6 +138,10 @@ class DatabaseModel(ABC):
     def joint_logp(self, x: tuple) -> LogReal:
         """Log-mass of one full database tuple."""
 
+    @abstractmethod
+    def log_masses(self, digits: np.ndarray) -> np.ndarray:
+        """Log-mass of every row of an `atom_table`, each as `joint_logp` gives it."""
+
     def _check_index(self, i):
         if not 0 <= i < self.num_entries:
             raise IndexError(f"entry index {i} out of range [0, {self.num_entries})")
@@ -155,6 +178,10 @@ class ProductModel(DatabaseModel):
         if len(x) != self.num_entries:
             raise ValueError("tuple length mismatch")
         return sum(m.logprob(d) for m, d in zip(self.marginals, x))
+
+    def log_masses(self, digits):
+        # left to right from 0, as joint_logp sums the marginals
+        return sum(np.asarray(m.logp)[digits[:, j]] for j, m in enumerate(self.marginals))
 
     def conditional_rest(self, i, d):
         # no library caller; kept because perfbench/tracer.py wraps it by name.
@@ -201,4 +228,8 @@ class ExplicitJointModel(DatabaseModel):
 
     def joint_logp(self, x):
         return self._table.get(tuple(x), LOG_ZERO)
+
+    def log_masses(self, digits):
+        rows = atom_labels(self._alphabet, digits).tolist()
+        return np.array([self._table.get(tuple(x), LOG_ZERO) for x in rows], dtype=float)
 

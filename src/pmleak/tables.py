@@ -22,6 +22,15 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _cell(v) -> str:
+    """format_value, quoted as in RFC 4180 when it holds a comma, quote or line break
+    (a tuple label does)."""
+    text = format_value(v)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 @dataclass
 class ResultTable:
     columns: tuple[str, ...]
@@ -42,5 +51,5 @@ class ResultTable:
             lines.append(f"# generated-at = {stamp}")
         lines.append(",".join(self.columns))
         for row in self.rows:
-            lines.append(",".join(format_value(v) for v in row))
+            lines.append(",".join(_cell(v) for v in row))
         return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 import contextlib
+import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -17,15 +19,14 @@ from pmleak.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 
 def read_table(path):
     """Parse the CSV output: (meta dict, column names, rows of strings)."""
-    meta, header, rows = {}, None, []
+    meta, lines = {}, []
     for line in path.read_text().splitlines():
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
             meta[key.strip()] = value.strip()
-        elif header is None:
-            header = line.split(",")
         else:
-            rows.append(line.split(","))
+            lines.append(line)
+    header, *rows = csv.reader(lines)
     return meta, header, rows
 
 
@@ -474,6 +475,9 @@ def _bob_argv(draw):
 @example(argv=["bob", "--k=1", "--epsilon=467", "--scale=1e-320", "--y-grid", "467", "1e308", "4"])
 # n ** r overflowed in the eta schedule
 @example(argv=["thm3", "--n=1128", "--eta-poly", "1024", "1024"])
+# a subnormal scale: |y - center| / b overflowed on arrays and warned
+@example(argv=["thm3", "--n=1", "--epsilon=8.988465674311578e+307", "--y=1"])
+@example(argv=["thm3", "--n=1", "--epsilon=8.988465674311578e+307", "--y=0"])
 def test_fuzzed_argv_exits_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "out.csv"
@@ -501,3 +505,110 @@ def test_fuzzed_argv_exits_cleanly(argv):
         for row in rows:
             values = dict(zip(header, row))
             assert float(values["pml_nats"]) <= float(values["eps_max"]) + 1e-12
+
+
+# --- fuzzing the commands that read a mechanism spec file ---
+
+def _weights(draw, size):
+    """`size` probabilities summing to 1, with an odd cell one time in four."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    total = math.fsum(weights)
+    probs = [w / total for w in weights] if total > 0 else [1.0 / size] * size
+    if draw(st.integers(0, 3)) == 0:
+        probs[draw(st.integers(0, size - 1))] = float(draw(_ODD))
+    return probs
+
+
+@st.composite
+def _spec(draw):
+    """A finite, Laplace or randomized-response spec, with or without a prior."""
+    kind = draw(st.sampled_from(["finite", "laplace", "randomized_response"]))
+    nx = draw(st.integers(1, 4))
+    if kind == "randomized_response":
+        spec, nx = {"kind": kind, "p": float(draw(_value(st.floats(0.0, 0.5))))}, 2
+    elif kind == "finite":
+        # scalar labels, or tuples of bits, which dp-check --entries reads as databases
+        tuples = draw(st.booleans())
+        m = draw(st.integers(1, 2))
+        xs = ([list(x) for x in itertools.product((0, 1), repeat=m)] if tuples
+              else list(range(nx)))
+        nx = len(xs)
+        ny = draw(st.integers(1, 4))
+        spec = {"kind": kind, "x_labels": xs, "y_labels": list(range(ny)),
+                "rows": [_weights(draw, ny) for _ in range(nx)]}
+    else:
+        spec = {"kind": kind, "labels": list(range(nx)),
+                "centers": [float(draw(_value(st.floats(-10.0, 10.0)))) for _ in range(nx)],
+                "scale": float(draw(_value(st.floats(0.01, 10.0))))}
+        if draw(st.booleans()):
+            spec["sensitivity"] = float(draw(_value(st.floats(0.0, 5.0))))
+    if draw(st.booleans()):
+        spec["prior"] = _weights(draw, nx)
+    return spec
+
+
+@st.composite
+def _spec_argv(draw):
+    """(spec, argv with {spec} for its path) for analyze or dp-check."""
+    spec = draw(_spec())
+    if draw(st.booleans()):
+        argv = ["dp-check", "--mechanism", "{spec}"]
+        if draw(st.booleans()):
+            argv += ["--target=" + draw(_value(st.floats(0.0, 5.0)))]
+        if draw(st.booleans()):
+            argv += ["--entries=" + draw(_value(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            argv += ["--tol=" + draw(_value(st.floats(0.0, 1e-6)))]
+        return spec, argv
+    argv = ["analyze", "--mechanism", "{spec}"]
+    if spec["kind"] == "laplace" and draw(st.booleans()):
+        argv += ["--y-grid", draw(_value(st.floats(-20.0, 20.0))),
+                 draw(_value(st.floats(-20.0, 20.0))), draw(_value(st.integers(1, 20)))]
+    elif spec["kind"] == "laplace" or draw(st.booleans()):
+        argv += ["--y", *draw(st.lists(_value(st.floats(-20.0, 20.0)), min_size=1, max_size=4))]
+    return spec, argv
+
+
+NAN_SENSITIVITY_LAPLACE = {"kind": "laplace", "labels": [0, 1], "centers": [0.0, 1.0],
+                           "scale": 1.0, "sensitivity": float("nan")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_spec_argv())
+# scalar labels read as databases: a TypeError traceback
+@example(case=(RR_QUARTER, ["dp-check", "--mechanism", "{spec}", "--entries=0"]))
+@example(case=(RR_QUARTER, ["dp-check", "--mechanism", "{spec}", "--entries=2"]))
+# a NaN target was "exceeded", exit 2
+@example(case=(RR_QUARTER, ["dp-check", "--mechanism", "{spec}", "--target=nan"]))
+# a NaN sensitivity printed "dp level = nan", exit 0
+@example(case=(NAN_SENSITIVITY_LAPLACE, ["dp-check", "--mechanism", "{spec}"]))
+# the argmax label (0,) split its CSV row into one cell too many
+@example(case=({"kind": "finite", "x_labels": [[0], [1]], "y_labels": [0, 1],
+                "rows": [[0.0, 1.0], [0.5, 0.5]]}, ["analyze", "--mechanism", "{spec}"]))
+def test_fuzzed_spec_commands_exit_cleanly(case):
+    spec, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "mech.json"
+        path.write_text(json.dumps(spec))
+        argv = [str(path) if a == "{spec}" else a for a in argv]
+        out = pathlib.Path(tmp) / "out.csv"
+        if argv[0] == "analyze":
+            argv += ["--out", str(out)]
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_TOLERANCE)
+        assert "Traceback" not in err.getvalue()
+        assert "Warning" not in err.getvalue()
+        if code != EXIT_OK or argv[0] != "analyze":
+            assert "nan" not in stdout.getvalue()
+            return
+        _, header, rows = read_table(out)
+    assert all(cell.strip().lower() not in ("nan", "inf", "-inf")
+               for row in rows for cell in row)
+    for row in rows:
+        values = dict(zip(header, row))
+        assert -1e-12 <= float(values["pml_nats"]) <= float(values["eps_max"]) + 1e-9

@@ -15,10 +15,11 @@ from pmleak.constructions import (BobModel, CorrelatedBinaryModel, EtaSchedule,
                                   calibrated_scale, cond_density_binomial,
                                   cond_density_closed_form, find_limit_n,
                                   lower_bound, pml_d1, sweep)
-from pmleak.leakage import pml_entry
+from pmleak.leakage import entry_channel, pml_entry
 from pmleak.logdomain import LOG_ZERO, log_add, log_binom, log_sum_exp
-from pmleak.mechanisms import dp_level_laplace, laplace_log_density
-from pmleak.probability import ExplicitJointModel
+from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism, dp_level_laplace,
+                               laplace_log_density, product_mechanism)
+from pmleak.probability import ExplicitJointModel, FiniteDistribution, ProductModel
 
 #: float64 unit roundoff
 U = 2.0 ** -53
@@ -48,6 +49,23 @@ def loop_cond_density(model, b, d1, y):
     uniform_part = log_sum_exp(terms)
     log_rest = math.log1p(-model.eta) - math.log(2 ** n - 1)  # exact big int
     return log_add(math.log(model.eta) + lap_peak, log_rest + uniform_part)
+
+
+def loop_entry_channel(model, mech, i, y):
+    """Per-atom oracle for entry_channel: each atom, as a tuple, joins the
+    bucket of x[i] with its joint_logp and its scalar log_likelihood; returns
+    (law of entry i, induced channel) as lists of log values."""
+    model._check_index(i)
+    buckets = {d: [] for d in model.alphabet}
+    for x, lp in model.atoms():
+        if lp > LOG_ZERO:
+            buckets[x[i]].append((lp, mech.log_likelihood(x, y)))
+    law, lls = [], []
+    for atoms in buckets.values():
+        lcond = log_sum_exp([lp for lp, _ in atoms]) if atoms else LOG_ZERO
+        law.append(lcond)
+        lls.append(log_sum_exp([lp - lcond + ll for lp, ll in atoms]) if atoms else LOG_ZERO)
+    return law, lls
 
 
 def mp_log_cond_density(n, eta, b, d1, y, dps=50):
@@ -439,3 +457,82 @@ class TestSweep:
         rows = sweep([8, 64], 0.25, EtaSchedule.constant(0.5), 0.5, -0.3)
         assert rows[0].enum_pml is not None
         assert rows[1].enum_pml is None
+
+
+def as_hex(law, lls):
+    return [float(v).hex() for v in (*law, *lls)]
+
+
+def assert_channels_close(got, want, tol=1e-15):
+    """Two (law, channel) pairs agree to tol, with LOG_ZERO only where the other has it."""
+    for a, b in zip((*got[0], *got[1]), (*want[0], *want[1])):
+        assert (a == LOG_ZERO) == (b == LOG_ZERO)
+        if b != LOG_ZERO:
+            assert abs(a - b) <= tol
+
+
+def ternary_product_model():
+    # non-iid entries over a 3-symbol alphabet; symbol 2 of entry 1 has no
+    # mass, so every atom carrying it is a zero-mass atom
+    return ProductModel(tuple(FiniteDistribution.from_probs((0, 1, 2), p)
+                              for p in ((0.2, 0.3, 0.5), (0.6, 0.4, 0.0), (0.25, 0.25, 0.5))))
+
+
+class TestEntryChannelAgainstLoop:
+    """The array entry_channel against the per-atom loop it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_correlated_model_bit_for_bit(self, n):
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        mech = calibrated_mechanism(model, 0.1)
+        m = model.num_entries
+        # the loop's mechanism sums each tuple by Python's sum, as the
+        # calibrated query did before it read a table of rows
+        loop_mech = LaplaceMechanism(lambda x: sum(x) / m, mech.scale)
+        entries = range(m) if n <= 4 else (0,)
+        for i in entries:
+            for y in (0.0, 0.3, 0.5, 1.0):
+                law, lls = entry_channel(model, mech, i, y)
+                want = loop_entry_channel(model, loop_mech, i, y)
+                assert as_hex(law.logp, lls) == as_hex(*want)
+
+    @pytest.mark.parametrize("make_mech", ["finite", "laplace"])
+    def test_product_model_and_its_explicit_joint(self, make_mech):
+        model = ternary_product_model()
+        joint = ExplicitJointModel.from_model(model)
+        if make_mech == "finite":
+            base = FiniteMechanism.from_probs((0, 1, 2), (0, 1),
+                                              [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
+            mech = loop_mech = product_mechanism(base, 3)
+            outcomes = mech.y_labels
+        else:
+            mech = LaplaceMechanism(lambda x: np.sum(x, axis=-1) / 6, 0.25)
+            loop_mech = LaplaceMechanism(lambda x: sum(x) / 6, 0.25)
+            outcomes = (-0.2, 0.0, 0.35, 1.0, 2.5)
+        for db in (model, joint):
+            for i in range(3):
+                for y in outcomes:
+                    law, lls = entry_channel(db, mech, i, y)
+                    assert_channels_close((law.logp, lls), loop_entry_channel(db, loop_mech, i, y))
+        # the zero-mass symbol has no law and no channel
+        law, lls = entry_channel(model, mech, 1, outcomes[0])
+        assert law.logp[2] == LOG_ZERO and lls[2] == LOG_ZERO
+
+    def test_explicit_joint_with_a_missing_atom(self):
+        # atoms absent from the table have zero mass and are skipped, so a
+        # channel need not have rows for them
+        table = {(0, 0): math.log(0.5), (0, 1): math.log(0.25), (1, 1): math.log(0.25)}
+        joint = ExplicitJointModel((0, 1), 2, table)
+        mech = FiniteMechanism.from_probs(tuple(table), ("a", "b"),
+                                          [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
+        for i in (0, 1):
+            for y in ("a", "b"):
+                law, lls = entry_channel(joint, mech, i, y)
+                assert_channels_close((law.logp, lls), loop_entry_channel(joint, mech, i, y))
+
+    @pytest.mark.parametrize("query", [sum, lambda x: sum(x) / len(x), lambda x: 0.5,
+                                       lambda x: np.sum(x, axis=0)])
+    def test_query_not_giving_one_value_per_atom_is_rejected(self, query):
+        model = ternary_product_model()
+        with pytest.raises(ValueError, match="not one value per atom"):
+            entry_channel(model, LaplaceMechanism(query, 1.0), 0, 0.5)

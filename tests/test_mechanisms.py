@@ -63,6 +63,11 @@ class TestLaplaceCalibration:
         with pytest.raises(ValueError, match="degenerate query"):
             laplace_for_query(lambda x: 0.0, 1.0, num_entries=2, alphabet=(0, 1))
 
+    @pytest.mark.parametrize("sensitivity", [math.nan, math.inf, -1.0])
+    def test_sensitivity_must_be_finite_and_not_negative(self, sensitivity):
+        with pytest.raises(ValueError, match="sensitivity must be finite and at least 0"):
+            LaplaceMechanism(lambda x: 0.0, 5.0, sensitivity=sensitivity)
+
     def test_zero_sensitivity_is_level_zero(self):
         mech = LaplaceMechanism(lambda x: 0.0, 5.0)
         assert dp_level_laplace(mech, sensitivity=0.0) == 0.0
@@ -139,6 +144,18 @@ class TestDpLevelFinite:
         mech = product_mechanism(base, 3)
         level = dp_level_finite(mech, num_entries=3, alphabet=(0, 1))
         assert level == pytest.approx(math.log(3.0))
+
+    def test_mixed_type_alphabet_needs_no_order(self):
+        base = FiniteMechanism.from_probs(("x", 1), (0, 1), [[0.75, 0.25], [0.25, 0.75]])
+        assert dp_level_finite(product_mechanism(base, 2), num_entries=2) == \
+            pytest.approx(math.log(3.0))
+
+    @pytest.mark.parametrize("entries, message", [(0, "at least one entry"),
+                                                  (-1, "at least one entry"),
+                                                  (2, "tuple of 2 symbols")])
+    def test_entries_must_match_the_labels(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            dp_level_finite(randomized_response(0.25), num_entries=entries)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("base", [
@@ -219,3 +236,38 @@ class TestSpecFiles:
             mechanism_from_dict({"kind": "finite", "x_labels": [0, 1],
                                  "y_labels": [0, 1],
                                  "rows": [[0.5, 0.4], [0.5, 0.5]]})
+
+
+class TestAtomLogLikelihoods:
+    """The array log-likelihoods over a label table against the scalar ones."""
+
+    ATOMS = np.array(list(itertools.product((0, 1, 2), repeat=3)))
+
+    def test_laplace_rows_match_the_scalar_path_bit_for_bit(self):
+        mech = LaplaceMechanism(lambda x: np.sum(x, axis=-1) / 3, 0.07)
+        for y in (-0.4, 0.0, 1.0 / 3, 0.5, 2.0, 1e12):
+            got = mech.log_likelihoods(self.ATOMS, y)
+            want = [mech.log_likelihood(tuple(x), y) for x in self.ATOMS.tolist()]
+            assert got.tolist() == want
+
+    def test_laplace_overflowing_distance_is_zero_density(self):
+        mech = LaplaceMechanism(lambda x: np.sum(x, axis=-1) / 3, 5e-324)
+        got = mech.log_likelihoods(self.ATOMS, 1.0)
+        at_y = self.ATOMS.sum(axis=1) == 3  # the atoms whose center is y itself
+        assert np.all(got[at_y] > 0) and np.all(got[~at_y] == -math.inf)
+
+    @pytest.mark.parametrize("query", [sum, lambda x: 1.0, lambda x: np.sum(x, axis=0)])
+    def test_laplace_query_must_give_one_value_per_atom(self, query):
+        with pytest.raises(ValueError, match="not one value per atom"):
+            LaplaceMechanism(query, 1.0).log_likelihoods(self.ATOMS, 0.5)
+
+    def test_finite_rows_follow_the_labels(self):
+        base = FiniteMechanism.from_probs((0, 1, 2), ("a", "b"), [[0.7, 0.3], [0.4, 0.6], [0.0, 1.0]])
+        mech = product_mechanism(base, 3)
+        assert np.array_equal(mech.rows(self.ATOMS), mech.logp)
+        atoms = self.ATOMS[::-1]
+        for y in mech.y_labels:
+            want = [mech.log_likelihood(tuple(x), y) for x in atoms.tolist()]
+            assert mech.log_likelihoods(atoms, y).tolist() == want
+        with pytest.raises(KeyError, match="not in channel"):
+            mech.rows(np.array([[0, 1]]))

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +10,7 @@ from pmleak.leakage import entry_channel
 from pmleak.logdomain import log_sum_exp
 from pmleak.mechanisms import LaplaceMechanism
 from pmleak.probability import (ExplicitJointModel, FiniteDistribution,
-                                ProductModel)
+                                ProductModel, atom_labels, atom_table)
 
 BERNOULLI_03 = FiniteDistribution.from_probs((0, 1), (0.7, 0.3))
 
@@ -55,7 +56,7 @@ class TestProductModel:
     def test_marginal_is_entry_marginal(self):
         # the entry law entry_channel sums from the atoms is the entry's marginal
         model = ProductModel((BERNOULLI_03,) * 5)
-        mech = LaplaceMechanism(sum, 1.0)
+        mech = LaplaceMechanism(lambda x: np.sum(x, axis=-1), 1.0)
         for i in range(5):
             law, _ = entry_channel(model, mech, i, 0.5)
             assert math.exp(law.logprob(1)) == pytest.approx(0.3)
@@ -79,6 +80,44 @@ class TestProductModel:
         model = ProductModel((FiniteDistribution.from_probs((0, 1), (1.0, 0.0)),) * 2)
         with pytest.raises(ValueError, match="unsupported condition"):
             model.conditional_rest(0, 1)
+
+
+class TestAtomTable:
+    @pytest.mark.parametrize("alphabet, m", [((0, 1), 1), ((0, 1), 5), (("a", "b", "c"), 3),
+                                             ((7,), 4)])
+    def test_rows_follow_itertools_product(self, alphabet, m):
+        digits = atom_table(alphabet, m)
+        assert digits.shape == (len(alphabet) ** m, m)
+        assert digits.dtype == np.uint8
+        want = list(itertools.product(alphabet, repeat=m))
+        assert [tuple(alphabet[j] for j in row) for row in digits.tolist()] == want
+        assert [tuple(row) for row in atom_labels(alphabet, digits).tolist()] == want
+
+    def test_cutoff_is_checked_before_allocating(self):
+        with pytest.raises(ValueError, match="enumeration cutoff exceeded"):
+            atom_table((0, 1), 40)  # 2^40 rows would need a terabyte
+
+    @pytest.mark.parametrize("alphabet, kind", [((0, 1), "i"), ((0.5, 2.0), "f"),
+                                                 ((False, True), "b"), (("x", 1), "O"),
+                                                 (((0, 1), (1, 0)), "O")])
+    def test_labels_keep_each_symbol(self, alphabet, kind):
+        labels = atom_labels(alphabet, atom_table(alphabet, 2))
+        assert labels.dtype.kind == kind
+        assert [tuple(row) for row in labels.tolist()] == list(itertools.product(alphabet, repeat=2))
+
+
+@pytest.mark.parametrize("model", [
+    ProductModel((BERNOULLI_03,) * 4),
+    ProductModel(tuple(FiniteDistribution.from_probs(("a", "b", "c"), p)
+                       for p in ((0.2, 0.3, 0.5), (0.6, 0.4, 0.0)))),
+    CorrelatedBinaryModel(6, 0.3, 0.4),
+    ExplicitJointModel.from_model(CorrelatedBinaryModel(3, 0.25, 0.5)),
+    ExplicitJointModel(("u", "v"), 2, {("u", "v"): math.log(0.4), ("v", "v"): math.log(0.6)}),
+])
+def test_log_masses_are_joint_logp_bit_for_bit(model):
+    digits = atom_table(model.alphabet, model.num_entries)
+    want = [model.joint_logp(x) for x in itertools.product(model.alphabet, repeat=model.num_entries)]
+    assert [v.hex() for v in model.log_masses(digits).tolist()] == [float(v).hex() for v in want]
 
 
 def brute_force_outcome_density(table, mech, y, keep=lambda x: True):
@@ -143,7 +182,7 @@ class TestCorrelatedBinaryModel:
 def test_law_of_total_probability(model):
     """Re-mixing the induced channel with the entry law gives the outcome
     density of the joint, for every entry."""
-    mech = LaplaceMechanism(lambda x: sum(x) / len(x), 0.5)
+    mech = LaplaceMechanism(lambda x: np.sum(x, axis=-1) / np.shape(x)[-1], 0.5)
     table = {x: math.exp(model.joint_logp(x))
              for x in itertools.product(model.alphabet, repeat=model.num_entries)}
     for y in (-0.2, 0.4):
