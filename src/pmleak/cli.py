@@ -34,8 +34,7 @@ EXIT_VALIDATION = 1
 EXIT_TOLERANCE = 2
 
 #: namespace entries that are plumbing or output paths, not run parameters
-_NOT_META = frozenset({"command", "func", "config", "mechanism", "out", "svg",
-                       "reproducible"})
+_NOT_META = frozenset({"command", "config", "mechanism", "out", "svg", "reproducible"})
 
 #: most points a grid or n-range COUNT may ask for
 MAX_COUNT = 1_000_000
@@ -50,7 +49,7 @@ def _load_config(path, options):
     out = {}
     for key, value in cfg.items():
         k = key.replace("-", "_")
-        if k not in options or k in ("command", "func", "config"):
+        if k not in options or k in ("command", "config"):
             raise ValueError(f"unknown config field {key!r}")
         out[k] = value
     return out
@@ -247,10 +246,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
+    def command(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file with default option values")
-        p.set_defaults(func=func)
         return p
 
     def table_output(p):
@@ -258,13 +256,13 @@ def build_parser():
         p.add_argument("--reproducible", action="store_true",
                        help="suppress the timestamp header line")
 
-    p = command("analyze", cmd_analyze, "PML profile of a mechanism spec file")
+    p = command("analyze", "PML profile of a mechanism spec file")
     table_output(p)
     p.add_argument("--mechanism", required=True, help="mechanism spec JSON file")
     p.add_argument("--y", nargs="+", help="outcome value(s)")
     p.add_argument("--y-grid", nargs=3, type=float, metavar=("START", "STOP", "COUNT"))
 
-    p = command("thm3", cmd_thm3, "correlated-database sweep: bound vs exact PML")
+    p = command("thm3", "correlated-database sweep: bound vs exact PML")
     table_output(p)
     p.add_argument("--n", type=int)
     p.add_argument("--n-range", nargs=3, type=float, metavar=("START", "STOP", "COUNT"),
@@ -276,14 +274,14 @@ def build_parser():
     p.add_argument("--y", type=float, default=-0.3)
     p.add_argument("--svg", help="SVG plot output path")
 
-    p = command("bob", cmd_bob, "noisy counting-query attribute leakage")
+    p = command("bob", "noisy counting-query attribute leakage")
     table_output(p)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--scale", type=float, default=10_000.0)
     p.add_argument("--y-grid", nargs=3, type=float, metavar=("START", "STOP", "COUNT"))
 
-    p = command("oracle", cmd_oracle, "adversary-model validation trials")
+    p = command("oracle", "adversary-model validation trials")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--achievability-trials", type=int, default=1000)
     p.add_argument("--gain-trials", type=int, default=10_000)
@@ -291,7 +289,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--mechanism", help="fixed finite channel spec (optional)")
 
-    p = command("dp-check", cmd_dp_check, "DP level of a mechanism spec file")
+    p = command("dp-check", "DP level of a mechanism spec file")
     p.add_argument("--mechanism", required=True)
     p.add_argument("--target", type=float)
     p.add_argument("--entries", type=int, default=1)
@@ -300,17 +298,27 @@ def build_parser():
     return parser, sub.choices
 
 
+#: (parser, subcommand parsers), built on the first `main` call and reused
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser, commands = _parser
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
             # the file's values become the subcommand's defaults, so
-            # flags > config > built-in defaults
+            # flags > config > built-in defaults; a fresh parser takes
+            # them, so they never reach a later call
+            parser, commands = build_parser()
             cfg = _load_config(args.config, vars(args))
             commands[args.command].set_defaults(**cfg)
             args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

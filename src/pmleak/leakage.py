@@ -45,7 +45,8 @@ def pml(prior: FiniteDistribution, log_likelihoods) -> float:
     """PML at one outcome, given log P(y | x) for every x in prior order.
 
     Outcomes with zero marginal density leak nothing: conditioning on them
-    equals no conditioning, so the value is 0.
+    equals no conditioning, so the value is 0.  PML is at least 0 under a
+    normalized prior, so a difference that rounds below 0 reads 0.
     """
     prior.require_full_support("PML requires full-support prior")
     lls = [float(v) for v in log_likelihoods]
@@ -54,16 +55,16 @@ def pml(prior: FiniteDistribution, log_likelihoods) -> float:
     log_py = log_sum_exp([ll + lp for ll, lp in zip(lls, prior.logp)])
     if log_py == LOG_ZERO:
         return 0.0
-    return max(lls) - log_py
+    return max(max(lls) - log_py, 0.0)  # NaN stays NaN
 
 
 def pml_batch(log_prior, lls, axis):
     """`pml` along `axis` of arrays of log P(x) and log P(y | x), which
-    broadcast: (PML, log P(y)), with PML 0 where P(y) = 0."""
+    broadcast: (PML, log P(y)), with PML 0 where P(y) = 0 and floored at 0."""
     log_py = log_sum_exp_array(log_prior + lls, axis)
     value = np.subtract(lls.max(axis=axis), log_py, out=np.zeros_like(log_py),
                         where=log_py > LOG_ZERO)
-    return value, log_py
+    return np.maximum(value, 0.0, out=value), log_py
 
 
 def _report(prior: FiniteDistribution, lls) -> LeakageReport:
@@ -92,7 +93,10 @@ def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
     pass over the atoms: the model gives every atom's log-mass and the
     mechanism every atom's log-likelihood, and for each symbol d the atoms
     with D_i = d give the law of entry i and weight their likelihoods into
-    the induced channel, both reduced by the scalar `log_sum_exp`."""
+    the induced channel, both reduced by the scalar `log_sum_exp`.  Atoms
+    share few distinct values (the correlated model's depend only on the
+    Hamming weight), so each reduction runs over the distinct values with
+    their counts, which gives the bits of the reduction over every atom."""
     model._check_index(i)
     digits = atom_table(model.alphabet, model.num_entries)
     log_mass = model.log_masses(digits)
@@ -103,10 +107,16 @@ def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
     for d in range(len(model.alphabet)):
         atoms = digits[:, i] == d
         lp = log_mass[atoms]
-        lcond = log_sum_exp(lp.tolist()) if lp.size else LOG_ZERO
+        lcond = _log_sum_exp_distinct(lp) if lp.size else LOG_ZERO
         law.append(lcond)
-        cond.append(log_sum_exp((lp - lcond + lls[atoms]).tolist()) if lp.size else LOG_ZERO)
+        cond.append(_log_sum_exp_distinct(lp - lcond + lls[atoms]) if lp.size else LOG_ZERO)
     return FiniteDistribution(model.alphabet, tuple(law)), cond
+
+
+def _log_sum_exp_distinct(v) -> float:
+    """`log_sum_exp` of a 1-D array, over its distinct values with counts."""
+    values, counts = np.unique(v, return_counts=True)
+    return log_sum_exp(values.tolist(), counts.tolist())
 
 
 def pml_entry(model: DatabaseModel, mech, i: int, y) -> LeakageReport:

@@ -30,15 +30,34 @@ def log_add(a: LogReal, b: LogReal) -> LogReal:
     return a + math.log1p(math.exp(b - a))
 
 
-def log_sum_exp(values: Iterable[LogReal]) -> LogReal:
-    """log sum of exponentials, max-shifted; fsum keeps the tail accurate."""
+def log_sum_exp(values: Iterable[LogReal], counts=None) -> LogReal:
+    """log sum of exponentials, max-shifted; fsum keeps the tail accurate.
+
+    With `counts`, the k-th value stands for counts[k] >= 1 copies of itself:
+    it is exponentiated once, and its multiple enters fsum as the terms
+    e * 2^j, one for each set bit j of its count.  Doubling e <= 1 is exact,
+    subnormals included, for any count a list could hold, and fsum rounds
+    the exact sum once, so the result is that of the expanded list, bit for bit."""
     vals = list(values)
     if not vals:
         raise ValueError("empty aggregation")
     m = max(vals)
     if m == LOG_ZERO or math.isnan(m):
         return m
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+    if counts is None:
+        return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+    terms = []
+    for v, c in zip(vals, counts, strict=True):
+        c = int(c)
+        if c < 1:
+            raise ValueError("counts must be at least 1")
+        e = math.exp(v - m)
+        while c:
+            if c & 1:
+                terms.append(e)
+            c >>= 1
+            e *= 2.0
+    return m + math.log(math.fsum(terms))
 
 
 def log_sum_exp_array(v, axis=-1):

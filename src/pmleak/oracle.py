@@ -321,6 +321,8 @@ def run_adversary_trials(seed: int = 2024, achievability_trials: int = 1000,
     """
     if achievability_trials <= 0 or gain_trials <= 0 or kernel_trials <= 0:
         raise ValueError("empty trial set")
+    if not 0.0 <= tolerance < math.inf:  # NaN fails too
+        raise ValueError("tolerance must be finite and at least 0")
     if channel is None:  # rows (A, A), gains and kernels (A, max_guesses)
         entries = max_alphabet * max(max_alphabet, max_guesses)
     else:

@@ -98,6 +98,17 @@ class TestAnalyze:
         for row in rows:
             assert 0.0 <= float(row[1]) <= math.log(5.0) + 1e-9
 
+    def test_identical_rows_leak_exactly_nothing(self, tmp_path):
+        # max(lls) - log P(y) rounded to -2.2e-16 at y = 0
+        spec = write_spec(tmp_path, {
+            "kind": "finite", "x_labels": [0, 1], "y_labels": [0, 1],
+            "rows": [[1 / 3, 2 / 3], [1 / 3, 2 / 3]]})
+        out = tmp_path / "out.csv"
+        assert main(["analyze", "--mechanism", spec, "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_table(out)
+        assert rows[0][1] == "0"
+        assert all(float(row[1]) >= 0.0 for row in rows)
+
     def test_bad_row_mass_is_validation_error(self, tmp_path):
         spec = write_spec(tmp_path, {
             "kind": "finite", "x_labels": [0, 1], "y_labels": [0, 1],
@@ -247,6 +258,16 @@ class TestConfigAndReproducibility:
         meta, _, rows = read_table(out)
         assert rows[0][0] == "16"  # flag wins
         assert meta["epsilon"] == "0.5"  # config fills the gap
+
+    def test_config_values_do_not_reach_a_later_call(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 0.3, "epsilon": 0.5}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["thm3", "--config", str(cfg), "--n", "4", "--out", str(a)]) == EXIT_OK
+        assert main(["thm3", "--n", "4", "--out", str(b)]) == EXIT_OK
+        for path, want in ((a, (0.3, 0.5)), (b, (0.25, 0.1))):
+            meta = read_table(path)[0]
+            assert (float(meta["alpha"]), float(meta["epsilon"])) == want
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -611,4 +632,46 @@ def test_fuzzed_spec_commands_exit_cleanly(case):
                for row in rows for cell in row)
     for row in rows:
         values = dict(zip(header, row))
-        assert -1e-12 <= float(values["pml_nats"]) <= float(values["eps_max"]) + 1e-9
+        assert 0.0 <= float(values["pml_nats"]) <= float(values["eps_max"]) + 1e-9
+
+
+@st.composite
+def _oracle_argv(draw):
+    """(spec or None, argv with {spec} for its path) for oracle, with at
+    most 200 trials of each kind."""
+    argv = ["oracle", "--seed=" + draw(_value(st.integers(0, 2 ** 64)))]
+    for flag in ("--achievability-trials", "--gain-trials", "--kernel-trials"):
+        argv += [f"{flag}=" + draw(_value(st.integers(1, 200)))]
+    if draw(st.booleans()):
+        argv += ["--tol=" + draw(_value(st.floats(0.0, 1e-6)))]
+    if draw(st.booleans()):
+        return draw(_spec()), argv + ["--mechanism", "{spec}"]
+    return None, argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_oracle_argv())
+# a NaN or infinite tolerance was printed and judged, exit 2 or 0
+@example(case=(None, ["oracle", "--gain-trials=5", "--achievability-trials=5",
+                      "--kernel-trials=5", "--tol=nan"]))
+@example(case=(None, ["oracle", "--gain-trials=5", "--achievability-trials=5",
+                      "--kernel-trials=5", "--tol=inf"]))
+def test_fuzzed_oracle_argv_exits_cleanly(case):
+    spec, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "mech.json"
+        path.write_text(json.dumps(spec))
+        argv = [str(path) if a == "{spec}" else a for a in argv]
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_TOLERANCE)
+    assert "Traceback" not in err.getvalue()
+    assert "Warning" not in err.getvalue()
+    words = stdout.getvalue().lower().split()
+    assert not any(w in ("nan", "inf", "-inf") for w in words)
+    if code == EXIT_OK:
+        assert words[-1] == "pass"

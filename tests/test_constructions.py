@@ -483,18 +483,34 @@ class TestEntryChannelAgainstLoop:
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_correlated_model_bit_for_bit(self, n):
-        model = CorrelatedBinaryModel(n, 0.25, 0.5)
-        mech = calibrated_mechanism(model, 0.1)
-        m = model.num_entries
-        # the loop's mechanism sums each tuple by Python's sum, as the
-        # calibrated query did before it read a table of rows
-        loop_mech = LaplaceMechanism(lambda x: sum(x) / m, mech.scale)
-        entries = range(m) if n <= 4 else (0,)
-        for i in entries:
-            for y in (0.0, 0.3, 0.5, 1.0):
+        # every outcome at the paper's parameters; the sweep's own y = -0.3
+        # also at weak, vanishing and tiny correlation and at a large epsilon
+        cases = [(0.5, 0.1, y) for y in (-0.3, 0.0, 0.3, 0.5, 1.0)]
+        cases += [(eta, epsilon, -0.3)
+                  for eta, epsilon in ((1 / (n + 1), 0.1), (1e-12, 0.1), (0.5, 30.0))]
+        for eta, epsilon, y in cases:
+            model = CorrelatedBinaryModel(n, 0.25, eta)
+            mech = calibrated_mechanism(model, epsilon)
+            m = model.num_entries
+            # the loop's mechanism sums each tuple by Python's sum, as the
+            # calibrated query did before it read a table of rows
+            loop_mech = LaplaceMechanism(lambda x: sum(x) / m, mech.scale)
+            for i in (range(m) if n <= 4 else (0,)):
                 law, lls = entry_channel(model, mech, i, y)
                 want = loop_entry_channel(model, loop_mech, i, y)
-                assert as_hex(law.logp, lls) == as_hex(*want)
+                assert as_hex(law.logp, lls) == as_hex(*want), (eta, epsilon, y, i)
+
+    def test_each_distinct_atom_value_is_exponentiated_once(self, monkeypatch):
+        n = 13
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        mech = calibrated_mechanism(model, 0.1)
+        calls = []
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda v: calls.append(v) or exp(v))
+        entry_channel(model, mech, 0, -0.3)
+        # an atom's mass and likelihood depend only on its Hamming weight, so
+        # each of the four reductions over 2^n atoms sees at most n + 1 values
+        assert 0 < len(calls) <= 4 * (n + 1)
 
     @pytest.mark.parametrize("make_mech", ["finite", "laplace"])
     def test_product_model_and_its_explicit_joint(self, make_mech):

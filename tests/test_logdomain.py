@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmleak.logdomain import (LOG_ZERO, log_add, log_binom, log_sum_exp,
                               log_sum_exp_array)
@@ -12,10 +12,14 @@ from pmleak.logdomain import (LOG_ZERO, log_add, log_binom, log_sum_exp,
 finite_logs = st.floats(min_value=-300.0, max_value=300.0)
 
 
+def _mp_log_sum(values):
+    return mpmath.log(mpmath.fsum(mpmath.e ** mpmath.mpf(v) for v in values))
+
+
 def mp_lse(values):
     """Big-float oracle: log of the exact sum of exponentials."""
     with mpmath.workdps(60):
-        return float(mpmath.log(mpmath.fsum(mpmath.e ** mpmath.mpf(v) for v in values)))
+        return float(_mp_log_sum(values))
 
 
 def test_lse_normalized_distribution():
@@ -75,15 +79,51 @@ def test_lse_permutation_invariant(vals, rnd):
 
 @given(st.lists(finite_logs, min_size=1, max_size=20), st.integers(0, 19),
        st.floats(min_value=0.01, max_value=10.0))
+# the true increase, 1.9e-15, is below ulp(28.25) = 3.6e-15
+@example(vals=[-58.0, -28.25], idx=0, bump=0.015625)
 def test_lse_monotone_in_each_argument(vals, idx, bump):
-    # non-strict: a bump to a term hundreds of log-units below the max is
-    # invisible at float precision
     idx = idx % len(vals)
     bumped = list(vals)
     bumped[idx] += bump
-    assert log_sum_exp(bumped) >= log_sum_exp(vals)
-    if max(vals) - vals[idx] < 30.0:
-        assert log_sum_exp(bumped) > log_sum_exp(vals)
+    r = log_sum_exp(vals)
+    assert log_sum_exp(bumped) >= r
+    # strict wherever float64 can resolve the increase: r = m + log(s) with
+    # s in [1, 20] is good to an ulp of the larger of |r| and log 20 < 4
+    with mpmath.workdps(60):
+        increase = float(_mp_log_sum(bumped) - _mp_log_sum(vals))
+    if increase > 4 * math.ulp(max(abs(r), 4.0)):
+        assert log_sum_exp(bumped) > r
+
+
+@st.composite
+def _counted(draw):
+    """(values, counts): values drawn with repeats from a few offsets below
+    a top, some 700-760 nats below it (subnormal or zero exps) or -inf."""
+    top = draw(finite_logs)
+    offsets = st.one_of(st.floats(0.0, 40.0), st.floats(700.0, 760.0), st.just(math.inf))
+    pool = draw(st.lists(offsets, min_size=1, max_size=4))
+    vals = [top - o for o in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))]
+    counts = draw(st.lists(st.one_of(st.integers(1, 8), st.integers(1, 2 ** 16)),
+                           min_size=len(vals), max_size=len(vals)))
+    return vals, counts
+
+
+@settings(deadline=None)
+@given(_counted())
+@example(([LOG_ZERO, LOG_ZERO], [3, 1 << 16]))
+@example(([-0.5], [1 << 16]))
+@example(([0.0, -740.0, -744.0], [1, (1 << 16) - 1, 12345]))
+def test_counted_lse_equals_the_expanded_list_bit_for_bit(case):
+    vals, counts = case
+    expanded = [v for v, c in zip(vals, counts) for _ in range(c)]
+    assert log_sum_exp(vals, counts).hex() == log_sum_exp(expanded).hex()
+
+
+def test_counted_lse_rejects_bad_counts():
+    with pytest.raises(ValueError, match="at least 1"):
+        log_sum_exp([0.0, -1.0], [1, 0])
+    with pytest.raises(ValueError):
+        log_sum_exp([0.0, -1.0], [1])
 
 
 @given(finite_logs, finite_logs)
