@@ -9,11 +9,14 @@ entire first entry: its per-entry PML approaches log(1/alpha), the leakage
 of releasing the entry unperturbed.
 
 Everything here is evaluated in log domain so the analysis scales to n in
-the millions.  The closed forms for y <= 0 cost O(1); the binomial-sum
-evaluator, valid for all y, sums only the roughly 10*sqrt(n) terms around
-its mode in one numpy reduction, with the truncation bound stated in its
-docstring.  The two cross-check each other and, for small n, full
-enumeration.
+the millions and beyond.  The closed forms for y <= 0 cost O(1).  The
+binomial-sum evaluator, valid for all y, sums the roughly 10*sqrt(n) terms
+around its mode in one numpy reduction, with the truncation bound stated in
+its docstring; where no Laplace kink falls inside that window it is the
+closed form again (or its mirror image), at O(1) cost within the same
+bound, so only outcomes in the band of modes widened by the window, and
+every outcome at small n, still sum the window.  The evaluators
+cross-check each other and, for small n, full enumeration.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .probability import DatabaseModel, FiniteDistribution
 _WINDOW_SIGMAS = 9.5
 
 #: most terms cond_density_binomial sums (80 MB a float array); its window
-#: of about 9.5*sqrt(n) terms passes this near n = 1.1e12
+#: of about 9.5*sqrt(n) terms, summed only where a kink falls inside it,
+#: passes this near n = 1.1e12
 WINDOW_LIMIT = 10 ** 7
 
 #: the first entry's two values, as a column against the window's indices
@@ -185,33 +189,69 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     least 45 nats below the largest term.  Truncation bound: if the last
     step inside the window has log-ratio -delta, every step beyond it is
     smaller still and the omitted tail on that side is at most
-    e^{a_edge} e^{-delta} / (1 - e^{-delta}).  A window of more than
-    WINDOW_LIMIT terms is a ValueError.
+    e^{a_edge} e^{-delta} / (1 - e^{-delta}).
+
+    Where both rows' kinks s fall below the window, every summed term has
+    i > s, and the full sum over i is the closed form of
+    `cond_density_closed_form`, with the d1 = 0 peak term eta e^{-|y|/b};
+    where both fall above it, the mirror image (y -> 1 - y, d1 -> 1 - d1,
+    i -> n - i).  Such a closed form differs from the true sum only in
+    terms outside the window, where its own terms are log-concave with the
+    window's mode, so the same tail bound covers it, at O(1) cost.  The
+    mode is then clipped to an end of the band [n/(1+e^t), n/(1+e^-t)], so
+    this holds for y(n+1) below the band's lower end less the window's
+    half-width, or above its upper end plus the half-width and one; for
+    n <= 138 neither happens at any y in [0, 1].  Only the window, summed
+    for every other outcome, is limited: more than WINDOW_LIMIT terms is a
+    ValueError.
     """
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
-    return _cond_densities_binomial(model, b, y)[d1]
+    anchor, rel = _cond_densities_binomial(model, b, y)
+    return anchor + rel[d1]
 
 
-def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float) -> list:
-    """[log P(Y = y | D_1 = d1) for d1 = 0, 1], the evaluator and bound of
-    `cond_density_binomial`: both rows of terms in one (2, W) reduction."""
-    if not b > 0:
-        raise ValueError("scale must be positive")
-    if not math.isfinite(y):
-        raise ValueError("y must be finite")
-    n = model.n
+def _window(n: int, b: float, y: float) -> tuple[int, int]:
+    """The indices [lo, hi] around the mode that `cond_density_binomial` sums at y."""
     m = n + 1
     q = math.exp(-1.0 / (m * b))  # e^-t cannot overflow, however small b is
     # the mode at d1 = 0; at d1 = 1 it is at most one index lower, so both
     # conditionals sum one window from one anchor
     mode = min(max(y * m, n * q / (1.0 + q)), n / (1.0 + q))
     half = math.ceil(_WINDOW_SIGMAS * (math.sqrt(n) / 2 + 1)) + 2
-    lo = max(0, math.floor(mode) - half - 1)
-    hi = min(n, math.ceil(mode) + half)
+    return max(0, math.floor(mode) - half - 1), min(n, math.ceil(mode) + half)
+
+
+def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float) -> tuple:
+    """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]), the evaluator
+    and bound of `cond_density_binomial`.  Where no kink falls inside the
+    window, the closed forms come relative to their shared n-sized anchor,
+    which cancels from the PML; otherwise the window's two rows come
+    absolute, with anchor 0."""
+    if not b > 0:
+        raise ValueError("scale must be positive")
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
+    n = model.n
+    lo, hi = _window(n, b, y)
+    s = y * (n + 1)  # the d1 = 0 kink; the d1 = 1 kink is s - 1
+    if s < lo or s - 1.0 > hi:
+        # above the window, the mirror image y -> 1 - y swaps the two rows;
+        # y >= 1/2 there, so 1 - y is exact up to y = 2
+        mirrored = s >= lo
+        anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored=True)
+        return anchor, rel[::-1] if mirrored else rel
     if hi - lo + 1 > WINDOW_LIMIT:  # checked before anything is allocated
         raise ValueError(f"n = {n} needs a window of {hi - lo + 1} binomial terms at "
                          f"y in (0, 1), above the limit of {WINDOW_LIMIT}")
+    return 0.0, _window_sums(model, b, y, lo, hi)
+
+
+def _window_sums(model: CorrelatedBinaryModel, b: float, y: float, lo: int, hi: int) -> list:
+    """[log P(Y = y | D_1 = d1) for d1 = 0, 1] from the terms lo..hi, both rows
+    in one (2, W) reduction."""
+    n = model.n
+    m = n + 1
     i = np.arange(lo, hi + 1, dtype=float)
     # log C(n, i) - log C(n, lo), from the exact ratios C(n, i+1) / C(n, i)
     log_c = np.empty(len(i))
@@ -260,19 +300,41 @@ def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y:
         raise ValueError("scale must be positive")
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
+    return _closed_forms(model, b, y, anchored=False)[1][d1]
+
+
+def _closed_forms(model: CorrelatedBinaryModel, b: float, y: float, anchored: bool) -> tuple:
+    """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]), every
+    Hamming-weight center taken to lie above y: the sums of
+    `cond_density_closed_form`, for y < 1.
+
+    The d1 = 0 peak term eta e^{-|y|/b} enters its bracket as eta
+    e^{-(|y|+y)/b}, which is eta for y <= 0.  Anchored, the n-sized
+    -log 2b + y/b + log_uniform is the anchor, left out of both brackets
+    before their logs are added, so it cancels from their difference;
+    otherwise the anchor is 0 and each conditional is the sum
+    -log 2b + y/b + bracket, in the order that fixes the bits of
+    `cond_density_closed_form` and the committed sweeps.  q enters only
+    as -t, so q = e^-t underflowing to 0 stays finite, and (1+q)^n - 1 and
+    (1+q)^n - q^n only through log1p and expm1, which do not cancel when
+    n q is small.
+    """
     n = model.n
-    log_q = -1.0 / (b * (n + 1))
-    log1p_q = math.log1p(math.exp(log_q))  # log (1+q)
+    t = 1.0 / (b * (n + 1))
+    log1p_q = math.log1p(math.exp(-t))  # log (1+q)
     # log [(1-eta) ((1+q)/2)^n / (1 - 2^-n)] = log [(1-eta) (1+q)^n / (2^n - 1)]
-    log_uniform = (math.log1p(-model.eta) + n * math.log1p(math.expm1(log_q) / 2)
+    log_uniform = (math.log1p(-model.eta) + n * math.log1p(math.expm1(-t) / 2)
                    - _log1mexp(-n * LOG_TWO))
+    shift = log_uniform if anchored else 0.0
+    log_eta = math.log(model.eta) - shift
+    uniform = log_uniform - shift
     # each bracket divided by 2^n - 1
-    if d1 == 0:
-        bracket = log_add(math.log(model.eta), log_uniform + _log1mexp(-n * log1p_q))
-    else:
-        bracket = log_q + log_add(math.log(model.eta) + n * log_q,
-                                  log_uniform + _log1mexp(n * (log_q - log1p_q)))
-    return -math.log(2.0 * b) + y / b + bracket
+    brackets = [log_add(log_eta - (abs(y) + y) / b, uniform + _log1mexp(-n * log1p_q)),
+                -t + log_add(log_eta - n * t, uniform + _log1mexp(-n * (t + log1p_q)))]
+    base = -math.log(2.0 * b) + y / b
+    if anchored:
+        return base + log_uniform, brackets
+    return 0.0, [base + bracket for bracket in brackets]
 
 
 def _pml_outcome(y: float) -> float:
@@ -288,20 +350,30 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
 
     Evaluated at clip(y, 0, 1), which has the same PML.  For y <= 0 the d1 = 0
     branch provably dominates and the closed forms apply, at O(1) cost; for
-    y > 0 dominance is not established, so both branches are evaluated via
-    the binomial sum, one numpy reduction over two rows of roughly
-    10*sqrt(n) terms whose truncation error is bounded in
-    cond_density_binomial, and maxed explicitly.
+    y > 0 dominance is not established, so both conditionals are evaluated
+    as in cond_density_binomial and maxed explicitly.  Outside the band of
+    modes widened by the window, that is the closed forms again, at O(1)
+    cost, relative to one n-sized anchor that never enters the PML; inside
+    it, one numpy reduction over two rows of roughly 10*sqrt(n) terms.
+    Both share the window's truncation bound, and only the window is
+    limited by WINDOW_LIMIT.  For y > 0 the PML is formed from the
+    differences to the larger conditional, so outside the band it keeps
+    its last bits at any n.
     """
     b = calibrated_scale(model.n, epsilon)
     y = _pml_outcome(y)
+    log_alpha, log_rest = math.log(model.alpha), math.log1p(-model.alpha)
     if y <= 0:
-        c0, c1 = (cond_density_closed_form(model, b, d1, y) for d1 in (0, 1))
-    else:
-        c0, c1 = _cond_densities_binomial(model, b, y)
-    # log P_Y(y): the two conditionals weighted by the law of D_1
-    mixture = log_add(math.log1p(-model.alpha) + c1, math.log(model.alpha) + c0)
-    return max(c0, c1) - mixture
+        _, (c0, c1) = _closed_forms(model, b, y, anchored=False)
+        # log P_Y(y): the two conditionals weighted by the law of D_1; at
+        # y = 0 nothing here is n-sized, and this order fixes the sweeps' bits
+        return max(c0, c1) - log_add(log_rest + c1, log_alpha + c0)
+    _, (c0, c1) = _cond_densities_binomial(model, b, y)
+    # the same, from the differences to the larger conditional: a peak term
+    # can leave one n-sized even relative to the anchor, and subtracted from
+    # itself it rounds to nothing
+    top = max(c0, c1)
+    return -log_add(log_rest + (c1 - top), log_alpha + (c0 - top))
 
 
 def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:

@@ -439,6 +439,15 @@ def test_thm3_window_beyond_limit_is_a_one_line_error(capsys, n):
     assert "above the limit" in err
 
 
+def test_thm3_below_the_band_needs_no_window(capsys):
+    # y = 0.4 lies below the band of modes, where the closed forms apply at
+    # any n: the PML is -log(alpha + (1 - alpha) e^-eps) to the last bits
+    assert main(["thm3", "--n", "2000000000000000", "--y", "0.4"]) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[0] == "2000000000000000"
+    assert abs(float(row[2]) + math.log(0.25 + 0.75 * math.exp(-0.1))) <= 1e-15
+
+
 # --- fuzzing the argv of the commands that need no input file ---
 
 # values on or past the edge of every option's range
@@ -454,10 +463,11 @@ def _value(valid):
 @st.composite
 def _thm3_argv(draw):
     y = float(draw(_value(st.floats(-2.0, 2.0))))
-    # y >= 1 is evaluated at y = 1, so for y > 0 the binomial window
-    # allocates about 80 * sqrt(n) bytes per conditional (400 MB at
-    # n = 1e12): n stays at most 1e6 there for memory, until an evaluator
-    # whose cost does not grow with n replaces the window; y <= 0 is O(1)
+    # y >= 1 is evaluated at y = 1, so for y > 0 in the band of modes the
+    # binomial window allocates about 80 * sqrt(n) bytes per conditional
+    # (400 MB at n = 1e12): n stays at most 1e6 for every y > 0 for memory,
+    # until an evaluator whose cost does not grow with n replaces the
+    # window; y <= 0 is O(1)
     size = _value(st.integers(1, 10 ** 6 if not y <= 0 else 2 ** 53 - 1))
     argv = ["thm3", f"--y={y}", "--alpha=" + draw(_value(st.floats(0.01, 0.49))),
             "--epsilon=" + draw(_value(st.floats(0.01, 50.0)))]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import pathlib
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import laplace as scipy_laplace
 
+from pmleak import constructions
 from pmleak.constructions import (BobModel, CorrelatedBinaryModel, EtaSchedule,
                                   bob_mechanism, bob_pml, calibrated_mechanism,
                                   calibrated_scale, cond_density_binomial,
@@ -68,17 +70,35 @@ def loop_entry_channel(model, mech, i, y):
     return law, lls
 
 
-def mp_log_cond_density(n, eta, b, d1, y, dps=50):
-    """log P(y | d1) from the 2^n-string mixture grouped by Hamming weight, in mpmath."""
+@functools.lru_cache(maxsize=None)
+def mp_binomials(n, dps):
+    """C(n, i) for i = 0..n as mpmath floats at `dps` digits."""
     with mpmath.workdps(dps):
-        b, y, eta = mpmath.mpf(b), mpmath.mpf(y), mpmath.mpf(eta)
-        total = mpmath.mpf(0)
-        for i in range(n + 1):
-            if i != n * d1:
-                center = mpmath.mpf(d1 + i) / (n + 1)
-                total += math.comb(n, i) * mpmath.exp(-abs(y - center) / b)
-        peak = eta * mpmath.exp(-abs(y - d1) / b)
-        return float(mpmath.log((peak + (1 - eta) / (2 ** n - 1) * total) / (2 * b)))
+        return [mpmath.mpf(c) for c in itertools.accumulate(
+            range(1, n + 1), lambda c, i: c * (n - i + 1) // i, initial=1)]
+
+
+def mp_log_cond_densities(n, etas, b, y, dps=50):
+    """[[log P(y | d1) for d1 = 0, 1] for each eta] from the 2^n-string
+    mixture grouped by Hamming weight, in mpmath."""
+    m = n + 1
+    with mpmath.workdps(dps):
+        b, y = mpmath.mpf(b), mpmath.mpf(y)
+        # e^{-|y - k/m|/b} = e^{-|ym - k| t} for the centers k/m, k = 0..m
+        ym, t = y * m, 1 / (m * b)
+        lap = [mpmath.exp(-abs(ym - k) * t) for k in range(m + 1)]
+        weights = mp_binomials(n, dps)
+        # row d1 puts weight i on the center (d1 + i)/m and leaves out i = n d1
+        sums = [mpmath.fdot(weights[1:], lap[1:]), mpmath.fdot(weights[:-1], lap[1:])]
+        return [[float(mpmath.log((eta * lap[m * d1] + (1 - eta) / (2 ** n - 1) * sums[d1])
+                                  / (2 * b)))
+                 for d1 in (0, 1)] for eta in map(mpmath.mpf, etas)]
+
+
+def outside_window(n, b, y):
+    """Whether both kinks y(n+1) - d1 fall outside the summed window."""
+    lo, hi = constructions._window(n, b, y)
+    return y * (n + 1) < lo or y * (n + 1) - 1 > hi
 
 
 @st.composite
@@ -163,7 +183,7 @@ class TestCondDensities:
         n, d1, y = outcome
         model = CorrelatedBinaryModel(n, 0.25, eta)
         b = calibrated_scale(n, epsilon)
-        want = mp_log_cond_density(n, eta, b, d1, y)
+        want = mp_log_cond_densities(n, (eta,), b, y)[0][d1]
         got = cond_density_binomial(model, b, d1, y)
         # rounding y, the centers and the exponents perturbs log P by at
         # most about U (1 + |log P| + y (n+1) epsilon); allow 256 times that
@@ -175,7 +195,7 @@ class TestCondDensities:
     def test_closed_form_matches_mpmath(self, n, d1, eta, epsilon, y):
         model = CorrelatedBinaryModel(n, 0.25, eta)
         b = calibrated_scale(n, epsilon)
-        want = mp_log_cond_density(n, eta, b, d1, y)
+        want = mp_log_cond_densities(n, (eta,), b, y)[0][d1]
         got = cond_density_closed_form(model, b, d1, y)
         assert abs(got - want) <= 1e-13 * (1 + abs(want))
 
@@ -189,6 +209,52 @@ class TestCondDensities:
             want = loop_cond_density(model, b, d1, y)
             got = cond_density_binomial(model, b, d1, y)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [10 ** 4, 10 ** 6])
+    def test_closed_forms_meet_the_window_at_its_thresholds(self, n):
+        # below lo/(n+1) and above (hi+1)/(n+1) no kink falls inside the
+        # window; one index and one ulp to either side, both sums agree
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        b = calibrated_scale(n, 0.1)
+        m = n + 1
+        lo, hi = constructions._window(n, b, 0.0)[0], constructions._window(n, b, 1.0)[1]
+        for edge, mirrored in ((lo / m, False), ((hi + 1) / m, True)):
+            for y in (edge - 1 / m, math.nextafter(edge, 0.0), edge,
+                      math.nextafter(edge, 2.0), edge + 1 / m):
+                window = constructions._window_sums(model, b, y, *constructions._window(n, b, y))
+                anchor, rel = constructions._closed_forms(
+                    model, b, 1.0 - y if mirrored else y, anchored=True)
+                closed = [anchor + r for r in (rel[::-1] if mirrored else rel)]
+                # the window's absolute values carry the rounding of
+                # log C(n, lo), about ulp(lgamma(n+1)); their difference does not
+                assert closed == pytest.approx(window, rel=1e-12)
+                assert abs((closed[1] - closed[0]) - (window[1] - window[0])) <= 1e-12
+                got = [cond_density_binomial(model, b, d1, y) for d1 in (0, 1)]
+                assert got == (closed if outside_window(n, b, y) else window)
+            outer = edge + 1 / m if mirrored else edge - 1 / m
+            assert outside_window(n, b, outer) and not outside_window(n, b, edge)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_closed_forms_match_mpmath_outside_the_window(self, n):
+        # the branch the hypothesis tests (n <= 60) never reach: bin edges
+        # and one ulp off them just outside the window on either side, and y = 1
+        m = n + 1
+        etas = (1e-12, 0.5)
+        for epsilon in (0.01, 0.1, 1.0):
+            b = calibrated_scale(n, epsilon)
+            lo, hi = constructions._window(n, b, 0.0)[0], constructions._window(n, b, 1.0)[1]
+            ys = [1.0]
+            for edge in ((lo - 1) / m, (hi + 2) / m):
+                ys += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)]
+            for y in ys:
+                assert outside_window(n, b, y)
+                for eta, want in zip(etas, mp_log_cond_densities(n, etas, b, y, dps=30)):
+                    model = CorrelatedBinaryModel(n, 0.25, eta)
+                    for d1 in (0, 1):
+                        got = cond_density_binomial(model, b, d1, y)
+                        # the tolerance of test_binomial_matches_mpmath_at_positive_y
+                        tol = 256 * U * (1 + abs(want[d1]) + y * m * epsilon)
+                        assert abs(got - want[d1]) <= tol
 
     @pytest.mark.parametrize("n, b", [(3, 1e-4), (3, 2.5e-5), (100, 1e-6)])
     def test_binomial_tiny_scale_is_finite(self, n, b):
@@ -297,6 +363,20 @@ class TestPmlD1:
         mech = calibrated_mechanism(model, epsilon)
         assert pml_d1(model, epsilon, y) == pytest.approx(
             pml_entry(joint, mech, 0, y).pml, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 8, 10 ** 10, 10 ** 12, 2 * 10 ** 15,
+                                   2 ** 53 - 1])
+    @pytest.mark.parametrize("y, want", [
+        (0.4, -math.log(0.25 + 0.75 * math.exp(-0.1))),
+        (0.1, -math.log(0.25)),
+        (0.6, -math.log(0.75 + 0.25 * math.exp(-0.1))),
+        (0.9, -math.log(0.75))])
+    def test_reads_its_limits_outside_the_band(self, n, y, want):
+        # at y = 0.4 every summed center lies above y, so U1/U0 = e^-eps up
+        # to terms e^-Theta(n) smaller, and at y = 0.6 (mirrored) U0/U1 is;
+        # at y = 0.1 (0.9) the all-0 (all-1) peak term outweighs the rest by
+        # e^Theta(n).  No n-sized constant may round into the PML.
+        assert abs(pml_d1(CorrelatedBinaryModel(n, 0.25, 0.5), 0.1, y) - want) <= 1e-15
 
     def test_calibrated_mechanism_dp_level(self):
         model = CorrelatedBinaryModel(7, 0.25, 0.5)
