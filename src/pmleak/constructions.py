@@ -10,13 +10,16 @@ of releasing the entry unperturbed.
 
 Everything here is evaluated in log domain so the analysis scales to n in
 the millions and beyond.  The closed forms for y <= 0 cost O(1).  The
-binomial-sum evaluator, valid for all y, sums the roughly 10*sqrt(n) terms
-around its mode in one numpy reduction, with the truncation bound stated in
-its docstring; where no Laplace kink falls inside that window it is the
-closed form again (or its mirror image), at O(1) cost within the same
-bound, so only outcomes in the band of modes widened by the window, and
-every outcome at small n, still sum the window.  The evaluators
-cross-check each other and, for small n, full enumeration.
+binomial-sum evaluator, valid for all y, takes the Hamming-weight sums as
+contour integrals through their saddle point wherever the binomial variance
+k(n-k)/n at the kink k = floor(y(n+1)) is at least 25: a fixed number of
+nodes, plus the closed form (or its mirror image) where y lies outside the
+band of modes, so its cost depends on neither n nor y.  Below that (small
+n, or y within about 25/n of 0 or 1) it sums the roughly 10*sqrt(n) terms
+around the mode in one numpy reduction, with the truncation bound stated in
+its docstring, or takes the closed form where no kink falls inside that
+window.  The evaluators cross-check each other and, for small n, full
+enumeration.
 """
 
 from __future__ import annotations
@@ -39,12 +42,25 @@ from .probability import DatabaseModel, FiniteDistribution
 _WINDOW_SIGMAS = 9.5
 
 #: most terms cond_density_binomial sums (80 MB a float array); its window
-#: of about 9.5*sqrt(n) terms, summed only where a kink falls inside it,
-#: passes this near n = 1.1e12
+#: of about 9.5*sqrt(n) terms, summed only where the saddle integral does
+#: not apply and a kink falls inside it, passes this near n = 1.1e12
 WINDOW_LIMIT = 10 ** 7
 
 #: the first entry's two values, as a column against the window's indices
 _BITS = np.array([[0.0], [1.0]])
+
+#: least binomial variance k(n-k)/n at which the Hamming-weight sums are the
+#: saddle integral of `_saddle_sums`; below it the window is summed
+_SADDLE_MIN_VARIANCE = 25
+
+#: the saddle integral's nodes u > 0 in units of 1/sigma: a step of 1/2,
+#: half a step off 0, out to 12 (where |E| < e^-43 once sigma >= 5)
+_SADDLE_NODES = (np.arange(24) + 0.5) / 2.0
+_SADDLE_SQUARES = np.square(_SADDLE_NODES)
+_SADDLE_GAUSS = np.exp(-0.5 * _SADDLE_SQUARES)
+
+#: a kernel pole within this many 1/sigma of the path is subtracted
+_POLE_ZONE = 4.0
 
 #: largest n whose sweep row is cross-checked by enumerating the 2^(n+1) atoms
 SWEEP_ENUM_LIMIT = 15
@@ -178,8 +194,13 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     index; taking it back out by subtraction cancels catastrophically when
     it dominates.
 
-    Only a window of about 10*sqrt(n) terms around the mode is summed, as
-    one numpy reduction.  With s = y(n+1) - d1 and t = 1/((n+1)b), term i
+    Where the binomial variance k(n-k)/n at k = floor(y(n+1)) is at least
+    25, both rows are contour integrals through the saddle point, evaluated
+    at a fixed number of nodes, with the closed forms below as the residues
+    of the poles the path has passed (`_saddle_sums`); `pml_d1` on it reads
+    80-bit sums to 2e-15 at y = 0.4999 ... 0.53 up to n = 1e10.  Otherwise only
+    a window of about 10*sqrt(n) terms around the mode is summed, as one
+    numpy reduction.  With s = y(n+1) - d1 and t = 1/((n+1)b), term i
     is a_i = log C(n,i) - t|s - i| up to a constant: a sum of two concave
     functions of i, so the terms are log-concave with the single mode
     clip(s, n/(1+e^t), n/(1+e^-t)), and each step a_{i+1} - a_i falls by
@@ -200,10 +221,10 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     window's mode, so the same tail bound covers it, at O(1) cost.  The
     mode is then clipped to an end of the band [n/(1+e^t), n/(1+e^-t)], so
     this holds for y(n+1) below the band's lower end less the window's
-    half-width, or above its upper end plus the half-width and one; for
-    n <= 138 neither happens at any y in [0, 1].  Only the window, summed
-    for every other outcome, is limited: more than WINDOW_LIMIT terms is a
-    ValueError.
+    half-width, or above its upper end plus the half-width and one.  Only
+    the window, summed for every other outcome of small variance, is
+    limited: more than WINDOW_LIMIT terms is a ValueError, which at large n
+    takes a y within 25/n of 0 or 1 and an epsilon of about log n.
     """
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
@@ -224,17 +245,19 @@ def _window(n: int, b: float, y: float) -> tuple[int, int]:
 
 def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float) -> tuple:
     """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]), the evaluator
-    and bound of `cond_density_binomial`.  Where no kink falls inside the
-    window, the closed forms come relative to their shared n-sized anchor,
-    which cancels from the PML; otherwise the window's two rows come
-    absolute, with anchor 0."""
+    and bound of `cond_density_binomial`.  The saddle integral and the
+    closed forms come relative to an n-sized anchor, which cancels from the
+    PML; the window's two rows come absolute, with anchor 0."""
     if not b > 0:
         raise ValueError("scale must be positive")
     if not math.isfinite(y):
         raise ValueError("y must be finite")
     n = model.n
-    lo, hi = _window(n, b, y)
     s = y * (n + 1)  # the d1 = 0 kink; the d1 = 1 kink is s - 1
+    k = math.floor(s)
+    if k * (n - k) >= _SADDLE_MIN_VARIANCE * n:
+        return _saddle_sums(model, b, y, k)
+    lo, hi = _window(n, b, y)
     if s < lo or s - 1.0 > hi:
         # above the window, the mirror image y -> 1 - y swaps the two rows;
         # y >= 1/2 there, so 1 - y is exact up to y = 2
@@ -277,6 +300,96 @@ def _window_sums(model: CorrelatedBinaryModel, b: float, y: float, lo: int, hi: 
     # the all-d1 tail: its center is d1 itself
     return [log_add(math.log(model.eta) + laplace_log_density(float(d1), b, y), uniform)
             for d1, uniform in enumerate(uniform_part)]
+
+
+def _saddle_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> tuple:
+    """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]) from the
+    Hamming-weight sums as contour integrals, in a fixed number of steps.
+
+    With s = y(n+1) = k + f, t = 1/((n+1)b) and q = e^-t, the sum
+    F_0 = sum_i C(n, i) e^{-t|s - i|} is [z^k] (1+z)^n K(z), where
+    K(z) = e^{-tf}/(1 - qz) + e^{-t(1-f)}/(z - q) holds the geometric
+    weights below and above the kink, and F_1 is [z^(k-1)] of the same.  On
+    the circle z = rho e^{iu} through the saddle rho = k/(n-k) of
+    (1+z)^n z^-k, that function over its value A = (1+rho)^n rho^-k at
+    u = 0 is E(u), a peak of width 1/sigma, sigma^2 = k(n-k)/n, and
+        F_d1 = A rho^d1 (1/2pi) int E(u) e^{i d1 u} K(rho e^{iu}) du.
+    The trapezoid rule with step 1/(2 sigma), out to 12/sigma, errs by
+    about e^{-8 pi^2}: the integrand is analytic and E has fallen below
+    e^-43 there.  K's poles z = e^t and e^-t sit at u = -i d+ and +i d-,
+    d+- = t -+ log rho.  A pole within _POLE_ZONE/sigma of the path would
+    spoil the trapezoid rule, so its singular part times a Gaussian that is
+    1 at the pole is taken out at the nodes and integrated exactly: half
+    its residue times erfc(sigma d / sqrt 2), d signed, which reads the
+    whole residue once the path has passed the pole.  A pole passed by more
+    (rho beyond e^t or e^-t: y outside the band of modes) adds its whole
+    residue, the closed form of `cond_density_closed_form` or its mirror
+    image, which keeps its own anchor and bits; the integral is added
+    relative to it.  Either way the cost depends on neither n nor y.  The
+    all-d1 string's term, which the conditionals leave out, is at most
+    1/C(n, k) < 1e-23 of F_d1 and is not subtracted.
+    """
+    n = model.n
+    t = 1.0 / (b * (n + 1))
+    f = y * (n + 1) - k
+    a = k / n
+    sigma = math.sqrt(k * (n - k) / n)
+    log_rho = math.log(k / (n - k))
+    u = _SADDLE_NODES * (1.0 / sigma)
+    z = np.exp(1j * u)
+    s2 = np.sin(0.5 * u)
+    s2 *= s2
+    # E(u) = e^{n log(1 + a(e^iu - 1)) - iku}, whose modulus is
+    # (1 - 4a(1-a) sin^2(u/2))^(n/2), without cancellation
+    arg = np.arctan2(a * z.imag, 1.0 - (2.0 * a) * s2)
+    arg -= a * u
+    e = np.exp((0.5 * n) * np.log1p((-4.0 * a * (1.0 - a)) * s2) + (1j * n) * arg)
+    # the poles and the logs of their coefficients in K, scaled by e^-top
+    d = (t - log_rho, t + log_rho)
+    c = (-t * f, -t * (1.0 - f) - log_rho)
+    top = max(c)
+    e *= (math.exp(c[0] - top) / (1.0 - math.exp(-d[0]) * z)
+          + math.exp(c[1] - top) / (z - math.exp(-d[1])))
+    # rows d1 = 0, 1 over the positive nodes; the negative ones are their conjugates
+    line = [e.sum().real, np.dot(e, z).real]
+    logw, share, crossed = [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], None
+    for p, sign in enumerate((1, -1)):
+        dist = sigma * d[p]
+        if dist >= _POLE_ZONE:
+            continue
+        # the residue weight in row d1, as a log
+        phi = n * math.log1p(a * math.expm1(sign * d[p])) - sign * k * d[p]
+        for d1 in (0, 1):
+            logw[p][d1] = c[p] - top + (d[p] if sign < 0 else 0.0) + phi + sign * d1 * d[p]
+        if dist <= -_POLE_ZONE:
+            crossed = p
+            continue
+        # the singular part C/(u - u_p), C = +-iw, times e^{-sigma^2 (u^2 + d^2)/2}
+        # is taken out at the nodes, where its real part is w d e^{...}/(u^2 + d^2),
+        # and added back integrated: (w/2) erfc(sigma d / sqrt 2)
+        tail = dist * (_SADDLE_GAUSS / (_SADDLE_SQUARES + dist * dist)).sum()
+        for d1 in (0, 1):
+            line[d1] -= sigma * math.exp(logw[p][d1] - 0.5 * dist * dist) * tail
+            share[d1] += 0.5 * math.exp(logw[p][d1]) * math.erfc(dist / math.sqrt(2.0))
+    line = [v / (2.0 * math.pi * sigma) for v in line]
+    if crossed is not None:
+        mirrored = crossed == 0
+        anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored=True)
+        # the residue's uniform part is e^{anchor + r} in row d1
+        r = [0.0, -t]
+        if mirrored:
+            rel, r = rel[::-1], r[::-1]
+        return anchor, [rel[d1] + math.log1p(line[d1] * math.exp(r[d1] - logw[crossed][d1]
+                                                                   - rel[d1]))
+                        for d1 in (0, 1)]
+    # log [(1-eta)/(2^n - 1) ((1+rho)^n rho^-k)/(2b)], with (1+rho)^n rho^-k
+    # = 2^n e^{-n KL(k/n || 1/2)}: n log 2 cancels before it is rounded
+    x = (2 * k - n) / n
+    anchor = (math.log1p(-model.eta) - _log1mexp(-n * LOG_TWO) - math.log(2.0 * b)
+              - k * math.log1p(x) - (n - k) * math.log1p(-x))
+    return anchor, [log_add(math.log(model.eta) + laplace_log_density(float(d1), b, y) - anchor,
+                            top + d1 * log_rho + math.log(line[d1] + share[d1]))
+                    for d1 in (0, 1)]
 
 
 def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y: float) -> LogReal:
@@ -351,14 +464,14 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     Evaluated at clip(y, 0, 1), which has the same PML.  For y <= 0 the d1 = 0
     branch provably dominates and the closed forms apply, at O(1) cost; for
     y > 0 dominance is not established, so both conditionals are evaluated
-    as in cond_density_binomial and maxed explicitly.  Outside the band of
-    modes widened by the window, that is the closed forms again, at O(1)
-    cost, relative to one n-sized anchor that never enters the PML; inside
-    it, one numpy reduction over two rows of roughly 10*sqrt(n) terms.
-    Both share the window's truncation bound, and only the window is
-    limited by WINDOW_LIMIT.  For y > 0 the PML is formed from the
-    differences to the larger conditional, so outside the band it keeps
-    its last bits at any n.
+    as in cond_density_binomial and maxed explicitly.  Where k(n-k)/n >= 25
+    at k = floor(y(n+1)), that is the saddle integral at a fixed number of
+    nodes, plus the closed forms outside the band of modes, relative to
+    one n-sized anchor that never enters the PML; otherwise the closed
+    forms or one numpy reduction over two rows of roughly 10*sqrt(n)
+    terms, which alone is limited by WINDOW_LIMIT.  For y > 0 the PML is
+    formed from the differences to the larger conditional, floored at 0
+    where the two are equal (y = 1/2), so it keeps its last bits at any n.
     """
     b = calibrated_scale(model.n, epsilon)
     y = _pml_outcome(y)
@@ -373,7 +486,7 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     # can leave one n-sized even relative to the anchor, and subtracted from
     # itself it rounds to nothing
     top = max(c0, c1)
-    return -log_add(log_rest + (c1 - top), log_alpha + (c0 - top))
+    return max(0.0, -log_add(log_rest + (c1 - top), log_alpha + (c0 - top)))
 
 
 def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:

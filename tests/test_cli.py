@@ -433,10 +433,23 @@ def test_numerical_failure_is_a_one_line_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n", ["2000000000000000", "9007199254740991"])
 def test_thm3_window_beyond_limit_is_a_one_line_error(capsys, n):
-    assert main(["thm3", "--n", n, "--y", "0.5"]) == EXIT_VALIDATION
+    # ten ones in the tail (variance below the saddle integral's 25) at
+    # epsilon = 40, where the band of modes reaches down to them: only the
+    # window applies, and it would hold about 9.5 sqrt(n) terms
+    y = repr(10.5 / (int(n) + 1))
+    assert main(["thm3", "--n", n, "--epsilon", "40", "--y", y]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "above the limit" in err
+
+
+@pytest.mark.parametrize("n", ["2000000000000000", "9007199254740991"])
+def test_thm3_inside_the_band_at_any_n(capsys, n):
+    # y = 0.5 lies inside the band of modes, where the saddle integral
+    # applies at any n; the two conditionals are mirror images, so the PML is 0
+    assert main(["thm3", "--n", n, "--y", "0.5"]) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[0] == n and float(row[2]) == 0.0
 
 
 def test_thm3_below_the_band_needs_no_window(capsys):

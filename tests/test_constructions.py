@@ -229,8 +229,10 @@ class TestCondDensities:
                 # log C(n, lo), about ulp(lgamma(n+1)); their difference does not
                 assert closed == pytest.approx(window, rel=1e-12)
                 assert abs((closed[1] - closed[0]) - (window[1] - window[0])) <= 1e-12
+                # the saddle integral, which both thresholds lie inside
                 got = [cond_density_binomial(model, b, d1, y) for d1 in (0, 1)]
-                assert got == (closed if outside_window(n, b, y) else window)
+                assert got == pytest.approx(closed, rel=1e-12)
+                assert abs((got[1] - got[0]) - (closed[1] - closed[0])) <= 1e-12
             outer = edge + 1 / m if mirrored else edge - 1 / m
             assert outside_window(n, b, outer) and not outside_window(n, b, edge)
 
@@ -256,6 +258,51 @@ class TestCondDensities:
                         tol = 256 * U * (1 + abs(want[d1]) + y * m * epsilon)
                         assert abs(got - want[d1]) <= tol
 
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_saddle_integral_matches_mpmath_inside_the_band(self, n):
+        # bin edges and one ulp off them at the band's ends, where a kernel
+        # pole nears the integration path, at its middle, and 5/sigma past
+        # its ends, where the path has passed a pole and the integral still
+        # adds to the closed form
+        m = n + 1
+        etas = (1e-12, 0.5)
+        for epsilon in (0.01, 0.1, 1.0):
+            b = calibrated_scale(n, epsilon)
+            ys = [0.5]
+            for sign in (1, -1):
+                end = n / (1 + math.exp(sign * epsilon))
+                edge = round(end) / m
+                ys += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)]
+                past = epsilon + 5 / math.sqrt(end * (n - end) / n)
+                ys.append(round(n / (1 + math.exp(sign * past))) / m)
+            for y in ys:
+                k = math.floor(y * m)
+                assert k * (n - k) >= constructions._SADDLE_MIN_VARIANCE * n
+                for eta, want in zip(etas, mp_log_cond_densities(n, etas, b, y, dps=30)):
+                    model = CorrelatedBinaryModel(n, 0.25, eta)
+                    for d1 in (0, 1):
+                        got = cond_density_binomial(model, b, d1, y)
+                        # the tolerance of test_binomial_matches_mpmath_at_positive_y
+                        tol = 256 * U * (1 + abs(want[d1]) + y * m * epsilon)
+                        assert abs(got - want[d1]) <= tol
+
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 8])
+    def test_saddle_integral_pml_matches_long_double_sums(self, n):
+        # inside the band and near its upper end (n/(1+e^-0.1) = 0.525 n),
+        # against both rows summed in 80-bit floats around the kink
+        m = n + 1
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        half = 12 * math.isqrt(n)
+        for y in (0.4999, 0.5003, 0.52, 0.5245, 0.53):
+            s = np.longdouble(y) * m
+            i = np.arange(int(s) - half, int(s) + half, dtype=np.longdouble)
+            log_c = np.concatenate([[0.0], np.cumsum(np.log((n - i[:-1]) / i[1:]))])
+            c0, c1 = (log_c - np.longdouble(0.1) * np.abs(s - d1 - i) for d1 in (0, 1))
+            top = max(c0.max(), c1.max())
+            p0, p1 = (np.exp(c - top).sum() for c in (c0, c1))
+            want = float(np.log(max(p0, p1) / (0.25 * p0 + 0.75 * p1)))
+            assert abs(pml_d1(model, 0.1, y) - want) <= 1e-14
+
     @pytest.mark.parametrize("n, b", [(3, 1e-4), (3, 2.5e-5), (100, 1e-6)])
     def test_binomial_tiny_scale_is_finite(self, n, b):
         # t = 1/((n+1) b) reaches about 1e4, where e^t overflows a float
@@ -268,22 +315,27 @@ class TestCondDensities:
 
     @pytest.mark.parametrize("n", [2 * 10 ** 15, 2 ** 53 - 1])
     def test_binomial_window_beyond_limit_is_rejected_before_allocating(self, n):
-        # the window would hold about 9.5 sqrt(n) terms: 4e8 floats at 2e15
+        # ten ones in the tail: a variance below the saddle integral's 25;
+        # at epsilon = 40 the band of modes reaches down to them, so the
+        # window applies, and it would hold about 9.5 sqrt(n) terms: 4e8
+        # floats at 2e15
         model = CorrelatedBinaryModel(n, 0.25, 0.5)
-        b = calibrated_scale(n, 0.1)
+        b = calibrated_scale(n, 40.0)
+        y = 10.5 / (n + 1)
         tracemalloc.start()
         try:
             for d1 in (0, 1):
                 with pytest.raises(ValueError, match="window of .* above the limit"):
-                    cond_density_binomial(model, b, d1, 0.5)
+                    cond_density_binomial(model, b, d1, y)
             with pytest.raises(ValueError, match="window of .* above the limit"):
-                pml_d1(model, 0.1, 0.5)
+                pml_d1(model, 40.0, y)
+            # y = 0.5 takes the saddle integral, y <= 0 the closed form
+            assert pml_d1(model, 0.1, 0.5) == 0.0
+            assert math.isfinite(pml_d1(model, 0.1, -0.3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        # y <= 0 takes the closed form, which has no window
-        assert math.isfinite(pml_d1(model, 0.1, -0.3))
 
     def test_n1_two_component_mixture_by_hand(self):
         # n = 1: tail is a single bit; weights eta (same as d1) and 1-eta
