@@ -15,11 +15,11 @@ contour integrals through their saddle point wherever the binomial variance
 k(n-k)/n at the kink k = floor(y(n+1)) is at least 25: a fixed number of
 nodes, plus the closed form (or its mirror image) where y lies outside the
 band of modes, so its cost depends on neither n nor y.  Below that (small
-n, or y within about 25/n of 0 or 1) it sums the roughly 10*sqrt(n) terms
-around the mode in one numpy reduction, with the truncation bound stated in
-its docstring, or takes the closed form where no kink falls inside that
-window.  The evaluators cross-check each other and, for small n, full
-enumeration.
+n, or y within about 25/n of 0 or 1) it sums the terms around the mode
+within 45 nats of the largest, at most a few hundred, in one numpy
+reduction, with the truncation bound stated in its docstring, or takes the
+closed form where no kink falls inside that window.  The evaluators
+cross-check each other and, for small n, full enumeration.
 """
 
 from __future__ import annotations
@@ -37,14 +37,12 @@ from .mechanisms import LaplaceMechanism, laplace_log_density
 from .probability import DatabaseModel, FiniteDistribution
 
 
-#: binomial standard deviations (at most sqrt(n)/2) summed on each side of
-#: the mode in cond_density_binomial
+#: most binomial standard deviations (sigma <= sqrt(n)/2) that
+#: cond_density_binomial sums on each side of the mode
 _WINDOW_SIGMAS = 9.5
 
-#: most terms cond_density_binomial sums (80 MB a float array); its window
-#: of about 9.5*sqrt(n) terms, summed only where the saddle integral does
-#: not apply and a kink falls inside it, passes this near n = 1.1e12
-WINDOW_LIMIT = 10 ** 7
+#: nats below the largest term at which cond_density_binomial's window ends
+_WINDOW_NATS = 45
 
 #: the first entry's two values, as a column against the window's indices
 _BITS = np.array([[0.0], [1.0]])
@@ -109,22 +107,12 @@ class CorrelatedBinaryModel(DatabaseModel):
     def num_entries(self):
         return self.n + 1
 
-    def _log_mass(self, d1, all_equal: bool) -> LogReal:
-        """Log-mass of a database with first entry d1 and a tail all equal to it or not."""
-        lp = math.log(self.alpha) if d1 == 0 else math.log1p(-self.alpha)
-        if all_equal:
-            return lp + math.log(self.eta)
-        return lp + math.log1p(-self.eta) - _log_two_pow_minus_one(self.n)
-
-    def joint_logp(self, x):
-        if len(x) != self.num_entries:
-            raise ValueError("tuple length mismatch")
-        return self._log_mass(x[0], all(d == x[0] for d in x[1:]))
-
     def log_masses(self, digits):
-        # four values, picked by d1 and whether the tail equals it
-        values = np.array([[self._log_mass(d1, all_equal) for all_equal in (False, True)]
-                           for d1 in (0, 1)])
+        # four values, picked by d1 and whether the tail equals it:
+        # (log P(d1) + log(1 - eta)) - log(2^n - 1), or log P(d1) + log eta
+        log_rest, log_norm = math.log1p(-self.eta), _log_two_pow_minus_one(self.n)
+        values = np.array([[lp + log_rest - log_norm, lp + math.log(self.eta)]
+                           for lp in (math.log(self.alpha), math.log1p(-self.alpha))])
         all_equal = (digits[:, 1:] == digits[:, :1]).all(axis=1)
         return values[digits[:, 0], all_equal.astype(np.intp)]
 
@@ -199,15 +187,18 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     at a fixed number of nodes, with the closed forms below as the residues
     of the poles the path has passed (`_saddle_sums`); `pml_d1` on it reads
     80-bit sums to 2e-15 at y = 0.4999 ... 0.53 up to n = 1e10.  Otherwise only
-    a window of about 10*sqrt(n) terms around the mode is summed, as one
-    numpy reduction.  With s = y(n+1) - d1 and t = 1/((n+1)b), term i
-    is a_i = log C(n,i) - t|s - i| up to a constant: a sum of two concave
+    a window of terms around the mode is summed, as one numpy reduction.
+    With s = y(n+1) - d1 and t = 1/((n+1)b), term i is
+    a_i = log C(n,i) - t|s - i| up to a constant: a sum of two concave
     functions of i, so the terms are log-concave with the single mode
     clip(s, n/(1+e^t), n/(1+e^-t)), and each step a_{i+1} - a_i falls by
-    at least 4/(n+2) from the one before.  The window reaches
-    9.5 (sqrt(n)/2 + 1) + 2 indices to each side of the mode, 9.5 binomial
-    standard deviations (sigma <= sqrt(n)/2), so its edge terms sit at
-    least 45 nats below the largest term.  Truncation bound: if the last
+    at least 1/(i+1) + 1/(n-i+1) from the one before: by at least 4/(n+2),
+    and within j steps of the largest term by at least 1/(m' + 3 + j),
+    m' = min(mode, n - mode).  The window reaches 9.5 (sqrt(n)/2 + 1) + 2
+    indices to each side of the mode, 9.5 binomial standard deviations
+    (sigma <= sqrt(n)/2), or the least j with j(j+1) >= 90 (m' + 4 + j) if
+    that is smaller, so its edge terms sit at least 45 nats below the
+    largest term either way.  Truncation bound: if the last
     step inside the window has log-ratio -delta, every step beyond it is
     smaller still and the omitted tail on that side is at most
     e^{a_edge} e^{-delta} / (1 - e^{-delta}).
@@ -221,10 +212,10 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     window's mode, so the same tail bound covers it, at O(1) cost.  The
     mode is then clipped to an end of the band [n/(1+e^t), n/(1+e^-t)], so
     this holds for y(n+1) below the band's lower end less the window's
-    half-width, or above its upper end plus the half-width and one.  Only
-    the window, summed for every other outcome of small variance, is
-    limited: more than WINDOW_LIMIT terms is a ValueError, which at large n
-    takes a y within 25/n of 0 or 1 and an epsilon of about log n.
+    half-width, or above its upper end plus the half-width and one.  Every
+    other outcome of small variance sums the window; its kink then lies
+    within about 50 of 0 or n (or n < 100), where the second half-width
+    applies, so the window holds fewer than 512 terms at any n.
     """
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
@@ -239,7 +230,14 @@ def _window(n: int, b: float, y: float) -> tuple[int, int]:
     # the mode at d1 = 0; at d1 = 1 it is at most one index lower, so both
     # conditionals sum one window from one anchor
     mode = min(max(y * m, n * q / (1.0 + q)), n / (1.0 + q))
-    half = math.ceil(_WINDOW_SIGMAS * (math.sqrt(n) / 2 + 1)) + 2
+    # either row's largest term lies within 3 of the mode and D >= half + 1
+    # steps from the first term left out on either side; those steps fall by
+    # at least D(D-1)/(2(min(mode, n - mode) + 3 + D)) nats, which is
+    # _WINDOW_NATS once half(half+1) >= 2 _WINDOW_NATS (near + half)
+    near = min(mode, n - mode) + 4
+    slope = 2 * _WINDOW_NATS - 1
+    half = min(math.ceil(_WINDOW_SIGMAS * (math.sqrt(n) / 2 + 1)) + 2,
+               math.ceil((slope + math.sqrt(slope * slope + 8 * _WINDOW_NATS * near)) / 2))
     return max(0, math.floor(mode) - half - 1), min(n, math.ceil(mode) + half)
 
 
@@ -264,9 +262,6 @@ def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float) -
         mirrored = s >= lo
         anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored=True)
         return anchor, rel[::-1] if mirrored else rel
-    if hi - lo + 1 > WINDOW_LIMIT:  # checked before anything is allocated
-        raise ValueError(f"n = {n} needs a window of {hi - lo + 1} binomial terms at "
-                         f"y in (0, 1), above the limit of {WINDOW_LIMIT}")
     return 0.0, _window_sums(model, b, y, lo, hi)
 
 
@@ -468,10 +463,10 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     at k = floor(y(n+1)), that is the saddle integral at a fixed number of
     nodes, plus the closed forms outside the band of modes, relative to
     one n-sized anchor that never enters the PML; otherwise the closed
-    forms or one numpy reduction over two rows of roughly 10*sqrt(n)
-    terms, which alone is limited by WINDOW_LIMIT.  For y > 0 the PML is
-    formed from the differences to the larger conditional, floored at 0
-    where the two are equal (y = 1/2), so it keeps its last bits at any n.
+    forms or one numpy reduction over two rows of fewer than 512 terms.
+    For y > 0 the PML is formed from the differences to the larger
+    conditional, floored at 0 where the two are equal (y = 1/2), so it
+    keeps its last bits at any n.
     """
     b = calibrated_scale(model.n, epsilon)
     y = _pml_outcome(y)

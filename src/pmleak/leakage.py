@@ -180,7 +180,7 @@ def _block_pmls(log_prior, digits, channel):
     """`_entry_pmls` on one block of priors, given as log marginals."""
     size, n, k = log_prior.shape
     grid = (k,) * n
-    # left to right from 0, as ProductModel.joint_logp sums the marginals
+    # left to right from 0, as ProductModel.log_masses sums the marginals
     log_mass = sum(log_prior[:, j, digits[:, j]] for j in range(n)).reshape((size,) + grid)
     channel = channel.reshape(grid + (-1,))
     out = np.empty((size, n, channel.shape[-1]))

@@ -9,7 +9,6 @@ computes the law and induced channel of one entry from them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -121,9 +120,9 @@ class FiniteDistribution:
 class DatabaseModel(ABC):
     """Joint law over ``num_entries`` entries drawn from a common alphabet.
 
-    Subclasses either materialize the joint (ExplicitJointModel) or compute
-    each atom's mass from a formula (ProductModel and the correlated
-    construction).
+    A model gives the log-mass of every row of an `atom_table` in one call:
+    read from one dense vector (ExplicitJointModel) or computed from a
+    formula (ProductModel and the correlated construction).
     """
 
     @property
@@ -135,12 +134,8 @@ class DatabaseModel(ABC):
     def num_entries(self) -> int: ...
 
     @abstractmethod
-    def joint_logp(self, x: tuple) -> LogReal:
-        """Log-mass of one full database tuple."""
-
-    @abstractmethod
     def log_masses(self, digits: np.ndarray) -> np.ndarray:
-        """Log-mass of every row of an `atom_table`, each as `joint_logp` gives it."""
+        """Log-mass of every row of an `atom_table`."""
 
     def _check_index(self, i):
         if not 0 <= i < self.num_entries:
@@ -148,9 +143,10 @@ class DatabaseModel(ABC):
 
     def atoms(self) -> Iterator[tuple]:
         """All (database tuple, log-mass) pairs, in lexicographic order."""
-        require_enumerable(len(self.alphabet) ** self.num_entries)
-        for x in itertools.product(self.alphabet, repeat=self.num_entries):
-            yield x, self.joint_logp(x)
+        # no library caller; kept because perfbench/tracer.py wraps it by name
+        digits = atom_table(self.alphabet, self.num_entries)
+        return zip(map(tuple, atom_labels(self.alphabet, digits).tolist()),
+                   self.log_masses(digits).tolist())
 
 
 @dataclass(frozen=True)
@@ -174,13 +170,8 @@ class ProductModel(DatabaseModel):
     def num_entries(self):
         return len(self.marginals)
 
-    def joint_logp(self, x):
-        if len(x) != self.num_entries:
-            raise ValueError("tuple length mismatch")
-        return sum(m.logprob(d) for m, d in zip(self.marginals, x))
-
     def log_masses(self, digits):
-        # left to right from 0, as joint_logp sums the marginals
+        # the marginals summed left to right from 0
         return sum(np.asarray(m.logp)[digits[:, j]] for j, m in enumerate(self.marginals))
 
     def conditional_rest(self, i, d):
@@ -192,31 +183,28 @@ class ProductModel(DatabaseModel):
         rest = self.marginals[:i] + self.marginals[i + 1:]
         if not rest:
             return FiniteDistribution(((),), (0.0,))
-        require_enumerable(len(self.alphabet) ** len(rest))
-        labels, logs = [], []
-        for combo in itertools.product(self.alphabet, repeat=len(rest)):
-            labels.append(combo)
-            logs.append(sum(m.logprob(s) for m, s in zip(rest, combo)))
-        return FiniteDistribution(tuple(labels), tuple(logs))
+        labels, logs = zip(*ProductModel(rest).atoms())
+        return FiniteDistribution(labels, logs)
 
 
 class ExplicitJointModel(DatabaseModel):
-    """Fully materialized joint table over the database alphabet."""
+    """Fully materialized joint: one log-mass per atom, in `atom_table` order."""
 
-    def __init__(self, alphabet, num_entries, table):
+    def __init__(self, alphabet, num_entries, log_mass):
         self._alphabet = tuple(alphabet)
         self._num_entries = int(num_entries)
-        require_enumerable(len(self._alphabet) ** self._num_entries)
-        self._table = dict(table)
-        for x in self._table:
-            if len(x) != self._num_entries or any(d not in self._alphabet for d in x):
-                raise ValueError(f"atom {x!r} outside the database alphabet")
-        _check_mass(list(self._table.values()), what="joint")
+        count = len(self._alphabet) ** self._num_entries
+        require_enumerable(count)
+        self._logp = np.array(log_mass, dtype=float)
+        if self._logp.shape != (count,):
+            raise ValueError(f"a joint over {count} atoms needs {count} log-masses, "
+                             f"not an array of shape {self._logp.shape}")
+        _check_mass(self._logp.tolist(), what="joint")
 
     @classmethod
     def from_model(cls, model: DatabaseModel):
-        return cls(model.alphabet, model.num_entries,
-                   {x: lp for x, lp in model.atoms() if lp > LOG_ZERO})
+        digits = atom_table(model.alphabet, model.num_entries)
+        return cls(model.alphabet, model.num_entries, model.log_masses(digits))
 
     @property
     def alphabet(self):
@@ -226,10 +214,6 @@ class ExplicitJointModel(DatabaseModel):
     def num_entries(self):
         return self._num_entries
 
-    def joint_logp(self, x):
-        return self._table.get(tuple(x), LOG_ZERO)
-
     def log_masses(self, digits):
-        rows = atom_labels(self._alphabet, digits).tolist()
-        return np.array([self._table.get(tuple(x), LOG_ZERO) for x in rows], dtype=float)
-
+        grid = (len(self._alphabet),) * self._num_entries
+        return self._logp[np.ravel_multi_index(tuple(digits.T), grid)]

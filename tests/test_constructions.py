@@ -22,6 +22,7 @@ from pmleak.logdomain import LOG_ZERO, log_add, log_binom, log_sum_exp
 from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism, dp_level_laplace,
                                laplace_log_density, product_mechanism)
 from pmleak.probability import ExplicitJointModel, FiniteDistribution, ProductModel
+from test_probability import defined_log_mass, explicit_joint
 
 #: float64 unit roundoff
 U = 2.0 ** -53
@@ -53,13 +54,15 @@ def loop_cond_density(model, b, d1, y):
     return log_add(math.log(model.eta) + lap_peak, log_rest + uniform_part)
 
 
-def loop_entry_channel(model, mech, i, y):
+def loop_entry_channel(model, mech, i, y, log_mass):
     """Per-atom oracle for entry_channel: each atom, as a tuple, joins the
-    bucket of x[i] with its joint_logp and its scalar log_likelihood; returns
-    (law of entry i, induced channel) as lists of log values."""
+    bucket of x[i] with its log-mass log_mass(x), from the model's
+    definition, and its scalar log_likelihood; returns (law of entry i,
+    induced channel) as lists of log values."""
     model._check_index(i)
     buckets = {d: [] for d in model.alphabet}
-    for x, lp in model.atoms():
+    for x in itertools.product(model.alphabet, repeat=model.num_entries):
+        lp = log_mass(x)
         if lp > LOG_ZERO:
             buckets[x[i]].append((lp, mech.log_likelihood(x, y)))
     law, lls = [], []
@@ -314,21 +317,20 @@ class TestCondDensities:
                 assert got == pytest.approx(loop_cond_density(model, b, d1, y), rel=1e-12)
 
     @pytest.mark.parametrize("n", [2 * 10 ** 15, 2 ** 53 - 1])
-    def test_binomial_window_beyond_limit_is_rejected_before_allocating(self, n):
+    def test_binomial_window_near_an_end_at_any_n(self, n):
         # ten ones in the tail: a variance below the saddle integral's 25;
         # at epsilon = 40 the band of modes reaches down to them, so the
-        # window applies, and it would hold about 9.5 sqrt(n) terms: 4e8
-        # floats at 2e15
+        # window is summed.  The all-0 peak term outweighs the rest of
+        # either row by e^Theta(n), so the PML is log(1/alpha)
         model = CorrelatedBinaryModel(n, 0.25, 0.5)
         b = calibrated_scale(n, 40.0)
         y = 10.5 / (n + 1)
+        assert not outside_window(n, b, y)
         tracemalloc.start()
         try:
             for d1 in (0, 1):
-                with pytest.raises(ValueError, match="window of .* above the limit"):
-                    cond_density_binomial(model, b, d1, y)
-            with pytest.raises(ValueError, match="window of .* above the limit"):
-                pml_d1(model, 40.0, y)
+                assert math.isfinite(cond_density_binomial(model, b, d1, y))
+            assert abs(pml_d1(model, 40.0, y) - math.log(4.0)) <= 1e-15
             # y = 0.5 takes the saddle integral, y <= 0 the closed form
             assert pml_d1(model, 0.1, 0.5) == 0.0
             assert math.isfinite(pml_d1(model, 0.1, -0.3))
@@ -336,6 +338,45 @@ class TestCondDensities:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_window_keeps_its_stated_bounds(self):
+        # kinks within 60 of 0 and of n, where the variance is small: the
+        # window is never longer than 9.5 (sqrt(n)/2 + 1) + 2 indices a side
+        # gives, holds at most 512 terms wherever a kink falls inside it, and
+        # the first term it leaves out on either side lies at least 45 nats
+        # below its largest term, from log-binomials at 40 digits (a product of
+        # the exact ratios would take up to 4.5e8 steps at 2^53)
+        def log_binom_mp(n, i):
+            # log C(n, i) less log n!, which cancels from every difference below
+            return -mpmath.loggamma(i + 1) - mpmath.loggamma(n - i + 1)
+
+        with mpmath.workdps(40):
+            for n in (1, 2, 5, 99, 100, 450, 1864, 10 ** 4, 10 ** 6, 10 ** 9, 2 * 10 ** 15,
+                      2 ** 53 - 1):
+                m = n + 1
+                kinks = {side + sign * (k + f) for k in (0, 1, 2, 5, 10, 30, 60)
+                         for f in (0.0, 0.5) for side, sign in ((0, 1), (m, -1))}
+                for epsilon in (0.001, 0.01, 0.1, 1.0, 3.0, 10.0, 40.0, 200.0):
+                    b = calibrated_scale(n, epsilon)
+                    q = math.exp(-1.0 / (m * b))
+                    t = 1 / (m * mpmath.mpf(b))
+                    for s in sorted(v for v in kinks if 0 < v < m):
+                        y = s / m
+                        lo, hi = constructions._window(n, b, y)
+                        mode = min(max(y * m, n * q / (1 + q)), n / (1 + q))
+                        half = math.ceil(9.5 * (math.sqrt(n) / 2 + 1)) + 2
+                        assert hi - lo <= (min(n, math.ceil(mode) + half)
+                                           - max(0, math.floor(mode) - half - 1))
+                        if not outside_window(n, b, y):
+                            assert hi - lo + 1 <= 512
+                        edges = [i for i in (lo - 1, hi + 1) if 0 <= i <= n]
+                        near = range(max(lo, math.floor(mode) - 4), min(hi, math.ceil(mode) + 4) + 1)
+                        logc = {i: log_binom_mp(n, i) for i in (*edges, *near)}
+                        for d1 in (0, 1):
+                            term = lambda i: logc[i] - t * abs(mpmath.mpf(y * m) - d1 - i)
+                            top = max(term(i) for i in near if i != n * d1)
+                            for i in edges:
+                                assert top - term(i) >= 45, (n, epsilon, s, d1, i)
 
     def test_n1_two_component_mixture_by_hand(self):
         # n = 1: tail is a single bit; weights eta (same as d1) and 1-eta
@@ -629,7 +670,7 @@ class TestEntryChannelAgainstLoop:
             loop_mech = LaplaceMechanism(lambda x: sum(x) / m, mech.scale)
             for i in (range(m) if n <= 4 else (0,)):
                 law, lls = entry_channel(model, mech, i, y)
-                want = loop_entry_channel(model, loop_mech, i, y)
+                want = loop_entry_channel(model, loop_mech, i, y, defined_log_mass(model))
                 assert as_hex(law.logp, lls) == as_hex(*want), (eta, epsilon, y, i)
 
     def test_each_distinct_atom_value_is_exponentiated_once(self, monkeypatch):
@@ -661,7 +702,8 @@ class TestEntryChannelAgainstLoop:
             for i in range(3):
                 for y in outcomes:
                     law, lls = entry_channel(db, mech, i, y)
-                    assert_channels_close((law.logp, lls), loop_entry_channel(db, loop_mech, i, y))
+                    want = loop_entry_channel(db, loop_mech, i, y, defined_log_mass(model))
+                    assert_channels_close((law.logp, lls), want)
         # the zero-mass symbol has no law and no channel
         law, lls = entry_channel(model, mech, 1, outcomes[0])
         assert law.logp[2] == LOG_ZERO and lls[2] == LOG_ZERO
@@ -670,13 +712,14 @@ class TestEntryChannelAgainstLoop:
         # atoms absent from the table have zero mass and are skipped, so a
         # channel need not have rows for them
         table = {(0, 0): math.log(0.5), (0, 1): math.log(0.25), (1, 1): math.log(0.25)}
-        joint = ExplicitJointModel((0, 1), 2, table)
+        joint = explicit_joint((0, 1), 2, table)
         mech = FiniteMechanism.from_probs(tuple(table), ("a", "b"),
                                           [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
         for i in (0, 1):
             for y in ("a", "b"):
                 law, lls = entry_channel(joint, mech, i, y)
-                assert_channels_close((law.logp, lls), loop_entry_channel(joint, mech, i, y))
+                want = loop_entry_channel(joint, mech, i, y, defined_log_mass(table))
+                assert_channels_close((law.logp, lls), want)
 
     @pytest.mark.parametrize("query", [sum, lambda x: sum(x) / len(x), lambda x: 0.5,
                                        lambda x: np.sum(x, axis=0)])

@@ -122,12 +122,12 @@ class TestEnumerateJoint:
     def test_product_atom_mass(self):
         model = ProductModel((FiniteDistribution.from_probs((0, 1), (0.7, 0.3)),) * 3)
         joint = ExplicitJointModel.from_model(model)
-        assert math.exp(joint.joint_logp((1, 1, 0))) == pytest.approx(0.063)
+        assert math.exp(joint.log_masses(np.array([[1, 1, 0]]))[0]) == pytest.approx(0.063)
 
     def test_conditional_all_ones_mass(self):
         # P(tail all ones | D_1 = 1) = eta
         joint = ExplicitJointModel.from_model(CorrelatedBinaryModel(3, 0.25, 0.5))
-        assert math.exp(joint.joint_logp((1, 1, 1, 1))) / 0.75 == pytest.approx(0.5)
+        assert math.exp(joint.log_masses(np.array([[1, 1, 1, 1]]))[0]) / 0.75 == pytest.approx(0.5)
 
     def test_cutoff(self):
         with pytest.raises(ValueError, match="enumeration cutoff exceeded"):

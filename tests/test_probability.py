@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pmleak.constructions import CorrelatedBinaryModel, calibrated_mechanism, pml_d1
+from pmleak.constructions import (CorrelatedBinaryModel, _log_two_pow_minus_one,
+                                  calibrated_mechanism, pml_d1)
 from pmleak.leakage import entry_channel
-from pmleak.logdomain import log_sum_exp
+from pmleak.logdomain import LOG_ZERO, log_sum_exp
 from pmleak.mechanisms import LaplaceMechanism
 from pmleak.probability import (ExplicitJointModel, FiniteDistribution,
                                 ProductModel, atom_labels, atom_table)
@@ -27,6 +28,34 @@ def brute_force_correlated_joint(n, alpha, eta):
             p *= (1.0 - eta) / (2 ** n - 1)
         table[x] = p
     return table
+
+
+def defined_log_mass(model):
+    """x -> log P(x) for one database tuple x, written out tuple by tuple from
+    the definition of a ProductModel, the correlated model or a
+    {tuple: log-mass} table: the per-atom oracle for `log_masses`.  A
+    ProductModel sums its marginals left to right from 0; the correlated
+    model adds log P(D_1) and the tail's weight in its own order, with
+    log(2^n - 1) rounded as the library rounds it (math.log(2**n - 1)
+    differs from it in the last bit at some n)."""
+    if isinstance(model, dict):
+        return lambda x: model.get(x, LOG_ZERO)
+    if isinstance(model, ProductModel):
+        return lambda x: sum(m.logprob(d) for m, d in zip(model.marginals, x))
+    assert isinstance(model, CorrelatedBinaryModel)
+
+    def log_mass(x):
+        lp = math.log(model.alpha) if x[0] == 0 else math.log1p(-model.alpha)
+        if all(d == x[0] for d in x[1:]):
+            return lp + math.log(model.eta)
+        return lp + math.log1p(-model.eta) - _log_two_pow_minus_one(model.n)
+    return log_mass
+
+
+def explicit_joint(alphabet, num_entries, table):
+    """ExplicitJointModel of a {tuple: log-mass} table; absent atoms have no mass."""
+    atoms = itertools.product(alphabet, repeat=num_entries)
+    return ExplicitJointModel(alphabet, num_entries, [table.get(x, LOG_ZERO) for x in atoms])
 
 
 class TestFiniteDistribution:
@@ -69,7 +98,7 @@ class TestProductModel:
 
     def test_atom_mass(self):
         model = ProductModel((BERNOULLI_03,) * 3)
-        assert math.exp(model.joint_logp((1, 1, 0))) == pytest.approx(0.063)
+        assert math.exp(model.log_masses(np.array([[1, 1, 0]]))[0]) == pytest.approx(0.063)
 
     def test_index_out_of_range(self):
         model = ProductModel((BERNOULLI_03,) * 3)
@@ -106,18 +135,26 @@ class TestAtomTable:
         assert [tuple(row) for row in labels.tolist()] == list(itertools.product(alphabet, repeat=2))
 
 
-@pytest.mark.parametrize("model", [
-    ProductModel((BERNOULLI_03,) * 4),
-    ProductModel(tuple(FiniteDistribution.from_probs(("a", "b", "c"), p)
-                       for p in ((0.2, 0.3, 0.5), (0.6, 0.4, 0.0)))),
-    CorrelatedBinaryModel(6, 0.3, 0.4),
-    ExplicitJointModel.from_model(CorrelatedBinaryModel(3, 0.25, 0.5)),
-    ExplicitJointModel(("u", "v"), 2, {("u", "v"): math.log(0.4), ("v", "v"): math.log(0.6)}),
+UV_TABLE = {("u", "v"): math.log(0.4), ("v", "v"): math.log(0.6)}
+CORRELATED_3 = CorrelatedBinaryModel(3, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("model, source", [
+    *((model, model) for model in (
+        ProductModel((BERNOULLI_03,) * 4),
+        ProductModel(tuple(FiniteDistribution.from_probs(("a", "b", "c"), p)
+                           for p in ((0.2, 0.3, 0.5), (0.6, 0.4, 0.0)))),
+        *(CorrelatedBinaryModel(n, 0.3, 0.4) for n in (1, 2, 3, 6, 14)))),
+    (ExplicitJointModel.from_model(CORRELATED_3), CORRELATED_3),
+    (explicit_joint(("u", "v"), 2, UV_TABLE), UV_TABLE),
 ])
-def test_log_masses_are_joint_logp_bit_for_bit(model):
+def test_log_masses_are_the_definition_bit_for_bit(model, source):
     digits = atom_table(model.alphabet, model.num_entries)
-    want = [model.joint_logp(x) for x in itertools.product(model.alphabet, repeat=model.num_entries)]
+    log_mass = defined_log_mass(source)
+    want = [log_mass(x) for x in itertools.product(model.alphabet, repeat=model.num_entries)]
     assert [v.hex() for v in model.log_masses(digits).tolist()] == [float(v).hex() for v in want]
+    assert list(model.atoms()) == list(zip(itertools.product(model.alphabet,
+                                                             repeat=model.num_entries), want))
 
 
 def brute_force_outcome_density(table, mech, y, keep=lambda x: True):
@@ -136,7 +173,7 @@ class TestCorrelatedBinaryModel:
     def test_conditional_tail_given_first(self):
         # P(tail | D_1 = 1) = P(D_1 = 1, tail) / (1 - alpha)
         model = CorrelatedBinaryModel(4, 0.25, 0.5)
-        cond = lambda tail: math.exp(model.joint_logp((1,) + tail)) / 0.75
+        cond = lambda tail: math.exp(model.log_masses(np.array([(1,) + tail]))[0]) / 0.75
         assert cond((1, 1, 1, 1)) == pytest.approx(0.5)
         assert cond((0, 1, 0, 1)) == pytest.approx(0.5 / 15)
 
@@ -174,16 +211,18 @@ class TestCorrelatedBinaryModel:
             entry_channel(model, calibrated_mechanism(model, 1.0), 0, -0.3)
 
 
-@pytest.mark.parametrize("model", [
-    ProductModel((BERNOULLI_03,) * 4),
-    CorrelatedBinaryModel(5, 0.3, 0.4),
-    ExplicitJointModel.from_model(CorrelatedBinaryModel(3, 0.25, 0.5)),
+@pytest.mark.parametrize("source, explicit", [
+    (ProductModel((BERNOULLI_03,) * 4), False),
+    (CorrelatedBinaryModel(5, 0.3, 0.4), False),
+    (CORRELATED_3, True),
 ])
-def test_law_of_total_probability(model):
+def test_law_of_total_probability(source, explicit):
     """Re-mixing the induced channel with the entry law gives the outcome
     density of the joint, for every entry."""
+    model = ExplicitJointModel.from_model(source) if explicit else source
     mech = LaplaceMechanism(lambda x: np.sum(x, axis=-1) / np.shape(x)[-1], 0.5)
-    table = {x: math.exp(model.joint_logp(x))
+    log_mass = defined_log_mass(source)
+    table = {x: math.exp(log_mass(x))
              for x in itertools.product(model.alphabet, repeat=model.num_entries)}
     for y in (-0.2, 0.4):
         want = brute_force_outcome_density(table, mech, y)
@@ -195,4 +234,15 @@ def test_law_of_total_probability(model):
 
 def test_explicit_joint_respects_cutoff():
     with pytest.raises(ValueError, match="enumeration cutoff exceeded"):
-        ExplicitJointModel((0, 1), 20, {})
+        ExplicitJointModel((0, 1), 20, [])
+
+
+def test_explicit_joint_checks_shape_and_mass():
+    with pytest.raises(ValueError, match="needs 4 log-masses"):
+        ExplicitJointModel((0, 1), 2, [math.log(0.5)] * 2)
+    with pytest.raises(ValueError, match="needs 4 log-masses"):
+        ExplicitJointModel((0, 1), 2, [[math.log(0.25)] * 2] * 2)
+    with pytest.raises(ValueError, match="joint mass"):
+        ExplicitJointModel((0, 1), 2, [math.log(0.3)] * 4)
+    with pytest.raises(ValueError, match="joint mass"):
+        ExplicitJointModel((0, 1), 2, [math.log(0.25)] * 3 + [math.nan])
