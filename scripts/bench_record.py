@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Record end-to-end benchmark runs in BENCH_<tag>.json at the repository root.
+
+Runs perfbench/run.py (untraced) for every seed and workload on each
+checkout, alternating which checkout goes first from one seed to the next,
+and stores each run's `env =` record and final JSON line, with the median
+and quartiles of every metric per workload and checkout:
+
+    python3 scripts/bench_record.py --tag NAME --workloads adversary_trials \\
+        --seeds 1-10 --seconds 10 --checkout parent=../parent --checkout change=.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def seed_range(text):
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def checkout(text):
+    label, sep, path = text.partition("=")
+    if not (label and sep and path):
+        raise argparse.ArgumentTypeError(f"expected LABEL=DIR, not {text!r}")
+    return label, Path(path).resolve()
+
+
+def run(path, workload, seed, seconds):
+    """One perfbench run of the checkout at `path`: its env record and final JSON."""
+    argv = [sys.executable, str(path / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    lines = subprocess.run(argv, cwd=path, capture_output=True, text=True,
+                           check=True).stdout.strip().splitlines()
+    env = next(line.removeprefix("env = ") for line in lines if line.startswith("env = "))
+    return json.loads(env), json.loads(lines[-1])
+
+
+def summary(runs):
+    """{workload: {checkout: {metric: [q1, median, q3]}}} over the recorded runs."""
+    values = {}
+    for r in runs:
+        for name, metric in r["result"]["metrics"].items():
+            values.setdefault(r["workload"], {}).setdefault(r["checkout"], {}).setdefault(
+                name, []).append(metric["value"])
+    return {w: {c: {name: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+                    for name, v in metrics.items()} for c, metrics in sides.items()}
+            for w, sides in values.items()}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tag", required=True)
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", type=seed_range, required=True, help="N or FIRST-LAST")
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--checkout", type=checkout, action="append", metavar="LABEL=DIR",
+                        help="a checkout to run, repeatable; default: this one")
+    args = parser.parse_args(argv)
+    checkouts = args.checkout or [("this", ROOT)]
+    runs = []
+    for i, seed in enumerate(args.seeds):
+        for workload in args.workloads:
+            for label, path in checkouts if i % 2 == 0 else checkouts[::-1]:
+                env, result = run(path, workload, seed, args.seconds)
+                runs.append({"workload": workload, "seed": seed, "checkout": label,
+                             "env": env, "result": result})
+                print(f"{workload} seed {seed} {label}: wall_s "
+                      f"{result['metrics']['wall_s']['value']:.6g}", file=sys.stderr)
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps({"tag": args.tag, "seconds": args.seconds,
+                               "summary": summary(runs), "runs": runs}, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,8 +19,12 @@ import numpy as np
 
 from .logdomain import LOG_ZERO, log_array, log_sum_exp
 from .leakage import PRIOR_FLOOR, pml, pml_batch
-from .mechanisms import ROW_TOL, FiniteMechanism
+from .mechanisms import FiniteMechanism
 from .probability import FiniteDistribution
+
+
+#: largest |row sum - 1| of a guessing kernel
+KERNEL_ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +37,8 @@ class GainFunction:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError("gain table must be 2-dimensional")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("gain values must be finite")
         if np.any(v < 0):
             raise ValueError("gain values must be non-negative")
         if not np.any(v > 0):
@@ -53,7 +59,7 @@ class GuessKernel:
             raise ValueError("kernel must be 2-dimensional")
         if np.any(r < 0):
             raise ValueError("negative kernel probability")
-        if not np.allclose(r.sum(axis=1), 1.0, atol=1e-9):
+        if not np.all(np.abs(r.sum(axis=1) - 1.0) <= KERNEL_ROW_TOL):
             raise ValueError("kernel rows must sum to 1")
         object.__setattr__(self, "rows", r)
         r.flags.writeable = False
@@ -177,18 +183,22 @@ class _Scenarios:
 
 
 def _random_channels(rng, size, width):
-    """Secret-alphabet masks of 2..width secrets and log P(y | x) at a uniform
-    outcome y of a channel with uniform Dirichlet rows over 2..width outcomes."""
+    """Secret-alphabet masks of 2..width secrets and log P(y | x) at one outcome
+    y of a channel with uniform Dirichlet rows over 2..width outcomes.
+
+    Only the scored column is drawn: an entry of a uniform Dirichlet row over
+    ny outcomes is Beta(1, ny - 1), independently over rows, so it is
+    1 - (1 - U)^(1 / (ny - 1)) for one uniform U, taken in log domain."""
     valid = _first(rng.integers(2, width + 1, size=size), width)
     ny = rng.integers(2, width + 1, size=size)
-    rows = _dirichlet(rng, (size, width, width), _first(ny, width)[:, None, :])
-    log_mass = log_array(rows.sum(axis=2))
-    bad = np.argwhere(valid & ~(np.abs(log_mass) <= ROW_TOL))
+    u = rng.random((size, width))
+    lls = np.where(valid, log_array(-np.expm1(np.log1p(-u) / (ny - 1)[:, None])), LOG_ZERO)
+    bad = np.argwhere(valid & ~(lls <= 0))
     if len(bad):
         t, x = bad[0]
-        raise ValueError(f"channel row for {int(x)!r} has mass exp({log_mass[t, x]:.6g})")
-    y = rng.integers(0, ny)
-    return valid, np.where(valid, log_array(rows[np.arange(size), :, y]), LOG_ZERO)
+        raise ValueError(f"channel entry for {int(x)!r} is exp({lls[t, x]:.6g}), "
+                         "not a probability")
+    return valid, lls
 
 
 def _draw_scenarios(rng, size, max_alphabet, channel) -> _Scenarios:
@@ -233,7 +243,7 @@ def _draw_kernels(rng, valid, max_guesses):
     k = _dirichlet(rng, (size, width, max_guesses), _first(nu, max_guesses)[:, None, :])
     if np.any(k < 0):
         raise ValueError("negative kernel probability")
-    if not np.all(np.abs(k.sum(axis=2)[valid] - 1.0) <= 1e-9):
+    if not np.all(np.abs(k.sum(axis=2)[valid] - 1.0) <= KERNEL_ROW_TOL):
         raise ValueError("kernel rows must sum to 1")
     return k, nu
 
@@ -323,7 +333,13 @@ def run_adversary_trials(seed: int = 2024, achievability_trials: int = 1000,
         raise ValueError("empty trial set")
     if not 0.0 <= tolerance < math.inf:  # NaN fails too
         raise ValueError("tolerance must be finite and at least 0")
-    if channel is None:  # rows (A, A), gains and kernels (A, max_guesses)
+    if max_alphabet < 2:
+        raise ValueError(f"max_alphabet must be at least 2, not {max_alphabet!r}")
+    if max_guesses < 1:
+        raise ValueError(f"max_guesses must be at least 1, not {max_guesses!r}")
+    # random-channel blocks keep A * max(A, max_guesses) entries: the block size
+    # fixes which draws each trial takes, so it is part of what a seed reports
+    if channel is None:
         entries = max_alphabet * max(max_alphabet, max_guesses)
     else:
         entries = len(channel.x_labels) * max_guesses

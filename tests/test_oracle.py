@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +82,11 @@ class TestGainRatio:
         with pytest.raises(ValueError, match="non-negative"):
             GainFunction(np.array([[1.0, -0.1]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_rejected(self, bad):
+        with pytest.raises(ValueError, match="gain values must be finite"):
+            GainFunction(np.array([[bad], [1.0]]))
+
 
 class TestRandomizedFunctionRatio:
     def test_independent_feature_leaks_nothing(self):
@@ -110,6 +117,13 @@ class TestRandomizedFunctionRatio:
     def test_kernel_rows_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
             GuessKernel(np.array([[0.5, 0.4]]))
+
+    def test_kernel_row_tolerance_is_absolute(self):
+        # no relative slack on top of |row sum - 1| <= 1e-9
+        for row in ([0.5, 0.5 + 1e-6], [0.5, 0.500009]):
+            with pytest.raises(ValueError, match="sum to 1"):
+                GuessKernel(np.array([row]))
+        GuessKernel(np.array([[0.5, 0.5 + 5e-10]]))
 
 
 class TestEnumerateJoint:
@@ -152,6 +166,15 @@ class TestTrials:
     def test_empty_trial_set_rejected(self):
         with pytest.raises(ValueError, match="empty trial set"):
             run_adversary_trials(gain_trials=0)
+
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(max_alphabet=1), "max_alphabet must be at least 2"),
+        (dict(max_guesses=0), "max_guesses must be at least 1"),
+    ], ids=["max-alphabet", "max-guesses"])
+    def test_alphabet_sizes_validated(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            run_adversary_trials(achievability_trials=1, gain_trials=1, kernel_trials=1,
+                                 **sizes)
 
     def test_deterministic_under_seed(self):
         a = run_adversary_trials(seed=9, achievability_trials=20,
@@ -256,7 +279,7 @@ VALID = np.ones((4, 3), dtype=bool)
 
 @pytest.mark.parametrize("draw, fills, message", [
     (lambda rng: oracle._draw_scenarios(rng, 4, 3, None),
-     {"standard_exponential": 0.0}, "channel row for 0 has mass"),
+     {"random": 2.0}, "channel entry for 0 is exp"),
     (lambda rng: oracle._draw_scenarios(rng, 4, 3, ZERO_MASS_CHANNEL),
      {"standard_exponential": 0.0}, "full-support prior"),
     (lambda rng: oracle._draw_gains(rng, VALID, 3), {"random": -0.5}, "non-negative"),
@@ -267,3 +290,83 @@ VALID = np.ones((4, 3), dtype=bool)
 def test_block_draws_are_validated(draw, fills, message):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
         draw(_StubGenerator(**fills))
+
+
+def full_channel_entries(rng, trials, width):
+    """P(y | x) over each trial's 2..width secrets, read off a full channel with
+    uniform Dirichlet rows over 2..width outcomes at a uniform outcome y: the
+    law `_random_channels` draws one column of, in trial order."""
+    nx = rng.integers(2, width + 1, size=trials)
+    ny = rng.integers(2, width + 1, size=trials)
+    column = np.empty((trials, width))
+    for k in range(2, width + 1):
+        group = np.flatnonzero(ny == k)
+        rows = rng.dirichlet(np.ones(k), size=(len(group), width))
+        column[group] = rows[np.arange(len(group)), :, rng.integers(0, k, size=len(group))]
+    return column[np.arange(width) < nx[:, None]]
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the ECDFs."""
+    a, b = np.sort(a), np.sort(b)
+    points = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, points, side="right") / len(a)
+                               - np.searchsorted(b, points, side="right") / len(b))))
+
+
+class TestRandomChannels:
+    """The one-column draw against the full-channel sampler it replaces."""
+
+    def test_entries_follow_the_full_channel_law(self):
+        n = 10 ** 6
+        valid, lls = oracle._random_channels(np.random.default_rng(1), 210_000, 8)
+        drawn = np.exp(lls[valid])
+        reference = full_channel_entries(np.random.default_rng(2), 210_000, 8)
+        assert len(drawn) >= n and len(reference) >= n
+        assert np.all((drawn >= 0) & (drawn <= 1))
+        # 1 % critical value of the two-sample test, n entries a side
+        critical = math.sqrt(-math.log(0.01 / 2) / 2) * math.sqrt(2 / n)
+        assert ks_distance(drawn[:n], reference[:n]) < critical
+
+    def test_no_full_channel_is_allocated(self):
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            oracle._draw_scenarios(rng, oracle._BLOCK, 8, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < oracle._BLOCK * 8 * 8 * np.dtype(float).itemsize
+
+
+# Every field of the report at seed 2024, floats as hex.  A change that moves
+# any of them lists the move in CHANGES.md.
+GOLDEN_REPORTS = {
+    "default-counts": (dict(), {
+        "seed": 2024, "achievability_trials": 1000, "gain_trials": 10000,
+        "kernel_trials": 10000,
+        "max_achievability_gap": "0x1.8000000000000p-50",
+        "max_gain_excess": "-0x1.a68ae05210000p-16",
+        "max_kernel_excess": "-0x1.26ca2e7ec0000p-18",
+        "max_reference_gap": "0x1.8000000000000p-52",
+        "tolerance": "0x1.19799812dea11p-40"}),
+    "zero-mass-channel": (dict(achievability_trials=100, gain_trials=1000,
+                               kernel_trials=1000, channel=ZERO_MASS_CHANNEL), {
+        "seed": 2024, "achievability_trials": 100, "gain_trials": 1000,
+        "kernel_trials": 1000,
+        "max_achievability_gap": "0x1.8000000000000p-52",
+        "max_gain_excess": "0x0.0p+0",
+        "max_kernel_excess": "0x0.0p+0",
+        "max_reference_gap": "0x1.0000000000000p-52",
+        "tolerance": "0x1.19799812dea11p-40"}),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_seed_2024_reports_are_pinned(name):
+    counts, want = GOLDEN_REPORTS[name]
+    report = run_adversary_trials(seed=2024, **counts)
+    got = {k: v.hex() if isinstance(v, float) else v
+           for k, v in dataclasses.asdict(report).items()}
+    assert got == want
+    assert report.passed
