@@ -4,7 +4,8 @@
 Runs perfbench/run.py (untraced) for every seed and workload on each
 checkout, alternating which checkout goes first from one seed to the next,
 and stores each run's `env =` record and final JSON line, with the median
-and quartiles of every metric per workload and checkout:
+and quartiles of every metric per workload and checkout and, for two
+checkouts, how many seed pairs the second won on each metric:
 
     python3 scripts/bench_record.py --tag NAME --workloads adversary_trials \\
         --seeds 1-10 --seconds 10 --checkout parent=../parent --checkout change=.
@@ -42,16 +43,44 @@ def run(path, workload, seed, seconds):
     return json.loads(env), json.loads(lines[-1])
 
 
-def summary(runs):
-    """{workload: {checkout: {metric: [q1, median, q3]}}} over the recorded runs."""
-    values = {}
+def directions():
+    """{metric: "lower" or "higher"}, the side each metric is better on, from BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def summary(runs, labels, better):
+    """{workload: {checkout: {metric: [q1, median, q3]}}} over the recorded runs.
+    With two checkouts, each workload also gets "<second> vs <first>":
+    {metric: {"won": w, "lost": l, "pairs": p}}, the seed pairs in which the
+    second checkout was better or worse on the metric's `better` side (a tie
+    counts for neither)."""
+    values, by_seed = {}, {}
     for r in runs:
+        by_seed[r["workload"], r["seed"], r["checkout"]] = r["result"]["metrics"]
         for name, metric in r["result"]["metrics"].items():
             values.setdefault(r["workload"], {}).setdefault(r["checkout"], {}).setdefault(
                 name, []).append(metric["value"])
-    return {w: {c: {name: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
-                    for name, v in metrics.items()} for c, metrics in sides.items()}
-            for w, sides in values.items()}
+    out = {w: {c: {name: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+                   for name, v in metrics.items()} for c, metrics in sides.items()}
+           for w, sides in values.items()}
+    if len(labels) != 2:
+        return out
+    first, second = labels
+    for (workload, seed, label), metrics in by_seed.items():
+        base = by_seed.get((workload, seed, first))
+        if label != second or base is None:
+            continue
+        tally = out[workload].setdefault(f"{second} vs {first}", {})
+        for name in (name for name in metrics if name in base and name in better):
+            gain = base[name]["value"] - metrics[name]["value"]
+            if better[name] == "higher":
+                gain = -gain
+            count = tally.setdefault(name, {"won": 0, "lost": 0, "pairs": 0})
+            count["won"] += gain > 0
+            count["lost"] += gain < 0
+            count["pairs"] += 1
+    return out
 
 
 def main(argv=None):
@@ -75,7 +104,9 @@ def main(argv=None):
                       f"{result['metrics']['wall_s']['value']:.6g}", file=sys.stderr)
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps({"tag": args.tag, "seconds": args.seconds,
-                               "summary": summary(runs), "runs": runs}, indent=1) + "\n")
+                               "summary": summary(runs, [label for label, _ in checkouts],
+                                                  directions()),
+                               "runs": runs}, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
 

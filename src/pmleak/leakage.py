@@ -100,12 +100,16 @@ def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
     model._check_index(i)
     digits = atom_table(model.alphabet, model.num_entries)
     log_mass = model.log_masses(digits)
+    entry = digits[:, i].copy()  # so the table is freed before the labels are built
+    del digits
+    labels = atom_labels(model.alphabet, model.num_entries)
     live = log_mass > LOG_ZERO
-    digits, log_mass = digits[live], log_mass[live]
-    lls = mech.log_likelihoods(atom_labels(model.alphabet, digits), y)
+    if not live.all():  # copy nothing when every atom has mass
+        entry, labels, log_mass = entry[live], labels[live], log_mass[live]
+    lls = mech.log_likelihoods(labels, y)
     law, cond = [], []
     for d in range(len(model.alphabet)):
-        atoms = digits[:, i] == d
+        atoms = entry == d
         lp = log_mass[atoms]
         lcond = _log_sum_exp_distinct(lp) if lp.size else LOG_ZERO
         law.append(lcond)
@@ -200,7 +204,7 @@ def _entry_pmls(mech: FiniteMechanism, alphabet: tuple, probs) -> np.ndarray:
     batched `pml(*entry_channel(...))`.  Atoms are the rows of
     `atom_table` and read their channel rows by label, as in `entry_channel`."""
     digits = atom_table(alphabet, probs.shape[1])
-    channel = mech.rows(atom_labels(alphabet, digits))
+    channel = mech.rows(atom_labels(alphabet, probs.shape[1]))
     log_prior = np.log(probs)
     block = max(1, _BLOCK_ENTRIES // channel.size)
     return np.concatenate([_block_pmls(log_prior[start:start + block], digits, channel)

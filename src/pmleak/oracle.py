@@ -13,6 +13,7 @@ checked against what an actual adversary achieves:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,8 +281,11 @@ def _gap(batch, scalar) -> float:
 # (log-ratio per trial, the scalar function's log-ratio on that first trial).
 
 def _indicators(rng, s: _Scenarios, prior, lls, max_guesses):
-    scalar = max(gain_ratio(prior, lls, indicator_gain(prior.size, j))
-                 for j in range(prior.size))
+    # the best indicator is at the largest posterior-to-prior ratio, so the
+    # replay scores only the secret each of the scalar and the batch ranks first
+    targets = {int(np.argmax(posterior_probs(prior, lls) / prior.probs())),
+               int(np.argmax(s.post[0, :prior.size] / s.prior[0, :prior.size]))}
+    scalar = max(gain_ratio(prior, lls, indicator_gain(prior.size, j)) for j in targets)
     return _indicator_ratios(s), scalar
 
 
@@ -333,10 +337,11 @@ def run_adversary_trials(seed: int = 2024, achievability_trials: int = 1000,
         raise ValueError("empty trial set")
     if not 0.0 <= tolerance < math.inf:  # NaN fails too
         raise ValueError("tolerance must be finite and at least 0")
-    if max_alphabet < 2:
-        raise ValueError(f"max_alphabet must be at least 2, not {max_alphabet!r}")
-    if max_guesses < 1:
-        raise ValueError(f"max_guesses must be at least 1, not {max_guesses!r}")
+    for name, size, least in (("max_alphabet", max_alphabet, 2), ("max_guesses", max_guesses, 1)):
+        if not isinstance(size, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {size!r}")
+        if size < least:
+            raise ValueError(f"{name} must be at least {least}, not {size!r}")
     # random-channel blocks keep A * max(A, max_guesses) entries: the block size
     # fixes which draws each trial takes, so it is part of what a seed reports
     if channel is None:

@@ -1,10 +1,10 @@
 """Finite-alphabet probability objects in log domain.
 
 Provides distributions over labeled finite alphabets, explicit joints, and
-database models (joint laws over n entries from a common alphabet).  Every
-model lists its atoms below a hard cutoff as one table of alphabet indices
-and gives all their log-masses in one call, and `leakage.entry_channel`
-computes the law and induced channel of one entry from them.
+database models (joint laws over n entries from a common alphabet).  Atoms
+below a hard cutoff are listed as one table of alphabet indices or of labels,
+each column written by broadcasting; every model gives all their log-masses
+in one call, and `leakage.entry_channel` computes one entry's law and channel.
 """
 
 from __future__ import annotations
@@ -31,22 +31,32 @@ def require_enumerable(count):
         raise ValueError("enumeration cutoff exceeded")
 
 
+def _product_table(values: np.ndarray, num_entries: int) -> np.ndarray:
+    """The rows of itertools.product(values, repeat=num_entries) as one (A,
+    num_entries) array of values' dtype, stored column by column: column j
+    is the values broadcast into its (k^j, k, k^(num_entries-1-j)) view."""
+    k = len(values)
+    require_enumerable(k ** num_entries)
+    table = np.empty((num_entries, k ** num_entries), dtype=values.dtype)
+    for j, column in enumerate(table):
+        column.reshape(k ** j, k, k ** (num_entries - 1 - j))[...] = values[:, None]
+    return table.T
+
+
 def atom_table(alphabet, num_entries: int) -> np.ndarray:
     """The alphabet^num_entries atoms as an (A, num_entries) table of
     alphabet indices, in itertools.product order."""
     k = len(alphabet)
-    require_enumerable(k ** num_entries)
-    grid = np.indices((k,) * num_entries, dtype=np.min_scalar_type(max(k - 1, 0)))
-    return grid.reshape(num_entries, k ** num_entries).T
+    return _product_table(np.arange(k, dtype=np.min_scalar_type(max(k - 1, 0))), num_entries)
 
 
-def atom_labels(alphabet, digits) -> np.ndarray:
-    """The table of alphabet indices `digits` with each index replaced by its
-    label: a numeric array for a numeric alphabet, else an object array."""
+def atom_labels(alphabet, num_entries: int) -> np.ndarray:
+    """The `atom_table` with each index replaced by its label: a numeric
+    array for a numeric alphabet, else an object array."""
     labels = np.asarray(alphabet)
     if labels.ndim != 1 or labels.dtype.kind not in "biuf":
         labels = np.fromiter(alphabet, dtype=object, count=len(alphabet))
-    return labels[digits]
+    return _product_table(labels, num_entries)
 
 
 def _check_mass(logp, what="distribution"):
@@ -144,9 +154,8 @@ class DatabaseModel(ABC):
     def atoms(self) -> Iterator[tuple]:
         """All (database tuple, log-mass) pairs, in lexicographic order."""
         # no library caller; kept because perfbench/tracer.py wraps it by name
-        digits = atom_table(self.alphabet, self.num_entries)
-        return zip(map(tuple, atom_labels(self.alphabet, digits).tolist()),
-                   self.log_masses(digits).tolist())
+        return zip(map(tuple, atom_labels(self.alphabet, self.num_entries).tolist()),
+                   self.log_masses(atom_table(self.alphabet, self.num_entries)).tolist())
 
 
 @dataclass(frozen=True)

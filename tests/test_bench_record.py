@@ -1,0 +1,41 @@
+import importlib.util
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+
+def synthetic_runs(values):
+    """Runs of one workload from {(seed, checkout): (wall_s, ops_per_s)}."""
+    return [{"workload": "w", "seed": seed, "checkout": label, "env": {},
+             "result": {"metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                    "ops_per_s": {"value": ops, "unit": "1/s"}}}}
+            for (seed, label), (wall, ops) in values.items()]
+
+
+def test_pairs_count_wins_by_each_metrics_better_side():
+    runs = synthetic_runs({
+        (1, "parent"): (2.0, 10.0), (1, "change"): (1.0, 20.0),  # change wins both
+        (2, "change"): (3.0, 10.0), (2, "parent"): (2.0, 10.0),  # loses wall_s, ties ops
+        (3, "parent"): (2.0, 10.0), (3, "change"): (2.0, 30.0),  # ties wall_s, wins ops
+        (4, "parent"): (2.0, 10.0),                              # no pair
+    })
+    better = {"wall_s": "lower", "ops_per_s": "higher"}
+    out = bench_record.summary(runs, ["parent", "change"], better)["w"]
+    assert out["change vs parent"] == {"wall_s": {"won": 1, "lost": 1, "pairs": 3},
+                                       "ops_per_s": {"won": 2, "lost": 0, "pairs": 3}}
+    assert out["change"]["wall_s"][1] == 2.0
+    # one checkout has no pairs
+    alone = bench_record.summary(runs[:1], ["parent"], better)["w"]
+    assert list(alone) == ["parent"]
+
+
+def test_directions_come_from_the_benchmark_spec():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = bench_record.directions()
+    assert better["wall_s"] == "lower" and better["ops_per_s"] == "higher"
+    assert len(better) == len(spec["end_to_end"]) + len(spec["per_layer"])

@@ -170,7 +170,9 @@ class TestTrials:
     @pytest.mark.parametrize("sizes, message", [
         (dict(max_alphabet=1), "max_alphabet must be at least 2"),
         (dict(max_guesses=0), "max_guesses must be at least 1"),
-    ], ids=["max-alphabet", "max-guesses"])
+        (dict(max_alphabet=2.5), "max_alphabet must be an integer"),
+        (dict(max_guesses=1.5), "max_guesses must be an integer"),
+    ], ids=["max-alphabet", "max-guesses", "max-alphabet-fraction", "max-guesses-fraction"])
     def test_alphabet_sizes_validated(self, sizes, message):
         with pytest.raises(ValueError, match=message):
             run_adversary_trials(achievability_trials=1, gain_trials=1, kernel_trials=1,
@@ -220,6 +222,18 @@ class TestBatch:
             dead = s.lls.max(axis=1) == -math.inf
             assert dead.any() and np.all(s.target[dead] == 0.0)
             assert np.array_equal(s.post[dead], s.prior[dead])
+
+    def test_indicator_replay_scores_two_secrets(self, monkeypatch):
+        # replaying every indicator gain would cost O(nx^2) per block
+        rng = np.random.default_rng(5)
+        nx = 4000
+        channel = FiniteMechanism.from_probs(range(nx), (0, 1), rng.dirichlet((1, 1), size=nx))
+        calls = []
+        score = oracle.gain_ratio
+        monkeypatch.setattr(oracle, "gain_ratio", lambda *a: calls.append(a) or score(*a))
+        high, low, gap = oracle._block(rng, 1, oracle._indicators, 8, 8, channel)
+        assert 1 <= len(calls) <= 2
+        assert max(high, -low, gap) <= 1e-12
 
     @staticmethod
     def record_block_sizes(monkeypatch):

@@ -112,15 +112,27 @@ class TestProductModel:
 
 
 class TestAtomTable:
-    @pytest.mark.parametrize("alphabet, m", [((0, 1), 1), ((0, 1), 5), (("a", "b", "c"), 3),
-                                             ((7,), 4)])
+    # after the first four: numeric, str, tuple and bool alphabets of 1, 2 and
+    # 3 symbols (there is no third bool) at 0, 1, 2 and 4 entries
+    @pytest.mark.parametrize("alphabet, m", [
+        ((0, 1), 1), ((0, 1), 5), (("a", "b", "c"), 3), ((7,), 4),
+        *((alphabet, m) for alphabet in (
+            (7,), (0.5, 2.0), (0, 1, 2), ("a",), ("a", "b"), ("x", "y", "z"),
+            ((0,),), ((0, 1), (1, 0)), ((0, 0), (0, 1), (1, 1)), (True,), (False, True))
+          for m in (0, 1, 2, 4))])
     def test_rows_follow_itertools_product(self, alphabet, m):
         digits = atom_table(alphabet, m)
         assert digits.shape == (len(alphabet) ** m, m)
         assert digits.dtype == np.uint8
         want = list(itertools.product(alphabet, repeat=m))
         assert [tuple(alphabet[j] for j in row) for row in digits.tolist()] == want
-        assert [tuple(row) for row in atom_labels(alphabet, digits).tolist()] == want
+        assert [tuple(row) for row in atom_labels(alphabet, m).tolist()] == want
+
+    def test_index_table_takes_the_smallest_dtype(self):
+        assert atom_table(range(256), 2).dtype == np.uint8
+        digits = atom_table(range(257), 1)
+        assert digits.dtype == np.uint16
+        assert digits[:, 0].tolist() == list(range(257))
 
     def test_cutoff_is_checked_before_allocating(self):
         with pytest.raises(ValueError, match="enumeration cutoff exceeded"):
@@ -130,7 +142,7 @@ class TestAtomTable:
                                                  ((False, True), "b"), (("x", 1), "O"),
                                                  (((0, 1), (1, 0)), "O")])
     def test_labels_keep_each_symbol(self, alphabet, kind):
-        labels = atom_labels(alphabet, atom_table(alphabet, 2))
+        labels = atom_labels(alphabet, 2)
         assert labels.dtype.kind == kind
         assert [tuple(row) for row in labels.tolist()] == list(itertools.product(alphabet, repeat=2))
 
