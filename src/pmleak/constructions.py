@@ -10,15 +10,12 @@ of releasing the entry unperturbed.
 
 Everything here is evaluated in log domain so the analysis scales to n in
 the millions and beyond.  The closed forms for y <= 0 cost O(1).  The
-binomial-sum evaluator, valid for all y, takes the Hamming-weight sums as
-contour integrals through their saddle point wherever the binomial variance
-k(n-k)/n at the kink k = floor(y(n+1)) is at least 25: a fixed number of
-nodes, plus the closed form (or its mirror image) where y lies outside the
-band of modes, so its cost depends on neither n nor y.  Below that (small
-n, or y within about 25/n of 0 or 1) it sums the terms around the mode
-within 45 nats of the largest, at most a few hundred, in one numpy
-reduction, with the truncation bound stated in its docstring, or takes the
-closed form where no kink falls inside that window.  The evaluators
+binomial-sum evaluator, valid for all y, takes the Hamming-weight sums at
+every kink k = floor(y(n+1)) in (0, n) as one contour integral through
+their saddle point at a fixed number of nodes: along the line where the
+binomial variance k(n-k)/n is at least 25, around the whole circle below
+that, plus the closed form (or its mirror image) where the path has passed
+a pole, so its cost depends on neither n nor y.  The evaluators
 cross-check each other and, for small n, full enumeration.
 """
 
@@ -31,24 +28,13 @@ from typing import Optional
 import numpy as np
 
 from .leakage import pml_entry, pml_report
-from .logdomain import (LOG_TWO, LOG_ZERO, LogReal, log_add, log_binom,
-                        log_sum_exp, log_sum_exp_array)
+from .logdomain import LOG_TWO, LOG_ZERO, LogReal, log_add, log_sum_exp
 from .mechanisms import LaplaceMechanism, laplace_log_density
 from .probability import DatabaseModel, FiniteDistribution
 
 
-#: most binomial standard deviations (sigma <= sqrt(n)/2) that
-#: cond_density_binomial sums on each side of the mode
-_WINDOW_SIGMAS = 9.5
-
-#: nats below the largest term at which cond_density_binomial's window ends
-_WINDOW_NATS = 45
-
-#: the first entry's two values, as a column against the window's indices
-_BITS = np.array([[0.0], [1.0]])
-
-#: least binomial variance k(n-k)/n at which the Hamming-weight sums are the
-#: saddle integral of `_saddle_sums`; below it the window is summed
+#: least binomial variance k(n-k)/n at which `_contour_sums` integrates along
+#: the line through the saddle; below it, around the whole circle
 _SADDLE_MIN_VARIANCE = 25
 
 #: the saddle integral's nodes u > 0 in units of 1/sigma: a step of 1/2,
@@ -59,6 +45,17 @@ _SADDLE_GAUSS = np.exp(-0.5 * _SADDLE_SQUARES)
 
 #: a kernel pole within this many 1/sigma of the path is subtracted
 _POLE_ZONE = 4.0
+
+#: the circle's nodes u_j = pi (2j+1)/128 for j < 64; the rest are their conjugates
+_CIRCLE_NODES = 128
+_CIRCLE_U = (np.pi / _CIRCLE_NODES) * (2 * np.arange(_CIRCLE_NODES // 2) + 1)
+_CIRCLE_Z = np.exp(1j * _CIRCLE_U)
+_CIRCLE_SIN = np.sin(_CIRCLE_U)
+_CIRCLE_S2 = np.square(np.sin(0.5 * _CIRCLE_U))
+
+#: least distance, in log radius, from the circle to a kernel pole: the
+#: trapezoid rule then errs by about e^(-0.3 * 128) < 2e-17 of the integrand
+_CIRCLE_GAP = 0.3
 
 #: largest n whose sweep row is cross-checked by enumerating the 2^(n+1) atoms
 SWEEP_ENUM_LIMIT = 15
@@ -73,8 +70,10 @@ def _log1mexp(v: float) -> LogReal:
 
 
 def _log_two_pow_minus_one(n: int) -> float:
-    """log(2^n - 1), overflow-free."""
-    return n * LOG_TWO + _log1mexp(-n * LOG_TWO)
+    """log(2^n - 1) = n log 2 + log1p(-2^-n), with fdlibm's split of log 2:
+    ln2_hi has 21 trailing zero bits, so n ln2_hi is exact for n < 2^21."""
+    return n * 6.93147180369123816490e-01 + (n * 1.90821492927058770002e-10
+                                             + math.log1p(-2.0 ** -n))
 
 
 @dataclass(frozen=True)
@@ -160,6 +159,8 @@ def calibrated_scale(n: int, epsilon: float) -> float:
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     scale = 1.0 / (epsilon * (n + 1))
+    if not scale > 0:  # epsilon (n+1) overflowed
+        raise ValueError("scale must be positive")
     if not math.isfinite(scale):
         raise ValueError("Laplace scale must be finite")
     return scale
@@ -182,191 +183,116 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     index; taking it back out by subtraction cancels catastrophically when
     it dominates.
 
-    Where the binomial variance k(n-k)/n at k = floor(y(n+1)) is at least
-    25, both rows are contour integrals through the saddle point, evaluated
-    at a fixed number of nodes, with the closed forms below as the residues
-    of the poles the path has passed (`_saddle_sums`); `pml_d1` on it reads
-    80-bit sums to 2e-15 at y = 0.4999 ... 0.53 up to n = 1e10.  Otherwise only
-    a window of terms around the mode is summed, as one numpy reduction.
-    With s = y(n+1) - d1 and t = 1/((n+1)b), term i is
-    a_i = log C(n,i) - t|s - i| up to a constant: a sum of two concave
-    functions of i, so the terms are log-concave with the single mode
-    clip(s, n/(1+e^t), n/(1+e^-t)), and each step a_{i+1} - a_i falls by
-    at least 1/(i+1) + 1/(n-i+1) from the one before: by at least 4/(n+2),
-    and within j steps of the largest term by at least 1/(m' + 3 + j),
-    m' = min(mode, n - mode).  The window reaches 9.5 (sqrt(n)/2 + 1) + 2
-    indices to each side of the mode, 9.5 binomial standard deviations
-    (sigma <= sqrt(n)/2), or the least j with j(j+1) >= 90 (m' + 4 + j) if
-    that is smaller, so its edge terms sit at least 45 nats below the
-    largest term either way.  Truncation bound: if the last
-    step inside the window has log-ratio -delta, every step beyond it is
-    smaller still and the omitted tail on that side is at most
-    e^{a_edge} e^{-delta} / (1 - e^{-delta}).
-
-    Where both rows' kinks s fall below the window, every summed term has
-    i > s, and the full sum over i is the closed form of
-    `cond_density_closed_form`, with the d1 = 0 peak term eta e^{-|y|/b};
-    where both fall above it, the mirror image (y -> 1 - y, d1 -> 1 - d1,
-    i -> n - i).  Such a closed form differs from the true sum only in
-    terms outside the window, where its own terms are log-concave with the
-    window's mode, so the same tail bound covers it, at O(1) cost.  The
-    mode is then clipped to an end of the band [n/(1+e^t), n/(1+e^-t)], so
-    this holds for y(n+1) below the band's lower end less the window's
-    half-width, or above its upper end plus the half-width and one.  Every
-    other outcome of small variance sums the window; its kink then lies
-    within about 50 of 0 or n (or n < 100), where the second half-width
-    applies, so the window holds fewer than 512 terms at any n.
+    With k = floor(y(n+1)), where 0 < k < n both rows are contour integrals
+    at a fixed number of nodes (`_contour_sums`), with the closed forms of
+    `cond_density_closed_form` as the residues of the poles the path has
+    passed; `pml_d1` on it reads 80-bit sums to 2e-15 at y = 0.4999 ... 0.53
+    up to n = 1e10.  At k <= 0 every summed center lies above y, and the sum
+    is that closed form; at k >= n it is its mirror image (y -> 1 - y,
+    d1 -> 1 - d1, i -> n - i).  Either way the cost depends on neither n nor y.
     """
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
-    anchor, rel = _cond_densities_binomial(model, b, y)
-    return anchor + rel[d1]
-
-
-def _window(n: int, b: float, y: float) -> tuple[int, int]:
-    """The indices [lo, hi] around the mode that `cond_density_binomial` sums at y."""
-    m = n + 1
-    q = math.exp(-1.0 / (m * b))  # e^-t cannot overflow, however small b is
-    # the mode at d1 = 0; at d1 = 1 it is at most one index lower, so both
-    # conditionals sum one window from one anchor
-    mode = min(max(y * m, n * q / (1.0 + q)), n / (1.0 + q))
-    # either row's largest term lies within 3 of the mode and D >= half + 1
-    # steps from the first term left out on either side; those steps fall by
-    # at least D(D-1)/(2(min(mode, n - mode) + 3 + D)) nats, which is
-    # _WINDOW_NATS once half(half+1) >= 2 _WINDOW_NATS (near + half)
-    near = min(mode, n - mode) + 4
-    slope = 2 * _WINDOW_NATS - 1
-    half = min(math.ceil(_WINDOW_SIGMAS * (math.sqrt(n) / 2 + 1)) + 2,
-               math.ceil((slope + math.sqrt(slope * slope + 8 * _WINDOW_NATS * near)) / 2))
-    return max(0, math.floor(mode) - half - 1), min(n, math.ceil(mode) + half)
-
-
-def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float) -> tuple:
-    """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]), the evaluator
-    and bound of `cond_density_binomial`.  The saddle integral and the
-    closed forms come relative to an n-sized anchor, which cancels from the
-    PML; the window's two rows come absolute, with anchor 0."""
     if not b > 0:
         raise ValueError("scale must be positive")
     if not math.isfinite(y):
         raise ValueError("y must be finite")
+    anchor, rel = _cond_densities_binomial(model, b, y)
+    return anchor + rel[d1]
+
+
+def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float) -> tuple:
+    """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]), the evaluator
+    of `cond_density_binomial`, relative to an n-sized anchor that cancels
+    from the PML."""
     n = model.n
-    s = y * (n + 1)  # the d1 = 0 kink; the d1 = 1 kink is s - 1
-    k = math.floor(s)
-    if k * (n - k) >= _SADDLE_MIN_VARIANCE * n:
-        return _saddle_sums(model, b, y, k)
-    lo, hi = _window(n, b, y)
-    if s < lo or s - 1.0 > hi:
-        # above the window, the mirror image y -> 1 - y swaps the two rows;
-        # y >= 1/2 there, so 1 - y is exact up to y = 2
-        mirrored = s >= lo
-        anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored=True)
-        return anchor, rel[::-1] if mirrored else rel
-    return 0.0, _window_sums(model, b, y, lo, hi)
+    k = math.floor(y * (n + 1))  # the d1 = 0 kink; the d1 = 1 kink is one lower
+    if 0 < k < n:
+        return _contour_sums(model, b, y, k)
+    # at k >= n the mirror image swaps the two rows; y >= 1/2 there, so
+    # 1 - y is exact up to y = 2
+    mirrored = k > 0
+    anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored=True)
+    return anchor, rel[::-1] if mirrored else rel
 
 
-def _window_sums(model: CorrelatedBinaryModel, b: float, y: float, lo: int, hi: int) -> list:
-    """[log P(Y = y | D_1 = d1) for d1 = 0, 1] from the terms lo..hi, both rows
-    in one (2, W) reduction."""
-    n = model.n
-    m = n + 1
-    i = np.arange(lo, hi + 1, dtype=float)
-    # log C(n, i) - log C(n, lo), from the exact ratios C(n, i+1) / C(n, i)
-    log_c = np.empty(len(i))
-    log_c[0] = 0.0
-    np.cumsum(np.log((n - i[:-1]) / i[1:]), out=log_c[1:])
-    # row d1: log_c - |y - (d1 + i) / m| / b, in place on one (2, W) array; a
-    # distance over b that overflows is a term of zero mass
-    terms = np.add(_BITS, i)
-    terms /= m
-    np.subtract(y, terms, out=terms)
-    np.abs(terms, out=terms)
-    with np.errstate(over="ignore"):
-        terms /= b
-    np.subtract(log_c, terms, out=terms)
-    for d1 in (0, 1):
-        if lo <= n * d1 <= hi:
-            terms[d1, n * d1 - lo] = LOG_ZERO
-    # the constants of size n are added apart from the terms: their rounding
-    # is then the same at d1 = 0 and 1 and cancels from the PML
-    log_scale = (math.log1p(-model.eta) - _log_two_pow_minus_one(n)
-                 + log_binom(n, lo) - math.log(2.0 * b))
-    uniform_part = (log_scale + log_sum_exp_array(terms)).tolist()
-    # the all-d1 tail: its center is d1 itself
-    return [log_add(math.log(model.eta) + laplace_log_density(float(d1), b, y), uniform)
-            for d1, uniform in enumerate(uniform_part)]
+def _log_shift(n: int, a: float, k: int, x: float) -> float:
+    """log [A(rho e^x) / A(rho)] for A(r) = (1+r)^n r^-k and a = rho/(1+rho)."""
+    return n * math.log1p(a * math.expm1(x)) - k * x
 
 
-def _saddle_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> tuple:
+def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> tuple:
     """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]) from the
     Hamming-weight sums as contour integrals, in a fixed number of steps.
 
     With s = y(n+1) = k + f, t = 1/((n+1)b) and q = e^-t, the sum
-    F_0 = sum_i C(n, i) e^{-t|s - i|} is [z^k] (1+z)^n K(z), where
+    F_0 = sum_{i > 0} C(n, i) e^{-t|s - i|} is [z^k] ((1+z)^n - 1) K(z), where
     K(z) = e^{-tf}/(1 - qz) + e^{-t(1-f)}/(z - q) holds the geometric
-    weights below and above the kink, and F_1 is [z^(k-1)] of the same.  On
-    the circle z = rho e^{iu} through the saddle rho = k/(n-k) of
-    (1+z)^n z^-k, that function over its value A = (1+rho)^n rho^-k at
-    u = 0 is E(u), a peak of width 1/sigma, sigma^2 = k(n-k)/n, and
-        F_d1 = A rho^d1 (1/2pi) int E(u) e^{i d1 u} K(rho e^{iu}) du.
-    The trapezoid rule with step 1/(2 sigma), out to 12/sigma, errs by
-    about e^{-8 pi^2}: the integrand is analytic and E has fallen below
-    e^-43 there.  K's poles z = e^t and e^-t sit at u = -i d+ and +i d-,
-    d+- = t -+ log rho.  A pole within _POLE_ZONE/sigma of the path would
-    spoil the trapezoid rule, so its singular part times a Gaussian that is
-    1 at the pole is taken out at the nodes and integrated exactly: half
-    its residue times erfc(sigma d / sqrt 2), d signed, which reads the
-    whole residue once the path has passed the pole.  A pole passed by more
-    (rho beyond e^t or e^-t: y outside the band of modes) adds its whole
-    residue, the closed form of `cond_density_closed_form` or its mirror
-    image, which keeps its own anchor and bits; the integral is added
-    relative to it.  Either way the cost depends on neither n nor y.  The
-    all-d1 string's term, which the conditionals leave out, is at most
-    1/C(n, k) < 1e-23 of F_d1 and is not subtracted.
+    weights below and above the kink, and F_1 is [z^(k-1)] ((1+z)^n - z^n) K(z).
+    On the circle z = rho e^{iu}, with a = rho/(1+rho), A = (1+rho)^n rho^-k
+    and E(u) = (1 + a(e^iu - 1))^n e^{-iku},
+        F_d1 = A rho^d1 (1/2pi) int (E(u) - P_d1(u)) e^{i d1 u} K(rho e^{iu}) du,
+    P_0 = (1-a)^n e^{-iku} and P_1 = a^n e^{i(n-k)u} being the left-out terms.
+    K's poles z = e^t and e^-t lie d+- = t -+ log rho from the circle in log radius.
+
+    Where sigma^2 = k(n-k)/n >= 25, rho is the saddle k/(n-k), E a peak of
+    width 1/sigma, and the integral runs along the line: the trapezoid rule
+    with step 1/(2 sigma) out to 12/sigma errs by about e^{-8 pi^2}, E having
+    fallen below e^-43 there, and P_d1 < 1e-23 F_d1 is dropped.  A pole within
+    _POLE_ZONE/sigma of the path has its singular part times a Gaussian that
+    is 1 at the pole taken out at the nodes and integrated exactly: half its
+    residue times erfc(sigma d / sqrt 2), d signed.  Below that variance the
+    periodic trapezoid rule takes the whole circle; at 128 nodes it errs by
+    about e^{-128 d}, d the distance to the nearer pole, so the saddle is
+    moved to _CIRCLE_GAP from the poles (outside both where they are closer
+    than twice that).  E's phase is taken on the smaller of a and 1 - a (E is
+    then the conjugate), so no n-sized angle is rounded.
+
+    A pole the path has passed (y outside the band of modes, or the circle
+    moved past it) adds its residue, the closed form of
+    `cond_density_closed_form` or its mirror image, which keeps its own
+    anchor and bits; the integral is added relative to it, and on the circle
+    left out where a bound puts it below 2^-60 of the residue.
     """
     n = model.n
     t = 1.0 / (b * (n + 1))
     f = y * (n + 1) - k
     a = k / n
-    sigma = math.sqrt(k * (n - k) / n)
     log_rho = math.log(k / (n - k))
-    u = _SADDLE_NODES * (1.0 / sigma)
-    z = np.exp(1j * u)
-    s2 = np.sin(0.5 * u)
-    s2 *= s2
-    # E(u) = e^{n log(1 + a(e^iu - 1)) - iku}, whose modulus is
-    # (1 - 4a(1-a) sin^2(u/2))^(n/2), without cancellation
-    arg = np.arctan2(a * z.imag, 1.0 - (2.0 * a) * s2)
-    arg -= a * u
-    e = np.exp((0.5 * n) * np.log1p((-4.0 * a * (1.0 - a)) * s2) + (1j * n) * arg)
-    # the poles and the logs of their coefficients in K, scaled by e^-top
+    sigma = math.sqrt(k * (n - k) / n)
+    on_line = k * (n - k) >= _SADDLE_MIN_VARIANCE * n
+    # the circle takes a and k on the side of 1/2 where a is smaller, mirrored
+    # by flip = -1, and shift = log A(rho) - log A(saddle) where rho moves
+    ks, flip, shift = k, 1, 0.0
+    if not on_line:
+        if log_rho > 0 or (log_rho == 0 and y >= 0.5):  # the side where 1 - y is exact
+            ks, flip = n - k, -1
+        x, gap = abs(log_rho), _CIRCLE_GAP
+        if t - gap < x < t + gap:
+            moved = t - gap if t >= gap and x - (t - gap) < t + gap - x else t + gap
+            shift = _log_shift(n, ks / n, ks, x - moved)
+            x = moved
+        log_rho = -flip * x
+        a = 1.0 / (1.0 + math.exp(x))
+        num, den = y.as_integer_ratio()  # f to the last bit, since t multiplies it
+        f = max(0.0, (num * (n + 1) - k * den) / den)
     d = (t - log_rho, t + log_rho)
     c = (-t * f, -t * (1.0 - f) - log_rho)
     top = max(c)
-    e *= (math.exp(c[0] - top) / (1.0 - math.exp(-d[0]) * z)
-          + math.exp(c[1] - top) / (z - math.exp(-d[1])))
-    # rows d1 = 0, 1 over the positive nodes; the negative ones are their conjugates
-    line = [e.sum().real, np.dot(e, z).real]
-    logw, share, crossed = [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], None
-    for p, sign in enumerate((1, -1)):
-        dist = sigma * d[p]
-        if dist >= _POLE_ZONE:
-            continue
-        # the residue weight in row d1, as a log
-        phi = n * math.log1p(a * math.expm1(sign * d[p])) - sign * k * d[p]
-        for d1 in (0, 1):
-            logw[p][d1] = c[p] - top + (d[p] if sign < 0 else 0.0) + phi + sign * d1 * d[p]
-        if dist <= -_POLE_ZONE:
-            crossed = p
-            continue
-        # the singular part C/(u - u_p), C = +-iw, times e^{-sigma^2 (u^2 + d^2)/2}
-        # is taken out at the nodes, where its real part is w d e^{...}/(u^2 + d^2),
-        # and added back integrated: (w/2) erfc(sigma d / sqrt 2)
-        tail = dist * (_SADDLE_GAUSS / (_SADDLE_SQUARES + dist * dist)).sum()
-        for d1 in (0, 1):
-            line[d1] -= sigma * math.exp(logw[p][d1] - 0.5 * dist * dist) * tail
-            share[d1] += 0.5 * math.exp(logw[p][d1]) * math.erfc(dist / math.sqrt(2.0))
-    line = [v / (2.0 * math.pi * sigma) for v in line]
+    if not on_line:
+        # the kernel's weights over the larger from their difference, and e^top
+        # into the anchor, so no rounding at the size of t enters the rows
+        delta = t * (2.0 * f - 1.0) - log_rho
+        c, shift, top = (min(0.0, -delta), min(0.0, delta)), shift + top, 0.0
+
+    def residue(p):
+        """log of the residue at pole p, in rows d1 = 0, 1, in the units of the integral"""
+        sign = 1 - 2 * p
+        phi = _log_shift(n, a, ks, flip * sign * d[p])
+        return [c[p] - top + (d[p] if sign < 0 else 0.0) + phi + sign * d1 * d[p] for d1 in (0, 1)]
+
+    crossed = next((p for p in (0, 1)
+                    if (sigma * d[p] <= -_POLE_ZONE if on_line else d[p] < 0)), None)
     if crossed is not None:
         mirrored = crossed == 0
         anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored=True)
@@ -374,14 +300,59 @@ def _saddle_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> tu
         r = [0.0, -t]
         if mirrored:
             rel, r = rel[::-1], r[::-1]
-        return anchor, [rel[d1] + math.log1p(line[d1] * math.exp(r[d1] - logw[crossed][d1]
-                                                                   - rel[d1]))
-                        for d1 in (0, 1)]
-    # log [(1-eta)/(2^n - 1) ((1+rho)^n rho^-k)/(2b)], with (1+rho)^n rho^-k
-    # = 2^n e^{-n KL(k/n || 1/2)}: n log 2 cancels before it is rounded
+        scale = [r[d1] - w - rel[d1] for d1, w in enumerate(residue(crossed))]
+    weights = [math.exp(c[p] - top) for p in (0, 1)]
+    share = [0.0, 0.0]
+    if not on_line and crossed is not None and max(scale) + math.log(  # |E - P_d1| <= 2
+            2.0 * sum(w / abs(1.0 - math.exp(-v)) for w, v in zip(weights, d))) < -60 * LOG_TWO:
+        line = [0.0, 0.0]
+    else:
+        if on_line:
+            u = _SADDLE_NODES * (1.0 / sigma)
+            z = np.exp(1j * u)
+            s2 = np.sin(0.5 * u)
+            s2 *= s2
+            sin_u = z.imag
+        else:
+            u, z, s2, sin_u = _CIRCLE_U, _CIRCLE_Z, _CIRCLE_S2, _CIRCLE_SIN
+        # E(u) = e^{n log(1 + a(e^iu - 1)) - i ks u} (its conjugate if flipped),
+        # whose modulus is (1 - 4a(1-a) sin^2(u/2))^(n/2), without cancellation
+        arg = np.arctan2(a * sin_u, 1.0 - (2.0 * a) * s2)
+        arg -= (ks / n) * u
+        e = np.exp((0.5 * n) * np.log1p((-4.0 * a * (1.0 - a)) * s2) + (1j * (flip * n)) * arg)
+        e *= weights[0] / (1.0 - math.exp(-d[0]) * z) + weights[1] / (z - math.exp(-d[1]))
+        # rows d1 = 0, 1 over the positive nodes; the negative ones are their conjugates
+        line = [e.sum().real, np.dot(e, z).real]
+        if on_line:
+            for p in (0, 1):
+                dist = sigma * d[p]
+                if abs(dist) >= _POLE_ZONE:
+                    continue
+                # the singular part C/(u - u_p), C = +-iw, times e^{-sigma^2 (u^2 + d^2)/2}
+                # is taken out at the nodes, where its real part is w d e^{...}/(u^2 + d^2),
+                # and added back integrated: (w/2) erfc(sigma d / sqrt 2)
+                logw = residue(p)
+                tail = dist * (_SADDLE_GAUSS / (_SADDLE_SQUARES + dist * dist)).sum()
+                for d1 in (0, 1):
+                    line[d1] -= sigma * math.exp(logw[d1] - 0.5 * dist * dist) * tail
+                    share[d1] += 0.5 * math.exp(logw[d1]) * math.erfc(dist / math.sqrt(2.0))
+            line = [v / (2.0 * math.pi * sigma) for v in line]
+        else:
+            # less the left-out terms: (1-a)^n rho^k = a^n rho^-(n-k) = e^mass times
+            # K's exact coefficients at z^k and z^-(n-k+1), from its two geometric
+            # series, of which one changes sides where the circle passed its pole
+            mass = ks * math.log(a) + (n - ks) * math.log1p(-a)
+            line = [v / (_CIRCLE_NODES // 2)
+                    - ((math.exp(mass + c[p] - m * t) if d[p] > 0 else 0.0)
+                       - (math.exp(mass + c[p] + (m + 2.0 * g) * t) if d[1 - p] < 0 else 0.0))
+                    for p, (v, m, g) in enumerate(zip(line, (k, n - k), (f, 1.0 - f)))]
+    if crossed is not None:
+        return anchor, [rel[d1] + math.log1p(line[d1] * math.exp(scale[d1])) for d1 in (0, 1)]
+    # log [(1-eta)/(2^n - 1) ((1+rho)^n rho^-k)/(2b)] at the saddle, with
+    # (1+rho)^n rho^-k = 2^n e^{-n KL(k/n || 1/2)}: n log 2 cancels before it is rounded
     x = (2 * k - n) / n
     anchor = (math.log1p(-model.eta) - _log1mexp(-n * LOG_TWO) - math.log(2.0 * b)
-              - k * math.log1p(x) - (n - k) * math.log1p(-x))
+              - k * math.log1p(x) - (n - k) * math.log1p(-x)) + shift
     return anchor, [log_add(math.log(model.eta) + laplace_log_density(float(d1), b, y) - anchor,
                             top + d1 * log_rho + math.log(line[d1] + share[d1]))
                     for d1 in (0, 1)]
@@ -422,26 +393,33 @@ def _closed_forms(model: CorrelatedBinaryModel, b: float, y: float, anchored: bo
     before their logs are added, so it cancels from their difference;
     otherwise the anchor is 0 and each conditional is the sum
     -log 2b + y/b + bracket, in the order that fixes the bits of
-    `cond_density_closed_form` and the committed sweeps.  q enters only
-    as -t, so q = e^-t underflowing to 0 stays finite, and (1+q)^n - 1 and
-    (1+q)^n - q^n only through log1p and expm1, which do not cancel when
-    n q is small.
+    `cond_density_closed_form` and the committed sweeps.  q enters as -t
+    (or, lifted below, with q = 0 apart), so q = e^-t underflowing to 0
+    stays finite, and (1+q)^n - 1 and (1+q)^n - q^n only through log1p and
+    expm1, which do not cancel when n q is small.
     """
     n = model.n
     t = 1.0 / (b * (n + 1))
-    log1p_q = math.log1p(math.exp(-t))  # log (1+q)
+    q = math.exp(-t)
+    log1p_q = math.log1p(q)
     # log [(1-eta) ((1+q)/2)^n / (1 - 2^-n)] = log [(1-eta) (1+q)^n / (2^n - 1)]
     log_uniform = (math.log1p(-model.eta) + n * math.log1p(math.expm1(-t) / 2)
                    - _log1mexp(-n * LOG_TWO))
     shift = log_uniform if anchored else 0.0
     log_eta = math.log(model.eta) - shift
     uniform = log_uniform - shift
+    # at y > 0 and q < 2^-53 both uniform parts lie within log n of -t:
+    # anchored, -t joins the anchor, and (1 - (1+q)^-n)/q (n at q = 0)
+    # replaces a log that would round at the size of t
+    lift = t if anchored and y > 0 and t > 53 * LOG_TWO else 0.0
+    rest = (math.log(-math.expm1(-n * log1p_q) / q if q else n) if lift
+            else _log1mexp(-n * log1p_q))
     # each bracket divided by 2^n - 1
-    brackets = [log_add(log_eta - (abs(y) + y) / b, uniform + _log1mexp(-n * log1p_q)),
-                -t + log_add(log_eta - n * t, uniform + _log1mexp(-n * (t + log1p_q)))]
+    brackets = [log_add(log_eta - (abs(y) + y) / b + lift, uniform + rest),
+                (lift - t) + log_add(log_eta - n * t, uniform + _log1mexp(-n * (t + log1p_q)))]
     base = -math.log(2.0 * b) + y / b
     if anchored:
-        return base + log_uniform, brackets
+        return base + log_uniform - lift, brackets
     return 0.0, [base + bracket for bracket in brackets]
 
 
@@ -459,14 +437,10 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     Evaluated at clip(y, 0, 1), which has the same PML.  For y <= 0 the d1 = 0
     branch provably dominates and the closed forms apply, at O(1) cost; for
     y > 0 dominance is not established, so both conditionals are evaluated
-    as in cond_density_binomial and maxed explicitly.  Where k(n-k)/n >= 25
-    at k = floor(y(n+1)), that is the saddle integral at a fixed number of
-    nodes, plus the closed forms outside the band of modes, relative to
-    one n-sized anchor that never enters the PML; otherwise the closed
-    forms or one numpy reduction over two rows of fewer than 512 terms.
-    For y > 0 the PML is formed from the differences to the larger
-    conditional, floored at 0 where the two are equal (y = 1/2), so it
-    keeps its last bits at any n.
+    as in cond_density_binomial, relative to one n-sized anchor that never
+    enters the PML, and maxed explicitly.  The PML is then formed from the
+    differences to the larger conditional, floored at 0 where the two are
+    equal (y = 1/2), so it keeps its last bits at any n.
     """
     b = calibrated_scale(model.n, epsilon)
     y = _pml_outcome(y)

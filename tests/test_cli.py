@@ -318,6 +318,11 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
                  "Laplace scale must be finite", id="thm3-scale-overflow"),
     pytest.param(["bob", "--epsilon", "1e-320"],
                  "Laplace scale must be finite", id="bob-scale-overflow"),
+    # epsilon (n+1) overflows, so the calibrated scale is 0 on either side of y = 0
+    pytest.param(["thm3", "--n", "10", "--epsilon", "1e308", "--y", "-0.3"],
+                 "scale must be positive", id="thm3-scale-underflow-negative-y"),
+    pytest.param(["thm3", "--n", "10", "--epsilon", "1e308", "--y", "0.3"],
+                 "scale must be positive", id="thm3-scale-underflow-positive-y"),
     pytest.param(["thm3", "--n-range", "4", "1e30", "3"],
                  "n must be below 2^53", id="thm3-n-range-beyond-float"),
     pytest.param(["thm3", "--n-range", "4", "inf", "3"],
@@ -434,10 +439,10 @@ def test_numerical_failure_is_a_one_line_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n", ["2000000000000000", "9007199254740991"])
 def test_thm3_near_an_end_at_any_n(capsys, n):
-    # ten ones in the tail (variance below the saddle integral's 25) at
+    # ten ones in the tail (variance below the line rule's 25) at
     # epsilon = 40, where the band of modes reaches down to them: the
-    # window is summed, a few hundred terms, and the all-0 peak term
-    # carries the PML to log(1/alpha)
+    # circle rule takes 128 nodes, and the all-0 peak term carries the PML
+    # to log(1/alpha)
     y = repr(10.5 / (int(n) + 1))
     tracemalloc.start()
     try:
@@ -452,8 +457,8 @@ def test_thm3_near_an_end_at_any_n(capsys, n):
 
 @pytest.mark.parametrize("n", ["2000000000000000", "9007199254740991"])
 def test_thm3_inside_the_band_at_any_n(capsys, n):
-    # y = 0.5 lies inside the band of modes, where the saddle integral
-    # applies at any n; the two conditionals are mirror images, so the PML is 0
+    # y = 0.5 lies inside the band of modes, where the line rule applies
+    # at any n; the two conditionals are mirror images, so the PML is 0
     assert main(["thm3", "--n", n, "--y", "0.5"]) == EXIT_OK
     row = capsys.readouterr().out.splitlines()[-1].split(",")
     assert row[0] == n and float(row[2]) == 0.0
@@ -483,8 +488,8 @@ def _value(valid):
 @st.composite
 def _thm3_argv(draw):
     y = float(draw(_value(st.floats(-2.0, 2.0))))
-    # every y costs O(1) in n: the closed forms, the saddle integral or a
-    # window of a few hundred terms
+    # every y costs O(1) in n: the closed forms or a contour integral at a
+    # fixed number of nodes
     size = _value(st.integers(1, 2 ** 53 - 1))
     argv = ["thm3", f"--y={y}", "--alpha=" + draw(_value(st.floats(0.01, 0.49))),
             "--epsilon=" + draw(_value(st.floats(0.01, 50.0)))]
@@ -526,7 +531,7 @@ def _bob_argv(draw):
 # a subnormal scale: |y - center| / b overflowed on arrays and warned
 @example(argv=["thm3", "--n=1", "--epsilon=8.988465674311578e+307", "--y=1"])
 @example(argv=["thm3", "--n=1", "--epsilon=8.988465674311578e+307", "--y=0"])
-# a window sized by the largest binomial spread asked for 2e8 terms here
+# a window of binomial terms sized by the largest spread asked for 2e8 terms here
 @example(argv=["thm3", "--n=2000000000000000", "--epsilon=40", "--y=5.249999999999997e-15"])
 def test_fuzzed_argv_exits_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -13,12 +13,12 @@ from scipy.stats import laplace as scipy_laplace
 
 from pmleak import constructions
 from pmleak.constructions import (BobModel, CorrelatedBinaryModel, EtaSchedule,
-                                  bob_mechanism, bob_pml, calibrated_mechanism,
-                                  calibrated_scale, cond_density_binomial,
-                                  cond_density_closed_form, find_limit_n,
-                                  lower_bound, pml_d1, sweep)
+                                  _log_two_pow_minus_one, bob_mechanism, bob_pml,
+                                  calibrated_mechanism, calibrated_scale,
+                                  cond_density_binomial, cond_density_closed_form,
+                                  find_limit_n, lower_bound, pml_d1, sweep)
 from pmleak.leakage import entry_channel, pml_entry
-from pmleak.logdomain import LOG_ZERO, log_add, log_binom, log_sum_exp
+from pmleak.logdomain import LOG_ZERO, log_add, log_binom, log_sum_exp, log_sum_exp_array
 from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism, dp_level_laplace,
                                laplace_log_density, product_mechanism)
 from pmleak.probability import ExplicitJointModel, FiniteDistribution, ProductModel
@@ -98,9 +98,61 @@ def mp_log_cond_densities(n, etas, b, y, dps=50):
                  for d1 in (0, 1)] for eta in map(mpmath.mpf, etas)]
 
 
+#: the first entry's two values, as a column against the window's indices
+BITS = np.array([[0.0], [1.0]])
+
+
+def window(n, b, y):
+    """The indices [lo, hi] of the window oracle at y: around the mode, 9.5
+    binomial standard deviations (sigma <= sqrt(n)/2) to each side, or fewer
+    where the terms' log-concavity puts the edges 45 nats below the largest.
+
+    With s = y(n+1) - d1 and t = 1/((n+1)b), term i is log C(n,i) - t|s - i|
+    up to a constant, a sum of two concave functions of i, so the terms are
+    log-concave with the single mode clip(s, n/(1+e^t), n/(1+e^-t)), and
+    within j steps of the largest each step falls by at least 1/(m' + 3 + j),
+    m' = min(mode, n - mode).  A last step of log-ratio -delta inside the
+    window bounds the tail left out beyond it by e^{a_edge - delta}/(1 - e^-delta)."""
+    m = n + 1
+    q = math.exp(-1.0 / (m * b))  # e^-t cannot overflow, however small b is
+    # the mode at d1 = 0; at d1 = 1 it is at most one index lower
+    mode = min(max(y * m, n * q / (1.0 + q)), n / (1.0 + q))
+    # D >= half + 1 steps from the first term left out fall by at least
+    # D(D-1)/(2(near - 1 + D)) nats, 45 once half(half+1) >= 90 (near + half)
+    near = min(mode, n - mode) + 4
+    half = min(math.ceil(9.5 * (math.sqrt(n) / 2 + 1)) + 2,
+               math.ceil((89 + math.sqrt(89 * 89 + 360 * near)) / 2))
+    return max(0, math.floor(mode) - half - 1), min(n, math.ceil(mode) + half)
+
+
+def window_cond_densities(model, b, y, lo, hi):
+    """[log P(Y = y | D_1 = d1) for d1 = 0, 1] from the Hamming-weight terms
+    lo..hi, both rows in one (2, W) reduction: the window oracle."""
+    n = model.n
+    m = n + 1
+    i = np.arange(lo, hi + 1, dtype=float)
+    # log C(n, i) - log C(n, lo), from the exact ratios C(n, i+1) / C(n, i)
+    log_c = np.concatenate([[0.0], np.cumsum(np.log((n - i[:-1]) / i[1:]))])
+    # row d1: log_c - |y - (d1 + i) / m| / b; a distance over b that
+    # overflows is a term of zero mass
+    with np.errstate(over="ignore"):
+        terms = log_c - np.abs(y - (BITS + i) / m) / b
+    for d1 in (0, 1):
+        if lo <= n * d1 <= hi:
+            terms[d1, n * d1 - lo] = LOG_ZERO
+    # the constants of size n are added apart from the terms: their rounding
+    # is then the same at d1 = 0 and 1 and cancels from the PML
+    log_scale = (math.log1p(-model.eta) - _log_two_pow_minus_one(n)
+                 + log_binom(n, lo) - math.log(2.0 * b))
+    uniform_part = (log_scale + log_sum_exp_array(terms)).tolist()
+    # the all-d1 tail: its center is d1 itself
+    return [log_add(math.log(model.eta) + laplace_log_density(float(d1), b, y), uniform)
+            for d1, uniform in enumerate(uniform_part)]
+
+
 def outside_window(n, b, y):
-    """Whether both kinks y(n+1) - d1 fall outside the summed window."""
-    lo, hi = constructions._window(n, b, y)
+    """Whether both kinks y(n+1) - d1 fall outside the window oracle's window."""
+    lo, hi = window(n, b, y)
     return y * (n + 1) < lo or y * (n + 1) - 1 > hi
 
 
@@ -216,23 +268,24 @@ class TestCondDensities:
     @pytest.mark.parametrize("n", [10 ** 4, 10 ** 6])
     def test_closed_forms_meet_the_window_at_its_thresholds(self, n):
         # below lo/(n+1) and above (hi+1)/(n+1) no kink falls inside the
-        # window; one index and one ulp to either side, both sums agree
+        # window oracle's window; one index and one ulp to either side, the
+        # closed forms and the summed window agree
         model = CorrelatedBinaryModel(n, 0.25, 0.5)
         b = calibrated_scale(n, 0.1)
         m = n + 1
-        lo, hi = constructions._window(n, b, 0.0)[0], constructions._window(n, b, 1.0)[1]
+        lo, hi = window(n, b, 0.0)[0], window(n, b, 1.0)[1]
         for edge, mirrored in ((lo / m, False), ((hi + 1) / m, True)):
             for y in (edge - 1 / m, math.nextafter(edge, 0.0), edge,
                       math.nextafter(edge, 2.0), edge + 1 / m):
-                window = constructions._window_sums(model, b, y, *constructions._window(n, b, y))
+                summed = window_cond_densities(model, b, y, *window(n, b, y))
                 anchor, rel = constructions._closed_forms(
                     model, b, 1.0 - y if mirrored else y, anchored=True)
                 closed = [anchor + r for r in (rel[::-1] if mirrored else rel)]
                 # the window's absolute values carry the rounding of
                 # log C(n, lo), about ulp(lgamma(n+1)); their difference does not
-                assert closed == pytest.approx(window, rel=1e-12)
-                assert abs((closed[1] - closed[0]) - (window[1] - window[0])) <= 1e-12
-                # the saddle integral, which both thresholds lie inside
+                assert closed == pytest.approx(summed, rel=1e-12)
+                assert abs((closed[1] - closed[0]) - (summed[1] - summed[0])) <= 1e-12
+                # the contour evaluator, whose line rule both thresholds lie inside
                 got = [cond_density_binomial(model, b, d1, y) for d1 in (0, 1)]
                 assert got == pytest.approx(closed, rel=1e-12)
                 assert abs((got[1] - got[0]) - (closed[1] - closed[0])) <= 1e-12
@@ -241,13 +294,14 @@ class TestCondDensities:
 
     @pytest.mark.parametrize("n", [500, 2000])
     def test_closed_forms_match_mpmath_outside_the_window(self, n):
-        # the branch the hypothesis tests (n <= 60) never reach: bin edges
-        # and one ulp off them just outside the window on either side, and y = 1
+        # outcomes the hypothesis tests (n <= 60) never reach: bin edges and
+        # one ulp off them just outside the window oracle's window on either
+        # side, where the contour adds the closed form, and y = 1
         m = n + 1
         etas = (1e-12, 0.5)
         for epsilon in (0.01, 0.1, 1.0):
             b = calibrated_scale(n, epsilon)
-            lo, hi = constructions._window(n, b, 0.0)[0], constructions._window(n, b, 1.0)[1]
+            lo, hi = window(n, b, 0.0)[0], window(n, b, 1.0)[1]
             ys = [1.0]
             for edge in ((lo - 1) / m, (hi + 2) / m):
                 ys += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)]
@@ -318,10 +372,10 @@ class TestCondDensities:
 
     @pytest.mark.parametrize("n", [2 * 10 ** 15, 2 ** 53 - 1])
     def test_binomial_window_near_an_end_at_any_n(self, n):
-        # ten ones in the tail: a variance below the saddle integral's 25;
-        # at epsilon = 40 the band of modes reaches down to them, so the
-        # window is summed.  The all-0 peak term outweighs the rest of
-        # either row by e^Theta(n), so the PML is log(1/alpha)
+        # ten ones in the tail: a variance below the line rule's 25, so the
+        # circle rule applies; at epsilon = 40 the band of modes reaches down
+        # to them, inside the window oracle's window.  The all-0 peak term
+        # outweighs the rest of either row by e^Theta(n), so the PML is log(1/alpha)
         model = CorrelatedBinaryModel(n, 0.25, 0.5)
         b = calibrated_scale(n, 40.0)
         y = 10.5 / (n + 1)
@@ -331,7 +385,7 @@ class TestCondDensities:
             for d1 in (0, 1):
                 assert math.isfinite(cond_density_binomial(model, b, d1, y))
             assert abs(pml_d1(model, 40.0, y) - math.log(4.0)) <= 1e-15
-            # y = 0.5 takes the saddle integral, y <= 0 the closed form
+            # y = 0.5 takes the line rule, y <= 0 the closed form
             assert pml_d1(model, 0.1, 0.5) == 0.0
             assert math.isfinite(pml_d1(model, 0.1, -0.3))
             peak = tracemalloc.get_traced_memory()[1]
@@ -339,44 +393,22 @@ class TestCondDensities:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_window_keeps_its_stated_bounds(self):
-        # kinks within 60 of 0 and of n, where the variance is small: the
-        # window is never longer than 9.5 (sqrt(n)/2 + 1) + 2 indices a side
-        # gives, holds at most 512 terms wherever a kink falls inside it, and
-        # the first term it leaves out on either side lies at least 45 nats
-        # below its largest term, from log-binomials at 40 digits (a product of
-        # the exact ratios would take up to 4.5e8 steps at 2^53)
-        def log_binom_mp(n, i):
-            # log C(n, i) less log n!, which cancels from every difference below
-            return -mpmath.loggamma(i + 1) - mpmath.loggamma(n - i + 1)
-
-        with mpmath.workdps(40):
-            for n in (1, 2, 5, 99, 100, 450, 1864, 10 ** 4, 10 ** 6, 10 ** 9, 2 * 10 ** 15,
-                      2 ** 53 - 1):
-                m = n + 1
-                kinks = {side + sign * (k + f) for k in (0, 1, 2, 5, 10, 30, 60)
-                         for f in (0.0, 0.5) for side, sign in ((0, 1), (m, -1))}
-                for epsilon in (0.001, 0.01, 0.1, 1.0, 3.0, 10.0, 40.0, 200.0):
-                    b = calibrated_scale(n, epsilon)
-                    q = math.exp(-1.0 / (m * b))
-                    t = 1 / (m * mpmath.mpf(b))
-                    for s in sorted(v for v in kinks if 0 < v < m):
-                        y = s / m
-                        lo, hi = constructions._window(n, b, y)
-                        mode = min(max(y * m, n * q / (1 + q)), n / (1 + q))
-                        half = math.ceil(9.5 * (math.sqrt(n) / 2 + 1)) + 2
-                        assert hi - lo <= (min(n, math.ceil(mode) + half)
-                                           - max(0, math.floor(mode) - half - 1))
-                        if not outside_window(n, b, y):
-                            assert hi - lo + 1 <= 512
-                        edges = [i for i in (lo - 1, hi + 1) if 0 <= i <= n]
-                        near = range(max(lo, math.floor(mode) - 4), min(hi, math.ceil(mode) + 4) + 1)
-                        logc = {i: log_binom_mp(n, i) for i in (*edges, *near)}
-                        for d1 in (0, 1):
-                            term = lambda i: logc[i] - t * abs(mpmath.mpf(y * m) - d1 - i)
-                            top = max(term(i) for i in near if i != n * d1)
-                            for i in edges:
-                                assert top - term(i) >= 45, (n, epsilon, s, d1, i)
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 99, 100, 1000, 10 ** 6])
+    def test_circle_rule_meets_the_window_oracle(self, n):
+        # every small-variance kink within 12 of either end, at mid-bin and on
+        # its edges, where the window oracle and the circle rule overlap
+        m = n + 1
+        ks = {k for k in (*range(13), *range(n - 12, n + 1)) if 0 <= k <= n}
+        for epsilon in (0.01, 0.29, 1.0, 40.0):
+            b = calibrated_scale(n, epsilon)
+            model = CorrelatedBinaryModel(n, 0.25, 0.5)
+            for k in sorted(ks):
+                for y in (k / m, (k + 0.5) / m, math.nextafter((k + 1) / m, 0.0)):
+                    if k * (n - k) >= 25 * n or not 0 < y < 1:
+                        continue
+                    c0, c1 = window_cond_densities(model, b, y, *window(n, b, y))
+                    want = max(c0, c1) - log_add(math.log(0.75) + c1, math.log(0.25) + c0)
+                    assert abs(pml_d1(model, epsilon, y) - want) <= 1e-13, (epsilon, y)
 
     def test_n1_two_component_mixture_by_hand(self):
         # n = 1: tail is a single bit; weights eta (same as d1) and 1-eta
@@ -535,6 +567,19 @@ class TestLowerBound:
             lower_bound(10, 0.25, 0.5, -1.0)
         with pytest.raises(ValueError, match="below 2\\^53"):
             lower_bound(2 ** 53, 0.25, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("ns, ulps", [
+    ([*range(1, 1100), 4999, 10 ** 4, 10 ** 6, 2 ** 21 - 1], 0),
+    ([2 ** 21, 10 ** 9, 10 ** 14, 10 ** 15, 2 ** 53 - 1], 1)], ids=["below-2^21", "above"])
+def test_log_two_pow_minus_one_is_correctly_rounded(ns, ulps):
+    # fdlibm's ln2_hi has 21 trailing zero bits, so n ln2_hi is exact for
+    # n < 2^21 and only the small remainder is rounded; above that, n ln2_hi
+    # rounds too (at 10^15 and 2^53 - 1 it misses by one ulp)
+    with mpmath.workdps(80):
+        for n in ns:
+            want = float(mpmath.log(mpmath.mpf(2) ** n - 1))
+            assert abs(_log_two_pow_minus_one(n) - want) <= ulps * math.ulp(want), n
 
 
 class TestEtaSchedule:

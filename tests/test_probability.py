@@ -36,8 +36,8 @@ def defined_log_mass(model):
     {tuple: log-mass} table: the per-atom oracle for `log_masses`.  A
     ProductModel sums its marginals left to right from 0; the correlated
     model adds log P(D_1) and the tail's weight in its own order, with
-    log(2^n - 1) rounded as the library rounds it (math.log(2**n - 1)
-    differs from it in the last bit at some n)."""
+    log(2^n - 1) from the library's helper (correctly rounded below 2^21,
+    where it equals math.log(2**n - 1) on every n tried)."""
     if isinstance(model, dict):
         return lambda x: model.get(x, LOG_ZERO)
     if isinstance(model, ProductModel):
