@@ -204,7 +204,9 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
 def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float) -> tuple:
     """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]), the evaluator
     of `cond_density_binomial`, relative to an n-sized anchor that cancels
-    from the PML."""
+    from the PML; at y <= 0 the anchor is 0 and the rows are those of
+    `cond_density_closed_form`, whose absolute values the anchor's rounding
+    would spoil."""
     n = model.n
     k = math.floor(y * (n + 1))  # the d1 = 0 kink; the d1 = 1 kink is one lower
     if 0 < k < n:
@@ -212,7 +214,7 @@ def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float) -
     # at k >= n the mirror image swaps the two rows; y >= 1/2 there, so
     # 1 - y is exact up to y = 2
     mirrored = k > 0
-    anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored=True)
+    anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored=y > 0)
     return anchor, rel[::-1] if mirrored else rel
 
 

@@ -119,9 +119,12 @@ def randomized_function_ratio(prior: FiniteDistribution, log_likelihoods,
 
 # --- randomized adversary trials ------------------------------------------
 #
-# The trials run in blocks of _BLOCK.  A block pads every trial to the
-# largest alphabet: probabilities are 0 and logs are -inf off the trial's
-# own alphabet, so each sum and maximum runs over the whole padded axis.
+# The trials run in blocks of _BLOCK.  Every array of a block is C-contiguous
+# with the trial axis last, (alphabet, ..., trial), so a sum or maximum over
+# secrets or guesses runs over a leading axis: elementwise passes over whole
+# rows of trials, not a short reduction per trial.  A block pads every trial
+# to the largest alphabet: probabilities are 0 and logs are -inf off the
+# trial's own alphabet, so each sum and maximum runs over the whole padded axis.
 
 #: trials drawn and scored together at the default alphabets of 8
 _BLOCK = 1024
@@ -154,15 +157,15 @@ class OracleReport:
 
 
 def _first(counts, width):
-    """(T, width) mask of the first counts[t] entries of each row."""
-    return np.arange(width) < counts[:, None]
+    """(width, T) mask of the first counts[t] entries of each column t."""
+    return np.arange(width)[:, None] < counts
 
 
-def _dirichlet(rng, shape, mask):
-    """Uniform Dirichlet draws along the last axis over the masked entries, 0 elsewhere."""
+def _dirichlet(rng, shape, mask, axis):
+    """Uniform Dirichlet draws along `axis` over the masked entries, 0 elsewhere."""
     e = rng.standard_exponential(shape)
     e *= mask
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
@@ -170,34 +173,34 @@ def _dirichlet(rng, shape, mask):
 class _Scenarios:
     """One block of trials: a prior and the likelihoods of one drawn outcome each."""
 
-    valid: np.ndarray      # (T, A) bool: x inside the trial's alphabet
-    prior: np.ndarray      # (T, A) P(x)
-    lls: np.ndarray        # (T, A) log P(y | x)
+    valid: np.ndarray      # (A, T) bool: x inside the trial's alphabet
+    prior: np.ndarray      # (A, T) P(x)
+    lls: np.ndarray        # (A, T) log P(y | x)
     target: np.ndarray     # (T,) PML of y
-    post: np.ndarray       # (T, A) P(x | y); the prior where P_Y(y) = 0
+    post: np.ndarray       # (A, T) P(x | y); the prior where P_Y(y) = 0
 
     def trial(self, t):
         """Trial t as the scalar functions take it: (prior, log-likelihoods)."""
-        nx = int(self.valid[t].sum())
-        prior = FiniteDistribution(tuple(range(nx)), tuple(np.log(self.prior[t, :nx]).tolist()))
-        return prior, self.lls[t, :nx].tolist()
+        nx = int(self.valid[:, t].sum())
+        prior = FiniteDistribution(tuple(range(nx)), tuple(np.log(self.prior[:nx, t]).tolist()))
+        return prior, self.lls[:nx, t].tolist()
 
 
 def _random_channels(rng, size, width):
-    """Secret-alphabet masks of 2..width secrets and log P(y | x) at one outcome
-    y of a channel with uniform Dirichlet rows over 2..width outcomes.
+    """(width, size) secret-alphabet masks of 2..width secrets and log P(y | x)
+    at one outcome y of a channel with uniform Dirichlet rows over 2..width outcomes.
 
     Only the scored column is drawn: an entry of a uniform Dirichlet row over
     ny outcomes is Beta(1, ny - 1), independently over rows, so it is
     1 - (1 - U)^(1 / (ny - 1)) for one uniform U, taken in log domain."""
     valid = _first(rng.integers(2, width + 1, size=size), width)
     ny = rng.integers(2, width + 1, size=size)
-    u = rng.random((size, width))
-    lls = np.where(valid, log_array(-np.expm1(np.log1p(-u) / (ny - 1)[:, None])), LOG_ZERO)
+    u = rng.random((width, size))
+    lls = np.where(valid, log_array(-np.expm1(np.log1p(-u) / (ny - 1))), LOG_ZERO)
     bad = np.argwhere(valid & ~(lls <= 0))
     if len(bad):
-        t, x = bad[0]
-        raise ValueError(f"channel entry for {int(x)!r} is exp({lls[t, x]:.6g}), "
+        x, t = bad[0]
+        raise ValueError(f"channel entry for {int(x)!r} is exp({lls[x, t]:.6g}), "
                          "not a probability")
     return valid, lls
 
@@ -208,43 +211,42 @@ def _draw_scenarios(rng, size, max_alphabet, channel) -> _Scenarios:
     if channel is None:
         valid, lls = _random_channels(rng, size, max_alphabet)
     else:
-        valid = np.ones((size, len(channel.x_labels)), dtype=bool)
-        lls = channel.logp[:, rng.integers(len(channel.y_labels), size=size)].T
-    prior = np.where(valid, np.maximum(_dirichlet(rng, valid.shape, valid), PRIOR_FLOOR), 0.0)
-    prior /= prior.sum(axis=1, keepdims=True)
+        valid = np.ones((len(channel.x_labels), size), dtype=bool)
+        lls = channel.logp.take(rng.integers(len(channel.y_labels), size=size), axis=1)
+    prior = np.where(valid, np.maximum(_dirichlet(rng, valid.shape, valid, 0), PRIOR_FLOOR), 0.0)
+    prior /= prior.sum(axis=0)
     if not np.all(prior[valid] > 0):
         raise ValueError("PML requires full-support prior")
 
     log_prior = log_array(prior)
-    target, log_py = pml_batch(log_prior, lls, axis=1)
+    target, log_py = pml_batch(log_prior, lls, axis=0)
     with np.errstate(invalid="ignore"):  # -inf - -inf where P_Y(y) = 0
-        post = np.where((log_py == LOG_ZERO)[:, None], prior,
-                        np.exp(lls + log_prior - log_py[:, None]))
+        post = np.where(log_py == LOG_ZERO, prior, np.exp(lls + log_prior - log_py))
     return _Scenarios(valid, prior, lls, target, post)
 
 
 def _draw_gains(rng, valid, max_guesses):
-    """Uniform gain tables over each trial's secrets and 1..max_guesses guesses."""
-    size, width = valid.shape
+    """Uniform gain tables (A, W, T) over each trial's secrets and 1..max_guesses guesses."""
+    width, size = valid.shape
     nw = rng.integers(1, max_guesses + 1, size=size)
-    mask = valid[:, :, None] & _first(nw, max_guesses)[:, None, :]
-    g = rng.random((size, width, max_guesses))
+    mask = valid[:, None, :] & _first(nw, max_guesses)
+    g = rng.random((width, max_guesses, size))
     g *= mask
     if np.any(g < 0):
         raise ValueError("gain values must be non-negative")
-    if not np.all(np.any(g > 0, axis=(1, 2))):
+    if not np.all(np.any(g > 0, axis=(0, 1))):
         raise ValueError("degenerate gain")
     return g, nw
 
 
 def _draw_kernels(rng, valid, max_guesses):
-    """Uniform Dirichlet kernel rows P(u | x) over 1..max_guesses features."""
-    size, width = valid.shape
+    """Uniform Dirichlet kernel rows P(u | x), (A, U, T), over 1..max_guesses features."""
+    width, size = valid.shape
     nu = rng.integers(1, max_guesses + 1, size=size)
-    k = _dirichlet(rng, (size, width, max_guesses), _first(nu, max_guesses)[:, None, :])
+    k = _dirichlet(rng, (width, max_guesses, size), _first(nu, max_guesses), 1)
     if np.any(k < 0):
         raise ValueError("negative kernel probability")
-    if not np.all(np.abs(k.sum(axis=2)[valid] - 1.0) <= KERNEL_ROW_TOL):
+    if not np.all(np.abs(k.sum(axis=1)[valid] - 1.0) <= KERNEL_ROW_TOL):
         raise ValueError("kernel rows must sum to 1")
     return k, nu
 
@@ -252,13 +254,13 @@ def _draw_kernels(rng, valid, max_guesses):
 def _indicator_ratios(s: _Scenarios) -> np.ndarray:
     """Best indicator gain per trial: log max_j P(j | y) / P(j)."""
     ratios = np.divide(s.post, s.prior, out=np.zeros_like(s.post), where=s.valid)
-    return np.log(ratios.max(axis=1))
+    return np.log(ratios.max(axis=0))
 
 
 def _gain_ratios(s: _Scenarios, g) -> np.ndarray:
     """`gain_ratio` per trial: best posterior over best prior expected gain."""
-    num = np.einsum("ta,taw->tw", s.post, g).max(axis=1)
-    den = np.einsum("ta,taw->tw", s.prior, g).max(axis=1)
+    num = np.einsum("at,awt->wt", s.post, g).max(axis=0)
+    den = np.einsum("at,awt->wt", s.prior, g).max(axis=0)
     if not np.all(den > 0):
         raise ValueError("degenerate gain")
     return log_array(num) - np.log(den)
@@ -266,10 +268,10 @@ def _gain_ratios(s: _Scenarios, g) -> np.ndarray:
 
 def _kernel_ratios(s: _Scenarios, k) -> np.ndarray:
     """`randomized_function_ratio` per trial: best-guess posterior over prior."""
-    peak = np.einsum("ta,tau->tu", s.prior, k).max(axis=1)
+    peak = np.einsum("at,aut->ut", s.prior, k).max(axis=0)
     if not np.all(peak > 0):
         raise ValueError("kernel assigns no mass")
-    return np.log(np.einsum("ta,tau->tu", s.post, k).max(axis=1)) - np.log(peak)
+    return np.log(np.einsum("at,aut->ut", s.post, k).max(axis=0)) - np.log(peak)
 
 
 def _gap(batch, scalar) -> float:
@@ -284,20 +286,20 @@ def _indicators(rng, s: _Scenarios, prior, lls, max_guesses):
     # the best indicator is at the largest posterior-to-prior ratio, so the
     # replay scores only the secret each of the scalar and the batch ranks first
     targets = {int(np.argmax(posterior_probs(prior, lls) / prior.probs())),
-               int(np.argmax(s.post[0, :prior.size] / s.prior[0, :prior.size]))}
+               int(np.argmax(s.post[:prior.size, 0] / s.prior[:prior.size, 0]))}
     scalar = max(gain_ratio(prior, lls, indicator_gain(prior.size, j)) for j in targets)
     return _indicator_ratios(s), scalar
 
 
 def _gains(rng, s: _Scenarios, prior, lls, max_guesses):
     g, nw = _draw_gains(rng, s.valid, max_guesses)
-    return _gain_ratios(s, g), gain_ratio(prior, lls, GainFunction(g[0, :prior.size, :nw[0]]))
+    return _gain_ratios(s, g), gain_ratio(prior, lls, GainFunction(g[:prior.size, :nw[0], 0]))
 
 
 def _kernels(rng, s: _Scenarios, prior, lls, max_guesses):
     k, nu = _draw_kernels(rng, s.valid, max_guesses)
     return _kernel_ratios(s, k), randomized_function_ratio(
-        prior, lls, GuessKernel(k[0, :prior.size, :nu[0]]))
+        prior, lls, GuessKernel(k[:prior.size, :nu[0], 0]))
 
 
 def _block(rng, size, adversary, max_alphabet, max_guesses, channel):

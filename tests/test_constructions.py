@@ -98,6 +98,18 @@ def mp_log_cond_densities(n, etas, b, y, dps=50):
                  for d1 in (0, 1)] for eta in map(mpmath.mpf, etas)]
 
 
+def mp_log_closed_forms(n, eta, b, y, dps=60):
+    """[log P(y | d1) for d1 = 0, 1] at y <= 0 from the closed forms of
+    `cond_density_closed_form`'s docstring, in mpmath."""
+    with mpmath.workdps(dps):
+        eta, b, y = mpmath.mpf(eta), mpmath.mpf(b), mpmath.mpf(y)
+        q = mpmath.exp(-1 / (b * (n + 1)))
+        scale = mpmath.exp(y / b) / (2 * b * (2 ** n - 1))
+        brackets = [eta * (2 ** n - 1) + (1 - eta) * ((1 + q) ** n - 1),
+                    q * (eta * q ** n * (2 ** n - 1) + (1 - eta) * ((1 + q) ** n - q ** n))]
+        return [float(mpmath.log(scale * bracket)) for bracket in brackets]
+
+
 #: the first entry's two values, as a column against the window's indices
 BITS = np.array([[0.0], [1.0]])
 
@@ -181,6 +193,20 @@ class TestCondDensities:
         closed = cond_density_closed_form(model, b, d1, y)
         binom = cond_density_binomial(model, b, d1, y)
         assert closed == pytest.approx(binom, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [10 ** 3, 10 ** 5])
+    @pytest.mark.parametrize("epsilon", [0.1, 40.0])
+    def test_binomial_is_the_closed_form_at_nonpositive_y(self, n, epsilon):
+        # an anchored closed form rounds its n-sized anchor into the rows:
+        # 5.9e-12 off mpmath at n = 10^5, epsilon = 40, y = -1e-9
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        b = calibrated_scale(n, epsilon)
+        for y in (-1e-9, 0.0, -0.3):
+            want = mp_log_closed_forms(n, 0.5, b, y)
+            for d1 in (0, 1):
+                got = cond_density_binomial(model, b, d1, y)
+                assert got == cond_density_closed_form(model, b, d1, y)
+                assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1]))
 
     @pytest.mark.parametrize("d1", [0, 1])
     def test_binomial_matches_enumeration(self, d1):
