@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .constructions import (BobModel, EtaSchedule, bob_mechanism, bob_pml,
-                            sweep)
+from .constructions import BobModel, EtaSchedule, bob_mechanism, sweep
 from .leakage import eps_max, pml_report
 from .mechanisms import (FiniteMechanism, dp_level_finite, dp_level_laplace,
                          mechanism_from_dict)
@@ -186,11 +185,12 @@ def cmd_bob(opts) -> int:
         ys = _grid(opts.y_grid)
     else:
         ys = _grid((0.0, (k + 1) * model.scale, 4 * k + 5))
-    em = eps_max(model.attribute_prior())
+    prior, mech = model.attribute_prior(), bob_mechanism(model, epsilon)
+    em = eps_max(prior)
     table = ResultTable(("y", "pml_nats", "eps_max"), meta=_base_meta("bob", opts))
-    table.meta["dp-level"] = dp_level_laplace(bob_mechanism(model, epsilon))
+    table.meta["dp-level"] = dp_level_laplace(mech)
     for y in ys:
-        table.append(y, bob_pml(model, epsilon, y), em)
+        table.append(y, pml_report(prior, mech, y).pml, em)
     _emit(table, opts)
     return EXIT_OK
 

@@ -189,7 +189,8 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     passed; `pml_d1` on it reads 80-bit sums to 2e-15 at y = 0.4999 ... 0.53
     up to n = 1e10.  At k <= 0 every summed center lies above y, and the sum
     is that closed form; at k >= n it is its mirror image (y -> 1 - y,
-    d1 -> 1 - d1, i -> n - i).  Either way the cost depends on neither n nor y.
+    d1 -> 1 - d1, i -> n - i), both unanchored.  Either way the cost depends
+    on neither n nor y.
     """
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
@@ -197,24 +198,27 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
         raise ValueError("scale must be positive")
     if not math.isfinite(y):
         raise ValueError("y must be finite")
-    anchor, rel = _cond_densities_binomial(model, b, y)
+    anchor, rel = _cond_densities_binomial(model, b, y, anchored=False)
     return anchor + rel[d1]
 
 
-def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float) -> tuple:
+def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float,
+                             anchored: bool) -> tuple:
     """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]), the evaluator
-    of `cond_density_binomial`, relative to an n-sized anchor that cancels
-    from the PML; at y <= 0 the anchor is 0 and the rows are those of
-    `cond_density_closed_form`, whose absolute values the anchor's rounding
-    would spoil."""
+    of `cond_density_binomial`.  At 0 < k < n the anchor is n-sized and
+    cancels from the rows' difference; at the ends it is so only if
+    `anchored`, for a caller that reads that difference, and is 0 otherwise:
+    the rows are then absolute values, which its rounding would spoil."""
     n = model.n
-    k = math.floor(y * (n + 1))  # the d1 = 0 kink; the d1 = 1 kink is one lower
+    # the d1 = 0 kink, the d1 = 1 kink being one lower; beyond [-1, 2] only
+    # its side of the ends matters, and y(n+1) may overflow
+    k = math.floor(y * (n + 1)) if -1.0 <= y <= 2.0 else (n if y > 0 else 0)
     if 0 < k < n:
         return _contour_sums(model, b, y, k)
     # at k >= n the mirror image swaps the two rows; y >= 1/2 there, so
     # 1 - y is exact up to y = 2
     mirrored = k > 0
-    anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored=y > 0)
+    anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored)
     return anchor, rel[::-1] if mirrored else rel
 
 
@@ -248,7 +252,10 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     about e^{-128 d}, d the distance to the nearer pole, so the saddle is
     moved to _CIRCLE_GAP from the poles (outside both where they are closer
     than twice that).  E's phase is taken on the smaller of a and 1 - a (E is
-    then the conjugate), so no n-sized angle is rounded.
+    then the conjugate), so no n-sized angle is rounded.  On either path f
+    is exact, from y's integer ratio, K's two weights are taken over the
+    larger from their difference t(2f - 1) - log rho, and the larger joins
+    the anchor, so no rounding at the size of t enters the rows.
 
     A pole the path has passed (y outside the band of modes, or the circle
     moved past it) adds its residue, the closed form of
@@ -258,7 +265,8 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     """
     n = model.n
     t = 1.0 / (b * (n + 1))
-    f = y * (n + 1) - k
+    num, den = y.as_integer_ratio()  # f to the last bit, since t multiplies it
+    f = max(0.0, (num * (n + 1) - k * den) / den)
     a = k / n
     log_rho = math.log(k / (n - k))
     sigma = math.sqrt(k * (n - k) / n)
@@ -276,22 +284,18 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
             x = moved
         log_rho = -flip * x
         a = 1.0 / (1.0 + math.exp(x))
-        num, den = y.as_integer_ratio()  # f to the last bit, since t multiplies it
-        f = max(0.0, (num * (n + 1) - k * den) / den)
     d = (t - log_rho, t + log_rho)
-    c = (-t * f, -t * (1.0 - f) - log_rho)
-    top = max(c)
-    if not on_line:
-        # the kernel's weights over the larger from their difference, and e^top
-        # into the anchor, so no rounding at the size of t enters the rows
-        delta = t * (2.0 * f - 1.0) - log_rho
-        c, shift, top = (min(0.0, -delta), min(0.0, delta)), shift + top, 0.0
+    # the kernel's weights over the larger, from their difference; the larger
+    # joins shift, and so the anchor
+    delta = t * (2.0 * f - 1.0) - log_rho
+    shift += max(-t * f, -t * (1.0 - f) - log_rho)
+    c = (min(0.0, -delta), min(0.0, delta))
 
     def residue(p):
         """log of the residue at pole p, in rows d1 = 0, 1, in the units of the integral"""
         sign = 1 - 2 * p
         phi = _log_shift(n, a, ks, flip * sign * d[p])
-        return [c[p] - top + (d[p] if sign < 0 else 0.0) + phi + sign * d1 * d[p] for d1 in (0, 1)]
+        return [c[p] + (d[p] if sign < 0 else 0.0) + phi + sign * d1 * d[p] for d1 in (0, 1)]
 
     crossed = next((p for p in (0, 1)
                     if (sigma * d[p] <= -_POLE_ZONE if on_line else d[p] < 0)), None)
@@ -303,7 +307,7 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
         if mirrored:
             rel, r = rel[::-1], r[::-1]
         scale = [r[d1] - w - rel[d1] for d1, w in enumerate(residue(crossed))]
-    weights = [math.exp(c[p] - top) for p in (0, 1)]
+    weights = [math.exp(c[p]) for p in (0, 1)]
     share = [0.0, 0.0]
     if not on_line and crossed is not None and max(scale) + math.log(  # |E - P_d1| <= 2
             2.0 * sum(w / abs(1.0 - math.exp(-v)) for w, v in zip(weights, d))) < -60 * LOG_TWO:
@@ -356,7 +360,7 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     anchor = (math.log1p(-model.eta) - _log1mexp(-n * LOG_TWO) - math.log(2.0 * b)
               - k * math.log1p(x) - (n - k) * math.log1p(-x)) + shift
     return anchor, [log_add(math.log(model.eta) + laplace_log_density(float(d1), b, y) - anchor,
-                            top + d1 * log_rho + math.log(line[d1] + share[d1]))
+                            d1 * log_rho + math.log(line[d1] + share[d1]))
                     for d1 in (0, 1)]
 
 
@@ -373,15 +377,11 @@ def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y:
     Both brackets are sums of positive masses.  Dividing by 2^n - 1 cancels
     n log 2 analytically: the uniform part becomes ((1+q)/2)^n (1-eta)/(1-2^-n)
     times 1 - (1+q)^-n, resp. 1 - (q/(1+q))^n, and a term that underflows
-    to zero is LOG_ZERO.
+    to zero is LOG_ZERO.  `cond_density_binomial` evaluates it.
     """
     if y > 0:
         raise ValueError("closed form valid only for y <= 0")
-    if not b > 0:
-        raise ValueError("scale must be positive")
-    if d1 not in (0, 1):
-        raise ValueError("d1 must be a bit")
-    return _closed_forms(model, b, y, anchored=False)[1][d1]
+    return cond_density_binomial(model, b, d1, y)
 
 
 def _closed_forms(model: CorrelatedBinaryModel, b: float, y: float, anchored: bool) -> tuple:
@@ -410,15 +410,16 @@ def _closed_forms(model: CorrelatedBinaryModel, b: float, y: float, anchored: bo
     shift = log_uniform if anchored else 0.0
     log_eta = math.log(model.eta) - shift
     uniform = log_uniform - shift
-    # at y > 0 and q < 2^-53 both uniform parts lie within log n of -t:
-    # anchored, -t joins the anchor, and (1 - (1+q)^-n)/q (n at q = 0)
-    # replaces a log that would round at the size of t
-    lift = t if anchored and y > 0 and t > 53 * LOG_TWO else 0.0
+    # at y > 0 and q < 2^-53 both uniform parts lie within log n of -t, which
+    # joins the anchor if anchored, else stays on row 0's; (1 - (1+q)^-n)/q
+    # (n at q = 0) replaces a log that would round at t or be -inf at q = 0
+    lift = t if y > 0 and t > 53 * LOG_TWO else 0.0
+    moved = lift if anchored else 0.0
     rest = (math.log(-math.expm1(-n * log1p_q) / q if q else n) if lift
             else _log1mexp(-n * log1p_q))
     # each bracket divided by 2^n - 1
-    brackets = [log_add(log_eta - (abs(y) + y) / b + lift, uniform + rest),
-                (lift - t) + log_add(log_eta - n * t, uniform + _log1mexp(-n * (t + log1p_q)))]
+    brackets = [log_add(log_eta - (abs(y) + y) / b + moved, uniform + rest - (lift - moved)),
+                (moved - t) + log_add(log_eta - n * t, uniform + _log1mexp(-n * (t + log1p_q)))]
     base = -math.log(2.0 * b) + y / b
     if anchored:
         return base + log_uniform - lift, brackets
@@ -447,12 +448,11 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     b = calibrated_scale(model.n, epsilon)
     y = _pml_outcome(y)
     log_alpha, log_rest = math.log(model.alpha), math.log1p(-model.alpha)
+    _, (c0, c1) = _cond_densities_binomial(model, b, y, anchored=y > 0)
     if y <= 0:
-        _, (c0, c1) = _closed_forms(model, b, y, anchored=False)
         # log P_Y(y): the two conditionals weighted by the law of D_1; at
         # y = 0 nothing here is n-sized, and this order fixes the sweeps' bits
         return max(c0, c1) - log_add(log_rest + c1, log_alpha + c0)
-    _, (c0, c1) = _cond_densities_binomial(model, b, y)
     # the same, from the differences to the larger conditional: a peak term
     # can leave one n-sized even relative to the anchor, and subtracted from
     # itself it rounds to nothing

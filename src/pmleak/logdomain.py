@@ -73,10 +73,3 @@ def log_sum_exp_array(v, axis=-1):
 def log_array(v):
     """Elementwise log of a non-negative array, LOG_ZERO at 0 without a warning."""
     return np.log(v, out=np.full(v.shape, LOG_ZERO), where=v != 0)
-
-
-def log_binom(n: int, k: int) -> float:
-    """log of the binomial coefficient C(n, k)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"binomial coefficient undefined for n={n}, k={k}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)

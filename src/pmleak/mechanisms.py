@@ -16,9 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .logdomain import LOG_ZERO, LogReal, log_array, log_sum_exp_array
-from .probability import ENUMERATION_LIMIT, require_enumerable
-
-ROW_TOL = 1e-9
+from .probability import ENUMERATION_LIMIT, NORMALIZATION_TOL, require_enumerable
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +34,7 @@ class FiniteMechanism:
         object.__setattr__(self, "logp", m)
         m.flags.writeable = False
         for x, mass in zip(self.x_labels, log_sum_exp_array(m, axis=1)):
-            if not abs(mass) <= ROW_TOL:
+            if not abs(mass) <= NORMALIZATION_TOL:
                 raise ValueError(f"channel row for {x!r} has mass exp({mass:.6g})")
         object.__setattr__(self, "_xi", {x: i for i, x in enumerate(self.x_labels)})
         object.__setattr__(self, "_yi", {y: i for i, y in enumerate(self.y_labels)})
@@ -178,16 +176,14 @@ def laplace_for_query(f: Callable, epsilon: float, num_entries=None, alphabet=No
     return LaplaceMechanism(f, sensitivity / epsilon, sensitivity=sensitivity)
 
 
-def dp_level_laplace(mech: LaplaceMechanism, sensitivity=None) -> float:
+def dp_level_laplace(mech: LaplaceMechanism) -> float:
     """Exact DP level of a Laplace mechanism: sensitivity / scale."""
-    if sensitivity is None:
-        sensitivity = mech.sensitivity
-    if sensitivity is None:
+    if mech.sensitivity is None:
         raise ValueError("sensitivity requires analytic form")
-    return float(sensitivity) / mech.scale
+    return mech.sensitivity / mech.scale
 
 
-def dp_level_finite(mech: FiniteMechanism, num_entries: int = 1, alphabet=None) -> float:
+def dp_level_finite(mech: FiniteMechanism, num_entries: int = 1) -> float:
     """Smallest epsilon for which the channel is epsilon-DP; may be +inf.
 
     For num_entries > 1 the x labels must be tuples over the entry alphabet,
@@ -204,8 +200,8 @@ def dp_level_finite(mech: FiniteMechanism, num_entries: int = 1, alphabet=None) 
         if not all(isinstance(x, tuple) and len(x) == num_entries for x in mech.x_labels):
             raise ValueError(f"with {num_entries} entries every secret label must be "
                              f"a tuple of {num_entries} symbols")
-        if alphabet is None:  # the maximum over neighbors does not depend on its order
-            alphabet = tuple(dict.fromkeys(d for x in mech.x_labels for d in x))
+        # the maximum over neighbors does not depend on the alphabet's order
+        alphabet = tuple(dict.fromkeys(d for x in mech.x_labels for d in x))
         pairs = ((x, x2) for x in mech.x_labels for x2 in neighbors(x, alphabet)
                  if x2 in index)
     worst = 0.0

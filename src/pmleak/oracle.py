@@ -21,11 +21,7 @@ import numpy as np
 from .logdomain import LOG_ZERO, log_array, log_sum_exp
 from .leakage import PRIOR_FLOOR, pml, pml_batch
 from .mechanisms import FiniteMechanism
-from .probability import FiniteDistribution
-
-
-#: largest |row sum - 1| of a guessing kernel
-KERNEL_ROW_TOL = 1e-9
+from .probability import NORMALIZATION_TOL, FiniteDistribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +56,7 @@ class GuessKernel:
             raise ValueError("kernel must be 2-dimensional")
         if np.any(r < 0):
             raise ValueError("negative kernel probability")
-        if not np.all(np.abs(r.sum(axis=1) - 1.0) <= KERNEL_ROW_TOL):
+        if not np.all(np.abs(r.sum(axis=1) - 1.0) <= NORMALIZATION_TOL):
             raise ValueError("kernel rows must sum to 1")
         object.__setattr__(self, "rows", r)
         r.flags.writeable = False
@@ -246,7 +242,7 @@ def _draw_kernels(rng, valid, max_guesses):
     k = _dirichlet(rng, (width, max_guesses, size), _first(nu, max_guesses), 1)
     if np.any(k < 0):
         raise ValueError("negative kernel probability")
-    if not np.all(np.abs(k.sum(axis=1)[valid] - 1.0) <= KERNEL_ROW_TOL):
+    if not np.all(np.abs(k.sum(axis=1)[valid] - 1.0) <= NORMALIZATION_TOL):
         raise ValueError("kernel rows must sum to 1")
     return k, nu
 

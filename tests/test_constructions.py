@@ -18,7 +18,7 @@ from pmleak.constructions import (BobModel, CorrelatedBinaryModel, EtaSchedule,
                                   cond_density_binomial, cond_density_closed_form,
                                   find_limit_n, lower_bound, pml_d1, sweep)
 from pmleak.leakage import entry_channel, pml_entry
-from pmleak.logdomain import LOG_ZERO, log_add, log_binom, log_sum_exp, log_sum_exp_array
+from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_array
 from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism, dp_level_laplace,
                                laplace_log_density, product_mechanism)
 from pmleak.probability import ExplicitJointModel, FiniteDistribution, ProductModel
@@ -40,6 +40,19 @@ def enumerated_cond_density(n, alpha, eta, b, d1, y):
         center = (d1 + sum(rest)) / (n + 1)
         total += w * scipy_laplace.pdf(y, loc=center, scale=b)
     return total
+
+
+def log_binom(n, k):
+    """log of the binomial coefficient C(n, k), for the O(n) and window oracles."""
+    if not 0 <= k <= n:
+        raise ValueError(f"binomial coefficient undefined for n={n}, k={k}")
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def test_log_binom_exact_small():
+    for n in range(10):
+        for k in range(n + 1):
+            assert log_binom(n, k) == pytest.approx(math.log(math.comb(n, k)), abs=1e-12)
 
 
 def loop_cond_density(model, b, d1, y):
@@ -99,15 +112,25 @@ def mp_log_cond_densities(n, etas, b, y, dps=50):
 
 
 def mp_log_closed_forms(n, eta, b, y, dps=60):
-    """[log P(y | d1) for d1 = 0, 1] at y <= 0 from the closed forms of
-    `cond_density_closed_form`'s docstring, in mpmath."""
+    """[log P(y | d1) for d1 = 0, 1] in mpmath where every summed center lies
+    on one side of y: above it where y(n+1) <= 1, below it where y(n+1) >= n.
+    With g = e^-t above y and e^t below (t = 1/(b(n+1))), the Hamming-weight
+    sums telescope to e^{+-y/b} ((1+g)^n - 1) in row 0 and
+    e^{+-y/b} g ((1+g)^n - g^n) in row 1; the all-d1 string adds eta e^{-|y - d1|/b}."""
+    above = y * (n + 1) <= 1
+    assert above or y * (n + 1) >= n
     with mpmath.workdps(dps):
         eta, b, y = mpmath.mpf(eta), mpmath.mpf(b), mpmath.mpf(y)
-        q = mpmath.exp(-1 / (b * (n + 1)))
-        scale = mpmath.exp(y / b) / (2 * b * (2 ** n - 1))
-        brackets = [eta * (2 ** n - 1) + (1 - eta) * ((1 + q) ** n - 1),
-                    q * (eta * q ** n * (2 ** n - 1) + (1 - eta) * ((1 + q) ** n - q ** n))]
-        return [float(mpmath.log(scale * bracket)) for bracket in brackets]
+        t = 1 / (b * (n + 1))
+        g = mpmath.exp(-t if above else t)
+        scale = mpmath.exp(y / b if above else -y / b)
+        # expm1 and log1p keep n g, resp. n/g, where it is below the working
+        # precision: (1+g)^n - g^n = g^n ((1 + 1/g)^n - 1)
+        sums = [mpmath.expm1(n * mpmath.log1p(g)),
+                g ** (n + 1) * mpmath.expm1(n * mpmath.log1p(1 / g))]
+        return [float(mpmath.log((eta * mpmath.exp(-abs(y - d1) / b)
+                                  + (1 - eta) / (2 ** n - 1) * scale * sums[d1]) / (2 * b)))
+                for d1 in (0, 1)]
 
 
 #: the first entry's two values, as a column against the window's indices
@@ -207,6 +230,37 @@ class TestCondDensities:
                 got = cond_density_binomial(model, b, d1, y)
                 assert got == cond_density_closed_form(model, b, d1, y)
                 assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1]))
+
+    @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4])
+    @pytest.mark.parametrize("epsilon", [0.1, 5.0, 40.0, 1000.0])
+    def test_binomial_rows_are_absolute_at_the_ends(self, n, epsilon):
+        # at k <= 0 < y and k >= n the rows are the closed forms, unanchored;
+        # anchored, they missed mpmath by 3.8e-14 at n = 10^4, epsilon = 5.
+        # At epsilon = 1000, q = e^-epsilon is 0 in a float
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        b = calibrated_scale(n, epsilon)
+        for y in (0.5 / (n + 1), 1e-9, 1 - 0.5 / (n + 1), 1.0, 1 + 1e-9):
+            want = mp_log_closed_forms(n, 0.5, b, y)
+            for d1 in (0, 1):
+                got = cond_density_binomial(model, b, d1, y)
+                assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1])), (y, d1)
+
+    @pytest.mark.parametrize("d1", [0, 1])
+    @pytest.mark.parametrize("y", [math.nan, -math.inf])
+    def test_closed_form_rejects_nonfinite_y(self, y, d1):
+        model = CorrelatedBinaryModel(4, 0.25, 0.5)
+        with pytest.raises(ValueError, match="y must be finite"):
+            cond_density_closed_form(model, calibrated_scale(4, 1.0), d1, y)
+
+    @pytest.mark.parametrize("y", [-1e308, 1e308])
+    def test_binomial_where_y_times_n_overflows(self, y):
+        # y(n+1) is +-inf, and the kink is taken on the same side of the ends
+        model = CorrelatedBinaryModel(10, 0.25, 0.5)
+        b = calibrated_scale(10, 1.0)
+        for d1 in (0, 1):
+            assert cond_density_binomial(model, b, d1, y) == LOG_ZERO
+            if y < 0:
+                assert cond_density_closed_form(model, b, d1, y) == LOG_ZERO
 
     @pytest.mark.parametrize("d1", [0, 1])
     def test_binomial_matches_enumeration(self, d1):
@@ -388,10 +442,12 @@ class TestCondDensities:
 
     @pytest.mark.parametrize("n, b", [(3, 1e-4), (3, 2.5e-5), (100, 1e-6)])
     def test_binomial_tiny_scale_is_finite(self, n, b):
-        # t = 1/((n+1) b) reaches about 1e4, where e^t overflows a float
+        # t = 1/((n+1) b) reaches about 1e4, where e^t overflows a float.
+        # At y = 0.9/(n+1) and its mirror image, row 0's uniform part, of
+        # size e^-t, outweighs its peak term
         model = CorrelatedBinaryModel(n, 0.25, 0.5)
         for d1 in (0, 1):
-            for y in (0.01, 0.3, 1.2):
+            for y in (0.01, 0.3, 1.2, 0.9 / (n + 1), 1 - 0.9 / (n + 1)):
                 got = cond_density_binomial(model, b, d1, y)
                 assert math.isfinite(got)
                 assert got == pytest.approx(loop_cond_density(model, b, d1, y), rel=1e-12)

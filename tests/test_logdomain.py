@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmleak.logdomain import (LOG_ZERO, log_add, log_binom, log_sum_exp,
-                              log_sum_exp_array)
+from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_array
 
 finite_logs = st.floats(min_value=-300.0, max_value=300.0)
 
@@ -130,9 +129,3 @@ def test_counted_lse_rejects_bad_counts():
 def test_log_add_agrees_with_linear(a, b):
     want = mp_lse([a, b])
     assert log_add(a, b) == pytest.approx(want, rel=1e-13, abs=1e-13)
-
-
-def test_log_binom_exact_small():
-    for n in range(10):
-        for k in range(n + 1):
-            assert log_binom(n, k) == pytest.approx(math.log(math.comb(n, k)), abs=1e-12)

@@ -69,8 +69,8 @@ class TestLaplaceCalibration:
             LaplaceMechanism(lambda x: 0.0, 5.0, sensitivity=sensitivity)
 
     def test_zero_sensitivity_is_level_zero(self):
-        mech = LaplaceMechanism(lambda x: 0.0, 5.0)
-        assert dp_level_laplace(mech, sensitivity=0.0) == 0.0
+        mech = LaplaceMechanism(lambda x: 0.0, 5.0, sensitivity=0.0)
+        assert dp_level_laplace(mech) == 0.0
 
 
 class TestLaplaceDensity:
@@ -142,7 +142,7 @@ class TestDpLevelFinite:
     def test_product_mechanism_level_matches_base(self):
         base = randomized_response(0.25)
         mech = product_mechanism(base, 3)
-        level = dp_level_finite(mech, num_entries=3, alphabet=(0, 1))
+        level = dp_level_finite(mech, num_entries=3)
         assert level == pytest.approx(math.log(3.0))
 
     def test_mixed_type_alphabet_needs_no_order(self):
