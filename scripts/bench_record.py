@@ -97,7 +97,13 @@ def main(argv=None):
     for i, seed in enumerate(args.seeds):
         for workload in args.workloads:
             for label, path in checkouts if i % 2 == 0 else checkouts[::-1]:
-                env, result = run(path, workload, seed, args.seconds)
+                try:
+                    env, result = run(path, workload, seed, args.seconds)
+                except subprocess.CalledProcessError as err:
+                    print(f"{workload} seed {seed} {label} ({path}) exited with code "
+                          f"{err.returncode}; its stderr ends:", *err.stderr.splitlines()[-20:],
+                          sep="\n", file=sys.stderr)
+                    return 1
                 runs.append({"workload": workload, "seed": seed, "checkout": label,
                              "env": env, "result": result})
                 print(f"{workload} seed {seed} {label}: wall_s "

@@ -15,8 +15,10 @@ every kink k = floor(y(n+1)) in (0, n) as one contour integral through
 their saddle point at a fixed number of nodes: along the line where the
 binomial variance k(n-k)/n is at least 25, around the whole circle below
 that, plus the closed form (or its mirror image) where the path has passed
-a pole, so its cost depends on neither n nor y.  The evaluators
-cross-check each other and, for small n, full enumeration.
+a pole, so its cost depends on neither n nor y.  Outside the band of modes
+the integral is mostly below the closed form's last bit and is left out,
+so there a kink costs about one closed form.  The evaluators cross-check
+each other and, for small n, full enumeration.
 """
 
 from __future__ import annotations
@@ -260,8 +262,13 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     A pole the path has passed (y outside the band of modes, or the circle
     moved past it) adds its residue, the closed form of
     `cond_density_closed_form` or its mirror image, which keeps its own
-    anchor and bits; the integral is added relative to it, and on the circle
-    left out where a bound puts it below 2^-60 of the residue.
+    anchor and bits; the integral is added relative to it, and on either
+    path left out where a bound puts it below 2^-60 of the residue.  The
+    bound is on the exact integral around the circle through the saddle,
+    whatever rule computes it: there |E - P_d1| <= 2 and |K| is at most the
+    sum of w_p/|1 - e^-d_p|.  On the line the crossed pole lies at least
+    4/sigma past the path and the other, d_0 + d_1 = 2t > 0, more than
+    4/sigma before it, so no erfc share is left out with the integral.
     """
     n = model.n
     t = 1.0 / (b * (n + 1))
@@ -309,7 +316,7 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
         scale = [r[d1] - w - rel[d1] for d1, w in enumerate(residue(crossed))]
     weights = [math.exp(c[p]) for p in (0, 1)]
     share = [0.0, 0.0]
-    if not on_line and crossed is not None and max(scale) + math.log(  # |E - P_d1| <= 2
+    if crossed is not None and max(scale) + math.log(  # |E - P_d1| <= 2
             2.0 * sum(w / abs(1.0 - math.exp(-v)) for w, v in zip(weights, d))) < -60 * LOG_TWO:
         line = [0.0, 0.0]
     else:
@@ -395,7 +402,8 @@ def _closed_forms(model: CorrelatedBinaryModel, b: float, y: float, anchored: bo
     before their logs are added, so it cancels from their difference;
     otherwise the anchor is 0 and each conditional is the sum
     -log 2b + y/b + bracket, in the order that fixes the bits of
-    `cond_density_closed_form` and the committed sweeps.  q enters as -t
+    `cond_density_closed_form` and the committed sweeps; lifted, at y > 0,
+    the uniform parts take y/b - t whole instead.  q enters as -t
     (or, lifted below, with q = 0 apart), so q = e^-t underflowing to 0
     stays finite, and (1+q)^n - 1 and (1+q)^n - q^n only through log1p and
     expm1, which do not cancel when n q is small.
@@ -411,19 +419,25 @@ def _closed_forms(model: CorrelatedBinaryModel, b: float, y: float, anchored: bo
     log_eta = math.log(model.eta) - shift
     uniform = log_uniform - shift
     # at y > 0 and q < 2^-53 both uniform parts lie within log n of -t, which
-    # joins the anchor if anchored, else stays on row 0's; (1 - (1+q)^-n)/q
+    # joins the anchor if anchored, else y/b - t is taken whole; (1 - (1+q)^-n)/q
     # (n at q = 0) replaces a log that would round at t or be -inf at q = 0
     lift = t if y > 0 and t > 53 * LOG_TWO else 0.0
-    moved = lift if anchored else 0.0
     rest = (math.log(-math.expm1(-n * log1p_q) / q if q else n) if lift
             else _log1mexp(-n * log1p_q))
-    # each bracket divided by 2^n - 1
-    brackets = [log_add(log_eta - (abs(y) + y) / b + moved, uniform + rest - (lift - moved)),
-                (moved - t) + log_add(log_eta - n * t, uniform + _log1mexp(-n * (t + log1p_q)))]
+    # each bracket divided by 2^n - 1: row 0's peak term, row 1's sum less e^-t
+    peak = log_eta - (abs(y) + y) / b
+    tail = log_add(log_eta - n * t, uniform + _log1mexp(-n * (t + log1p_q)))
     base = -math.log(2.0 * b) + y / b
     if anchored:
-        return base + log_uniform - lift, brackets
-    return 0.0, [base + bracket for bracket in brackets]
+        return base + log_uniform - lift, [log_add(peak + lift, uniform + rest), (lift - t) + tail]
+    if lift:
+        # y/b - t = -t (1 - y(n+1)), from y's integer ratio: the two nearly
+        # cancel where y(n+1) nears 1, so neither is rounded on its own
+        num, den = y.as_integer_ratio()
+        near = -t * ((den - num * (n + 1)) / den)
+        base = -math.log(2.0 * b)
+        return 0.0, [base + log_add(log_eta - y / b, uniform + rest + near), (base + near) + tail]
+    return 0.0, [base + log_add(peak, uniform + rest), base + (-t + tail)]
 
 
 def _pml_outcome(y: float) -> float:
@@ -442,11 +456,13 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     y > 0 dominance is not established, so both conditionals are evaluated
     as in cond_density_binomial, relative to one n-sized anchor that never
     enters the PML, and maxed explicitly.  The PML is then formed from the
-    differences to the larger conditional, floored at 0 where the two are
-    equal (y = 1/2), so it keeps its last bits at any n.
+    differences to the larger conditional, floored at 0, so it keeps its
+    last bits at any n; at y = 1/2 the two are equal and it is 0.
     """
     b = calibrated_scale(model.n, epsilon)
     y = _pml_outcome(y)
+    if y == 0.5:  # i -> n - i, d1 -> 1 - d1 maps each conditional onto the other
+        return 0.0
     log_alpha, log_rest = math.log(model.alpha), math.log1p(-model.alpha)
     _, (c0, c1) = _cond_densities_binomial(model, b, y, anchored=y > 0)
     if y <= 0:

@@ -39,3 +39,17 @@ def test_directions_come_from_the_benchmark_spec():
     better = bench_record.directions()
     assert better["wall_s"] == "lower" and better["ops_per_s"] == "higher"
     assert len(better) == len(spec["end_to_end"]) + len(spec["per_layer"])
+
+
+def test_a_failed_run_is_named_with_its_stderr(tmp_path, capsys):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nprint('warming up', file=sys.stderr)\n"
+        "sys.exit('workload w: check failed')\n")
+    argv = ["--tag", "never-written", "--workloads", "w", "--seeds", "3", "--seconds", "1",
+            "--checkout", f"broken={tmp_path}"]
+    assert bench_record.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"w seed 3 broken ({tmp_path}) exited with code 1" in err
+    assert "warming up\nworkload w: check failed" in err
+    assert not (ROOT / "BENCH_never-written.json").exists()

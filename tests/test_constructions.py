@@ -94,9 +94,9 @@ def mp_binomials(n, dps):
             range(1, n + 1), lambda c, i: c * (n - i + 1) // i, initial=1)]
 
 
-def mp_log_cond_densities(n, etas, b, y, dps=50):
-    """[[log P(y | d1) for d1 = 0, 1] for each eta] from the 2^n-string
-    mixture grouped by Hamming weight, in mpmath."""
+def mp_cond_densities(n, etas, b, y, dps=50):
+    """[[P(y | d1) for d1 = 0, 1] for each eta] from the 2^n-string mixture
+    grouped by Hamming weight, as mpmath floats of `dps` digits."""
     m = n + 1
     with mpmath.workdps(dps):
         b, y = mpmath.mpf(b), mpmath.mpf(y)
@@ -106,9 +106,32 @@ def mp_log_cond_densities(n, etas, b, y, dps=50):
         weights = mp_binomials(n, dps)
         # row d1 puts weight i on the center (d1 + i)/m and leaves out i = n d1
         sums = [mpmath.fdot(weights[1:], lap[1:]), mpmath.fdot(weights[:-1], lap[1:])]
-        return [[float(mpmath.log((eta * lap[m * d1] + (1 - eta) / (2 ** n - 1) * sums[d1])
-                                  / (2 * b)))
+        return [[(eta * lap[m * d1] + (1 - eta) / (2 ** n - 1) * sums[d1]) / (2 * b)
                  for d1 in (0, 1)] for eta in map(mpmath.mpf, etas)]
+
+
+def mp_log_cond_densities(n, etas, b, y, dps=50):
+    """[[log P(y | d1) for d1 = 0, 1] for each eta], from `mp_cond_densities`."""
+    with mpmath.workdps(dps):
+        return [[float(mpmath.log(p)) for p in row]
+                for row in mp_cond_densities(n, etas, b, y, dps)]
+
+
+def mp_pml_d1(n, alpha, eta, b, y, dps=50):
+    """The PML of entry 0 at y, from `mp_cond_densities`."""
+    with mpmath.workdps(dps):
+        c0, c1 = mp_cond_densities(n, (eta,), b, y, dps)[0]
+        return float(mpmath.log(max(c0, c1) / (alpha * c0 + (1 - alpha) * c1)))
+
+
+def reaches_the_line_nodes(model, epsilon, y):
+    """Whether `pml_d1` at y uses the line's nodes, which must have been
+    replaced by None: the integral was not left out."""
+    try:
+        pml_d1(model, epsilon, y)
+    except TypeError:
+        return True
+    return False
 
 
 def mp_log_closed_forms(n, eta, b, y, dps=60):
@@ -244,6 +267,20 @@ class TestCondDensities:
             for d1 in (0, 1):
                 got = cond_density_binomial(model, b, d1, y)
                 assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1])), (y, d1)
+
+    @pytest.mark.parametrize("y", [0.0905, 0.0906, 0.0907, 0.99 / 11, 0.9999 / 11])
+    def test_unanchored_end_rows_where_the_first_center_nears_y(self, y):
+        # y/b and t = 1/(b(n+1)) = epsilon nearly cancel in row 0's uniform
+        # part as y(n+1) nears 1; formed apart, they missed mpmath by 3.0e-14
+        # relative at y = 0.0906.  The mirror image at 1 - y takes them alike
+        n, epsilon = 10, 1000.0
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        b = calibrated_scale(n, epsilon)
+        for z in (y, 1 - y):
+            want = mp_log_closed_forms(n, 0.5, b, z)
+            for d1 in (0, 1):
+                got = cond_density_binomial(model, b, d1, z)
+                assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1])), (z, d1)
 
     @pytest.mark.parametrize("d1", [0, 1])
     @pytest.mark.parametrize("y", [math.nan, -math.inf])
@@ -423,6 +460,33 @@ class TestCondDensities:
                         tol = 256 * U * (1 + abs(want[d1]) + y * m * epsilon)
                         assert abs(got - want[d1]) <= tol
 
+    @pytest.mark.parametrize("n", [1000, 3000])
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0])
+    def test_line_kinks_where_the_integral_is_left_out(self, n, epsilon, monkeypatch):
+        # outward from each end of the band of modes, the first kinks whose
+        # integral a bound puts below 2^-60 of the crossed pole's closed form:
+        # there the rows are that closed form alone
+        monkeypatch.setattr(constructions, "_SADDLE_NODES", None)
+        m = n + 1
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        b = calibrated_scale(n, epsilon)
+        ys = []
+        for step in (-1, 1):
+            # in quarters of a bin, from the band's end outward
+            j = 4 * round(n / (1 + math.exp(-step * epsilon)))
+            while reaches_the_line_nodes(model, epsilon, j / (4 * m)):
+                j += step
+            ys += [(j + i * step) / (4 * m) for i in (0, 1, 2, 3, 10)]
+        for y in ys:
+            k = math.floor(y * m)
+            assert k * (n - k) >= constructions._SADDLE_MIN_VARIANCE * n
+            want = mp_log_cond_densities(n, (0.5,), b, y, dps=30)[0]
+            for d1 in (0, 1):
+                got = cond_density_binomial(model, b, d1, y)
+                # the tolerance of test_saddle_integral_matches_mpmath_inside_the_band
+                assert abs(got - want[d1]) <= 256 * U * (1 + abs(want[d1]) + y * m * epsilon)
+            assert abs(pml_d1(model, epsilon, y) - mp_pml_d1(n, 0.25, 0.5, b, y)) <= 1e-14
+
     @pytest.mark.parametrize("n", [10 ** 6, 10 ** 8])
     def test_saddle_integral_pml_matches_long_double_sums(self, n):
         # inside the band and near its upper end (n/(1+e^-0.1) = 0.525 n),
@@ -584,6 +648,34 @@ class TestPmlD1:
         # at y = 0.1 (0.9) the all-0 (all-1) peak term outweighs the rest by
         # e^Theta(n).  No n-sized constant may round into the PML.
         assert abs(pml_d1(CorrelatedBinaryModel(n, 0.25, 0.5), 0.1, y) - want) <= 1e-15
+
+    def test_reads_zero_at_one_half(self):
+        # i -> n - i, d1 -> 1 - d1 maps each conditional onto the other; the
+        # two rows' sums, rounded apart, read up to 6e-16 here
+        for n in (100, 101, 150, 200, 999, 1000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 8, 10 ** 10):
+            model = CorrelatedBinaryModel(n, 0.25, 0.5)
+            for epsilon in (0.01, 0.1, 1.0, 5.0, 15.6, 40.0, 100.0, 200.0):
+                assert pml_d1(model, epsilon, 0.5) == 0.0, (n, epsilon)
+
+    def test_line_leaves_out_an_integral_below_the_last_bit(self, monkeypatch):
+        # with the line's nodes gone, kinks far outside the band of modes
+        # still evaluate: a crossed pole's closed form is the whole value
+        monkeypatch.setattr(constructions, "_SADDLE_NODES", None)
+        far = [(n, y) for n in (10 ** 6, 10 ** 10) for y in (0.1, 0.4, 0.6, 0.9)]
+        for n, y in far + [(1000, 0.1), (1000, 0.9)]:
+            assert not reaches_the_line_nodes(CorrelatedBinaryModel(n, 0.25, 0.5), 0.1, y)
+        # where the integral still counts, the nodes run: 5/sigma past the
+        # band's ends (test_saddle_integral_matches_mpmath_inside_the_band)
+        # and at n = 1000, y = 0.4 and 0.6, n KL about 20 nats from the band
+        near = [(1000, 0.1, 0.4), (1000, 0.1, 0.6)]
+        for n in (500, 2000):
+            for epsilon in (0.01, 0.1, 1.0):
+                for sign in (1, -1):
+                    end = n / (1 + math.exp(sign * epsilon))
+                    past = epsilon + 5 / math.sqrt(end * (n - end) / n)
+                    near.append((n, epsilon, round(n / (1 + math.exp(sign * past))) / (n + 1)))
+        for n, epsilon, y in near:
+            assert reaches_the_line_nodes(CorrelatedBinaryModel(n, 0.25, 0.5), epsilon, y)
 
     def test_calibrated_mechanism_dp_level(self):
         model = CorrelatedBinaryModel(7, 0.25, 0.5)
