@@ -413,8 +413,9 @@ def _closed_forms(model: CorrelatedBinaryModel, b: float, y: float, anchored: bo
     q = math.exp(-t)
     log1p_q = math.log1p(q)
     # log [(1-eta) ((1+q)/2)^n / (1 - 2^-n)] = log [(1-eta) (1+q)^n / (2^n - 1)]
-    log_uniform = (math.log1p(-model.eta) + n * math.log1p(math.expm1(-t) / 2)
-                   - _log1mexp(-n * LOG_TWO))
+    uniform_terms = (math.log1p(-model.eta), n * math.log1p(math.expm1(-t) / 2),
+                     -_log1mexp(-n * LOG_TWO))
+    log_uniform = uniform_terms[0] + uniform_terms[1] + uniform_terms[2]
     shift = log_uniform if anchored else 0.0
     log_eta = math.log(model.eta) - shift
     uniform = log_uniform - shift
@@ -436,7 +437,10 @@ def _closed_forms(model: CorrelatedBinaryModel, b: float, y: float, anchored: bo
         num, den = y.as_integer_ratio()
         near = -t * ((den - num * (n + 1)) / den)
         base = -math.log(2.0 * b)
-        return 0.0, [base + log_add(log_eta - y / b, uniform + rest + near), (base + near) + tail]
+        # -log 2b and the uniform part's O(1) terms nearly cancel in row 0:
+        # one fsum rounds their sum once
+        spread = math.fsum((base, *uniform_terms, rest, near))
+        return 0.0, [log_add(base + (log_eta - y / b), spread), (base + near) + tail]
     return 0.0, [base + log_add(peak, uniform + rest), base + (-t + tail)]
 
 

@@ -118,9 +118,11 @@ def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
 
 
 def _log_sum_exp_distinct(v) -> float:
-    """`log_sum_exp` of a 1-D array, over its distinct values with counts."""
-    values, counts = np.unique(v, return_counts=True)
-    return log_sum_exp(values.tolist(), counts.tolist())
+    """`log_sum_exp` of a 1-D array, over its distinct values with counts:
+    one sort, then each run of equal neighbours by the index of its last."""
+    v = np.sort(v)
+    ends = [*(v[1:] != v[:-1]).nonzero()[0].tolist(), v.size - 1]
+    return log_sum_exp(v[ends].tolist(), [b - a for a, b in zip([-1, *ends], ends)])
 
 
 def pml_entry(model: DatabaseModel, mech, i: int, y) -> LeakageReport:
@@ -180,22 +182,16 @@ def _product_priors(alphabet: tuple, num_entries: int, prior_samples: int,
     return probs
 
 
-def _block_pmls(log_prior, digits, channel):
+def _block_pmls(log_prior, digits, order, channel):
     """`_entry_pmls` on one block of priors, given as log marginals."""
-    size, n, k = log_prior.shape
-    grid = (k,) * n
-    # left to right from 0, as ProductModel.log_masses sums the marginals
-    log_mass = sum(log_prior[:, j, digits[:, j]] for j in range(n)).reshape((size,) + grid)
-    channel = channel.reshape(grid + (-1,))
-    out = np.empty((size, n, channel.shape[-1]))
-    for i in range(n):
-        # the atoms with D_i = d: index d on axis i of the (k, ..., k) atom grid
-        mass = np.moveaxis(log_mass, i + 1, 1).reshape(size, k, -1)      # (P, k, A/k)
-        lls = np.moveaxis(channel, i, 0).reshape(k, mass.shape[2], -1)   # (k, A/k, Y)
-        law = log_sum_exp_array(mass, 2)                                 # log P(D_i = d)
-        cond = log_sum_exp_array((mass - law[:, :, None])[..., None] + lls, 2)  # log P(y | d)
-        out[:, i] = pml_batch(law[:, :, None], cond, axis=1)[0]
-    return out
+    n = log_prior.shape[1]
+    # left to right from 0, as ProductModel.log_masses sums the marginals;
+    # the prior axis last, so each reduction runs over rows of Y P floats
+    log_mass = sum(log_prior[:, j, digits[:, j]] for j in range(n)).T
+    mass = log_mass[order]                                            # (n, k, A/k, P)
+    law = log_sum_exp_array(mass, 2)                                  # log P(D_i = d)
+    cond = log_sum_exp_array((mass - law[:, :, None])[..., None, :] + channel[order][..., None], 2)
+    return pml_batch(law[:, :, None], cond, axis=1)[0].transpose(2, 0, 1)  # over d: (P, n, Y)
 
 
 def _entry_pmls(mech: FiniteMechanism, alphabet: tuple, probs) -> np.ndarray:
@@ -203,11 +199,14 @@ def _entry_pmls(mech: FiniteMechanism, alphabet: tuple, probs) -> np.ndarray:
     product priors with marginals probs (P, n, k) over alphabet: the
     batched `pml(*entry_channel(...))`.  Atoms are the rows of
     `atom_table` and read their channel rows by label, as in `entry_channel`."""
-    digits = atom_table(alphabet, probs.shape[1])
-    channel = mech.rows(atom_labels(alphabet, probs.shape[1]))
+    _, n, k = probs.shape
+    digits = atom_table(alphabet, n)
+    channel = mech.rows(atom_labels(alphabet, n))
+    # order[i, d]: the atoms with D_i = d, in table order
+    order = np.argsort(digits, axis=0, kind="stable").T.reshape(n, k, -1)
     log_prior = np.log(probs)
-    block = max(1, _BLOCK_ENTRIES // channel.size)
-    return np.concatenate([_block_pmls(log_prior[start:start + block], digits, channel)
+    block = max(1, _BLOCK_ENTRIES // (n * channel.size))  # (n, k, A/k, Y, P) per block
+    return np.concatenate([_block_pmls(log_prior[start:start + block], digits, order, channel)
                            for start in range(0, len(probs), block)])
 
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pmleak import cli
 from pmleak.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
+from test_golden import WITHOUT_AVX512
 
 
 def read_table(path):
@@ -408,22 +409,51 @@ def test_python_dash_m_runs_the_cli(module):
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
+#: the artifact commands of scripts/reproduce_results.py
+RESULT_COMMANDS = {
+    "sweep_eta_constant": [
+        "thm3", "--n-range", "4", "4096", "24", "--alpha", "0.25", "--eta", "0.5",
+        "--epsilon", "0.1", "--y", "-0.3", "--reproducible",
+        "--out", "sweep_eta_constant.csv", "--svg", "sweep_eta_constant.svg"],
+    "sweep_eta_polynomial": [
+        "thm3", "--n-range", "4", "4096", "24", "--alpha", "0.25",
+        "--eta-poly", "1.0", "1.0", "--epsilon", "0.1", "--y", "-0.3", "--reproducible",
+        "--out", "sweep_eta_polynomial.csv", "--svg", "sweep_eta_polynomial.svg"],
+    "counting_query": [
+        "bob", "--k", "5", "--epsilon", "0.1", "--reproducible",
+        "--out", "counting_query.csv"],
+}
 
-@pytest.mark.parametrize("argv", [
-    ["thm3", "--n-range", "4", "4096", "24", "--alpha", "0.25", "--eta", "0.5",
-     "--epsilon", "0.1", "--y", "-0.3", "--reproducible",
-     "--out", "sweep_eta_constant.csv", "--svg", "sweep_eta_constant.svg"],
-    ["thm3", "--n-range", "4", "4096", "24", "--alpha", "0.25",
-     "--eta-poly", "1.0", "1.0", "--epsilon", "0.1", "--y", "-0.3", "--reproducible",
-     "--out", "sweep_eta_polynomial.csv", "--svg", "sweep_eta_polynomial.svg"],
-    ["bob", "--k", "5", "--epsilon", "0.1", "--reproducible",
-     "--out", "counting_query.csv"],
-], ids=["sweep_eta_constant", "sweep_eta_polynomial", "counting_query"])
+
+def result_outputs(argv):
+    return [a for a in argv if a.endswith((".csv", ".svg"))]
+
+
+def into(directory, argv):
+    """argv with its output files placed in directory."""
+    outputs = result_outputs(argv)
+    return [str(directory / a) if a in outputs else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", RESULT_COMMANDS.values(), ids=RESULT_COMMANDS.keys())
 def test_committed_results_reproduce_byte_identically(tmp_path, argv):
     """The artifact commands of scripts/reproduce_results.py, against results/."""
-    outputs = [a for a in argv if a.endswith((".csv", ".svg"))]
-    assert main([str(tmp_path / a) if a in outputs else a for a in argv]) == EXIT_OK
-    for name in outputs:
+    assert main(into(tmp_path, argv)) == EXIT_OK
+    for name in result_outputs(argv):
+        assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
+
+
+def test_committed_results_reproduce_without_avx512_loops(tmp_path):
+    # numpy's float64 exp, log1p and expm1 take other loops in a process
+    # that has the AVX-512 ones switched off; results/ keeps its bytes on either
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
+               PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import json, sys; from pmleak.cli import main; "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    argvs = [into(tmp_path, argv) for argv in RESULT_COMMANDS.values()]
+    subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                   capture_output=True, check=True)
+    for name in itertools.chain.from_iterable(map(result_outputs, RESULT_COMMANDS.values())):
         assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
 
 

@@ -282,6 +282,19 @@ class TestCondDensities:
                 got = cond_density_binomial(model, b, d1, z)
                 assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1])), (z, d1)
 
+    @pytest.mark.parametrize("n, y", [(5, 0.1581), (8, 0.10833)])
+    def test_unanchored_end_rows_just_above_the_lift(self, n, y):
+        # at t = epsilon just above 53 log 2, -log 2b and the O(1) terms of
+        # row 0's uniform part (each about 5) cancel to under 1; rounded one
+        # by one they missed mpmath by 1.4e-15 and 1.2e-15 relative here
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        b = calibrated_scale(n, 38.0)
+        for z in (y, 1 - y):
+            want = mp_log_closed_forms(n, 0.5, b, z)
+            for d1 in (0, 1):
+                got = cond_density_binomial(model, b, d1, z)
+                assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1])), (z, d1)
+
     @pytest.mark.parametrize("d1", [0, 1])
     @pytest.mark.parametrize("y", [math.nan, -math.inf])
     def test_closed_form_rejects_nonfinite_y(self, y, d1):

@@ -48,7 +48,8 @@ def test_pins_in_this_process():
 def test_pins_without_avx512_loops():
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
                PYTHONPATH=os.pathsep.join(sys.path))
-    code = "import json, test_enumeration_bits; print(json.dumps(test_enumeration_bits.moved_cells()))"
+    code = ("import json, test_enumeration_bits; "
+            "print(json.dumps(test_enumeration_bits.moved_cells()))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, cwd=pathlib.Path(__file__).parent).stdout
     assert json.loads(out.strip().splitlines()[-1]) == []

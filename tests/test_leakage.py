@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pmleak.constructions import CorrelatedBinaryModel, calibrated_mechanism, pm
 from pmleak import leakage
 from pmleak.leakage import (entry_channel, eps_max, pml, pml_entry, pml_report,
                             theorem2_check)
-from pmleak.logdomain import LOG_ZERO
+from pmleak.logdomain import LOG_ZERO, log_sum_exp
 from pmleak.mechanisms import (FiniteMechanism, product_mechanism,
                                randomized_response)
 from pmleak.probability import (ExplicitJointModel, FiniteDistribution,
@@ -150,6 +151,25 @@ class TestPmlEntry:
             pml_entry(model, mech, i, (0, 0, 0))
 
 
+class TestLogSumExpDistinct:
+    """The reduction over distinct values with counts against the expanded list."""
+
+    @pytest.mark.parametrize("values", [
+        [-1.5] * 5 + [-0.2] * 3 + [-1.5],
+        [2.0],
+        [-math.inf, -1.0, -math.inf, 3.0, -1.0],
+        [0.0, -0.0, -0.0, math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0)],
+        [-1.0, math.nextafter(-1.0, 0.0), -1.0, math.nextafter(-1.0, -2.0)],
+        np.random.default_rng(3).choice([-0.7, -2.1, -40.0, -745.2], size=8192).tolist(),
+    ], ids=["repeats", "single", "-inf", "signed-zeros", "ulp-neighbours", "8192-over-4"])
+    def test_bits_of_the_expanded_list(self, values):
+        got = leakage._log_sum_exp_distinct(np.array(values))
+        assert got.hex() == log_sum_exp(values).hex()
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(leakage._log_sum_exp_distinct(np.array([-1.0, math.nan, -1.0, 0.5])))
+
+
 class TestTheorem2Check:
     def test_randomized_response_supremum(self):
         p, q = 0.25, 0.01
@@ -267,6 +287,21 @@ class TestTheorem2Batch:
         whole = leakage._entry_pmls(mech, alphabet, probs)
         monkeypatch.setattr(leakage, "_BLOCK_ENTRIES", 3 * mech.logp.size)
         assert np.array_equal(leakage._entry_pmls(mech, alphabet, probs), whole)
+
+    def test_blocks_stay_within_their_bound(self):
+        # |X| |Y| = 2^16, the most product_mechanism allows: a block sized
+        # without its entry axis would hold 8 arrays of 8 MB at once
+        mech = product_mechanism(randomized_response(0.25), 8)
+        probs = leakage._product_priors((0, 1), 8, 20, 20, 0, (0.01, 0.99))
+        tracemalloc.start()
+        try:
+            leakage._entry_pmls(mech, (0, 1), probs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a loop over entries, one (P, k, A/k, Y) array at a time, peaked at
+        # 18,697,544 bytes here (numpy 2.4)
+        assert peak <= 18_697_544
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_witness_replays_to_the_supremum(self, case):
