@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .leakage import pml_entry, pml_report
+from .leakage import pml, pml_report
 from .logdomain import LOG_TWO, LOG_ZERO, LogReal, log_add, log_sum_exp
 from .mechanisms import LaplaceMechanism, laplace_log_density
 from .probability import DatabaseModel, FiniteDistribution
@@ -561,6 +561,26 @@ def bob_pml(model: BobModel, epsilon: float, y: float) -> float:
     return pml_report(model.attribute_prior(), bob_mechanism(model, epsilon), y).pml
 
 
+def _entry0_channel(model: CorrelatedBinaryModel, epsilon: float, y) -> tuple:
+    """`entry_channel(model, calibrated_mechanism(model, epsilon), 0, y)` from
+    one row per class (d_0, tail weight w) of C(n, w) atoms, all of which
+    share the row's mass and likelihood: each reduction takes the counts,
+    which gives the bits of the reduction over every atom."""
+    n = model.n
+    if n > 1000:  # C(n, w) enters log_sum_exp as e 2^j, j < n, which overflows past 1023
+        raise ValueError("class sums need n <= 1000")
+    rows = np.zeros((2, n + 1, n + 1), dtype=np.uint8)  # row [d, w]: d, then w ones
+    rows[1, :, 0] = 1
+    rows[:, :, 1:] = np.tri(n + 1, n, -1, dtype=np.uint8)
+    rows = rows.reshape(-1, n + 1)
+    log_mass = model.log_masses(rows).reshape(2, -1)
+    lls = calibrated_mechanism(model, epsilon).log_likelihoods(rows, y).reshape(2, -1)
+    counts = [math.comb(n, w) for w in range(n + 1)]
+    law = [log_sum_exp(lp.tolist(), counts) for lp in log_mass]
+    cond = [log_sum_exp((lp - c + ll).tolist(), counts) for lp, c, ll in zip(log_mass, law, lls)]
+    return FiniteDistribution(model.alphabet, tuple(law)), cond
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One n of a sweep; ``bound`` is None where lower_bound does not hold (y > 0)."""
@@ -586,8 +606,7 @@ def sweep(n_values, alpha: float, schedule: EtaSchedule, epsilon: float,
         exact = pml_d1(model, epsilon, y)
         enum_pml = None
         if n <= SWEEP_ENUM_LIMIT:
-            mech = calibrated_mechanism(model, epsilon)
-            enum_pml = pml_entry(model, mech, 0, _pml_outcome(y)).pml
+            enum_pml = pml(*_entry0_channel(model, epsilon, _pml_outcome(y)))
         rows.append(SweepRow(n=n, bound=bound, exact_pml=exact,
                              enum_pml=enum_pml, eps_max=-math.log(alpha)))
     return rows

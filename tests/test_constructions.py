@@ -11,13 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import laplace as scipy_laplace
 
-from pmleak import constructions
+from pmleak import constructions, leakage
 from pmleak.constructions import (BobModel, CorrelatedBinaryModel, EtaSchedule,
                                   _log_two_pow_minus_one, bob_mechanism, bob_pml,
                                   calibrated_mechanism, calibrated_scale,
                                   cond_density_binomial, cond_density_closed_form,
                                   find_limit_n, lower_bound, pml_d1, sweep)
-from pmleak.leakage import entry_channel, pml_entry
+from pmleak.leakage import entry_channel, pml, pml_entry
 from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_array
 from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism, dp_level_laplace,
                                laplace_log_density, product_mechanism)
@@ -863,6 +863,42 @@ class TestSweep:
         assert rows[0].enum_pml is not None
         assert rows[1].enum_pml is None
 
+    def test_enumeration_allocates_no_atom_table(self):
+        # the row at n = 15 enumerating its 2^16 atoms peaked at 10,619,416
+        # bytes (numpy 2.4) with an (A, 16) index and int64 label table; its
+        # 32 classes peak at 7,888
+        schedule = EtaSchedule.constant(0.5)
+        sweep([15], 0.25, schedule, 0.1, -0.3)  # first-call caches
+        tracemalloc.start()
+        try:
+            sweep([15], 0.25, schedule, 0.1, -0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 16) * 16 // 8  # an eighth of the 2^16 x 16 uint8 index table
+
+
+class TestClassSums:
+    """`_entry0_channel`, the sweep's enumeration as class sums: equal to
+    `entry_channel` in hex in TestEntryChannelAgainstLoop and on the
+    enumeration pins (test_enumeration_bits), and to `pml_d1` beyond them."""
+
+    @pytest.mark.parametrize("n", [16, 64, 200])
+    @pytest.mark.parametrize("epsilon", [0.1, 5.0])
+    def test_pml_d1_above_the_sweep_enumeration(self, n, epsilon):
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        edge = 3 / (n + 1)
+        for y in (-0.3, 0.0, 0.2, 0.4999, 0.77, 1.0, math.nextafter(edge, 0.0), edge,
+                  math.nextafter(edge, 1.0), (n - 1) / (n + 1)):
+            exact = pml_d1(model, epsilon, y)
+            got = pml(*constructions._entry0_channel(model, epsilon, y))
+            assert abs(got - exact) <= 1e-13 * (1.0 + exact), y
+
+    def test_counts_beyond_the_float_range_are_rejected(self):
+        # at n = 1000 the largest term is e 2^999; n = 1001 stops before any work
+        with pytest.raises(ValueError, match="n <= 1000"):
+            constructions._entry0_channel(CorrelatedBinaryModel(1001, 0.25, 0.5), 0.1, 0.3)
+
 
 def as_hex(law, lls):
     return [float(v).hex() for v in (*law, *lls)]
@@ -896,6 +932,10 @@ class TestEntryChannelAgainstLoop:
                 law, lls = entry_channel(model, mech, i, y)
                 want = loop_entry_channel(model, loop_mech, i, y, defined_log_mass(model))
                 assert as_hex(law.logp, lls) == as_hex(*want), (eta, epsilon, y, i)
+            # the sweep's class sums, against entry_channel at entry 0
+            law, lls = constructions._entry0_channel(model, epsilon, y)
+            want = entry_channel(model, mech, 0, y)
+            assert as_hex(law.logp, lls) == as_hex(want[0].logp, want[1]), (eta, epsilon, y)
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_correlated_model_other_entries_bit_for_bit(self, n):
@@ -981,6 +1021,33 @@ class TestEntryChannelAgainstLoop:
             for y in ("a", "b"):
                 law, lls = entry_channel(joint, mech, i, y)
                 want = loop_entry_channel(joint, mech, i, y, defined_log_mass(table))
+                assert as_hex(law.logp, lls) == as_hex(*want), (i, y)
+
+    def test_labels_that_are_not_indices_are_read(self):
+        # alphabet (1, 2) has indices (0, 1): read as indices, every center
+        # would sit 3/6 lower
+        model = ProductModel(tuple(FiniteDistribution.from_probs((1, 2), p)
+                                   for p in ((0.2, 0.8), (0.6, 0.4), (0.5, 0.5))))
+        mech = LaplaceMechanism(lambda x: np.sum(x, axis=-1) / 6, 0.25)
+        loop_mech = LaplaceMechanism(lambda x: sum(x) / 6, 0.25)
+        for i in range(3):
+            for y in (0.3, 0.75, 1.2):
+                law, lls = entry_channel(model, mech, i, y)
+                want = loop_entry_channel(model, loop_mech, i, y, defined_log_mass(model))
+                assert as_hex(law.logp, lls) == as_hex(*want), (i, y)
+
+    def test_index_labels_are_read_from_the_index_table(self, monkeypatch):
+        # the binary alphabet's labels are its indices, so no label table is
+        # built; the index table reaches the query in the labels' dtype, so
+        # x - 1 reads -1 where a uint8 table would wrap to 255
+        model = ProductModel((FiniteDistribution.from_probs((0, 1), (0.3, 0.7)),) * 4)
+        mech = LaplaceMechanism(lambda x: np.sum(x - 1, axis=-1) / 4, 0.5)
+        loop_mech = LaplaceMechanism(lambda x: sum(v - 1 for v in x) / 4, 0.5)
+        monkeypatch.setattr(leakage, "atom_labels", None)
+        for i in range(4):
+            for y in (-0.6, -0.25, 0.1):
+                law, lls = entry_channel(model, mech, i, y)
+                want = loop_entry_channel(model, loop_mech, i, y, defined_log_mass(model))
                 assert as_hex(law.logp, lls) == as_hex(*want), (i, y)
 
     @pytest.mark.parametrize("query", [sum, lambda x: sum(x) / len(x), lambda x: 0.5,

@@ -5,8 +5,9 @@ reports and `entry_channel` on the correlated and a ternary product model,
 floats as hex (scripts/make_enum_golden.py writes it and recomputes it
 here).  Both paths sum in numpy, whose float64 loops differ with the CPU
 features a process may use, so the bits are checked in this process and in
-a child with the AVX-512 loops off.  A change that moves a cell lists the
-move in CHANGES.md.
+a child with the AVX-512 loops off.  The entry-0 correlated cells are
+also recomputed through the sweep's class sums (`_entry0_channel`), in
+both.  A change that moves a cell lists the move in CHANGES.md.
 """
 
 import importlib.util
@@ -16,6 +17,7 @@ import pathlib
 import subprocess
 import sys
 
+from pmleak.constructions import CorrelatedBinaryModel, _entry0_channel
 from test_golden import WITHOUT_AVX512
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -35,6 +37,23 @@ def moved_cells():
     return [name for name in want if got[name] != want[name]]
 
 
+def moved_class_cells():
+    """The names of the entry-0 correlated cells whose value recomputed by
+    the sweep's class sums differs from its pin."""
+    want = json.loads(PINS.read_text())["cells"]
+    moved = []
+    for name, value in want.items():
+        kind, *fields = name.split()
+        params = dict(field.split("=") for field in fields)
+        if kind != "correlated" or params["i"] != "0":
+            continue
+        model = CorrelatedBinaryModel(int(params["n"]), 0.25, float(params["eta"]))
+        law, cond = _entry0_channel(model, float(params["epsilon"]), float(params["y"]))
+        if make_enum_golden.hexed([law.logp, cond]) != value:
+            moved.append(name)
+    return moved
+
+
 def test_pins_cover_every_path():
     names = json.loads(PINS.read_text())["cells"]
     assert {name.split()[0] for name in names} == {"theorem2", "correlated", "ternary"}
@@ -45,11 +64,18 @@ def test_pins_in_this_process():
     assert moved_cells() == []
 
 
+def test_class_sums_give_the_entry0_pins():
+    # 630 cells: n = 1 ... 15, three etas, two epsilons, seven outcomes
+    names = json.loads(PINS.read_text())["cells"]
+    assert sum(name.startswith("correlated") and " i=0 " in name for name in names) == 630
+    assert moved_class_cells() == []
+
+
 def test_pins_without_avx512_loops():
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
                PYTHONPATH=os.pathsep.join(sys.path))
-    code = ("import json, test_enumeration_bits; "
-            "print(json.dumps(test_enumeration_bits.moved_cells()))")
+    code = ("import json, test_enumeration_bits as t; "
+            "print(json.dumps(t.moved_cells() + t.moved_class_cells()))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, cwd=pathlib.Path(__file__).parent).stdout
     assert json.loads(out.strip().splitlines()[-1]) == []
