@@ -565,10 +565,10 @@ def _entry0_channel(model: CorrelatedBinaryModel, epsilon: float, y) -> tuple:
     """`entry_channel(model, calibrated_mechanism(model, epsilon), 0, y)` from
     one row per class (d_0, tail weight w) of C(n, w) atoms, all of which
     share the row's mass and likelihood: each reduction takes the counts,
-    which gives the bits of the reduction over every atom."""
+    which gives the bits of the reduction over every atom.  Valid for
+    n <= 1000: C(n, w) enters log_sum_exp as terms e 2^j with j < n, and
+    these overflow past j = 1023."""
     n = model.n
-    if n > 1000:  # C(n, w) enters log_sum_exp as e 2^j, j < n, which overflows past 1023
-        raise ValueError("class sums need n <= 1000")
     rows = np.zeros((2, n + 1, n + 1), dtype=np.uint8)  # row [d, w]: d, then w ones
     rows[1, :, 0] = 1
     rows[:, :, 1:] = np.tri(n + 1, n, -1, dtype=np.uint8)

@@ -101,12 +101,8 @@ def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
     digits = atom_table(model.alphabet, model.num_entries)
     log_mass = model.log_masses(digits)
     entry = digits[:, i].copy()  # so the table is freed before the labels are built
-    if model.alphabet == tuple(range(len(model.alphabet))):  # the labels are the indices
-        labels = digits.astype(np.asarray(model.alphabet).dtype)
-        del digits
-    else:
-        del digits
-        labels = atom_labels(model.alphabet, model.num_entries)
+    del digits
+    labels = atom_labels(model.alphabet, model.num_entries)
     live = log_mass > LOG_ZERO
     if not live.all():  # copy nothing when every atom has mass
         entry, labels, log_mass = entry[live], labels[live], log_mass[live]
