@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -399,14 +400,132 @@ def test_seed_2024_reports_are_pinned(name):
     assert pinned_report(name) == (GOLDEN_REPORTS[name][1], True)
 
 
-def test_seed_2024_reports_without_avx512_loops():
-    # numpy's float64 exp, log1p and expm1 take other loops in a process
-    # that has the AVX-512 ones switched off; the pins hold on either
+#: the numpy ufuncs a block's draws and scores go through
+BLOCK_UFUNCS = ("exp", "log", "log1p", "expm1")
+
+
+def numpy_loops():
+    """The SIMD target numpy runs each float64 ufunc of BLOCK_UFUNCS on here."""
+    return " ".join(
+        f"{f}:" + np.lib.introspect.opt_func_info(f"^{f}$", "float64")[f]["dd"]["current"]
+        for f in BLOCK_UFUNCS)
+
+
+BLOCK_CHANNELS = {"random-channels": None, "zero-mass-channel": ZERO_MASS_CHANNEL}
+
+
+def block_digests(name):
+    """sha256 of every array that one _BLOCK-trial block at seed 11 draws and scores."""
+    rng = np.random.default_rng(11)
+    s = oracle._draw_scenarios(rng, oracle._BLOCK, 8, BLOCK_CHANNELS[name])
+    g, nw = oracle._draw_gains(rng, s.valid, 8)
+    k, nu = oracle._draw_kernels(rng, s.valid, 8)
+    arrays = {field.name: getattr(s, field.name) for field in dataclasses.fields(s)}
+    arrays.update(gains=g, guesses=nw, kernels=k, features=nu,
+                  indicator_ratios=oracle._indicator_ratios(s),
+                  gain_ratios=oracle._gain_ratios(s, g), kernel_ratios=oracle._kernel_ratios(s, k))
+    return {key: hashlib.sha256(a.tobytes()).hexdigest() for key, a in arrays.items()}
+
+
+# Every lane of a block, where the seed-2024 maxima could hide a moved one:
+# {numpy_loops(): {channel: {array: sha256}}}.  numpy's AVX-512 exp and log
+# round some lanes differently from its other loops, so each set of loops
+# has its own digests.
+BLOCK_DIGESTS = {
+    "exp:X86_V4 log:X86_V4 log1p:X86_V4 expm1:X86_V4": {
+        "random-channels": {
+            "valid": "554841efabdfdf1616fa8154f20aa22ff692751e786ca2a860f5e8ed4c858918",
+            "prior": "9abd61142172df4b04a6dbce4704bcce59766e6c4310e52b107149b5660147b8",
+            "lls": "ceb11030cd340d5cefd6753c8e373de8fd92d8b0741e59a939614a4406bc29c2",
+            "target": "0f35eaed74b93d38d1ecddf5f8c95954b47c1ee8ba98dc92432ce334ce5f5de2",
+            "post": "2e27f635ca2a9824b561e25c86488e5019411d8a465ff5b9af32b30aadfd6e8c",
+            "gains": "dd608dd2bb2fe21a57130e43ee43cac95bd43665aa6d118374fd1d736485db1c",
+            "guesses": "590593edb38f8ccdea380c17ad9237354af09e26f8e47fe6fd2709cfbd4d3d5b",
+            "kernels": "c35b5f312f2a036c2a8e415755977492c3f07dc0d1dfb78aa7b3d5ae4169d7f2",
+            "features": "34ff756fb3cb48d832939afcf39e9b7546c2123ce1397db30ed42bcea9b4a2da",
+            "indicator_ratios": "73f4eb06d6913c8ec3d76e7d0b89f0d40eb10116f84852a837a92c775fed4c22",
+            "gain_ratios": "eb33162ab97e0797ac9ba1a7b9d452d5e8b9e423426ee3eba8f9917115995aef",
+            "kernel_ratios": "4f905cb47059582d636012f525d53a2b21d9d98061f4cad85c365f8ee6a6c6ab",
+        },
+        "zero-mass-channel": {
+            "valid": "f40ae0b5c3ef9b289d6ae6643c8432e77994ad72118031aa7a28aa1357efd88c",
+            "prior": "ae5d61af7a165ebdaaa6f6982941ab071187ff6edc15bee2acd780eedb70c92e",
+            "lls": "cafbc5f143523164392d5e2cbef2cbbb950ddb5e75b98142c485edcb19aeecb8",
+            "target": "15099a4e284672672877ed6c8dbe012642cf05e74ffd261fc5040c2108a2f096",
+            "post": "66f203608ac4509af2e09d5dd3a31ba7650641d866c26b1a1f1cdb2b298b0f0d",
+            "gains": "86be74164f5ed212e59b947ecadd44752546cc3feda9a50c82b18d898b4813de",
+            "guesses": "0751b9fd14c719be70f6b5b803c65727ac985528646ecbfc2ab4046e0d7a7146",
+            "kernels": "7ec4c17c6b573df643d4d54b47e10ccc3f62047476304133b8908cb01502a614",
+            "features": "eed4b88c2037dc509d324b7d12ea628d2f49ebead728136aa87b48cf4dfe58e0",
+            "indicator_ratios": "9a0c3b57e5850356b9943f4f43a10cd9df4046d564e91ce4081deb24d8a128e9",
+            "gain_ratios": "c4d407bdd243337cbb10776c55fbbaa7248421bde0bc53d03a0b6ca549dc2625",
+            "kernel_ratios": "8d03a915361b26369dc421e06aca2dda8b273b3b86726ce0e8b1fc2feedf6585",
+        },
+    },
+    "exp:X86_V3 log:X86_V3 log1p:baseline(X86_V2) expm1:baseline(X86_V2)": {
+        "random-channels": {
+            "valid": "554841efabdfdf1616fa8154f20aa22ff692751e786ca2a860f5e8ed4c858918",
+            "prior": "9abd61142172df4b04a6dbce4704bcce59766e6c4310e52b107149b5660147b8",
+            "lls": "144c1e8708320ce2b5bfb21c61c0de74f615f940edb5b02eac6faa5a7352fae9",
+            "target": "eaadfebcb69e9dfbd346e0454991d0db0575df0956e007a76b26b3c3a82bc8df",
+            "post": "c191a1cf2691ca63258823c979d1ed592fd5af033c50d6cd6c3f3de6a90ece42",
+            "gains": "dd608dd2bb2fe21a57130e43ee43cac95bd43665aa6d118374fd1d736485db1c",
+            "guesses": "590593edb38f8ccdea380c17ad9237354af09e26f8e47fe6fd2709cfbd4d3d5b",
+            "kernels": "c35b5f312f2a036c2a8e415755977492c3f07dc0d1dfb78aa7b3d5ae4169d7f2",
+            "features": "34ff756fb3cb48d832939afcf39e9b7546c2123ce1397db30ed42bcea9b4a2da",
+            "indicator_ratios": "9d2a29adf18bec4eca25e82e4ae55931b3b40000ddaf7b41513cfd228d3e067a",
+            "gain_ratios": "437a829c1311a83cd68d29ce41aa99b990e877b99678423943eb430d0e03c3c1",
+            "kernel_ratios": "9ba8541c97d1779e3c541997f47caed8cca9cd0dcc391ca0399fae78cb913d42",
+        },
+        "zero-mass-channel": {
+            "valid": "f40ae0b5c3ef9b289d6ae6643c8432e77994ad72118031aa7a28aa1357efd88c",
+            "prior": "ae5d61af7a165ebdaaa6f6982941ab071187ff6edc15bee2acd780eedb70c92e",
+            "lls": "cafbc5f143523164392d5e2cbef2cbbb950ddb5e75b98142c485edcb19aeecb8",
+            "target": "f12bc16d23f49648eb7bcff626c154ecc7f3389edc18109b0e27635ef6e555d1",
+            "post": "ccbec3f299e06b1e586309f25ac67058ab3fb4af3aca144e369787c6d27892eb",
+            "gains": "86be74164f5ed212e59b947ecadd44752546cc3feda9a50c82b18d898b4813de",
+            "guesses": "0751b9fd14c719be70f6b5b803c65727ac985528646ecbfc2ab4046e0d7a7146",
+            "kernels": "7ec4c17c6b573df643d4d54b47e10ccc3f62047476304133b8908cb01502a614",
+            "features": "eed4b88c2037dc509d324b7d12ea628d2f49ebead728136aa87b48cf4dfe58e0",
+            "indicator_ratios": "510b280234da74ab66cf7e40a35f35022442de3d213a6c619b142588d2c5f7da",
+            "gain_ratios": "c87e10d7725a275eff5325e306fbfde1300644239b3ebb22976206b2c925ad82",
+            "kernel_ratios": "2c249d6401c6d7ef27a23e753dc22b90159f4467cf4f35f7dc9125aa6590b973",
+        },
+    },
+}
+
+
+def test_block_bits_are_pinned():
+    loops = numpy_loops()
+    if loops not in BLOCK_DIGESTS:
+        pytest.skip(f"no block digests recorded for numpy loops {loops}")
+    assert {name: block_digests(name) for name in BLOCK_CHANNELS} == BLOCK_DIGESTS[loops]
+
+
+@pytest.fixture(scope="module")
+def without_avx512():
+    """The seed-2024 reports, the numpy loops and the block digests, from a
+    child process that has numpy's AVX-512 loops switched off."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
                PYTHONPATH=os.pathsep.join(sys.path))
-    code = ("import json, test_oracle; print(json.dumps("
-            "{name: test_oracle.pinned_report(name) for name in test_oracle.GOLDEN_REPORTS}))")
+    code = ("import json, test_oracle as t; print(json.dumps({"
+            "'reports': {name: t.pinned_report(name) for name in t.GOLDEN_REPORTS}, "
+            "'loops': t.numpy_loops(), "
+            "'blocks': {name: t.block_digests(name) for name in t.BLOCK_CHANNELS}}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, cwd=pathlib.Path(__file__).parent).stdout
-    got = json.loads(out.strip().splitlines()[-1])
-    assert got == {name: [want, True] for name, (_, want) in GOLDEN_REPORTS.items()}
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_seed_2024_reports_without_avx512_loops(without_avx512):
+    # numpy's float64 exp, log1p and expm1 take other loops in a process
+    # that has the AVX-512 ones switched off; the pins hold on either
+    assert without_avx512["reports"] == {
+        name: [want, True] for name, (_, want) in GOLDEN_REPORTS.items()}
+
+
+def test_block_bits_without_avx512_loops(without_avx512):
+    loops = without_avx512["loops"]
+    if loops not in BLOCK_DIGESTS:
+        pytest.skip(f"no block digests recorded for numpy loops {loops}")
+    assert without_avx512["blocks"] == BLOCK_DIGESTS[loops]
