@@ -60,14 +60,24 @@ def log_sum_exp(values: Iterable[LogReal], counts=None) -> LogReal:
     return m + math.log(math.fsum(terms))
 
 
-def log_sum_exp_array(v, axis=-1):
+def log_sum_exp_array(v, axis=-1, _pad=None):
     """`log_sum_exp` along `axis` of an array, max-shifted; LOG_ZERO where
-    every entry is (or there is none), NaN where one is +inf, without a warning."""
+    every entry is (or there is none), NaN where one is +inf, without a warning.
+
+    `_pad`, for callers in this package, is a boolean array of v's shape that
+    marks entries the caller knows are LOG_ZERO.  They enter exp as 0 and are
+    zeroed after it, so each adds the +0.0 that exp(LOG_ZERO) adds: numpy's
+    SIMD exp takes a slow path on any vector that holds an infinity."""
     top = v.max(axis=axis, keepdims=True, initial=LOG_ZERO)
     top[top == LOG_ZERO] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         shifted = np.subtract(v, top)
-        return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + top.squeeze(axis)
+        if _pad is not None:
+            np.putmask(shifted, _pad, 0.0)
+        np.exp(shifted, out=shifted)
+        if _pad is not None:
+            shifted *= ~_pad
+        return np.log(shifted.sum(axis=axis)) + top.squeeze(axis)
 
 
 def log_array(v):

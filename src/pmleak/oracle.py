@@ -121,6 +121,11 @@ def randomized_function_ratio(prior: FiniteDistribution, log_likelihoods,
 # rows of trials, not a short reduction per trial.  A block pads every trial
 # to the largest alphabet: probabilities are 0 and logs are -inf off the
 # trial's own alphabet, so each sum and maximum runs over the whole padded axis.
+# No padded lane reaches numpy's exp or log: they enter as 1 or 0 and are set
+# back after, and masks act by whole-array arithmetic, not a masked loop.  On
+# 8,192 lanes, about 37 % of them padding, a 0 or -inf lane slows numpy's SIMD
+# exp from 8 to 33 us and log from 10 to 37 us, and a masked `where=` loop
+# takes 61 us, as the trial-last layout cuts its mask into short runs.
 
 #: trials drawn and scored together at the default alphabets of 8
 _BLOCK = 1024
@@ -191,11 +196,18 @@ def _random_channels(rng, size, width):
     1 - (1 - U)^(1 / (ny - 1)) for one uniform U, taken in log domain."""
     valid = _first(rng.integers(2, width + 1, size=size), width)
     ny = rng.integers(2, width + 1, size=size)
-    u = rng.random((width, size))
-    lls = np.where(valid, log_array(-np.expm1(np.log1p(-u) / (ny - 1))), LOG_ZERO)
-    bad = np.argwhere(valid & ~(lls <= 0))
-    if len(bad):
-        x, t = bad[0]
+    lls = rng.random((width, size))  # -expm1(log1p(-U) / (ny - 1)), in place
+    np.negative(lls, out=lls)
+    np.log1p(lls, out=lls)
+    lls /= ny - 1
+    np.expm1(lls, out=lls)
+    np.negative(lls, out=lls)
+    with np.errstate(divide="ignore"):  # log 0 = LOG_ZERO
+        np.log(lls, out=lls)
+    np.putmask(lls, ~valid, LOG_ZERO)
+    probability = lls <= 0
+    if not probability.all():
+        x, t = np.argwhere(~probability)[0]
         raise ValueError(f"channel entry for {int(x)!r} is exp({lls[x, t]:.6g}), "
                          "not a probability")
     return valid, lls
@@ -209,15 +221,29 @@ def _draw_scenarios(rng, size, max_alphabet, channel) -> _Scenarios:
     else:
         valid = np.ones((len(channel.x_labels), size), dtype=bool)
         lls = channel.logp.take(rng.integers(len(channel.y_labels), size=size), axis=1)
-    prior = np.where(valid, np.maximum(_dirichlet(rng, valid.shape, valid, 0), PRIOR_FLOOR), 0.0)
+    pad = ~valid
+    prior = _dirichlet(rng, valid.shape, valid, 0)
+    np.maximum(prior, PRIOR_FLOOR, out=prior)
+    prior *= valid
     prior /= prior.sum(axis=0)
-    if not np.all(prior[valid] > 0):
+    if not ((prior > 0) | pad).all():
         raise ValueError("PML requires full-support prior")
 
-    log_prior = log_array(prior)
-    target, log_py = pml_batch(log_prior, lls, axis=0)
+    # a padded lane enters log as 1 and leaves it as log 1: lls is LOG_ZERO
+    # there, so the joint is too; it enters exp as 0 and leaves it as 0
+    log_prior = np.log(prior + pad)
+    pad = pad if pad.any() else None
+    target, log_py = pml_batch(log_prior, lls, 0, pad)
+    post = np.add(lls, log_prior, out=log_prior)
     with np.errstate(invalid="ignore"):  # -inf - -inf where P_Y(y) = 0
-        post = np.where(log_py == LOG_ZERO, prior, np.exp(lls + log_prior - log_py))
+        post -= log_py
+    if pad is not None:
+        np.putmask(post, pad, 0.0)
+    np.exp(post, out=post)
+    post *= valid
+    dead = log_py == LOG_ZERO
+    if dead.any():
+        post[:, dead] = prior[:, dead]
     return _Scenarios(valid, prior, lls, target, post)
 
 
@@ -242,15 +268,15 @@ def _draw_kernels(rng, valid, max_guesses):
     k = _dirichlet(rng, (width, max_guesses, size), _first(nu, max_guesses), 1)
     if np.any(k < 0):
         raise ValueError("negative kernel probability")
-    if not np.all(np.abs(k.sum(axis=1)[valid] - 1.0) <= NORMALIZATION_TOL):
+    if not ((np.abs(k.sum(axis=1) - 1.0) <= NORMALIZATION_TOL) | ~valid).all():
         raise ValueError("kernel rows must sum to 1")
     return k, nu
 
 
 def _indicator_ratios(s: _Scenarios) -> np.ndarray:
     """Best indicator gain per trial: log max_j P(j | y) / P(j)."""
-    ratios = np.divide(s.post, s.prior, out=np.zeros_like(s.post), where=s.valid)
-    return np.log(ratios.max(axis=0))
+    # a padded lane is 0 / 1
+    return np.log(np.divide(s.post, s.prior + ~s.valid).max(axis=0))
 
 
 def _gain_ratios(s: _Scenarios, g) -> np.ndarray:
