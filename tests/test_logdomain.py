@@ -60,6 +60,25 @@ def test_lse_array_matches_scalar_row_by_row():
         assert math.isclose(value, want, rel_tol=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", [0, 1])
+def test_lse_array_padding_mask_keeps_the_bits(axis):
+    # padded lanes skip exp but add the +0.0 that exp(LOG_ZERO) adds
+    rng = np.random.default_rng(12)
+    v = rng.normal(-20.0, 30.0, (8, 64))
+    pad = np.arange(8)[:, None] >= rng.integers(2, 9, size=64)  # rows 0 and 1 never
+    pad[:, 5] = True      # a column of padding only
+    v[pad] = LOG_ZERO
+    v[0, 6] = LOG_ZERO    # a zero-mass entry that is not padding
+    v[1, 7] = math.inf    # NaN
+    if axis == 1:
+        v, pad = v.T.copy(), pad.T.copy()
+    got = log_sum_exp_array(v, axis, pad)
+    assert [x.hex() for x in got.tolist()] == [
+        x.hex() for x in log_sum_exp_array(v, axis).tolist()]
+    assert got[5] == LOG_ZERO and math.isnan(got[7]) and np.isfinite(np.delete(got, [5, 7])).all()
+
+
 @given(st.lists(finite_logs, min_size=1, max_size=30))
 def test_lse_matches_bigfloat_within_span(vals):
     span = max(vals) - min(vals)

@@ -245,6 +245,19 @@ class TestBatch:
         assert 1 <= len(calls) <= 2
         assert max(high, -low, gap) <= 1e-12
 
+    @pytest.mark.parametrize("adversary", [oracle._gains, oracle._kernels],
+                             ids=["gains", "kernels"])
+    def test_three_dimensional_blocks_stay_small(self, adversary):
+        # a float copy of an (A, W, T) mask alone would take _BLOCK_ENTRIES floats
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            oracle._block(rng, oracle._BLOCK, adversary, 8, 8, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * oracle._BLOCK_ENTRIES * np.dtype(float).itemsize
+
     @staticmethod
     def record_block_sizes(monkeypatch):
         sizes = []
