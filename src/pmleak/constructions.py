@@ -457,25 +457,23 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
 
     Evaluated at clip(y, 0, 1), which has the same PML.  For y <= 0 the d1 = 0
     branch provably dominates and the closed forms apply, at O(1) cost; for
-    y > 0 dominance is not established, so both conditionals are evaluated
-    as in cond_density_binomial, relative to one n-sized anchor that never
-    enters the PML, and maxed explicitly.  The PML is then formed from the
-    differences to the larger conditional, floored at 0, so it keeps its
-    last bits at any n; at y = 1/2 the two are equal and it is 0.
+    y > 0 dominance is not established.  At every y both conditionals are
+    evaluated as in cond_density_binomial, relative to one n-sized anchor
+    that never enters the PML, and maxed explicitly.  The PML is then formed
+    from the differences to the larger conditional, floored at 0, so it
+    keeps its last bits at any n; at y = 1/2 the two are equal and it is 0.
+    A float log_add(a, b) is never below b, so the PML never exceeds the cap
+    log(1/alpha), not even by rounding.
     """
     b = calibrated_scale(model.n, epsilon)
     y = _pml_outcome(y)
     if y == 0.5:  # i -> n - i, d1 -> 1 - d1 maps each conditional onto the other
         return 0.0
     log_alpha, log_rest = math.log(model.alpha), math.log1p(-model.alpha)
-    _, (c0, c1) = _cond_densities_binomial(model, b, y, anchored=y > 0)
-    if y <= 0:
-        # log P_Y(y): the two conditionals weighted by the law of D_1; at
-        # y = 0 nothing here is n-sized, and this order fixes the sweeps' bits
-        return max(c0, c1) - log_add(log_rest + c1, log_alpha + c0)
-    # the same, from the differences to the larger conditional: a peak term
-    # can leave one n-sized even relative to the anchor, and subtracted from
-    # itself it rounds to nothing
+    _, (c0, c1) = _cond_densities_binomial(model, b, y, anchored=True)
+    # log P_Y(y), the two conditionals weighted by the law of D_1, less the
+    # larger of them: a peak term can leave one n-sized even relative to the
+    # anchor, and subtracted from itself it rounds to nothing
     top = max(c0, c1)
     return max(0.0, -log_add(log_rest + (c1 - top), log_alpha + (c0 - top)))
 

@@ -94,14 +94,14 @@ def test_criterion_03_sandwich(report):
     alpha, eta = 0.25, 0.5
     cap = math.log(1.0 / alpha)
     ok = True
-    detail = "bound <= pml <= log(1/alpha) + 1e-9 on full grid"
+    detail = "bound <= pml <= log(1/alpha) on full grid"
     for n in (6, 10, 15, 30, 60, 100, 500, 2000):
         model = CorrelatedBinaryModel(n, alpha, eta)
         for epsilon in (0.1, 1.0, 2.0):
             bound = lower_bound(n, alpha, eta, epsilon)
             for y in Y_GRID:
                 value = pml_d1(model, epsilon, float(y))
-                if not (bound <= value + 1e-12 and value <= cap + 1e-9):
+                if not (bound <= value + 1e-12 and value <= cap):
                     ok = False
                     detail = (f"violated at n={n}, eps={epsilon}, y={y:.2f}: "
                               f"bound={bound:.6g}, pml={value:.6g}")

@@ -629,7 +629,27 @@ class TestPmlD1:
                 for y in np.linspace(-2.0, 0.0, 9):
                     value = pml_d1(model, epsilon, float(y))
                     assert bound <= value + 1e-12
-                    assert value <= math.log(1 / alpha) + 1e-9
+                    assert value <= -math.log(alpha)
+
+    def test_never_above_the_cap_on_random_draws(self):
+        # no slack: a float log_add(a, b) is never below b, so the PML of
+        # -log_add(., log alpha + (c0 - top)) is at most -log alpha exactly
+        rng = np.random.default_rng(2022)
+        for _ in range(600):
+            n = int(10 ** rng.uniform(0.0, 12.0))
+            alpha, eta = rng.uniform(0.01, 0.49), rng.uniform(0.01, 0.99)
+            epsilon = 10 ** rng.uniform(-3.0, 1.5)
+            y = rng.uniform(-1.0, 0.0) if rng.random() < 0.75 else rng.uniform(0.0, 1.5)
+            assert pml_d1(CorrelatedBinaryModel(n, alpha, eta), epsilon, y) <= -math.log(alpha)
+
+    @pytest.mark.parametrize("schedule", [EtaSchedule.constant(0.5),
+                                          EtaSchedule.polynomial(1.0, 1.0)],
+                             ids=["constant", "polynomial"])
+    def test_never_above_the_cap_on_the_committed_sweeps(self, schedule):
+        # the grids of results/sweep_eta_*.csv, as thm3 --n-range 4 4096 24 takes them
+        grid = sorted({int(round(v)) for v in np.geomspace(4, 4096, 24)})
+        for row in sweep(grid, 0.25, schedule, 0.1, -0.3):
+            assert row.exact_pml <= row.eps_max == -math.log(0.25)
 
     def test_positive_y_uses_explicit_max(self):
         model = CorrelatedBinaryModel(5, 0.25, 0.5)
@@ -839,7 +859,7 @@ class TestSweep:
         assert bounds == sorted(bounds)  # regression: monotone in n here
         for r in rows:
             assert r.bound <= r.exact_pml + 1e-12
-            assert r.exact_pml <= r.eps_max + 1e-9
+            assert r.exact_pml <= r.eps_max
 
     def test_positive_y_rows_carry_no_bound(self):
         # lower_bound holds only for y <= 0
@@ -854,7 +874,7 @@ class TestSweep:
         rows = sweep([5, 1000], 0.25, schedule, 0.1, y)
         for row, at_edge in zip(rows, sweep([5, 1000], 0.25, schedule, 0.1, edge)):
             assert row.exact_pml == at_edge.exact_pml
-            assert row.exact_pml <= row.eps_max + 1e-9
+            assert row.exact_pml <= row.eps_max
         assert abs(rows[0].exact_pml - rows[0].enum_pml) <= 1e-9
         assert rows[0].exact_pml > 0.01
 
