@@ -122,10 +122,10 @@ def randomized_function_ratio(prior: FiniteDistribution, log_likelihoods,
 # to the largest alphabet: probabilities are 0 and logs are -inf off the
 # trial's own alphabet, so each sum and maximum runs over the whole padded axis.
 # No padded lane reaches numpy's exp or log: they enter as 1 or 0 and are set
-# back after, and masks act by whole-array arithmetic, not a masked loop.  On
-# 8,192 lanes, about 37 % of them padding, a 0 or -inf lane slows numpy's SIMD
-# exp from 8 to 33 us and log from 10 to 37 us, and a masked `where=` loop
-# takes 61 us, as the trial-last layout cuts its mask into short runs.
+# back after, by arithmetic or putmask, never by a masked `where=` loop.  On
+# 8,192 lanes, 37 % of them padding, a 0 or -inf lane took numpy's SIMD exp
+# from 8 to 19 us and log from 11 to 27 us, and a masked log took 52 us, as
+# the trial-last layout cuts its mask into short runs (2-core AVX-512 Xeon).
 
 #: trials drawn and scored together at the default alphabets of 8
 _BLOCK = 1024
