@@ -357,13 +357,17 @@ def run_adversary_trials(seed: int = 2024, achievability_trials: int = 1000,
     time; each block's first trial is replayed through `leakage.pml` and the
     scalar ratio functions above, and the worst disagreement is reported.
     """
+    counts = {"achievability_trials": achievability_trials, "gain_trials": gain_trials,
+              "kernel_trials": kernel_trials, "max_alphabet": max_alphabet,
+              "max_guesses": max_guesses}
+    for name, count in counts.items():
+        if not isinstance(count, numbers.Integral) or isinstance(count, bool):
+            raise ValueError(f"{name} must be an integer, not {count!r}")
     if achievability_trials <= 0 or gain_trials <= 0 or kernel_trials <= 0:
         raise ValueError("empty trial set")
     if not 0.0 <= tolerance < math.inf:  # NaN fails too
         raise ValueError("tolerance must be finite and at least 0")
     for name, size, least in (("max_alphabet", max_alphabet, 2), ("max_guesses", max_guesses, 1)):
-        if not isinstance(size, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, not {size!r}")
         if size < least:
             raise ValueError(f"{name} must be at least {least}, not {size!r}")
     # random-channel blocks keep A * max(A, max_guesses) entries: the block size

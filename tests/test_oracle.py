@@ -186,11 +186,23 @@ class TestTrials:
         (dict(max_guesses=0), "max_guesses must be at least 1"),
         (dict(max_alphabet=2.5), "max_alphabet must be an integer"),
         (dict(max_guesses=1.5), "max_guesses must be an integer"),
-    ], ids=["max-alphabet", "max-guesses", "max-alphabet-fraction", "max-guesses-fraction"])
+        (dict(max_guesses=True), "max_guesses must be an integer"),
+    ], ids=["max-alphabet", "max-guesses", "max-alphabet-fraction", "max-guesses-fraction",
+            "max-guesses-bool"])
     def test_alphabet_sizes_validated(self, sizes, message):
         with pytest.raises(ValueError, match=message):
             run_adversary_trials(achievability_trials=1, gain_trials=1, kernel_trials=1,
                                  **sizes)
+
+    @pytest.mark.parametrize("name, count", [
+        ("achievability_trials", 1.5), ("achievability_trials", math.nan),
+        ("gain_trials", 2.0), ("kernel_trials", True),
+    ], ids=["fraction", "nan", "whole-float", "bool"])
+    def test_trial_counts_validated(self, name, count):
+        counts = dict(achievability_trials=1, gain_trials=1, kernel_trials=1)
+        counts[name] = count
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {count!r}$"):
+            run_adversary_trials(**counts)
 
     def test_deterministic_under_seed(self):
         a = run_adversary_trials(seed=9, achievability_trials=20,
