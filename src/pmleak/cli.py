@@ -39,17 +39,22 @@ _NOT_META = frozenset({"command", "config", "mechanism", "out", "svg", "reproduc
 MAX_COUNT = 1_000_000
 
 
-def _load_config(path, options):
-    """Config-file values keyed by option dest; every key must name an option."""
+def _load_config(path, command):
+    """Config-file values keyed by option dest; every key must name an option
+    of the `command` parser, and an int option takes a JSON integer."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must contain a JSON object")
+    types = {a.dest: a.type for a in command._actions
+             if a.default is not argparse.SUPPRESS and a.dest != "config"}
     out = {}
     for key, value in cfg.items():
         k = key.replace("-", "_")
-        if k not in options or k in ("command", "config"):
+        if k not in types:
             raise ValueError(f"unknown config field {key!r}")
+        if types[k] is int and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ValueError(f"config field {key!r} must be an integer, not {value!r}")
         out[k] = value
     return out
 
@@ -314,7 +319,7 @@ def main(argv=None) -> int:
             # flags > config > built-in defaults; a fresh parser takes
             # them, so they never reach a later call
             parser, commands = build_parser()
-            cfg = _load_config(args.config, vars(args))
+            cfg = _load_config(args.config, commands[args.command])
             commands[args.command].set_defaults(**cfg)
             args = parser.parse_args(argv)
         # looked up at call time, so a rebound cmd_* is the one that runs

@@ -282,6 +282,29 @@ class TestConfigAndReproducibility:
         cfg.write_text("[1, 2]")
         assert main(["thm3", "--config", str(cfg), "--n", "8"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("argv, config", [
+        (["oracle"], {"achievability-trials": 1.5}),
+        (["oracle"], {"seed": 2.7}),
+        (["oracle"], {"kernel_trials": True}),
+        (["thm3"], {"n": 4.9}),
+    ], ids=["oracle-trials", "oracle-seed", "oracle-bool", "thm3-n"])
+    def test_config_integer_option_takes_only_integers(self, tmp_path, capsys, argv, config):
+        # the same values on the command line fail argparse's int()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(argv + ["--config", str(cfg)]) == EXIT_VALIDATION
+        key, value = next(iter(config.items()))
+        err = capsys.readouterr().err
+        assert err == f"error: config field {key!r} must be an integer, not {value!r}\n"
+
+    def test_config_float_option_takes_an_integer(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1, "alpha": 0.3}))
+        out = tmp_path / "out.csv"
+        assert main(["thm3", "--config", str(cfg), "--n", "4", "--out", str(out)]) == EXIT_OK
+        meta = read_table(out)[0]
+        assert (float(meta["alpha"]), float(meta["epsilon"])) == (0.3, 1.0)
+
     def test_missing_mechanism_file(self, tmp_path):
         assert main(["analyze", "--mechanism",
                      str(tmp_path / "nope.json")]) == EXIT_VALIDATION
