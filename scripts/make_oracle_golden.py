@@ -11,10 +11,11 @@ The pins:
   lane.
 
 numpy's AVX-512 exp and log round some lanes differently from its other
-loops, so the block digests are keyed by the loops numpy runs, and both
-sets are recorded: in this process, and in a child with the AVX-512 loops
-switched off.  The reports must agree between the two.  The values come
-from pmleak itself; tests/test_oracle.py recomputes them with `pins()`.
+loops, and a report's maxima may fall on such a lane, so the pins are keyed
+by the loops numpy runs, and both sets are recorded: in this process, and
+in a child with the AVX-512 loops switched off.  Each report must pass.
+The values come from pmleak itself; tests/test_oracle.py recomputes them
+with `pins()`.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/make_oracle_golden.py
@@ -103,18 +104,17 @@ def main():
     if sys.argv[1:] == ["--print"]:
         print(json.dumps(pins()))
         return
-    here, child = pins(), child_pins()
-    if not all(passed for _, passed in here["reports"].values()):
-        sys.exit("a pinned report does not pass; nothing written")
-    if here["reports"] != child["reports"]:
-        sys.exit("the reports differ with numpy's AVX-512 loops off; nothing written")
-    pinned = {"about": "bits of run_adversary_trials and its blocks; written by "
-                       "scripts/make_oracle_golden.py",
-              "reports": {name: fields for name, (fields, _) in here["reports"].items()},
-              "blocks": {here["loops"]: here["blocks"], child["loops"]: child["blocks"]}}
-    OUT.write_text(json.dumps(pinned, indent=1) + "\n")
-    print(f"{len(pinned['reports'])} reports and {len(pinned['blocks'])} sets of block "
-          f"digests written to {OUT}")
+    recorded = {}
+    for p in (pins(), child_pins()):
+        if not all(passed for _, passed in p["reports"].values()):
+            sys.exit(f"a pinned report does not pass on loops {p['loops']}; nothing written")
+        recorded[p["loops"]] = {
+            "reports": {name: fields for name, (fields, _) in p["reports"].items()},
+            "blocks": p["blocks"]}
+    OUT.write_text(json.dumps({"about": "bits of run_adversary_trials and its blocks, by "
+                                        "numpy loops; written by scripts/make_oracle_golden.py",
+                               "loops": recorded}, indent=1) + "\n")
+    print(f"pins for {len(recorded)} sets of numpy loops written to {OUT}")
 
 
 if __name__ == "__main__":
