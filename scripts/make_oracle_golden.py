@@ -7,8 +7,8 @@ The pins:
   float.hex, on random channels at the default counts and on a fixed
   channel with an all-zero outcome column;
 - the sha256 of every array that one block of trials at seed 11 draws and
-  scores, on each channel: where the seed-2024 maxima could hide a moved
-  lane.
+  scores, on random channels of 2, 5 and 8 secrets and on the fixed
+  channel: where the seed-2024 maxima could hide a moved lane.
 
 numpy's AVX-512 exp and log round some lanes differently from its other
 loops, and a report's maxima may fall on such a lane, so the pins are keyed
@@ -50,7 +50,10 @@ REPORT_RUNS = {
                               kernel_trials=1000, channel=ZERO_MASS_CHANNEL),
 }
 
-BLOCK_CHANNELS = {"random-channels": None, "zero-mass-channel": ZERO_MASS_CHANNEL}
+#: the secret count and channel of each digested block: random channels at
+#: the smallest, a middle and the largest count of the defaults, and the fixed one
+BLOCKS = {"random-channels nx=2": (2, None), "random-channels nx=5": (5, None),
+          "random-channels nx=8": (8, None), "zero-mass-channel": (3, ZERO_MASS_CHANNEL)}
 
 #: the numpy ufuncs a block's draws and scores go through
 BLOCK_UFUNCS = ("exp", "log", "log1p", "expm1")
@@ -72,10 +75,11 @@ def numpy_loops():
 
 def block_digests(name):
     """sha256 of every array that one _BLOCK-trial block at seed 11 draws and scores."""
+    nx, channel = BLOCKS[name]
     rng = np.random.default_rng(11)
-    s = oracle._draw_scenarios(rng, oracle._BLOCK, 8, BLOCK_CHANNELS[name])
-    g, nw = oracle._draw_gains(rng, s.valid, 8)
-    k, nu = oracle._draw_kernels(rng, s.valid, 8)
+    s = oracle._draw_scenarios(rng, nx, oracle._BLOCK, 8, channel)
+    g, nw = oracle._draw_gains(rng, s.prior.shape, 8)
+    k, nu = oracle._draw_kernels(rng, s.prior.shape, 8)
     arrays = {field.name: getattr(s, field.name) for field in dataclasses.fields(s)}
     arrays.update(gains=g, guesses=nw, kernels=k, features=nu,
                   indicator_ratios=oracle._indicator_ratios(s),
@@ -85,10 +89,10 @@ def block_digests(name):
 
 def pins():
     """This process's pins: {"reports": {name: [fields, passed]}, "loops": numpy_loops(),
-    "blocks": {channel: {array: sha256}}}."""
+    "blocks": {block: {array: sha256}}}."""
     return {"reports": {name: list(report(name)) for name in REPORT_RUNS},
             "loops": numpy_loops(),
-            "blocks": {name: block_digests(name) for name in BLOCK_CHANNELS}}
+            "blocks": {name: block_digests(name) for name in BLOCKS}}
 
 
 def child_pins():

@@ -58,12 +58,10 @@ def pml(prior: FiniteDistribution, log_likelihoods) -> float:
     return max(max(lls) - log_py, 0.0)  # NaN stays NaN
 
 
-def pml_batch(log_prior, lls, axis, _pad=None):
+def pml_batch(log_prior, lls, axis):
     """`pml` along `axis` of arrays of log P(x) and log P(y | x), which
-    broadcast: (PML, log P(y)), with PML 0 where P(y) = 0 and floored at 0.
-    `_pad` marks the entries whose joint log P(x) + log P(y | x) the caller
-    knows is LOG_ZERO, as `log_sum_exp_array`'s does."""
-    log_py = log_sum_exp_array(log_prior + lls, axis, _pad)
+    broadcast: (PML, log P(y)), with PML 0 where P(y) = 0 and floored at 0."""
+    log_py = log_sum_exp_array(log_prior + lls, axis)
     value = np.subtract(lls.max(axis=axis), log_py, out=np.zeros_like(log_py),
                         where=log_py > LOG_ZERO)
     return np.maximum(value, 0.0, out=value), log_py

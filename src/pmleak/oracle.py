@@ -115,23 +115,23 @@ def randomized_function_ratio(prior: FiniteDistribution, log_likelihoods,
 
 # --- randomized adversary trials ------------------------------------------
 #
-# The trials run in blocks of _BLOCK.  Every array of a block is C-contiguous
-# with the trial axis last, (alphabet, ..., trial), so a sum or maximum over
-# secrets or guesses runs over a leading axis: elementwise passes over whole
-# rows of trials, not a short reduction per trial.  A block pads every trial
-# to the largest alphabet: probabilities are 0 and logs are -inf off the
-# trial's own alphabet, so each sum and maximum runs over the whole padded axis.
-# No padded lane reaches numpy's exp or log: they enter as 1 or 0 and are set
-# back after, by arithmetic or putmask, never by a masked `where=` loop.  On
-# 8,192 lanes, 37 % of them padding, a 0 or -inf lane took numpy's SIMD exp
-# from 8 to 19 us and log from 11 to 27 us, and a masked log took 52 us, as
-# the trial-last layout cuts its mask into short runs (2-core AVX-512 Xeon).
+# The trials run in groups of one secret count nx, and each group in chunks
+# of at most _BLOCK trials.  Every array of a chunk is C-contiguous with the
+# trial axis last, (nx, ..., trial), so a sum or maximum over secrets or
+# guesses runs over a leading axis: elementwise passes over whole rows of
+# trials, not a short reduction per trial.  A random-channel phase first
+# draws how many of its trials take each count 2..max_alphabet, in one
+# multinomial: the trials are iid and a phase only folds maxima and minima,
+# so this is the law of one count drawn per trial, and no secret lane is
+# padding.  A fixed channel is one group.  Only the guess axis is padded to
+# max_guesses, by gains and kernel entries of 0, which no exp or log takes.
 
-#: trials drawn and scored together at the default alphabets of 8
+#: most trials drawn and scored together
 _BLOCK = 1024
 
-#: entries of the largest padded array of a block (512 KB of floats); wider
-#: alphabets get fewer trials per block, so memory does not grow with them
+#: entries of the largest (nx, guesses, trial) array of a chunk (512 KB of
+#: floats); wider alphabets get fewer trials per chunk, so memory does not
+#: grow with them
 _BLOCK_ENTRIES = _BLOCK * 8 * 8
 
 
@@ -146,7 +146,7 @@ class OracleReport:
     max_achievability_gap: float
     max_gain_excess: float
     max_kernel_excess: float
-    max_reference_gap: float  # |batch - scalar| over each block's replayed trial
+    max_reference_gap: float  # |batch - scalar| over each chunk's replayed trial
     tolerance: float
 
     @property
@@ -162,41 +162,45 @@ def _first(counts, width):
     return np.arange(width)[:, None] < counts
 
 
-def _dirichlet(rng, shape, mask, axis):
-    """Uniform Dirichlet draws along `axis` over the masked entries, 0 elsewhere."""
+def _chunk(nx, max_guesses):
+    """Trials per chunk at nx secrets; it fixes each trial's draws, so a seed's reports."""
+    return min(_BLOCK, max(1, _BLOCK_ENTRIES // (nx * max_guesses)))
+
+
+def _dirichlet(rng, shape, axis, mask=None):
+    """Uniform Dirichlet draws along `axis`, 0 off the mask if one is given."""
     e = rng.standard_exponential(shape)
-    e *= mask
+    if mask is not None:
+        e *= mask
     e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
 @dataclass(frozen=True)
 class _Scenarios:
-    """One block of trials: a prior and the likelihoods of one drawn outcome each."""
+    """A chunk of trials over nx secrets: a prior and one outcome's likelihoods each."""
 
-    valid: np.ndarray      # (A, T) bool: x inside the trial's alphabet
-    prior: np.ndarray      # (A, T) P(x)
-    lls: np.ndarray        # (A, T) log P(y | x)
+    prior: np.ndarray      # (nx, T) P(x)
+    lls: np.ndarray        # (nx, T) log P(y | x)
     target: np.ndarray     # (T,) PML of y
-    post: np.ndarray       # (A, T) P(x | y); the prior where P_Y(y) = 0
+    post: np.ndarray       # (nx, T) P(x | y); the prior where P_Y(y) = 0
 
     def trial(self, t):
         """Trial t as the scalar functions take it: (prior, log-likelihoods)."""
-        nx = int(self.valid[:, t].sum())
-        prior = FiniteDistribution(tuple(range(nx)), tuple(np.log(self.prior[:nx, t]).tolist()))
-        return prior, self.lls[:nx, t].tolist()
+        log_prior = np.log(self.prior[:, t])
+        return (FiniteDistribution(tuple(range(len(log_prior))), tuple(log_prior.tolist())),
+                self.lls[:, t].tolist())
 
 
-def _random_channels(rng, size, width):
-    """(width, size) secret-alphabet masks of 2..width secrets and log P(y | x)
-    at one outcome y of a channel with uniform Dirichlet rows over 2..width outcomes.
+def _random_channels(rng, nx, size, width):
+    """(nx, size) log P(y | x) at one outcome y of a channel with uniform
+    Dirichlet rows over 2..width outcomes, one channel per trial.
 
     Only the scored column is drawn: an entry of a uniform Dirichlet row over
     ny outcomes is Beta(1, ny - 1), independently over rows, so it is
     1 - (1 - U)^(1 / (ny - 1)) for one uniform U, taken in log domain."""
-    valid = _first(rng.integers(2, width + 1, size=size), width)
     ny = rng.integers(2, width + 1, size=size)
-    lls = rng.random((width, size))  # -expm1(log1p(-U) / (ny - 1)), in place
+    lls = rng.random((nx, size))  # -expm1(log1p(-U) / (ny - 1)), in place
     np.negative(lls, out=lls)
     np.log1p(lls, out=lls)
     lls /= ny - 1
@@ -204,56 +208,45 @@ def _random_channels(rng, size, width):
     np.negative(lls, out=lls)
     with np.errstate(divide="ignore"):  # log 0 = LOG_ZERO
         np.log(lls, out=lls)
-    np.putmask(lls, ~valid, LOG_ZERO)
     probability = lls <= 0
     if not probability.all():
         x, t = np.argwhere(~probability)[0]
         raise ValueError(f"channel entry for {int(x)!r} is exp({lls[x, t]:.6g}), "
                          "not a probability")
-    return valid, lls
+    return lls
 
 
-def _draw_scenarios(rng, size, max_alphabet, channel) -> _Scenarios:
-    """`size` trials: a random channel (or the given one), a floored uniform
-    Dirichlet prior and a uniform outcome each, scored for their PML."""
+def _draw_scenarios(rng, nx, size, max_alphabet, channel) -> _Scenarios:
+    """`size` trials over nx secrets: a random channel (or the given one), a
+    floored uniform Dirichlet prior and a uniform outcome each, scored for their PML."""
     if channel is None:
-        valid, lls = _random_channels(rng, size, max_alphabet)
+        lls = _random_channels(rng, nx, size, max_alphabet)
     else:
-        valid = np.ones((len(channel.x_labels), size), dtype=bool)
         lls = channel.logp.take(rng.integers(len(channel.y_labels), size=size), axis=1)
-    pad = ~valid
-    prior = _dirichlet(rng, valid.shape, valid, 0)
+    prior = _dirichlet(rng, lls.shape, 0)
     np.maximum(prior, PRIOR_FLOOR, out=prior)
-    prior *= valid
     prior /= prior.sum(axis=0)
-    if not ((prior > 0) | pad).all():
+    if not (prior > 0).all():
         raise ValueError("PML requires full-support prior")
 
-    # a padded lane enters log as 1 and leaves it as log 1: lls is LOG_ZERO
-    # there, so the joint is too; it enters exp as 0 and leaves it as 0
-    log_prior = np.log(prior + pad)
-    pad = pad if pad.any() else None
-    target, log_py = pml_batch(log_prior, lls, 0, pad)
+    log_prior = np.log(prior)
+    target, log_py = pml_batch(log_prior, lls, 0)
     post = np.add(lls, log_prior, out=log_prior)
     with np.errstate(invalid="ignore"):  # -inf - -inf where P_Y(y) = 0
         post -= log_py
-    if pad is not None:
-        np.putmask(post, pad, 0.0)
     np.exp(post, out=post)
-    post *= valid
     dead = log_py == LOG_ZERO
     if dead.any():
         post[:, dead] = prior[:, dead]
-    return _Scenarios(valid, prior, lls, target, post)
+    return _Scenarios(prior, lls, target, post)
 
 
-def _draw_gains(rng, valid, max_guesses):
-    """Uniform gain tables (A, W, T) over each trial's secrets and 1..max_guesses guesses."""
-    width, size = valid.shape
+def _draw_gains(rng, shape, max_guesses):
+    """Uniform gain tables (nx, W, T) over 1..max_guesses guesses, for (nx, T) scenarios."""
+    nx, size = shape
     nw = rng.integers(1, max_guesses + 1, size=size)
-    mask = valid[:, None, :] & _first(nw, max_guesses)
-    g = rng.random((width, max_guesses, size))
-    g *= mask
+    g = rng.random((nx, max_guesses, size))
+    g *= _first(nw, max_guesses)
     if np.any(g < 0):
         raise ValueError("gain values must be non-negative")
     if not np.all(np.any(g > 0, axis=(0, 1))):
@@ -261,22 +254,21 @@ def _draw_gains(rng, valid, max_guesses):
     return g, nw
 
 
-def _draw_kernels(rng, valid, max_guesses):
-    """Uniform Dirichlet kernel rows P(u | x), (A, U, T), over 1..max_guesses features."""
-    width, size = valid.shape
+def _draw_kernels(rng, shape, max_guesses):
+    """Uniform Dirichlet kernel rows P(u | x), (nx, U, T), over 1..max_guesses features."""
+    nx, size = shape
     nu = rng.integers(1, max_guesses + 1, size=size)
-    k = _dirichlet(rng, (width, max_guesses, size), _first(nu, max_guesses), 1)
+    k = _dirichlet(rng, (nx, max_guesses, size), 1, _first(nu, max_guesses))
     if np.any(k < 0):
         raise ValueError("negative kernel probability")
-    if not ((np.abs(k.sum(axis=1) - 1.0) <= NORMALIZATION_TOL) | ~valid).all():
+    if not (np.abs(k.sum(axis=1) - 1.0) <= NORMALIZATION_TOL).all():
         raise ValueError("kernel rows must sum to 1")
     return k, nu
 
 
 def _indicator_ratios(s: _Scenarios) -> np.ndarray:
     """Best indicator gain per trial: log max_j P(j | y) / P(j)."""
-    # a padded lane is 0 / 1
-    return np.log(np.divide(s.post, s.prior + ~s.valid).max(axis=0))
+    return np.log((s.post / s.prior).max(axis=0))
 
 
 def _gain_ratios(s: _Scenarios, g) -> np.ndarray:
@@ -301,34 +293,34 @@ def _gap(batch, scalar) -> float:
     return 0.0 if batch == scalar else abs(float(batch) - scalar)
 
 
-# Adversaries: (rng, block, its first trial's prior and lls, max_guesses) ->
+# Adversaries: (rng, chunk, its first trial's prior and lls, max_guesses) ->
 # (log-ratio per trial, the scalar function's log-ratio on that first trial).
 
 def _indicators(rng, s: _Scenarios, prior, lls, max_guesses):
     # the best indicator is at the largest posterior-to-prior ratio, so the
     # replay scores only the secret each of the scalar and the batch ranks first
     targets = {int(np.argmax(posterior_probs(prior, lls) / prior.probs())),
-               int(np.argmax(s.post[:prior.size, 0] / s.prior[:prior.size, 0]))}
+               int(np.argmax(s.post[:, 0] / s.prior[:, 0]))}
     scalar = max(gain_ratio(prior, lls, indicator_gain(prior.size, j)) for j in targets)
     return _indicator_ratios(s), scalar
 
 
 def _gains(rng, s: _Scenarios, prior, lls, max_guesses):
-    g, nw = _draw_gains(rng, s.valid, max_guesses)
-    return _gain_ratios(s, g), gain_ratio(prior, lls, GainFunction(g[:prior.size, :nw[0], 0]))
+    g, nw = _draw_gains(rng, s.prior.shape, max_guesses)
+    return _gain_ratios(s, g), gain_ratio(prior, lls, GainFunction(g[:, :nw[0], 0]))
 
 
 def _kernels(rng, s: _Scenarios, prior, lls, max_guesses):
-    k, nu = _draw_kernels(rng, s.valid, max_guesses)
+    k, nu = _draw_kernels(rng, s.prior.shape, max_guesses)
     return _kernel_ratios(s, k), randomized_function_ratio(
-        prior, lls, GuessKernel(k[:prior.size, :nu[0], 0]))
+        prior, lls, GuessKernel(k[:, :nu[0], 0]))
 
 
-def _block(rng, size, adversary, max_alphabet, max_guesses, channel):
-    """Largest and smallest log-ratio minus PML over `size` new trials, and the
-    largest |batch - scalar| of the PML and the ratio on the first of them,
-    the scalar PML from `leakage.pml`."""
-    s = _draw_scenarios(rng, size, max_alphabet, channel)
+def _block(rng, nx, size, adversary, max_alphabet, max_guesses, channel):
+    """Largest and smallest log-ratio minus PML over `size` new trials of nx
+    secrets, and the largest |batch - scalar| of the PML and the ratio on the
+    first of them, the scalar PML from `leakage.pml`."""
+    s = _draw_scenarios(rng, nx, size, max_alphabet, channel)
     prior, lls = s.trial(0)
     ratios, scalar = adversary(rng, s, prior, lls, max_guesses)
     excess = ratios - s.target
@@ -336,10 +328,24 @@ def _block(rng, size, adversary, max_alphabet, max_guesses, channel):
     return float(excess.max()), float(excess.min()), gap
 
 
-def _phase(rng, trials, block, *args):
-    """`_block` over `trials` trials, `block` at a time, folded."""
-    highs, lows, gaps = zip(*(_block(rng, min(block, trials - start), *args)
-                              for start in range(0, trials, block)))
+def _chunks(rng, trials, max_alphabet, max_guesses, channel):
+    """(nx, size) of each chunk of a phase of `trials` trials."""
+    if channel is None:  # how many of the trials take each count 2..max_alphabet
+        groups = enumerate(rng.multinomial(trials, [1 / (max_alphabet - 1)]
+                                           * (max_alphabet - 1)).tolist(), 2)
+    else:
+        groups = [(len(channel.x_labels), trials)]
+    for nx, count in groups:
+        step = _chunk(nx, max_guesses)
+        for start in range(0, count, step):
+            yield nx, min(step, count - start)
+
+
+def _phase(rng, trials, adversary, max_alphabet, max_guesses, channel):
+    """`_block` over `trials` trials, a chunk at a time, folded."""
+    highs, lows, gaps = zip(*(
+        _block(rng, nx, size, adversary, max_alphabet, max_guesses, channel)
+        for nx, size in _chunks(rng, trials, max_alphabet, max_guesses, channel)))
     return max(highs), min(lows), max(gaps)
 
 
@@ -353,9 +359,10 @@ def run_adversary_trials(seed: int = 2024, achievability_trials: int = 1000,
     Achievability uses the indicator gains, whose maximum over target
     secrets equals the PML exactly; soundness samples arbitrary gains and
     kernels and records the worst excess over the PML (which should be
-    pure floating-point noise).  Trials are drawn and scored a block at a
-    time; each block's first trial is replayed through `leakage.pml` and the
-    scalar ratio functions above, and the worst disagreement is reported.
+    pure floating-point noise).  Trials are drawn and scored a chunk of one
+    secret count at a time; each chunk's first trial is replayed through
+    `leakage.pml` and the scalar ratio functions above, and the worst
+    disagreement is reported.
     """
     counts = {"achievability_trials": achievability_trials, "gain_trials": gain_trials,
               "kernel_trials": kernel_trials, "max_alphabet": max_alphabet,
@@ -370,18 +377,11 @@ def run_adversary_trials(seed: int = 2024, achievability_trials: int = 1000,
     for name, size, least in (("max_alphabet", max_alphabet, 2), ("max_guesses", max_guesses, 1)):
         if size < least:
             raise ValueError(f"{name} must be at least {least}, not {size!r}")
-    # random-channel blocks keep A * max(A, max_guesses) entries: the block size
-    # fixes which draws each trial takes, so it is part of what a seed reports
-    if channel is None:
-        entries = max_alphabet * max(max_alphabet, max_guesses)
-    else:
-        entries = len(channel.x_labels) * max_guesses
-    block = min(_BLOCK, max(1, _BLOCK_ENTRIES // entries))
     rng = np.random.default_rng(seed)
     sizes = (max_alphabet, max_guesses, channel)
-    high, low, indicator_gap = _phase(rng, achievability_trials, block, _indicators, *sizes)
-    max_gain_excess, _, gain_gap = _phase(rng, gain_trials, block, _gains, *sizes)
-    max_kernel_excess, _, kernel_gap = _phase(rng, kernel_trials, block, _kernels, *sizes)
+    high, low, indicator_gap = _phase(rng, achievability_trials, _indicators, *sizes)
+    max_gain_excess, _, gain_gap = _phase(rng, gain_trials, _gains, *sizes)
+    max_kernel_excess, _, kernel_gap = _phase(rng, kernel_trials, _kernels, *sizes)
     return OracleReport(
         seed=seed,
         achievability_trials=achievability_trials,

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pmleak import oracle
 from pmleak.leakage import pml, pml_entry
@@ -217,34 +218,39 @@ class TestTrials:
 ZERO_MASS_CHANNEL = make_oracle_golden.ZERO_MASS_CHANNEL
 
 
+#: (secrets, channel) of the chunks checked lane by lane: random channels at
+#: the smallest, a middle and the largest count of the defaults, and a fixed one
+CHUNKS = [(2, None), (5, None), (8, None), (3, ZERO_MASS_CHANNEL)]
+
+
 class TestBatch:
-    """The block path against the scalar functions it replaces."""
+    """The chunk path against the scalar functions it replaces."""
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("channel", [None, ZERO_MASS_CHANNEL],
-                             ids=["random-channels", "zero-mass-channel"])
-    def test_block_matches_scalar_reference(self, channel):
+    @pytest.mark.parametrize("nx, channel", CHUNKS,
+                             ids=["random-2", "random-5", "random-8", "zero-mass-channel"])
+    def test_block_matches_scalar_reference(self, nx, channel):
         rng = np.random.default_rng(11)
-        s = oracle._draw_scenarios(rng, oracle._BLOCK, 8, channel)
-        g, nw = oracle._draw_gains(rng, s.valid, 8)
-        k, nu = oracle._draw_kernels(rng, s.valid, 8)
-        # the trial axis last and contiguous, so each reduction runs over rows
-        for drawn in (s.valid, s.prior, s.lls, s.post, g, k):
-            assert drawn.shape[-1] == oracle._BLOCK and drawn.flags.c_contiguous
+        s = oracle._draw_scenarios(rng, nx, oracle._BLOCK, 8, channel)
+        g, nw = oracle._draw_gains(rng, s.prior.shape, 8)
+        k, nu = oracle._draw_kernels(rng, s.prior.shape, 8)
+        # dense over the secrets, the trial axis last and contiguous, so each
+        # reduction runs over rows
+        for drawn in (s.prior, s.lls, s.post, g, k):
+            assert drawn.shape[0] == nx and drawn.shape[-1] == oracle._BLOCK
+            assert drawn.flags.c_contiguous
         best = oracle._indicator_ratios(s)
         gains = oracle._gain_ratios(s, g)
         kernels = oracle._kernel_ratios(s, k)
         for t in range(256):
-            nx = int(s.valid[:, t].sum())
-            assert not s.valid[nx:, t].any()
-            prior = FiniteDistribution.from_probs(range(nx), s.prior[:nx, t])
-            lls = list(s.lls[:nx, t])
+            prior = FiniteDistribution.from_probs(range(nx), s.prior[:, t])
+            lls = list(s.lls[:, t])
             assert s.target[t] == pytest.approx(pml(prior, lls), abs=1e-13)
             indicator = max(gain_ratio(prior, lls, indicator_gain(nx, j)) for j in range(nx))
             assert best[t] == pytest.approx(indicator, abs=1e-13)
-            gain = GainFunction(g[:nx, :nw[t], t])
+            gain = GainFunction(g[:, :nw[t], t])
             assert gains[t] == pytest.approx(gain_ratio(prior, lls, gain), abs=1e-13)
-            kernel = GuessKernel(k[:nx, :nu[t], t])
+            kernel = GuessKernel(k[:, :nu[t], t])
             assert kernels[t] == pytest.approx(
                 randomized_function_ratio(prior, lls, kernel), abs=1e-13)
         if channel is not None:  # the zero-mass outcome leaks nothing
@@ -253,58 +259,82 @@ class TestBatch:
             assert np.array_equal(s.post[:, dead], s.prior[:, dead])
 
     def test_indicator_replay_scores_two_secrets(self, monkeypatch):
-        # replaying every indicator gain would cost O(nx^2) per block
+        # replaying every indicator gain would cost O(nx^2) per chunk
         rng = np.random.default_rng(5)
         nx = 4000
         channel = FiniteMechanism.from_probs(range(nx), (0, 1), rng.dirichlet((1, 1), size=nx))
         calls = []
         score = oracle.gain_ratio
         monkeypatch.setattr(oracle, "gain_ratio", lambda *a: calls.append(a) or score(*a))
-        high, low, gap = oracle._block(rng, 1, oracle._indicators, 8, 8, channel)
+        high, low, gap = oracle._block(rng, nx, 1, oracle._indicators, 8, 8, channel)
         assert 1 <= len(calls) <= 2
         assert max(high, -low, gap) <= 1e-12
 
+    @pytest.mark.parametrize("nx", [2, 8])
     @pytest.mark.parametrize("adversary", [oracle._gains, oracle._kernels],
                              ids=["gains", "kernels"])
-    def test_three_dimensional_blocks_stay_small(self, adversary):
-        # a float copy of an (A, W, T) mask alone would take _BLOCK_ENTRIES floats
+    def test_three_dimensional_blocks_stay_small(self, adversary, nx):
+        # a float copy of an (nx, W, T) mask alone would take _BLOCK_ENTRIES
+        # floats at nx = 8; at nx = 2 the chunk is capped at _BLOCK trials
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            oracle._block(rng, oracle._BLOCK, adversary, 8, 8, None)
+            oracle._block(rng, nx, oracle._chunk(nx, 8), adversary, 8, 8, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * oracle._BLOCK_ENTRIES * np.dtype(float).itemsize
 
     @staticmethod
-    def record_block_sizes(monkeypatch):
-        sizes = []
-        draw = oracle._draw_scenarios
+    def record_chunks(monkeypatch):
+        """[(adversary, nx, size)] of every chunk a run scores, in order."""
+        chunks = []
+        block = oracle._block
 
-        def recording(rng, size, *args):
-            sizes.append(size)
-            return draw(rng, size, *args)
+        def recording(rng, nx, size, adversary, *args):
+            chunks.append((adversary, nx, size))
+            return block(rng, nx, size, adversary, *args)
 
-        monkeypatch.setattr(oracle, "_draw_scenarios", recording)
-        return sizes
+        monkeypatch.setattr(oracle, "_block", recording)
+        return chunks
 
     def test_counts_off_the_block_size_run_exactly(self, monkeypatch):
-        sizes = self.record_block_sizes(monkeypatch)
-        report = run_adversary_trials(seed=3, achievability_trials=1,
-                                      gain_trials=1023, kernel_trials=1025)
+        counts = dict(achievability_trials=1, gain_trials=1023, kernel_trials=1025)
+        chunks = self.record_chunks(monkeypatch)
+        report = run_adversary_trials(seed=3, channel=ZERO_MASS_CHANNEL, **counts)
         assert oracle._BLOCK == 1024
-        assert sizes == [1, 1023, 1024, 1]
+        assert [size for _, _, size in chunks] == [1, 1023, 1024, 1]
         assert report.passed
+        chunks.clear()
+        report = run_adversary_trials(seed=3, **counts)
+        assert report.passed
+        for adversary, trials in zip((oracle._indicators, oracle._gains, oracle._kernels),
+                                     counts.values()):
+            phase = [(nx, size) for a, nx, size in chunks if a is adversary]
+            assert sum(size for _, size in phase) == trials
+            assert all(2 <= nx <= 8 and 1 <= size <= oracle._chunk(nx, 8) for nx, size in phase)
+
+    def test_secret_counts_are_uniform(self, monkeypatch):
+        # one multinomial per phase draws the same law as one count per trial:
+        # uniform on 2..max_alphabet, which an off-by-one in the range breaks
+        chunks = self.record_chunks(monkeypatch)
+        run_adversary_trials(seed=4, achievability_trials=10_000, gain_trials=30_000,
+                             kernel_trials=30_000, max_alphabet=8)
+        counts = np.zeros(9, dtype=int)
+        for _, nx, size in chunks:
+            counts[nx] += size
+        assert counts[:2].sum() == 0 and counts.sum() == 70_000
+        statistic = stats.chisquare(counts[2:]).statistic
+        assert statistic < stats.chi2.ppf(0.99, 6)
 
     def test_wide_channel_takes_smaller_blocks(self, monkeypatch):
-        # 256 secrets x 8 guesses: 32 trials keep a block at _BLOCK_ENTRIES
-        sizes = self.record_block_sizes(monkeypatch)
+        # 256 secrets x 8 guesses: 32 trials keep a chunk at _BLOCK_ENTRIES
+        chunks = self.record_chunks(monkeypatch)
         rows = np.random.default_rng(0).dirichlet(np.ones(2), size=256)
         channel = FiniteMechanism.from_probs(range(256), (0, 1), rows)
         report = run_adversary_trials(seed=3, achievability_trials=40, gain_trials=32,
                                       kernel_trials=1, channel=channel)
-        assert sizes == [32, 8, 32, 1]
+        assert [size for _, _, size in chunks] == [32, 8, 32, 1]
         assert report.passed
 
     def test_reference_gap_catches_a_wrong_scalar_pml(self, monkeypatch):
@@ -331,17 +361,17 @@ class _StubGenerator:
 
 
 #: (secrets, trials)
-VALID = np.ones((3, 4), dtype=bool)
+SHAPE = (3, 4)
 
 
 @pytest.mark.parametrize("draw, fills, message", [
-    (lambda rng: oracle._draw_scenarios(rng, 4, 3, None),
+    (lambda rng: oracle._draw_scenarios(rng, 3, 4, 3, None),
      {"random": 2.0}, "channel entry for 0 is exp"),
-    (lambda rng: oracle._draw_scenarios(rng, 4, 3, ZERO_MASS_CHANNEL),
+    (lambda rng: oracle._draw_scenarios(rng, 3, 4, 3, ZERO_MASS_CHANNEL),
      {"standard_exponential": 0.0}, "full-support prior"),
-    (lambda rng: oracle._draw_gains(rng, VALID, 3), {"random": -0.5}, "non-negative"),
-    (lambda rng: oracle._draw_gains(rng, VALID, 3), {"random": 0.0}, "degenerate gain"),
-    (lambda rng: oracle._draw_kernels(rng, VALID, 3),
+    (lambda rng: oracle._draw_gains(rng, SHAPE, 3), {"random": -0.5}, "non-negative"),
+    (lambda rng: oracle._draw_gains(rng, SHAPE, 3), {"random": 0.0}, "degenerate gain"),
+    (lambda rng: oracle._draw_kernels(rng, SHAPE, 3),
      {"standard_exponential": 0.0}, "kernel rows must sum to 1"),
 ], ids=["channel-row-mass", "prior-support", "negative-gain", "zero-gain", "kernel-rows"])
 def test_block_draws_are_validated(draw, fills, message):
@@ -352,7 +382,7 @@ def test_block_draws_are_validated(draw, fills, message):
 def full_channel_entries(rng, trials, width):
     """P(y | x) over each trial's 2..width secrets, read off a full channel with
     uniform Dirichlet rows over 2..width outcomes at a uniform outcome y: the
-    law `_random_channels` draws one column of, in trial order."""
+    law `_random_channels` draws one column of, here in trial order."""
     nx = rng.integers(2, width + 1, size=trials)
     ny = rng.integers(2, width + 1, size=trials)
     column = np.empty((trials, width))
@@ -375,9 +405,12 @@ class TestRandomChannels:
     """The one-column draw against the full-channel sampler it replaces."""
 
     def test_entries_follow_the_full_channel_law(self):
+        # drawn as a phase draws them: a group of trials at each secret count
         n = 10 ** 6
-        valid, lls = oracle._random_channels(np.random.default_rng(1), 210_000, 8)
-        drawn = np.exp(lls[valid])
+        rng = np.random.default_rng(1)
+        drawn = np.exp(np.concatenate([
+            oracle._random_channels(rng, nx, count, 8).ravel()
+            for nx, count in enumerate(rng.multinomial(210_000, [1 / 7] * 7), 2)]))
         reference = full_channel_entries(np.random.default_rng(2), 210_000, 8)
         assert len(drawn) >= n and len(reference) >= n
         assert np.all((drawn >= 0) & (drawn <= 1))
@@ -389,7 +422,7 @@ class TestRandomChannels:
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            oracle._draw_scenarios(rng, oracle._BLOCK, 8, None)
+            oracle._draw_scenarios(rng, 8, oracle._BLOCK, 8, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -406,7 +439,7 @@ def pinned(loops):
 def test_pins_cover_every_run():
     for pins in PINS["loops"].values():
         assert pins["reports"].keys() == make_oracle_golden.REPORT_RUNS.keys()
-        assert pins["blocks"].keys() == make_oracle_golden.BLOCK_CHANNELS.keys()
+        assert pins["blocks"].keys() == make_oracle_golden.BLOCKS.keys()
 
 
 def test_loop_sets_agree_to_rounding():
