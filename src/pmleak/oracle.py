@@ -163,7 +163,7 @@ def _first(counts, width):
 
 
 def _chunk(nx, max_guesses):
-    """Trials per chunk at nx secrets; it fixes each trial's draws, so a seed's reports."""
+    """Trials per chunk at nx secrets: it fixes each trial's draws, and so what a seed reports."""
     return min(_BLOCK, max(1, _BLOCK_ENTRIES // (nx * max_guesses)))
 
 
@@ -331,8 +331,8 @@ def _block(rng, nx, size, adversary, max_alphabet, max_guesses, channel):
 def _chunks(rng, trials, max_alphabet, max_guesses, channel):
     """(nx, size) of each chunk of a phase of `trials` trials."""
     if channel is None:  # how many of the trials take each count 2..max_alphabet
-        groups = enumerate(rng.multinomial(trials, [1 / (max_alphabet - 1)]
-                                           * (max_alphabet - 1)).tolist(), 2)
+        p = [1 / (max_alphabet - 1)] * (max_alphabet - 1)
+        groups = enumerate(rng.multinomial(trials, p).tolist(), 2)
     else:
         groups = [(len(channel.x_labels), trials)]
     for nx, count in groups:
@@ -364,12 +364,12 @@ def run_adversary_trials(seed: int = 2024, achievability_trials: int = 1000,
     `leakage.pml` and the scalar ratio functions above, and the worst
     disagreement is reported.
     """
-    counts = {"achievability_trials": achievability_trials, "gain_trials": gain_trials,
-              "kernel_trials": kernel_trials, "max_alphabet": max_alphabet,
-              "max_guesses": max_guesses}
-    for name, count in counts.items():
-        if not isinstance(count, numbers.Integral) or isinstance(count, bool):
-            raise ValueError(f"{name} must be an integer, not {count!r}")
+    integers = {"achievability_trials": achievability_trials, "gain_trials": gain_trials,
+                "kernel_trials": kernel_trials, "max_alphabet": max_alphabet,
+                "max_guesses": max_guesses}
+    for name, value in integers.items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     if achievability_trials <= 0 or gain_trials <= 0 or kernel_trials <= 0:
         raise ValueError("empty trial set")
     if not 0.0 <= tolerance < math.inf:  # NaN fails too
