@@ -184,6 +184,8 @@ def cmd_thm3(opts) -> int:
 
 def cmd_bob(opts) -> int:
     k = int(opts.k)
+    if k > MAX_COUNT:  # before the k-label prior and mechanism are built
+        raise ValueError(f"k must be at most {MAX_COUNT}, got {k}")
     epsilon = float(opts.epsilon)
     model = BobModel(k=k, scale=float(opts.scale))
     if opts.y_grid is not None:

@@ -85,7 +85,8 @@ def pml_report(prior: FiniteDistribution, mech, y) -> LeakageReport:
     centers = [mech.center(x) for x in prior.labels]
     y = min(max(float(y), min(centers)), max(centers))
     dist = [abs(y - c) for c in centers]
-    return _report(prior, [(min(dist) - d) / mech.scale for d in dist])
+    nearest = min(dist)
+    return _report(prior, [(nearest - d) / mech.scale for d in dist])
 
 
 def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
@@ -149,8 +150,9 @@ class Theorem2Report:
     reference_gap: float  # |batch - scalar| at the witness, replayed through pml
 
 
-#: entries of the largest array one block of priors scores (8 MB of floats)
-_BLOCK_ENTRIES = 1 << 20
+#: entries of the largest array one block scores (512 KB of floats): a block
+#: of priors here, a chunk of trials in `oracle`
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _product_priors(alphabet: tuple, num_entries: int, prior_samples: int,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import LOG_ZERO, log_array, log_sum_exp
-from .leakage import PRIOR_FLOOR, pml, pml_batch
+from .leakage import _BLOCK_ENTRIES, PRIOR_FLOOR, pml, pml_batch
 from .mechanisms import FiniteMechanism
 from .probability import NORMALIZATION_TOL, FiniteDistribution
 
@@ -129,11 +129,6 @@ def randomized_function_ratio(prior: FiniteDistribution, log_likelihoods,
 #: most trials drawn and scored together
 _BLOCK = 1024
 
-#: entries of the largest (nx, guesses, trial) array of a chunk (512 KB of
-#: floats); wider alphabets get fewer trials per chunk, so memory does not
-#: grow with them
-_BLOCK_ENTRIES = _BLOCK * 8 * 8
-
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -163,7 +158,9 @@ def _first(counts, width):
 
 
 def _chunk(nx, max_guesses):
-    """Trials per chunk at nx secrets: it fixes each trial's draws, and so what a seed reports."""
+    """Trials per chunk at nx secrets: it fixes each trial's draws, and so what a seed reports.
+    Its largest (nx, guesses, trial) array holds at most _BLOCK_ENTRIES floats, so
+    wider alphabets get fewer trials and memory does not grow with them."""
     return min(_BLOCK, max(1, _BLOCK_ENTRIES // (nx * max_guesses)))
 
 

@@ -1,0 +1,54 @@
+"""What the test modules share: the repository's paths, its scripts as
+modules, a child process with numpy's AVX-512 loops off, and traced peaks."""
+
+import contextlib
+import functools
+import importlib.util
+import os
+import subprocess
+import sys
+import tracemalloc
+import types
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+GOLDEN = TESTS / "golden"
+RESULTS = ROOT / "results"
+
+
+@functools.cache
+def load_script(name):
+    """scripts/<name>.py as a module, loaded once; its main block does not run."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WITHOUT_AVX512 = load_script("make_oracle_golden").WITHOUT_AVX512
+
+
+def run_without_avx512(code):
+    """The last line that Python `code` prints in a child process run from
+    tests/ with this process's sys.path and NPY_DISABLE_CPU_FEATURES set to
+    WITHOUT_AVX512, where numpy's float64 loops match math's."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
+               PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, cwd=TESTS)
+    if child.returncode != 0:
+        raise RuntimeError(f"child exited with code {child.returncode}:\n{child.stderr}")
+    return child.stdout.strip().splitlines()[-1]
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace the block's allocations; `.bytes` holds their peak after it."""
+    peak = types.SimpleNamespace(bytes=None)
+    tracemalloc.start()
+    try:
+        yield peak
+        peak.bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,12 +1,8 @@
-import importlib.util
 import json
-import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from support import ROOT, load_script
 
-spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
-bench_record = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_record)
+bench_record = load_script("bench_record")
 
 
 def synthetic_runs(values):

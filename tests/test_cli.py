@@ -9,14 +9,14 @@ import pathlib
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pmleak import cli
+from pmleak.constructions import BobModel
 from pmleak.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
-from test_golden import WITHOUT_AVX512
+from support import RESULTS, ROOT, load_script, run_without_avx512, traced_peak
 
 
 def read_table(path):
@@ -30,6 +30,13 @@ def read_table(path):
             lines.append(line)
     header, *rows = csv.reader(lines)
     return meta, header, rows
+
+
+def run_table(tmp_path, argv):
+    """read_table of the CSV that main(argv) writes into tmp_path, exiting 0."""
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    return read_table(out)
 
 
 def write_spec(tmp_path, payload, name="mech.json"):
@@ -46,9 +53,7 @@ class TestAnalyze:
         spec = write_spec(tmp_path, {
             "kind": "finite", "x_labels": [0, 1], "y_labels": ["a", "b"],
             "rows": [[0.3, 0.7], [0.3, 0.7]]})
-        out = tmp_path / "out.csv"
-        assert main(["analyze", "--mechanism", spec, "--out", str(out)]) == EXIT_OK
-        _, header, rows = read_table(out)
+        _, header, rows = run_table(tmp_path, ["analyze", "--mechanism", spec])
         assert header == ["y", "pml_nats", "argmax_label", "eps_max"]
         assert len(rows) == 2
         for row in rows:
@@ -56,9 +61,7 @@ class TestAnalyze:
 
     def test_randomized_response_uniform_prior(self, tmp_path):
         spec = write_spec(tmp_path, RR_QUARTER)
-        out = tmp_path / "out.csv"
-        assert main(["analyze", "--mechanism", spec, "--out", str(out)]) == EXIT_OK
-        _, _, rows = read_table(out)
+        _, _, rows = run_table(tmp_path, ["analyze", "--mechanism", spec])
         for row in rows:
             assert float(row[1]) == pytest.approx(math.log(1.5), abs=1e-12)
             assert float(row[3]) == pytest.approx(math.log(2.0), abs=1e-12)
@@ -67,9 +70,7 @@ class TestAnalyze:
         spec = write_spec(tmp_path, {
             "kind": "finite", "x_labels": [0, 1], "y_labels": [0, 1],
             "rows": [[1.0, 0.0], [0.0, 1.0]], "prior": [0.25, 0.75]})
-        out = tmp_path / "out.csv"
-        assert main(["analyze", "--mechanism", spec, "--out", str(out)]) == EXIT_OK
-        _, _, rows = read_table(out)
+        _, _, rows = run_table(tmp_path, ["analyze", "--mechanism", spec])
         # outcome 0 reveals the probability-0.25 secret
         assert float(rows[0][1]) == pytest.approx(math.log(4.0), abs=1e-12)
         assert rows[0][2] == "0"
@@ -77,10 +78,7 @@ class TestAnalyze:
 
     def test_outcome_selection(self, tmp_path):
         spec = write_spec(tmp_path, RR_QUARTER)
-        out = tmp_path / "out.csv"
-        assert main(["analyze", "--mechanism", spec, "--y", "1",
-                     "--out", str(out)]) == EXIT_OK
-        _, _, rows = read_table(out)
+        _, _, rows = run_table(tmp_path, ["analyze", "--mechanism", spec, "--y", "1"])
         assert len(rows) == 1 and rows[0][0] == "1"
 
     def test_unknown_outcome_is_validation_error(self, tmp_path, capsys):
@@ -92,10 +90,8 @@ class TestAnalyze:
         spec = write_spec(tmp_path, {
             "kind": "laplace", "scale": 10.0, "sensitivity": 1.0,
             "labels": [0, 1, 2, 3, 4], "centers": [0, 1, 2, 3, 4]})
-        out = tmp_path / "out.csv"
-        assert main(["analyze", "--mechanism", spec, "--y-grid", "0", "4", "9",
-                     "--out", str(out)]) == EXIT_OK
-        _, _, rows = read_table(out)
+        _, _, rows = run_table(tmp_path,
+                               ["analyze", "--mechanism", spec, "--y-grid", "0", "4", "9"])
         assert len(rows) == 9
         for row in rows:
             assert 0.0 <= float(row[1]) <= math.log(5.0) + 1e-9
@@ -105,9 +101,7 @@ class TestAnalyze:
         spec = write_spec(tmp_path, {
             "kind": "finite", "x_labels": [0, 1], "y_labels": [0, 1],
             "rows": [[1 / 3, 2 / 3], [1 / 3, 2 / 3]]})
-        out = tmp_path / "out.csv"
-        assert main(["analyze", "--mechanism", spec, "--out", str(out)]) == EXIT_OK
-        _, _, rows = read_table(out)
+        _, _, rows = run_table(tmp_path, ["analyze", "--mechanism", spec])
         assert rows[0][1] == "0"
         assert all(float(row[1]) >= 0.0 for row in rows)
 
@@ -120,10 +114,7 @@ class TestAnalyze:
 
 class TestThm3:
     def test_rows_are_sandwiched(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert main(["thm3", "--n-range", "4", "256", "5",
-                     "--out", str(out)]) == EXIT_OK
-        _, header, rows = read_table(out)
+        _, header, rows = run_table(tmp_path, ["thm3", "--n-range", "4", "256", "5"])
         assert header == ["n", "lower_bound", "exact_pml", "enum_pml", "eps_max"]
         assert len(rows) == 5
         for row in rows:
@@ -133,10 +124,8 @@ class TestThm3:
             assert em == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_single_n(self, tmp_path):
-        out = tmp_path / "one.csv"
-        assert main(["thm3", "--n", "16", "--epsilon", "1.0", "--y", "-0.3",
-                     "--out", str(out)]) == EXIT_OK
-        meta, _, rows = read_table(out)
+        meta, _, rows = run_table(tmp_path,
+                                  ["thm3", "--n", "16", "--epsilon", "1.0", "--y", "-0.3"])
         assert len(rows) == 1 and rows[0][0] == "16"
         assert meta["epsilon"] == "1"
 
@@ -150,30 +139,32 @@ class TestThm3:
         assert "eps_max" in text
 
     def test_polynomial_eta(self, tmp_path):
-        out = tmp_path / "poly.csv"
-        assert main(["thm3", "--eta-poly", "1.0", "1.0", "--n-range", "16", "256", "3",
-                     "--out", str(out)]) == EXIT_OK
-        _, _, rows = read_table(out)
+        _, _, rows = run_table(tmp_path, ["thm3", "--eta-poly", "1.0", "1.0",
+                                          "--n-range", "16", "256", "3"])
         for row in rows:
             assert float(row[1]) <= float(row[2]) + 1e-12
 
 
 class TestBob:
     def test_default_run(self, tmp_path):
-        out = tmp_path / "bob.csv"
-        assert main(["bob", "--out", str(out)]) == EXIT_OK
-        meta, header, rows = read_table(out)
+        meta, header, rows = run_table(tmp_path, ["bob"])
         assert header == ["y", "pml_nats", "eps_max"]
         assert float(meta["dp-level"]) == pytest.approx(0.1)
         for row in rows:
             assert float(row[1]) <= math.log(5.0) + 1e-9
 
     def test_pml_at_center(self, tmp_path):
-        out = tmp_path / "bob.csv"
-        assert main(["bob", "--y-grid", "30000", "30000", "1",
-                     "--out", str(out)]) == EXIT_OK
-        _, _, rows = read_table(out)
+        _, _, rows = run_table(tmp_path, ["bob", "--y-grid", "30000", "30000", "1"])
         assert float(rows[0][1]) == pytest.approx(math.log(5.0), abs=1e-6)
+
+    def test_k_is_bounded_before_its_labels_are_built(self, monkeypatch, capsys):
+        def build(model):
+            raise AssertionError(f"a prior of {model.k} labels was built")
+
+        monkeypatch.setattr(BobModel, "attribute_prior", build)
+        k = cli.MAX_COUNT + 1
+        assert main(["bob", "--k", str(k), "--y-grid", "0", "1", "2"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: k must be at most {cli.MAX_COUNT}, got {k}\n"
 
 
 class TestOracle:
@@ -254,10 +245,7 @@ class TestConfigAndReproducibility:
     def test_config_overridden_by_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 8, "epsilon": 0.5}))
-        out = tmp_path / "out.csv"
-        assert main(["thm3", "--config", str(cfg), "--n", "16",
-                     "--out", str(out)]) == EXIT_OK
-        meta, _, rows = read_table(out)
+        meta, _, rows = run_table(tmp_path, ["thm3", "--config", str(cfg), "--n", "16"])
         assert rows[0][0] == "16"  # flag wins
         assert meta["epsilon"] == "0.5"  # config fills the gap
 
@@ -300,9 +288,7 @@ class TestConfigAndReproducibility:
     def test_config_float_option_takes_an_integer(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epsilon": 1, "alpha": 0.3}))
-        out = tmp_path / "out.csv"
-        assert main(["thm3", "--config", str(cfg), "--n", "4", "--out", str(out)]) == EXIT_OK
-        meta = read_table(out)[0]
+        meta = run_table(tmp_path, ["thm3", "--config", str(cfg), "--n", "4"])[0]
         assert (float(meta["alpha"]), float(meta["epsilon"])) == (0.3, 1.0)
 
     def test_missing_mechanism_file(self, tmp_path):
@@ -397,9 +383,7 @@ def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv, message):
     pytest.param(["--n", "10", "--epsilon", "1e300"], id="underflowing-q"),
 ])
 def test_thm3_closed_form_edges(tmp_path, argv):
-    out = tmp_path / "out.csv"
-    assert main(["thm3", *argv, "--out", str(out)]) == EXIT_OK
-    _, header, rows = read_table(out)
+    _, header, rows = run_table(tmp_path, ["thm3", *argv])
     row = dict(zip(header, map(float, rows[0])))
     assert all(math.isfinite(v) for v in row.values())
     assert row["exact_pml"] <= row["eps_max"]
@@ -409,10 +393,8 @@ def test_thm3_closed_form_edges(tmp_path, argv):
 def test_thm3_at_positive_y_reports_no_bound(tmp_path):
     # lower_bound holds only for y <= 0; at n = 50, y = 0.5 it would read
     # 1.157 against an exact PML of about 0
-    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
-    assert main(["thm3", "--n", "50", "--y", "0.5", "--out", str(out),
-                 "--svg", str(svg)]) == EXIT_OK
-    _, header, rows = read_table(out)
+    svg = tmp_path / "out.svg"
+    _, header, rows = run_table(tmp_path, ["thm3", "--n", "50", "--y", "0.5", "--svg", str(svg)])
     assert rows[0][header.index("lower_bound")] == ""
     assert abs(float(rows[0][header.index("exact_pml")])) < 1e-9
     text = svg.read_text()
@@ -421,7 +403,7 @@ def test_thm3_at_positive_y_reports_no_bound(tmp_path):
 
 @pytest.mark.parametrize("module", ["pmleak", "pmleak.cli"])
 def test_python_dash_m_runs_the_cli(module):
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
@@ -430,54 +412,31 @@ def test_python_dash_m_runs_the_cli(module):
     assert proc.stdout.startswith("usage: pmleak")
 
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-#: the artifact commands of scripts/reproduce_results.py
-RESULT_COMMANDS = {
-    "sweep_eta_constant": [
-        "thm3", "--n-range", "4", "4096", "24", "--alpha", "0.25", "--eta", "0.5",
-        "--epsilon", "0.1", "--y", "-0.3", "--reproducible",
-        "--out", "sweep_eta_constant.csv", "--svg", "sweep_eta_constant.svg"],
-    "sweep_eta_polynomial": [
-        "thm3", "--n-range", "4", "4096", "24", "--alpha", "0.25",
-        "--eta-poly", "1.0", "1.0", "--epsilon", "0.1", "--y", "-0.3", "--reproducible",
-        "--out", "sweep_eta_polynomial.csv", "--svg", "sweep_eta_polynomial.svg"],
-    "counting_query": [
-        "bob", "--k", "5", "--epsilon", "0.1", "--reproducible",
-        "--out", "counting_query.csv"],
-}
+#: scripts/reproduce_results.py, whose COMMANDS write the committed results/
+REPRODUCE = load_script("reproduce_results")
 
 
-def result_outputs(argv):
-    return [a for a in argv if a.endswith((".csv", ".svg"))]
+def test_commands_write_every_committed_result():
+    written = {name for argv in REPRODUCE.COMMANDS.values() for name in REPRODUCE.outputs(argv)}
+    assert written == {path.name for path in RESULTS.iterdir()}
 
 
-def into(directory, argv):
-    """argv with its output files placed in directory."""
-    outputs = result_outputs(argv)
-    return [str(directory / a) if a in outputs else a for a in argv]
-
-
-@pytest.mark.parametrize("argv", RESULT_COMMANDS.values(), ids=RESULT_COMMANDS.keys())
+@pytest.mark.parametrize("argv", REPRODUCE.COMMANDS.values(), ids=REPRODUCE.COMMANDS.keys())
 def test_committed_results_reproduce_byte_identically(tmp_path, argv):
-    """The artifact commands of scripts/reproduce_results.py, against results/."""
-    assert main(into(tmp_path, argv)) == EXIT_OK
-    for name in result_outputs(argv):
+    """Each command of scripts/reproduce_results.py exits 0, and its files match results/."""
+    assert main(REPRODUCE.placed(argv, tmp_path)) == EXIT_OK
+    for name in REPRODUCE.outputs(argv):
         assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
 
 
 def test_committed_results_reproduce_without_avx512_loops(tmp_path):
     # numpy's float64 exp, log1p and expm1 take other loops in a process
     # that has the AVX-512 ones switched off; results/ keeps its bytes on either
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
-               PYTHONPATH=os.pathsep.join(sys.path))
-    code = ("import json, sys; from pmleak.cli import main; "
-            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
-    argvs = [into(tmp_path, argv) for argv in RESULT_COMMANDS.values()]
-    subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
-                   capture_output=True, check=True)
-    for name in itertools.chain.from_iterable(map(result_outputs, RESULT_COMMANDS.values())):
-        assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
+    code = ("import pathlib, support; print(support.load_script('reproduce_results')"
+            f".run_all(pathlib.Path({str(tmp_path)!r})))")
+    assert run_without_avx512(code) == str(EXIT_OK)
+    for path in RESULTS.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_numerical_failure_is_a_one_line_error(monkeypatch, capsys):
@@ -497,13 +456,9 @@ def test_thm3_near_an_end_at_any_n(capsys, n):
     # circle rule takes 128 nodes, and the all-0 peak term carries the PML
     # to log(1/alpha)
     y = repr(10.5 / (int(n) + 1))
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         assert main(["thm3", "--n", n, "--epsilon", "40", "--y", y]) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak.bytes < 1 << 20
     row = capsys.readouterr().out.splitlines()[-1].split(",")
     assert row[0] == n and abs(float(row[2]) - math.log(4.0)) <= 1e-15
 
@@ -536,6 +491,29 @@ _ODD = st.sampled_from(["0", "-0", "-1", "5e-324", "1e-320", "1e308", "-1e308",
 def _value(valid):
     """A draw from `valid` three times in four, else an odd value."""
     return st.integers(0, 3).flatmap(lambda i: _ODD if i == 0 else valid.map(str))
+
+
+def exit_cleanly(argv):
+    """main(argv)'s exit code and stdout, with neither a traceback nor a
+    warning on stderr; an argv that argparse rejects exits too."""
+    err, stdout = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_TOLERANCE)
+    assert "Traceback" not in err.getvalue()
+    assert "Warning" not in err.getvalue()
+    return code, stdout.getvalue()
+
+
+def finite_table(out):
+    """(column names, rows) of a CSV output, whose every cell is finite."""
+    _, header, rows = read_table(out)
+    assert all(cell.strip().lower() not in ("nan", "inf", "-inf")
+               for row in rows for cell in row)
+    return header, rows
 
 
 @st.composite
@@ -589,20 +567,9 @@ def _bob_argv(draw):
 def test_fuzzed_argv_exits_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "out.csv"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            try:
-                code = main([*argv, "--out", str(out)])
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
-        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_TOLERANCE)
-        assert "Traceback" not in err.getvalue()
-        assert "Warning" not in err.getvalue()
-        if code != EXIT_OK:
+        if exit_cleanly([*argv, "--out", str(out)])[0] != EXIT_OK:
             return
-        _, header, rows = read_table(out)
-    assert all(cell.strip().lower() not in ("nan", "inf", "-inf")
-               for row in rows for cell in row)
+        header, rows = finite_table(out)
     if argv[0] == "thm3":
         for row in rows:
             values = dict(zip(header, row))
@@ -696,27 +663,15 @@ NAN_SENSITIVITY_LAPLACE = {"kind": "laplace", "labels": [0, 1], "centers": [0.0,
 def test_fuzzed_spec_commands_exit_cleanly(case):
     spec, argv = case
     with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "mech.json"
-        path.write_text(json.dumps(spec))
-        argv = [str(path) if a == "{spec}" else a for a in argv]
+        argv = [write_spec(pathlib.Path(tmp), spec) if a == "{spec}" else a for a in argv]
         out = pathlib.Path(tmp) / "out.csv"
         if argv[0] == "analyze":
             argv += ["--out", str(out)]
-        err, stdout = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
-        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_TOLERANCE)
-        assert "Traceback" not in err.getvalue()
-        assert "Warning" not in err.getvalue()
+        code, stdout = exit_cleanly(argv)
         if code != EXIT_OK or argv[0] != "analyze":
-            assert "nan" not in stdout.getvalue()
+            assert "nan" not in stdout
             return
-        _, header, rows = read_table(out)
-    assert all(cell.strip().lower() not in ("nan", "inf", "-inf")
-               for row in rows for cell in row)
+        header, rows = finite_table(out)
     for row in rows:
         values = dict(zip(header, row))
         assert 0.0 <= float(values["pml_nats"]) <= float(values["eps_max"]) + 1e-9
@@ -746,19 +701,9 @@ def _oracle_argv(draw):
 def test_fuzzed_oracle_argv_exits_cleanly(case):
     spec, argv = case
     with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "mech.json"
-        path.write_text(json.dumps(spec))
-        argv = [str(path) if a == "{spec}" else a for a in argv]
-        err, stdout = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
-    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_TOLERANCE)
-    assert "Traceback" not in err.getvalue()
-    assert "Warning" not in err.getvalue()
-    words = stdout.getvalue().lower().split()
+        argv = [write_spec(pathlib.Path(tmp), spec) if a == "{spec}" else a for a in argv]
+        code, stdout = exit_cleanly(argv)
+    words = stdout.lower().split()
     assert not any(w in ("nan", "inf", "-inf") for w in words)
     if code == EXIT_OK:
         assert words[-1] == "pass"

@@ -1,8 +1,6 @@
 import functools
 import itertools
 import math
-import pathlib
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -22,12 +20,12 @@ from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_array
 from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism, dp_level_laplace,
                                laplace_log_density, product_mechanism)
 from pmleak.probability import ExplicitJointModel, FiniteDistribution, ProductModel
+from support import RESULTS, traced_peak
 from test_probability import defined_log_mass, explicit_joint
 
 #: float64 unit roundoff
 U = 2.0 ** -53
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def enumerated_cond_density(n, alpha, eta, b, d1, y):
@@ -539,18 +537,14 @@ class TestCondDensities:
         b = calibrated_scale(n, 40.0)
         y = 10.5 / (n + 1)
         assert not outside_window(n, b, y)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             for d1 in (0, 1):
                 assert math.isfinite(cond_density_binomial(model, b, d1, y))
             assert abs(pml_d1(model, 40.0, y) - math.log(4.0)) <= 1e-15
             # y = 0.5 takes the line rule, y <= 0 the closed form
             assert pml_d1(model, 0.1, 0.5) == 0.0
             assert math.isfinite(pml_d1(model, 0.1, -0.3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak.bytes < 1 << 20
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30, 99, 100, 1000, 10 ** 6])
     def test_circle_rule_meets_the_window_oracle(self, n):
@@ -889,13 +883,9 @@ class TestSweep:
         # 32 classes peak at 7,888
         schedule = EtaSchedule.constant(0.5)
         sweep([15], 0.25, schedule, 0.1, -0.3)  # first-call caches
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             sweep([15], 0.25, schedule, 0.1, -0.3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (1 << 16) * 16 // 8  # an eighth of the 2^16 x 16 uint8 index table
+        assert peak.bytes < (1 << 16) * 16 // 8  # an eighth of the 2^16 x 16 uint8 index table
 
 
 class TestClassSums:
@@ -982,13 +972,9 @@ class TestEntryChannelAgainstLoop:
         # freed before the label table is built, and nothing is copied
         model = CorrelatedBinaryModel(13, 0.25, 0.5)
         mech = calibrated_mechanism(model, 0.1)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             entry_channel(model, mech, 0, 0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_606_296
+        assert peak.bytes < 2_606_296
 
     def test_each_distinct_atom_value_is_exponentiated_once(self, monkeypatch):
         n = 13

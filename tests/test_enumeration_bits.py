@@ -10,23 +10,13 @@ also recomputed through the sweep's class sums (`_entry0_channel`), in
 both.  A change that moves a cell lists the move in CHANGES.md.
 """
 
-import importlib.util
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 from pmleak.constructions import CorrelatedBinaryModel, _entry0_channel
-from test_golden import WITHOUT_AVX512
+from support import GOLDEN, load_script, run_without_avx512
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-PINS = pathlib.Path(__file__).resolve().parent / "golden" / "enumeration_bits.json"
-
-spec = importlib.util.spec_from_file_location("make_enum_golden",
-                                              ROOT / "scripts" / "make_enum_golden.py")
-make_enum_golden = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(make_enum_golden)
+PINS = GOLDEN / "enumeration_bits.json"
+make_enum_golden = load_script("make_enum_golden")
 
 
 def moved_cells():
@@ -72,10 +62,6 @@ def test_class_sums_give_the_entry0_pins():
 
 
 def test_pins_without_avx512_loops():
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
-               PYTHONPATH=os.pathsep.join(sys.path))
     code = ("import json, test_enumeration_bits as t; "
             "print(json.dumps(t.moved_cells() + t.moved_class_cells()))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, cwd=pathlib.Path(__file__).parent).stdout
-    assert json.loads(out.strip().splitlines()[-1]) == []
+    assert json.loads(run_without_avx512(code)) == []

@@ -1,25 +1,17 @@
 """pml_d1 against the committed small-variance corpus, without mpmath.
 
 tests/golden/pml_d1_small_variance.json holds inputs and their 50-digit
-PML (scripts/make_golden.py writes it).  numpy's float64 transcendentals
-take AVX-512 loops where the CPU has them, and NPY_DISABLE_CPU_FEATURES
-switches them off for a whole process, so the corpus is read once in this
-process and once in a child with those loops off.
+PML (scripts/make_golden.py writes it).  The corpus is read once in this
+process and once in a child with numpy's AVX-512 loops off.
 """
 
 import json
 import math
-import os
-import pathlib
-import subprocess
-import sys
 
 from pmleak.constructions import _SADDLE_MIN_VARIANCE, CorrelatedBinaryModel, pml_d1
+from support import GOLDEN, run_without_avx512
 
-CORPUS = pathlib.Path(__file__).resolve().parent / "golden" / "pml_d1_small_variance.json"
-
-#: NPY_DISABLE_CPU_FEATURES value that makes numpy's float64 loops match math's
-WITHOUT_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+CORPUS = GOLDEN / "pml_d1_small_variance.json"
 
 #: the error each rule may leave; the line's n-sized constants all go into
 #: the anchor, so its rows keep their last bits
@@ -65,9 +57,5 @@ def test_corpus_in_this_process():
 
 
 def test_corpus_without_avx512_loops():
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
-               PYTHONPATH=os.pathsep.join(sys.path))
     code = "import json, test_golden; print(json.dumps(test_golden.worst_cell()))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, cwd=pathlib.Path(__file__).parent).stdout
-    assert_within_bounds(json.loads(out.strip().splitlines()[-1]))
+    assert_within_bounds(json.loads(run_without_avx512(code)))

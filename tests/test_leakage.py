@@ -1,12 +1,12 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pmleak.constructions import CorrelatedBinaryModel, calibrated_mechanism, pml_d1
+from pmleak.constructions import (BobModel, CorrelatedBinaryModel, bob_mechanism,
+                                  calibrated_mechanism, pml_d1)
 from pmleak import leakage
 from pmleak.leakage import (entry_channel, eps_max, pml, pml_entry, pml_report,
                             theorem2_check)
@@ -15,6 +15,7 @@ from pmleak.mechanisms import (FiniteMechanism, product_mechanism,
                                randomized_response)
 from pmleak.probability import (ExplicitJointModel, FiniteDistribution,
                                 ProductModel)
+from support import traced_peak
 
 
 class TestEpsMax:
@@ -293,15 +294,11 @@ class TestTheorem2Batch:
         # without its entry axis would hold 8 arrays of 8 MB at once
         mech = product_mechanism(randomized_response(0.25), 8)
         probs = leakage._product_priors((0, 1), 8, 20, 20, 0, (0.01, 0.99))
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             leakage._entry_pmls(mech, (0, 1), probs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         # a loop over entries, one (P, k, A/k, Y) array at a time, peaked at
         # 18,697,544 bytes here (numpy 2.4)
-        assert peak <= 18_697_544
+        assert peak.bytes <= 18_697_544
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_witness_replays_to_the_supremum(self, case):
@@ -361,6 +358,14 @@ class TestProfile:
         mech = randomized_response(0.25)
         profile = [pml_report(prior, mech, y) for y in (0, 1)]
         assert profile[0].pml == pytest.approx(profile[1].pml)
+
+    def test_laplace_report_takes_the_nearest_center_once(self, monkeypatch):
+        # min over every distance, once per center, made a k-label report O(k^2)
+        calls = []
+        monkeypatch.setattr(leakage, "min", lambda *a: calls.append(a) or min(*a), raising=False)
+        model = BobModel(k=50, scale=1.0)
+        pml_report(model.attribute_prior(), bob_mechanism(model, 0.1), 20.3)
+        assert len(calls) < 10  # a few, not one per center
 
     def test_thm3_profile_finite(self):
         model = CorrelatedBinaryModel(6, 0.25, 0.5)

@@ -1,14 +1,11 @@
-import importlib.util
 import json
 import math
-import pathlib
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from pmleak import oracle
+from pmleak import leakage, oracle
 from pmleak.leakage import pml, pml_entry
 from pmleak.mechanisms import FiniteMechanism
 from pmleak.oracle import (GainFunction, GuessKernel, gain_ratio,
@@ -17,19 +14,14 @@ from pmleak.oracle import (GainFunction, GuessKernel, gain_ratio,
 from pmleak.constructions import CorrelatedBinaryModel, calibrated_mechanism, pml_d1
 from pmleak.probability import (ExplicitJointModel, FiniteDistribution,
                                 ProductModel)
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from support import GOLDEN, load_script, traced_peak
 
 # The seed-2024 reports and the block digests by numpy loops, as
 # tests/golden/oracle_pins.json pins them (scripts/make_oracle_golden.py
 # writes it and recomputes it here).
 # A change that moves any of them lists the move in CHANGES.md.
-PINS = json.loads((ROOT / "tests" / "golden" / "oracle_pins.json").read_text())
-
-spec = importlib.util.spec_from_file_location("make_oracle_golden",
-                                              ROOT / "scripts" / "make_oracle_golden.py")
-make_oracle_golden = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(make_oracle_golden)
+PINS = json.loads((GOLDEN / "oracle_pins.json").read_text())
+make_oracle_golden = load_script("make_oracle_golden")
 
 
 def random_full_support_prior(rng, nx: int, floor: float = 1e-3) -> FiniteDistribution:
@@ -214,20 +206,14 @@ class TestTrials:
         assert a == b
 
 
-# an all-zero output column (P_Y(2) = 0) and a zero in column 1
 ZERO_MASS_CHANNEL = make_oracle_golden.ZERO_MASS_CHANNEL
-
-
-#: (secrets, channel) of the chunks checked lane by lane: random channels at
-#: the smallest, a middle and the largest count of the defaults, and a fixed one
-CHUNKS = [(2, None), (5, None), (8, None), (3, ZERO_MASS_CHANNEL)]
 
 
 class TestBatch:
     """The chunk path against the scalar functions it replaces."""
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("nx, channel", CHUNKS,
+    @pytest.mark.parametrize("nx, channel", make_oracle_golden.BLOCKS.values(),
                              ids=["random-2", "random-5", "random-8", "zero-mass-channel"])
     def test_block_matches_scalar_reference(self, nx, channel):
         rng = np.random.default_rng(11)
@@ -277,13 +263,9 @@ class TestBatch:
         # a float copy of an (nx, W, T) mask alone would take _BLOCK_ENTRIES
         # floats at nx = 8; at nx = 2 the chunk is capped at _BLOCK trials
         rng = np.random.default_rng(0)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             oracle._block(rng, nx, oracle._chunk(nx, 8), adversary, 8, 8, None)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * oracle._BLOCK_ENTRIES * np.dtype(float).itemsize
+        assert peak.bytes < 2 * leakage._BLOCK_ENTRIES * np.dtype(float).itemsize
 
     @staticmethod
     def record_chunks(monkeypatch):
@@ -420,13 +402,9 @@ class TestRandomChannels:
 
     def test_no_full_channel_is_allocated(self):
         rng = np.random.default_rng(0)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             oracle._draw_scenarios(rng, 8, oracle._BLOCK, 8, None)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < oracle._BLOCK * 8 * 8 * np.dtype(float).itemsize
+        assert peak.bytes < oracle._BLOCK * 8 * 8 * np.dtype(float).itemsize
 
 
 def pinned(loops):
