@@ -39,24 +39,35 @@ DPS = 50
 
 
 @functools.lru_cache(maxsize=None)
-def binomials(n):
-    with mpmath.workdps(DPS):
+def binomials(n, dps):
+    """C(n, i) for i = 0..n as mpmath floats at `dps` digits."""
+    with mpmath.workdps(dps):
         return [mpmath.mpf(c) for c in itertools.accumulate(
             range(1, n + 1), lambda c, i: c * (n - i + 1) // i, initial=1)]
+
+
+def cond_sums(n, etas, b, y, dps=DPS):
+    """[[2b P(y | d1) for d1 = 0, 1] for each eta]: the 2^n-string mixture
+    grouped by Hamming weight and summed directly, at the float scale b and
+    outcome y, as mpmath floats of `dps` digits."""
+    m = n + 1
+    with mpmath.workdps(dps):
+        # e^{-|y - j/m|/b} = e^{-|ym - j| t} for the centers j/m, j = 0..m
+        t, s = 1 / (m * mpmath.mpf(b)), mpmath.mpf(y) * m
+        lap = [mpmath.exp(-abs(s - j) * t) for j in range(m + 1)]
+        w = binomials(n, dps)
+        # row d1 weighs center (d1 + i)/m by C(n, i) and leaves out i = n d1
+        sums = [mpmath.fdot(w[1:], lap[1:]), mpmath.fdot(w[:-1], lap[1:])]
+        return [[eta * lap[m * d1] + (1 - eta) / (2 ** n - 1) * sums[d1] for d1 in (0, 1)]
+                for eta in map(mpmath.mpf, etas)]
 
 
 def reference_pml(n, alpha, eta, epsilon, y):
     """log max_d1 P(y | d1) / P(y), both rows and their alpha-mixture P(y) by direct sum."""
     b = 1.0 / (epsilon * (n + 1))  # calibrated_scale, rounded as floats round it
-    m = n + 1
     with mpmath.workdps(DPS):
-        t, s = 1 / (m * mpmath.mpf(b)), mpmath.mpf(y) * m
-        lap = [mpmath.exp(-abs(s - j) * t) for j in range(m + 1)]
-        w = binomials(n)
-        # row d1 weighs center (d1 + i)/m by C(n, i) and leaves out i = n d1
-        sums = [mpmath.fdot(w[1:], lap[1:]), mpmath.fdot(w[:-1], lap[1:])]
-        eta, alpha = mpmath.mpf(eta), mpmath.mpf(alpha)
-        cond = [eta * lap[m * d1] + (1 - eta) / (2 ** n - 1) * sums[d1] for d1 in (0, 1)]
+        cond = cond_sums(n, (eta,), b, y)[0]
+        alpha = mpmath.mpf(alpha)
         return float(mpmath.log(max(cond) / (alpha * cond[0] + (1 - alpha) * cond[1])))
 
 

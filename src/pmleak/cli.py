@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .constructions import BobModel, EtaSchedule, bob_mechanism, sweep
-from .leakage import eps_max, pml_report
+from .leakage import pml_report
 from .mechanisms import (FiniteMechanism, dp_level_finite, dp_level_laplace,
                          mechanism_from_dict)
 from .oracle import run_adversary_trials
@@ -95,13 +95,11 @@ def _load_analysis_spec(path):
     return mech, FiniteDistribution.from_probs(labels, prior_probs)
 
 
-def _base_meta(command, opts, seed=None):
+def _base_meta(command, opts):
     meta = {"tool": "pmleak", "version": __version__, "command": command}
     for key, value in sorted(vars(opts).items()):
         if key not in _NOT_META and value is not None:
             meta[key.replace("_", "-")] = value
-    if seed is not None:
-        meta["seed"] = seed
     return meta
 
 
@@ -115,12 +113,13 @@ def _emit(table, opts):
 
 
 def cmd_analyze(opts) -> int:
+    if opts.y is not None and opts.y_grid is not None:
+        raise ValueError("give --y or --y-grid, not both")
     mech, prior = _load_analysis_spec(opts.mechanism)
     if isinstance(mech, FiniteMechanism):
-        if opts.y is not None:
-            ys = [_parse_finite_y(v, mech) for v in opts.y]
-        else:
-            ys = list(mech.y_labels)
+        if opts.y_grid is not None:
+            raise ValueError("a finite mechanism takes its outcomes from --y, not --y-grid")
+        ys = list(mech.y_labels) if opts.y is None else [_parse_finite_y(v, mech) for v in opts.y]
     else:
         if opts.y_grid is not None:
             ys = _grid(opts.y_grid)
@@ -161,7 +160,7 @@ def cmd_thm3(opts) -> int:
         start = max(start, 1.0)
         if not (start < math.inf and 1.0 <= stop < math.inf):
             raise ValueError("n-range ends must be finite and STOP at least 1")
-        n_values = sorted({int(round(v)) for v in np.geomspace(start, stop, count)})
+        n_values = [int(round(v)) for v in np.geomspace(start, stop, count)]
     y = float(opts.y)
     rows = sweep(n_values, float(opts.alpha), schedule, float(opts.epsilon), y)
     table = ResultTable(("n", "lower_bound", "exact_pml", "enum_pml", "eps_max"),
@@ -190,14 +189,17 @@ def cmd_bob(opts) -> int:
     model = BobModel(k=k, scale=float(opts.scale))
     if opts.y_grid is not None:
         ys = _grid(opts.y_grid)
+    elif 4 * k + 5 > MAX_COUNT:
+        raise ValueError(f"k = {k} asks for a default grid of 4k + 5 points, more than "
+                         f"{MAX_COUNT}; give --y-grid")
     else:
         ys = _grid((0.0, (k + 1) * model.scale, 4 * k + 5))
     prior, mech = model.attribute_prior(), bob_mechanism(model, epsilon)
-    em = eps_max(prior)
     table = ResultTable(("y", "pml_nats", "eps_max"), meta=_base_meta("bob", opts))
     table.meta["dp-level"] = dp_level_laplace(mech)
     for y in ys:
-        table.append(y, pml_report(prior, mech, y).pml, em)
+        rep = pml_report(prior, mech, y)
+        table.append(y, rep.pml, rep.eps_max)
     _emit(table, opts)
     return EXIT_OK
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from .leakage import pml, pml_report
 from .logdomain import LOG_TWO, LOG_ZERO, LogReal, log_add, log_sum_exp
-from .mechanisms import LaplaceMechanism, laplace_log_density
+from .mechanisms import (LaplaceMechanism, _check_epsilon, _check_scale, laplace_for_query,
+                         laplace_log_density)
 from .probability import DatabaseModel, FiniteDistribution
 
 
@@ -156,15 +157,9 @@ class EtaSchedule:
 
 def calibrated_scale(n: int, epsilon: float) -> float:
     """Laplace scale b = 1 / (epsilon * (n+1)) for the empirical-frequency query."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not math.isfinite(epsilon):
-        raise ValueError("epsilon must be finite")
+    _check_epsilon(epsilon)
     scale = 1.0 / (epsilon * (n + 1))
-    if not scale > 0:  # epsilon (n+1) overflowed
-        raise ValueError("scale must be positive")
-    if not math.isfinite(scale):
-        raise ValueError("Laplace scale must be finite")
+    _check_scale(scale)  # 0 where epsilon (n+1) overflowed
     return scale
 
 
@@ -545,13 +540,7 @@ class BobModel:
 
 def bob_mechanism(model: BobModel, epsilon: float) -> LaplaceMechanism:
     """Laplace-noised count: sensitivity 1, scale 1/epsilon, centers scale * j."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not math.isfinite(epsilon):
-        raise ValueError("epsilon must be finite")
-    labels = tuple(range(1, model.k + 1))
-    return LaplaceMechanism(lambda j: model.scale * j, 1.0 / epsilon,
-                            sensitivity=1.0, labels=labels)
+    return laplace_for_query(lambda j: model.scale * j, epsilon, sensitivity=1.0)
 
 
 def bob_pml(model: BobModel, epsilon: float, y: float) -> float:

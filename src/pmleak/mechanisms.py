@@ -80,10 +80,7 @@ class LaplaceMechanism:
     """
 
     def __init__(self, query: Callable, scale: float, sensitivity=None, labels=None):
-        if not scale > 0:
-            raise ValueError("scale must be positive")
-        if not math.isfinite(scale):
-            raise ValueError("Laplace scale must be finite")
+        _check_scale(scale)
         self.query = query
         self.scale = float(scale)
         self.sensitivity = None if sensitivity is None else float(sensitivity)
@@ -106,6 +103,20 @@ class LaplaceMechanism:
                              "not one value per atom")
         with np.errstate(over="ignore"):  # an overflowing distance gives -inf, as on floats
             return -math.log(2.0 * self.scale) - np.abs(y - centers) / self.scale
+
+
+def _check_epsilon(epsilon: float):
+    if not epsilon > 0:  # NaN fails too
+        raise ValueError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
+
+
+def _check_scale(scale: float):
+    if not scale > 0:
+        raise ValueError("scale must be positive")
+    if not math.isfinite(scale):
+        raise ValueError("Laplace scale must be finite")
 
 
 def laplace_log_density(center: float, b: float, y: float) -> LogReal:
@@ -162,8 +173,7 @@ def l1_sensitivity(f: Callable, num_entries: int, alphabet) -> float:
 def laplace_for_query(f: Callable, epsilon: float, num_entries=None, alphabet=None,
                       sensitivity=None) -> LaplaceMechanism:
     """Laplace mechanism calibrated to f: scale b = sensitivity / epsilon."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if sensitivity is None:
         if num_entries is None or alphabet is None:
             raise ValueError("sensitivity requires analytic form")

@@ -96,6 +96,22 @@ class TestAnalyze:
         for row in rows:
             assert 0.0 <= float(row[1]) <= math.log(5.0) + 1e-9
 
+    @pytest.mark.parametrize("payload, y", [
+        pytest.param(RR_QUARTER, [], id="finite-y-grid"),
+        pytest.param({"kind": "laplace", "scale": 1.0, "labels": [0, 1], "centers": [0, 1]},
+                     ["--y", "7"], id="laplace-y-and-y-grid"),
+    ])
+    def test_an_outcome_option_that_would_not_apply_is_an_error(self, tmp_path, capsys,
+                                                                  payload, y):
+        # the rows would ignore the option, yet the CSV header would record it
+        spec = write_spec(tmp_path, payload)
+        out = tmp_path / "out.csv"
+        argv = ["analyze", "--mechanism", spec, *y, "--y-grid", "0", "1", "2", "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--y-grid" in err
+        assert not out.exists()
+
     def test_identical_rows_leak_exactly_nothing(self, tmp_path):
         # max(lls) - log P(y) rounded to -2.2e-16 at y = 0
         spec = write_spec(tmp_path, {
@@ -311,6 +327,7 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
                  "epsilon must be positive", id="thm3-nan-epsilon"),
     pytest.param(["thm3", "--n", "100", "--y", "nan"], "y must be finite", id="thm3-nan-y"),
     pytest.param(["bob", "--epsilon", "nan"], "epsilon must be positive", id="bob-nan-epsilon"),
+    pytest.param(["bob", "--epsilon", "inf"], "epsilon must be finite", id="bob-inf-epsilon"),
     pytest.param(["thm3", "--n-range", "4", "4096", "0"],
                  "n-range count must be at least 1", id="thm3-zero-count"),
     pytest.param(["analyze", "--mechanism", "{lap}", "--y", "nan"],
@@ -353,6 +370,9 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
                  "grid count must be at least 1 and at most 1000000", id="bob-huge-count"),
     pytest.param(["bob", "--y-grid", "0", "1", "2.5"],
                  "grid count must be a whole number", id="bob-fractional-count"),
+    # the default grid has 4k + 5 points, a count that the user did not give
+    pytest.param(["bob", "--k", "300000"], "k = 300000 asks for a default grid of 4k + 5 "
+                 "points, more than 1000000; give --y-grid", id="bob-default-grid-too-large"),
     # c / n**r is complex at n = -1, r = 1.5: a TypeError traceback, found by
     # the argv fuzz test below
     pytest.param(["thm3", "--n=-1", "--eta-poly", "0.5", "1.5"],

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 
@@ -20,24 +19,27 @@ from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_array
 from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism, dp_level_laplace,
                                laplace_log_density, product_mechanism)
 from pmleak.probability import ExplicitJointModel, FiniteDistribution, ProductModel
-from support import RESULTS, traced_peak
+from support import RESULTS, load_script, traced_peak
 from test_probability import defined_log_mass, explicit_joint
+
+make_golden = load_script("make_golden")
 
 #: float64 unit roundoff
 U = 2.0 ** -53
 
 
 
-def enumerated_cond_density(n, alpha, eta, b, d1, y):
-    """Linear-domain oracle: mix all 2^n Laplace densities for the tail."""
-    total = 0.0
-    weight_peak = eta
-    weight_rest = (1.0 - eta) / (2 ** n - 1)
-    for rest in itertools.product((0, 1), repeat=n):
-        w = weight_peak if all(s == d1 for s in rest) else weight_rest
-        center = (d1 + sum(rest)) / (n + 1)
-        total += w * scipy_laplace.pdf(y, loc=center, scale=b)
-    return total
+def enumerated_cond_density(n, eta, b, d1, y):
+    """P(y | d1) as an 80-digit mpmath float: the Laplace densities of all
+    2^n tails, each with its mass, summed one by one."""
+    with mpmath.workdps(80):
+        total = mpmath.mpf(0)
+        for rest in itertools.product((0, 1), repeat=n):
+            w = (mpmath.mpf(eta) if all(s == d1 for s in rest)
+                 else (1 - mpmath.mpf(eta)) / (2 ** n - 1))
+            center = mpmath.mpf(d1 + sum(rest)) / (n + 1)
+            total += w * mpmath.exp(-abs(mpmath.mpf(y) - center) / b) / (2 * b)
+        return total
 
 
 def log_binom(n, k):
@@ -84,42 +86,12 @@ def loop_entry_channel(model, mech, i, y, log_mass):
     return law, lls
 
 
-@functools.lru_cache(maxsize=None)
-def mp_binomials(n, dps):
-    """C(n, i) for i = 0..n as mpmath floats at `dps` digits."""
-    with mpmath.workdps(dps):
-        return [mpmath.mpf(c) for c in itertools.accumulate(
-            range(1, n + 1), lambda c, i: c * (n - i + 1) // i, initial=1)]
-
-
-def mp_cond_densities(n, etas, b, y, dps=50):
-    """[[P(y | d1) for d1 = 0, 1] for each eta] from the 2^n-string mixture
-    grouped by Hamming weight, as mpmath floats of `dps` digits."""
-    m = n + 1
-    with mpmath.workdps(dps):
-        b, y = mpmath.mpf(b), mpmath.mpf(y)
-        # e^{-|y - k/m|/b} = e^{-|ym - k| t} for the centers k/m, k = 0..m
-        ym, t = y * m, 1 / (m * b)
-        lap = [mpmath.exp(-abs(ym - k) * t) for k in range(m + 1)]
-        weights = mp_binomials(n, dps)
-        # row d1 puts weight i on the center (d1 + i)/m and leaves out i = n d1
-        sums = [mpmath.fdot(weights[1:], lap[1:]), mpmath.fdot(weights[:-1], lap[1:])]
-        return [[(eta * lap[m * d1] + (1 - eta) / (2 ** n - 1) * sums[d1]) / (2 * b)
-                 for d1 in (0, 1)] for eta in map(mpmath.mpf, etas)]
-
-
 def mp_log_cond_densities(n, etas, b, y, dps=50):
-    """[[log P(y | d1) for d1 = 0, 1] for each eta], from `mp_cond_densities`."""
+    """[[log P(y | d1) for d1 = 0, 1] for each eta], from the corpus
+    generator's direct sum over Hamming weights at `dps` digits."""
     with mpmath.workdps(dps):
-        return [[float(mpmath.log(p)) for p in row]
-                for row in mp_cond_densities(n, etas, b, y, dps)]
-
-
-def mp_pml_d1(n, alpha, eta, b, y, dps=50):
-    """The PML of entry 0 at y, from `mp_cond_densities`."""
-    with mpmath.workdps(dps):
-        c0, c1 = mp_cond_densities(n, (eta,), b, y, dps)[0]
-        return float(mpmath.log(max(c0, c1) / (alpha * c0 + (1 - alpha) * c1)))
+        return [[float(mpmath.log(c / (2 * mpmath.mpf(b)))) for c in row]
+                for row in make_golden.cond_sums(n, etas, b, y, dps)]
 
 
 def reaches_the_line_nodes(model, epsilon, y):
@@ -152,6 +124,33 @@ def mp_log_closed_forms(n, eta, b, y, dps=60):
         return [float(mpmath.log((eta * mpmath.exp(-abs(y - d1) / b)
                                   + (1 - eta) / (2 ** n - 1) * scale * sums[d1]) / (2 * b)))
                 for d1 in (0, 1)]
+
+
+def assert_end_rows_match_mpmath(n, epsilon, ys):
+    """Both rows of `cond_density_binomial` at eta = 1/2 and each y, where
+    every summed center lies on one side of y, within 1e-15 relative to
+    1 + |log P| of `mp_log_closed_forms`."""
+    model = CorrelatedBinaryModel(n, 0.25, 0.5)
+    b = calibrated_scale(n, epsilon)
+    for y in ys:
+        want = mp_log_closed_forms(n, 0.5, b, y)
+        for d1 in (0, 1):
+            got = cond_density_binomial(model, b, d1, y)
+            assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1])), (y, d1)
+
+
+def assert_rows_match_direct_sum(n, epsilon, ys, etas):
+    """Both rows of `cond_density_binomial` at each y and eta against the
+    30-digit direct sum, at the tolerance of
+    test_binomial_matches_mpmath_at_positive_y."""
+    b = calibrated_scale(n, epsilon)
+    for y in ys:
+        for eta, want in zip(etas, mp_log_cond_densities(n, etas, b, y, dps=30)):
+            model = CorrelatedBinaryModel(n, 0.25, eta)
+            for d1 in (0, 1):
+                got = cond_density_binomial(model, b, d1, y)
+                tol = 256 * U * (1 + abs(want[d1]) + y * (n + 1) * epsilon)
+                assert abs(got - want[d1]) <= tol, (y, eta, d1)
 
 
 #: the first entry's two values, as a column against the window's indices
@@ -258,40 +257,22 @@ class TestCondDensities:
         # at k <= 0 < y and k >= n the rows are the closed forms, unanchored;
         # anchored, they missed mpmath by 3.8e-14 at n = 10^4, epsilon = 5.
         # At epsilon = 1000, q = e^-epsilon is 0 in a float
-        model = CorrelatedBinaryModel(n, 0.25, 0.5)
-        b = calibrated_scale(n, epsilon)
-        for y in (0.5 / (n + 1), 1e-9, 1 - 0.5 / (n + 1), 1.0, 1 + 1e-9):
-            want = mp_log_closed_forms(n, 0.5, b, y)
-            for d1 in (0, 1):
-                got = cond_density_binomial(model, b, d1, y)
-                assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1])), (y, d1)
+        assert_end_rows_match_mpmath(
+            n, epsilon, (0.5 / (n + 1), 1e-9, 1 - 0.5 / (n + 1), 1.0, 1 + 1e-9))
 
     @pytest.mark.parametrize("y", [0.0905, 0.0906, 0.0907, 0.99 / 11, 0.9999 / 11])
     def test_unanchored_end_rows_where_the_first_center_nears_y(self, y):
         # y/b and t = 1/(b(n+1)) = epsilon nearly cancel in row 0's uniform
         # part as y(n+1) nears 1; formed apart, they missed mpmath by 3.0e-14
         # relative at y = 0.0906.  The mirror image at 1 - y takes them alike
-        n, epsilon = 10, 1000.0
-        model = CorrelatedBinaryModel(n, 0.25, 0.5)
-        b = calibrated_scale(n, epsilon)
-        for z in (y, 1 - y):
-            want = mp_log_closed_forms(n, 0.5, b, z)
-            for d1 in (0, 1):
-                got = cond_density_binomial(model, b, d1, z)
-                assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1])), (z, d1)
+        assert_end_rows_match_mpmath(10, 1000.0, (y, 1 - y))
 
     @pytest.mark.parametrize("n, y", [(5, 0.1581), (8, 0.10833)])
     def test_unanchored_end_rows_just_above_the_lift(self, n, y):
         # at t = epsilon just above 53 log 2, -log 2b and the O(1) terms of
         # row 0's uniform part (each about 5) cancel to under 1; rounded one
         # by one they missed mpmath by 1.4e-15 and 1.2e-15 relative here
-        model = CorrelatedBinaryModel(n, 0.25, 0.5)
-        b = calibrated_scale(n, 38.0)
-        for z in (y, 1 - y):
-            want = mp_log_closed_forms(n, 0.5, b, z)
-            for d1 in (0, 1):
-                got = cond_density_binomial(model, b, d1, z)
-                assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1])), (z, d1)
+        assert_end_rows_match_mpmath(n, 38.0, (y, 1 - y))
 
     @pytest.mark.parametrize("d1", [0, 1])
     @pytest.mark.parametrize("y", [math.nan, -math.inf])
@@ -316,7 +297,7 @@ class TestCondDensities:
         model = CorrelatedBinaryModel(n, alpha, eta)
         b = calibrated_scale(n, epsilon)
         for y in (-1.2, -0.3, 0.0, 0.4):
-            want = enumerated_cond_density(n, alpha, eta, b, d1, y)
+            want = float(enumerated_cond_density(n, eta, b, d1, y))
             got = math.exp(cond_density_binomial(model, b, d1, y))
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -345,17 +326,11 @@ class TestCondDensities:
     def test_binomial_peak_term_without_cancellation(self):
         # tiny eta, large epsilon: the all-d1 term dominates the Hamming-weight
         # sum, so subtracting it back out would leave cancellation noise
-        import mpmath
         n, eta, epsilon, y, d1 = 3, 1e-12, 40.0, 0.01, 0
         model = CorrelatedBinaryModel(n, 0.25, eta)
         b = calibrated_scale(n, epsilon)
+        want = enumerated_cond_density(n, eta, b, d1, y)
         with mpmath.workdps(80):
-            want = mpmath.mpf(0)
-            for rest in itertools.product((0, 1), repeat=n):
-                w = (mpmath.mpf(eta) if all(s == d1 for s in rest)
-                     else (1 - mpmath.mpf(eta)) / (2 ** n - 1))
-                center = mpmath.mpf(d1 + sum(rest)) / (n + 1)
-                want += w * mpmath.exp(-abs(mpmath.mpf(y) - center) / b) / (2 * b)
             got = mpmath.exp(cond_density_binomial(model, b, d1, y))
             assert float(abs(got / want - 1)) <= 1e-12
 
@@ -426,22 +401,14 @@ class TestCondDensities:
         # one ulp off them just outside the window oracle's window on either
         # side, where the contour adds the closed form, and y = 1
         m = n + 1
-        etas = (1e-12, 0.5)
         for epsilon in (0.01, 0.1, 1.0):
             b = calibrated_scale(n, epsilon)
             lo, hi = window(n, b, 0.0)[0], window(n, b, 1.0)[1]
             ys = [1.0]
             for edge in ((lo - 1) / m, (hi + 2) / m):
                 ys += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)]
-            for y in ys:
-                assert outside_window(n, b, y)
-                for eta, want in zip(etas, mp_log_cond_densities(n, etas, b, y, dps=30)):
-                    model = CorrelatedBinaryModel(n, 0.25, eta)
-                    for d1 in (0, 1):
-                        got = cond_density_binomial(model, b, d1, y)
-                        # the tolerance of test_binomial_matches_mpmath_at_positive_y
-                        tol = 256 * U * (1 + abs(want[d1]) + y * m * epsilon)
-                        assert abs(got - want[d1]) <= tol
+            assert all(outside_window(n, b, y) for y in ys)
+            assert_rows_match_direct_sum(n, epsilon, ys, etas=(1e-12, 0.5))
 
     @pytest.mark.parametrize("n", [500, 2000])
     def test_saddle_integral_matches_mpmath_inside_the_band(self, n):
@@ -450,9 +417,7 @@ class TestCondDensities:
         # its ends, where the path has passed a pole and the integral still
         # adds to the closed form
         m = n + 1
-        etas = (1e-12, 0.5)
         for epsilon in (0.01, 0.1, 1.0):
-            b = calibrated_scale(n, epsilon)
             ys = [0.5]
             for sign in (1, -1):
                 end = n / (1 + math.exp(sign * epsilon))
@@ -463,13 +428,7 @@ class TestCondDensities:
             for y in ys:
                 k = math.floor(y * m)
                 assert k * (n - k) >= constructions._SADDLE_MIN_VARIANCE * n
-                for eta, want in zip(etas, mp_log_cond_densities(n, etas, b, y, dps=30)):
-                    model = CorrelatedBinaryModel(n, 0.25, eta)
-                    for d1 in (0, 1):
-                        got = cond_density_binomial(model, b, d1, y)
-                        # the tolerance of test_binomial_matches_mpmath_at_positive_y
-                        tol = 256 * U * (1 + abs(want[d1]) + y * m * epsilon)
-                        assert abs(got - want[d1]) <= tol
+            assert_rows_match_direct_sum(n, epsilon, ys, etas=(1e-12, 0.5))
 
     @pytest.mark.parametrize("n", [1000, 3000])
     @pytest.mark.parametrize("epsilon", [0.1, 1.0])
@@ -480,7 +439,6 @@ class TestCondDensities:
         monkeypatch.setattr(constructions, "_SADDLE_NODES", None)
         m = n + 1
         model = CorrelatedBinaryModel(n, 0.25, 0.5)
-        b = calibrated_scale(n, epsilon)
         ys = []
         for step in (-1, 1):
             # in quarters of a bin, from the band's end outward
@@ -491,12 +449,9 @@ class TestCondDensities:
         for y in ys:
             k = math.floor(y * m)
             assert k * (n - k) >= constructions._SADDLE_MIN_VARIANCE * n
-            want = mp_log_cond_densities(n, (0.5,), b, y, dps=30)[0]
-            for d1 in (0, 1):
-                got = cond_density_binomial(model, b, d1, y)
-                # the tolerance of test_saddle_integral_matches_mpmath_inside_the_band
-                assert abs(got - want[d1]) <= 256 * U * (1 + abs(want[d1]) + y * m * epsilon)
-            assert abs(pml_d1(model, epsilon, y) - mp_pml_d1(n, 0.25, 0.5, b, y)) <= 1e-14
+            want = make_golden.reference_pml(n, 0.25, 0.5, epsilon, y)
+            assert abs(pml_d1(model, epsilon, y) - want) <= 1e-14
+        assert_rows_match_direct_sum(n, epsilon, ys, etas=(0.5,))
 
     @pytest.mark.parametrize("n", [10 ** 6, 10 ** 8])
     def test_saddle_integral_pml_matches_long_double_sums(self, n):
@@ -608,8 +563,8 @@ class TestMarginalDensity:
         n, alpha, eta, epsilon, y = 6, 0.25, 0.5, 1.0, -0.3
         model = CorrelatedBinaryModel(n, alpha, eta)
         b = calibrated_scale(n, epsilon)
-        want = ((1 - alpha) * enumerated_cond_density(n, alpha, eta, b, 1, y)
-                + alpha * enumerated_cond_density(n, alpha, eta, b, 0, y))
+        want = float((1 - alpha) * enumerated_cond_density(n, eta, b, 1, y)
+                     + alpha * enumerated_cond_density(n, eta, b, 0, y))
         assert math.exp(marginal_density(model, epsilon, y)) == pytest.approx(want, rel=1e-10)
 
 
@@ -827,6 +782,12 @@ class TestBob:
 
     def test_mechanism_is_tenth_dp(self):
         assert dp_level_laplace(bob_mechanism(BobModel(k=5), 0.1)) == pytest.approx(0.1)
+
+    def test_mechanism_is_the_calibrated_counting_query(self):
+        # laplace_for_query builds it: the prior holds the labels, so it has none
+        mech = bob_mechanism(BobModel(k=5), 0.1)
+        assert mech.labels is None
+        assert mech.scale == 1.0 / 0.1 and mech.center(3) == 30_000.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="k"):

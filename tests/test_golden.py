@@ -1,4 +1,5 @@
-"""pml_d1 against the committed small-variance corpus, without mpmath.
+"""pml_d1 against the committed small-variance corpus, without mpmath, and
+a sample of the corpus against its generator.
 
 tests/golden/pml_d1_small_variance.json holds inputs and their 50-digit
 PML (scripts/make_golden.py writes it).  The corpus is read once in this
@@ -9,7 +10,7 @@ import json
 import math
 
 from pmleak.constructions import _SADDLE_MIN_VARIANCE, CorrelatedBinaryModel, pml_d1
-from support import GOLDEN, run_without_avx512
+from support import GOLDEN, load_script, run_without_avx512
 
 CORPUS = GOLDEN / "pml_d1_small_variance.json"
 
@@ -59,3 +60,13 @@ def test_corpus_in_this_process():
 def test_corpus_without_avx512_loops():
     code = "import json, test_golden; print(json.dumps(test_golden.worst_cell()))"
     assert_within_bounds(json.loads(run_without_avx512(code)))
+
+
+def test_generator_reproduces_the_corpus():
+    # the constructions tests share the generator's direct sum, so an edit
+    # made for them must leave every 10th cell with n <= 100 bit for bit
+    make_golden = load_script("make_golden")
+    cells = [row for row in json.loads(CORPUS.read_text())["cells"] if row[1] <= 100][::10]
+    for row in cells:
+        alpha, eta, epsilon, y = (float.fromhex(v) for v in row[2:6])
+        assert make_golden.reference_pml(row[1], alpha, eta, epsilon, y).hex() == row[6], row

@@ -59,6 +59,11 @@ class TestLaplaceCalibration:
         mech = laplace_for_query(sum, 1.0, sensitivity=1.0)
         assert mech.scale == pytest.approx(1.0)
 
+    def test_epsilon_must_be_finite(self):
+        # an infinite epsilon calibrates the scale to 0
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            laplace_for_query(sum, math.inf, sensitivity=1.0)
+
     def test_degenerate_query(self):
         with pytest.raises(ValueError, match="degenerate query"):
             laplace_for_query(lambda x: 0.0, 1.0, num_entries=2, alphabet=(0, 1))
