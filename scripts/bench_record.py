@@ -5,7 +5,9 @@ Runs perfbench/run.py (untraced) for every seed and workload on each
 checkout, alternating which checkout goes first from one seed to the next,
 and stores each run's `env =` record and final JSON line, with the median
 and quartiles of every metric per workload and checkout and, for two
-checkouts, how many seed pairs the second won on each metric:
+checkouts, how many seed pairs the second won on each metric.  At the end it
+prints one line per workload and end-to-end metric: each checkout's median
+and, for two checkouts, the pairs the second won and lost:
 
     python3 scripts/bench_record.py --tag NAME --workloads adversary_trials \\
         --seeds 1-10 --seconds 10 --checkout parent=../parent --checkout change=.
@@ -43,9 +45,13 @@ def run(path, workload, seed, seconds):
     return json.loads(env), json.loads(lines[-1])
 
 
+def benchmark_spec():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def directions():
     """{metric: "lower" or "higher"}, the side each metric is better on, from BENCHMARK.json."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec = benchmark_spec()
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
@@ -83,6 +89,30 @@ def summary(runs, labels, better):
     return out
 
 
+def verdicts(summary, labels, metrics):
+    """One line per workload and end-to-end metric of `summary`: each
+    checkout's median and, with two checkouts, the second's change of the
+    median and the seed pairs it won and lost.  `metrics` are BENCHMARK.json's
+    end_to_end entries."""
+    lines = []
+    for workload, sides in summary.items():
+        for metric in metrics:
+            name, unit = metric["name"], metric["unit"]
+            medians = {label: sides[label][name][1] for label in labels
+                       if name in sides.get(label, {})}
+            line = f"{workload} {name}: " + ", ".join(
+                f"{label} {value:.6g} {unit}" for label, value in medians.items())
+            if len(labels) == 2 and len(medians) == 2 and medians[labels[0]]:
+                first, second = labels
+                line += f" ({medians[second] / medians[first] - 1:+.1%})"
+                tally = sides.get(f"{second} vs {first}", {}).get(name)
+                if tally:
+                    line += (f"; {second} won {tally['won']}, lost {tally['lost']} "
+                             f"of {tally['pairs']} pairs")
+            lines.append(line)
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True)
@@ -108,12 +138,13 @@ def main(argv=None):
                              "env": env, "result": result})
                 print(f"{workload} seed {seed} {label}: wall_s "
                       f"{result['metrics']['wall_s']['value']:.6g}", file=sys.stderr)
+    labels = [label for label, _ in checkouts]
+    table = summary(runs, labels, directions())
     out = ROOT / f"BENCH_{args.tag}.json"
-    out.write_text(json.dumps({"tag": args.tag, "seconds": args.seconds,
-                               "summary": summary(runs, [label for label, _ in checkouts],
-                                                  directions()),
+    out.write_text(json.dumps({"tag": args.tag, "seconds": args.seconds, "summary": table,
                                "runs": runs}, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    print(*verdicts(table, labels, benchmark_spec()["end_to_end"]), sep="\n")
     return 0
 
 

@@ -129,12 +129,12 @@ def cmd_analyze(opts) -> int:
             raise ValueError("continuous mechanism needs --y or --y-grid")
         if not all(math.isfinite(y) for y in ys):
             raise ValueError("outcome y must be finite")
-    table = ResultTable(("y", "pml_nats", "argmax_label", "eps_max"),
+    reports = [pml_report(prior, mech, y) for y in ys]
+    table = ResultTable({"y": ys, "pml_nats": [rep.pml for rep in reports],
+                         "argmax_label": [rep.argmax_label for rep in reports],
+                         "eps_max": [rep.eps_max for rep in reports]},
                         meta=_base_meta("analyze", opts))
     table.meta["mechanism-file"] = opts.mechanism
-    for y in ys:
-        rep = pml_report(prior, mech, y)
-        table.append(y, rep.pml, rep.argmax_label, rep.eps_max)
     _emit(table, opts)
     return EXIT_OK
 
@@ -163,17 +163,18 @@ def cmd_thm3(opts) -> int:
         n_values = [int(round(v)) for v in np.geomspace(start, stop, count)]
     y = float(opts.y)
     rows = sweep(n_values, float(opts.alpha), schedule, float(opts.epsilon), y)
-    table = ResultTable(("n", "lower_bound", "exact_pml", "enum_pml", "eps_max"),
+    ns, bounds, exact = ([row.n for row in rows], [row.bound for row in rows],
+                         [row.exact_pml for row in rows])
+    table = ResultTable({"n": ns, "lower_bound": bounds, "exact_pml": exact,
+                         "enum_pml": [row.enum_pml for row in rows],
+                         "eps_max": [row.eps_max for row in rows]},
                         meta=_base_meta("thm3", opts))
-    for row in rows:
-        table.append(row.n, row.bound, row.exact_pml, row.enum_pml, row.eps_max)
     _emit(table, opts)
     if opts.svg:
-        ns = [row.n for row in rows]
         series = []
         if rows and rows[0].bound is not None:  # no bound is drawn for y > 0
-            series.append(Series("lower bound", tuple(ns), tuple(row.bound for row in rows)))
-        series.append(Series("exact PML", tuple(ns), tuple(row.exact_pml for row in rows)))
+            series.append(Series("lower bound", tuple(ns), tuple(bounds)))
+        series.append(Series("exact PML", tuple(ns), tuple(exact)))
         em = rows[0].eps_max if rows else 0.0
         write_line_chart(opts.svg, series, title="Per-entry PML vs database size",
                          xlabel="n", ylabel="PML (nats)",
@@ -195,11 +196,11 @@ def cmd_bob(opts) -> int:
     else:
         ys = _grid((0.0, (k + 1) * model.scale, 4 * k + 5))
     prior, mech = model.attribute_prior(), bob_mechanism(model, epsilon)
-    table = ResultTable(("y", "pml_nats", "eps_max"), meta=_base_meta("bob", opts))
+    reports = [pml_report(prior, mech, y) for y in ys]
+    table = ResultTable({"y": ys, "pml_nats": [rep.pml for rep in reports],
+                         "eps_max": [rep.eps_max for rep in reports]},
+                        meta=_base_meta("bob", opts))
     table.meta["dp-level"] = dp_level_laplace(mech)
-    for y in ys:
-        rep = pml_report(prior, mech, y)
-        table.append(y, rep.pml, rep.eps_max)
     _emit(table, opts)
     return EXIT_OK
 

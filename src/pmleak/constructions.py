@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .leakage import pml, pml_report
-from .logdomain import LOG_TWO, LOG_ZERO, LogReal, log_add, log_sum_exp
+from .logdomain import LOG_TWO, LOG_ZERO, LogReal, SplitCounts, log_add, log_sum_exp
 from .mechanisms import (LaplaceMechanism, _check_epsilon, _check_scale, laplace_for_query,
                          laplace_log_density)
 from .probability import DatabaseModel, FiniteDistribution
@@ -556,15 +556,17 @@ def _entry0_channel(model: CorrelatedBinaryModel, epsilon: float, y) -> tuple:
     n <= 1000: C(n, w) enters log_sum_exp as terms e 2^j with j < n, and
     these overflow past j = 1023."""
     n = model.n
-    rows = np.zeros((2, n + 1, n + 1), dtype=np.uint8)  # row [d, w]: d, then w ones
-    rows[1, :, 0] = 1
-    rows[:, :, 1:] = np.tri(n + 1, n, -1, dtype=np.uint8)
-    rows = rows.reshape(-1, n + 1)
-    log_mass = model.log_masses(rows).reshape(2, -1)
-    lls = calibrated_mechanism(model, epsilon).log_likelihoods(rows, y).reshape(2, -1)
-    counts = [math.comb(n, w) for w in range(n + 1)]
-    law = [log_sum_exp(lp.tolist(), counts) for lp in log_mass]
-    cond = [log_sum_exp((lp - c + ll).tolist(), counts) for lp, c, ll in zip(log_mass, law, lls)]
+    # row [d, w]: d, then w ones; stored column by column, as `atom_table` is
+    columns = np.empty((n + 1, 2, n + 1), dtype=np.uint8)
+    columns[0] = [[0], [1]]
+    columns[1:] = np.arange(n + 1) > np.arange(n)[:, None, None]
+    rows = columns.reshape(n + 1, -1).T
+    log_mass = model.log_masses(rows).reshape(2, -1).tolist()
+    lls = calibrated_mechanism(model, epsilon).log_likelihoods(rows, y).reshape(2, -1).tolist()
+    counts = SplitCounts(math.comb(n, w) for w in range(n + 1))
+    law = [log_sum_exp(lp, counts) for lp in log_mass]
+    cond = [log_sum_exp([m - c + ll for m, ll in zip(lp, row)], counts)
+            for lp, c, row in zip(log_mass, law, lls)]
     return FiniteDistribution(model.alphabet, tuple(law)), cond
 
 

@@ -13,6 +13,7 @@ on product distributions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,18 +59,19 @@ def pml(prior: FiniteDistribution, log_likelihoods) -> float:
     return max(max(lls) - log_py, 0.0)  # NaN stays NaN
 
 
-def pml_batch(log_prior, lls, axis):
+def pml_batch(log_prior, lls, axis, out=None):
     """`pml` along `axis` of arrays of log P(x) and log P(y | x), which
-    broadcast: (PML, log P(y)), with PML 0 where P(y) = 0 and floored at 0."""
-    log_py = log_sum_exp_array(log_prior + lls, axis)
-    value = np.subtract(lls.max(axis=axis), log_py, out=np.zeros_like(log_py),
-                        where=log_py > LOG_ZERO)
+    broadcast: (PML, log P(y)), with PML 0 where P(y) = 0 and floored at 0.
+    The PML is written into `out` where given, a zeroed array of any layout."""
+    log_py = log_sum_exp_array(log_prior + lls, axis, overwrite=True)
+    value = np.zeros_like(log_py) if out is None else out
+    np.subtract(lls.max(axis=axis), log_py, out=value, where=log_py > LOG_ZERO)
     return np.maximum(value, 0.0, out=value), log_py
 
 
 def _report(prior: FiniteDistribution, lls) -> LeakageReport:
     # argmax ties broken by lowest label index
-    best = max(range(len(lls)), key=lambda i: (lls[i], -i))
+    best = lls.index(max(lls))
     return LeakageReport(pml=pml(prior, lls), argmax_label=prior.labels[best],
                          eps_max=eps_max(prior))
 
@@ -118,9 +120,17 @@ def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
     return FiniteDistribution(model.alphabet, tuple(law)), cond
 
 
+#: most values `_log_sum_exp_distinct` sums without finding the distinct ones
+_DIRECT_MAX = 32
+
+
 def _log_sum_exp_distinct(v) -> float:
     """`log_sum_exp` of a 1-D array, over its distinct values with counts:
-    one sort, then each run of equal neighbours by the index of its last."""
+    one sort, then each run of equal neighbours by the index of its last.
+    Up to _DIRECT_MAX values are summed as they are, which costs less than
+    the sort; by the counts' rule the bits are the same."""
+    if v.size <= _DIRECT_MAX:
+        return log_sum_exp(v.tolist())
     v = np.sort(v)
     ends = [*(v[1:] != v[:-1]).nonzero()[0].tolist(), v.size - 1]
     return log_sum_exp(v[ends].tolist(), [b - a for a, b in zip([-1, *ends], ends)])
@@ -155,11 +165,23 @@ class Theorem2Report:
 _BLOCK_ENTRIES = 1 << 16
 
 
+def _require_integers(**values):
+    """Reject an argument that is not an integer (a bool is not one), by name."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def _product_priors(alphabet: tuple, num_entries: int, prior_samples: int,
                     grid_resolution: int, seed: int, grid_span) -> np.ndarray:
-    """The checked product priors as a (P, n, k) array of marginals: floored
-    uniform Dirichlet draws, then for a binary alphabet the iid grid rows
-    (1 - q, q), each row renormalized."""
+    """The checked product priors as a (P, n, k) array of marginals, stored
+    prior axis last: floored uniform Dirichlet draws, then for a binary
+    alphabet the iid grid rows (1 - q, q), each row renormalized."""
+    _require_integers(num_entries=num_entries, prior_samples=prior_samples,
+                      grid_resolution=grid_resolution, seed=seed)
+    for name, count in (("prior_samples", prior_samples), ("grid_resolution", grid_resolution)):
+        if count < 0:
+            raise ValueError(f"{name} must be at least 0, not {count!r}")
     k = len(alphabet)
     if k == 0:
         raise ValueError("empty alphabet")
@@ -167,33 +189,39 @@ def _product_priors(alphabet: tuple, num_entries: int, prior_samples: int,
         raise ValueError("duplicate labels")
     if num_entries < 1:
         raise ValueError("product model needs at least one entry")
-    rng = np.random.default_rng(seed)
-    probs = np.clip(rng.dirichlet(np.ones(k), size=(prior_samples, num_entries)),
-                    PRIOR_FLOOR, None)
-    if k == 2 and grid_resolution > 0:
-        q = np.linspace(grid_span[0], grid_span[1], grid_resolution)
-        grid = np.stack([1.0 - q, q], axis=1)[:, None, :]
-        probs = np.concatenate([probs, np.broadcast_to(grid, (grid_resolution, num_entries, 2))])
-    if len(probs) == 0:
+    grid = grid_resolution if k == 2 else 0
+    if grid and not all(0.0 <= q <= 1.0 for q in grid_span):  # NaN fails too
+        raise ValueError(f"grid_span must lie within [0, 1], not {tuple(grid_span)!r}")
+    if prior_samples + grid == 0:
         raise ValueError("no priors to check")
-    if not np.all(probs >= 0):  # NaN fails too
-        raise ValueError("negative probability")
-    probs = probs / probs.sum(axis=2, keepdims=True)
-    if not np.all(probs > 0):
+    probs = np.empty((num_entries, k, prior_samples + grid))
+    draws = np.random.default_rng(seed).dirichlet(np.ones(k), size=(prior_samples, num_entries))
+    np.maximum(draws, PRIOR_FLOOR, out=draws)
+    draws /= draws.sum(axis=2, keepdims=True)
+    probs[..., :prior_samples] = draws.transpose(1, 2, 0)
+    if grid:
+        rows = probs[..., prior_samples:]
+        rows[:, 1] = np.linspace(grid_span[0], grid_span[1], grid)
+        np.subtract(1.0, rows[:, 1], out=rows[:, 0])
+        rows /= rows[:, :1] + rows[:, 1:]
+    if not (probs > 0).all():
         raise ValueError("PML requires full-support prior")
-    return probs
+    return probs.transpose(2, 0, 1)
 
 
-def _block_pmls(log_prior, digits, order, channel):
-    """`_entry_pmls` on one block of priors, given as log marginals."""
-    n = log_prior.shape[1]
-    # left to right from 0, as ProductModel.log_masses sums the marginals;
-    # the prior axis last, so each reduction runs over rows of Y P floats
-    log_mass = sum(log_prior[:, j, digits[:, j]] for j in range(n)).T
-    mass = log_mass[order]                                            # (n, k, A/k, P)
+def _block_pmls(log_prior, grouped, channel, out):
+    """`_entry_pmls` on one block of priors, given as log marginals (n, k, P),
+    with the digits (n, k, A/k, n) and channel rows (n, k, A/k, Y) of the
+    atoms with D_i = d; the values go to `out` (n, Y, P)."""
+    # left to right, as ProductModel.log_masses sums the marginals; the prior
+    # axis last, so each reduction runs over rows of Y P floats
+    mass = log_prior[0][grouped[..., 0]]                              # (n, k, A/k, P)
+    for j in range(1, len(log_prior)):
+        mass += log_prior[j][grouped[..., j]]
     law = log_sum_exp_array(mass, 2)                                  # log P(D_i = d)
-    cond = log_sum_exp_array((mass - law[:, :, None])[..., None, :] + channel[order][..., None], 2)
-    return pml_batch(law[:, :, None], cond, axis=1)[0].transpose(2, 0, 1)  # over d: (P, n, Y)
+    mass -= law[:, :, None]
+    cond = log_sum_exp_array(mass[..., None, :] + channel[..., None], 2, overwrite=True)
+    pml_batch(law[:, :, None], cond, axis=1, out=out)                 # over d
 
 
 def _entry_pmls(mech: FiniteMechanism, alphabet: tuple, probs) -> np.ndarray:
@@ -201,15 +229,18 @@ def _entry_pmls(mech: FiniteMechanism, alphabet: tuple, probs) -> np.ndarray:
     product priors with marginals probs (P, n, k) over alphabet: the
     batched `pml(*entry_channel(...))`.  Atoms are the rows of
     `atom_table` and read their channel rows by label, as in `entry_channel`."""
-    _, n, k = probs.shape
+    size, n, k = probs.shape
     digits = atom_table(alphabet, n)
-    channel = mech.rows(atom_labels(alphabet, n))
     # order[i, d]: the atoms with D_i = d, in table order
     order = np.argsort(digits, axis=0, kind="stable").T.reshape(n, k, -1)
-    log_prior = np.log(probs)
-    block = max(1, _BLOCK_ENTRIES // (n * channel.size))  # (n, k, A/k, Y, P) per block
-    return np.concatenate([_block_pmls(log_prior[start:start + block], digits, order, channel)
-                           for start in range(0, len(probs), block)])
+    grouped, channel = digits[order], mech.rows(atom_labels(alphabet, n))[order]
+    log_prior = np.log(probs).transpose(1, 2, 0)  # (n, k, P), as `_product_priors` stores it
+    values = np.zeros((size, n, channel.shape[-1]))
+    block = max(1, _BLOCK_ENTRIES // channel.size)  # (n, k, A/k, Y, P) per block
+    for start in range(0, size, block):
+        _block_pmls(log_prior[..., start:start + block], grouped, channel,
+                    values[start:start + block].transpose(1, 2, 0))
+    return values
 
 
 def theorem2_check(mech: FiniteMechanism, epsilon_dp: float, num_entries: int,
@@ -223,12 +254,15 @@ def theorem2_check(mech: FiniteMechanism, epsilon_dp: float, num_entries: int,
     through the scalar `pml(*entry_channel(...))`, and `reference_gap`
     reports how far the two disagree there.
     """
+    if not epsilon_dp >= 0:  # NaN fails too
+        raise ValueError(f"epsilon_dp must be at least 0, not {epsilon_dp!r}")
     alphabet = tuple(alphabet)
     probs = _product_priors(alphabet, num_entries, prior_samples, grid_resolution,
                             seed, grid_span)
     values = _entry_pmls(mech, alphabet, probs)
     # the first maximum in (prior, entry, outcome) order
-    p, i, y = (int(v) for v in np.unravel_index(np.argmax(values), values.shape))
+    p, rest = divmod(int(values.argmax()), values[0].size)
+    i, y = divmod(rest, values.shape[2])
     best = float(values[p, i, y])
     spec = tuple(tuple(row) for row in probs[p].tolist())
     model = ProductModel(tuple(

@@ -42,7 +42,7 @@ class FiniteMechanism:
     @classmethod
     def from_probs(cls, x_labels, y_labels, rows):
         rows = np.asarray(rows, dtype=float)
-        if np.any(rows < 0):
+        if (rows < 0).any():
             raise ValueError("negative channel probability")
         return cls(tuple(x_labels), tuple(y_labels), log_array(rows))
 
@@ -63,8 +63,12 @@ class FiniteMechanism:
 
     def rows(self, atoms: np.ndarray) -> np.ndarray:
         """The logp row of every row of an (A, m) label table, each read as
-        the tuple x label."""
-        return self.logp[[self.x_index(x) for x in map(tuple, atoms.tolist())]]
+        the tuple x label; logp itself where those are the distinct x labels
+        in order."""
+        labels = tuple(map(tuple, atoms.tolist()))
+        if labels == self.x_labels and len(self._xi) == len(labels):
+            return self.logp
+        return self.logp[[self.x_index(x) for x in labels]]
 
     def log_likelihoods(self, atoms: np.ndarray, y) -> np.ndarray:
         """log P(y | x) for every row x of an (A, m) label table."""

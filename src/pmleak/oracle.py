@@ -13,13 +13,12 @@ checked against what an actual adversary achieves:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .logdomain import LOG_ZERO, log_array, log_sum_exp
-from .leakage import _BLOCK_ENTRIES, PRIOR_FLOOR, pml, pml_batch
+from .leakage import _BLOCK_ENTRIES, PRIOR_FLOOR, _require_integers, pml, pml_batch
 from .mechanisms import FiniteMechanism
 from .probability import NORMALIZATION_TOL, FiniteDistribution
 
@@ -361,12 +360,9 @@ def run_adversary_trials(seed: int = 2024, achievability_trials: int = 1000,
     `leakage.pml` and the scalar ratio functions above, and the worst
     disagreement is reported.
     """
-    integers = {"achievability_trials": achievability_trials, "gain_trials": gain_trials,
-                "kernel_trials": kernel_trials, "max_alphabet": max_alphabet,
-                "max_guesses": max_guesses}
-    for name, value in integers.items():
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
+    _require_integers(achievability_trials=achievability_trials, gain_trials=gain_trials,
+                      kernel_trials=kernel_trials, max_alphabet=max_alphabet,
+                      max_guesses=max_guesses)
     if achievability_trials <= 0 or gain_trials <= 0 or kernel_trials <= 0:
         raise ValueError("empty trial set")
     if not 0.0 <= tolerance < math.inf:  # NaN fails too

@@ -108,7 +108,7 @@ class FiniteDistribution:
 
     @property
     def full_support(self) -> bool:
-        return all(lp > LOG_ZERO for lp in self.logp)
+        return LOG_ZERO not in self.logp  # logp holds no NaN: its mass is checked
 
     def index(self, label) -> int:
         try:

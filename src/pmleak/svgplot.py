@@ -47,22 +47,20 @@ def _ticks(lo: float, hi: float, count: int = 6):
 
 
 def write_line_chart(path, series, *, title, xlabel, ylabel, hlines, logx):
-    """Write series as SVG polylines; hlines is a list of (label, y) asymptotes."""
+    """Write series as SVG polylines; hlines is a list of (label, y) asymptotes.
+
+    Each x is put on the axis scale once, and every point goes to the page
+    in the one pass that writes its polyline."""
     if not series:
         raise ValueError("nothing to plot")
-
-    def tx(v):
-        if logx:
-            if v <= 0:
-                raise ValueError("log x-axis requires positive x")
-            return math.log10(v)
-        return v
-
-    xs_all = [tx(x) for s in series for x in s.xs]
+    if logx and any(x <= 0 for s in series for x in s.xs):
+        raise ValueError("log x-axis requires positive x")
+    xs = [[math.log10(x) for x in s.xs] if logx else list(s.xs) for s in series]
     ys_all = [y for s in series for y in s.ys] + [y for _, y in hlines]
     ys_all = [y for y in ys_all if math.isfinite(y)]
     if not ys_all:
         raise ValueError("no finite y values to plot")
+    xs_all = [x for sx in xs for x in sx]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -74,27 +72,25 @@ def write_line_chart(path, series, *, title, xlabel, ylabel, hlines, logx):
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
 
-    def px(v):
-        return MARGIN_LEFT + (tx(v) - x_lo) / (x_hi - x_lo) * plot_w
+    def px(t):  # t on the axis scale
+        return MARGIN_LEFT + (t - x_lo) / x_span * plot_w
 
     def py(v):
-        return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return MARGIN_TOP + (y_hi - v) / y_span * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" font-size="14">{title}</text>',
+        # axes frame
+        f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" '
+        f'height="{plot_h}" fill="none" stroke="black"/>',
     ]
-
-    # axes frame
-    out.append(f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" '
-               f'height="{plot_h}" fill="none" stroke="black"/>')
-
-    x_tick_vals = _ticks(x_lo, x_hi)
-    for t in x_tick_vals:
-        x = MARGIN_LEFT + (t - x_lo) / (x_hi - x_lo) * plot_w
+    for t in _ticks(x_lo, x_hi):
+        x = px(t)
         label = f"{10 ** t:.3g}" if logx else f"{t:.4g}"
         out.append(f'<line x1="{x:.1f}" y1="{MARGIN_TOP + plot_h}" x2="{x:.1f}" '
                    f'y2="{MARGIN_TOP + plot_h + 4}" stroke="black"/>')
@@ -120,10 +116,10 @@ def write_line_chart(path, series, *, title, xlabel, ylabel, hlines, logx):
         out.append(f'<text x="{MARGIN_LEFT + plot_w - 4}" y="{yy - 5:.1f}" '
                    f'text-anchor="end" fill="gray">{label}</text>')
 
-    for idx, s in enumerate(series):
+    for idx, (s, sx) in enumerate(zip(series, xs)):
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys)
-                       if math.isfinite(y))
+        pts = " ".join([f"{px(x):.2f},{py(y):.2f}" for x, y in zip(sx, s.ys)
+                        if math.isfinite(y)])
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.6"/>')
         lx = MARGIN_LEFT + 12

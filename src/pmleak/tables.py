@@ -13,43 +13,49 @@ from dataclasses import dataclass, field
 
 
 def format_value(v) -> str:
+    if isinstance(v, float):
+        return "%.17g" % v
     if v is None:
         return ""
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, float):
-        return "%.17g" % v
     return str(v)
 
 
-def _cell(v) -> str:
-    """format_value, quoted as in RFC 4180 when it holds a comma, quote or line break
-    (a tuple label does)."""
-    text = format_value(v)
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+#: what makes a cell need RFC 4180 quotes: a comma, a quote or a line break
+_SPECIAL = ',"\r\n'
+
+
+def _quoted(text: str) -> bool:
+    return any(c in text for c in _SPECIAL)
+
+
+def _cells(values) -> list:
+    """format_value of a whole column, quoted as in RFC 4180 where a cell
+    holds a comma, quote or line break (a tuple label does); a column with
+    none is scanned once."""
+    cells = list(map(format_value, values))
+    if not _quoted("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _quoted(c) else c for c in cells]
 
 
 @dataclass
 class ResultTable:
-    columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    """Whole columns by name, in order, with the run's parameters as `meta`."""
+
+    columns: dict
     meta: dict = field(default_factory=dict)
 
-    def append(self, *values):
-        if len(values) != len(self.columns):
-            raise ValueError("row width mismatch")
-        self.rows.append(tuple(values))
+    def __post_init__(self):
+        if len({len(values) for values in self.columns.values()}) > 1:
+            raise ValueError("column length mismatch")
 
     def to_csv(self, reproducible: bool = False) -> str:
-        lines = []
-        for key, value in self.meta.items():
-            lines.append(f"# {key} = {format_value(value)}")
+        lines = [f"# {key} = {format_value(value)}" for key, value in self.meta.items()]
         if not reproducible:
             stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
             lines.append(f"# generated-at = {stamp}")
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_cell(v) for v in row))
+        lines += map(",".join, zip(*map(_cells, self.columns.values())))
         return "\n".join(lines) + "\n"

@@ -49,3 +49,38 @@ def test_a_failed_run_is_named_with_its_stderr(tmp_path, capsys):
     assert f"w seed 3 broken ({tmp_path}) exited with code 1" in err
     assert "warming up\nworkload w: check failed" in err
     assert not (ROOT / "BENCH_never-written.json").exists()
+
+
+def test_verdicts_give_each_end_to_end_metric_one_line():
+    runs = synthetic_runs({
+        (1, "parent"): (2.0, 10.0), (1, "change"): (1.0, 20.0),
+        (2, "change"): (3.0, 10.0), (2, "parent"): (2.0, 10.0),
+    })
+    labels = ["parent", "change"]
+    table = bench_record.summary(runs, labels, {"wall_s": "lower", "ops_per_s": "higher"})
+    metrics = [{"name": "wall_s", "unit": "s"}, {"name": "ops_per_s", "unit": "1/s"}]
+    assert bench_record.verdicts(table, labels, metrics) == [
+        "w wall_s: parent 2 s, change 2 s (+0.0%); change won 1, lost 1 of 2 pairs",
+        "w ops_per_s: parent 10 1/s, change 15 1/s (+50.0%); change won 1, lost 0 of 2 pairs",
+    ]
+    assert bench_record.verdicts(table, ["parent"], metrics[:1]) == ["w wall_s: parent 2 s"]
+
+
+def test_a_recorded_run_ends_with_its_verdicts(tmp_path, monkeypatch, capsys):
+    # a stand-in perfbench whose wall_s is 2 s for the checkout named "slow", else 1 s
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    for name in ("slow", "fast"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        wall = 2.0 if name == "slow" else 1.0
+        metrics = {m["name"]: {"value": wall, "unit": m["unit"]} for m in spec["end_to_end"]}
+        (tmp_path / name / "perfbench" / "run.py").write_text(
+            f"import json\nprint('env = {{}}')\nprint(json.dumps({{'metrics': {metrics!r}}}))\n")
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    argv = ["--tag", "t", "--workloads", "w", "--seeds", "1-3", "--seconds", "1",
+            "--checkout", f"slow={tmp_path / 'slow'}", "--checkout", f"fast={tmp_path / 'fast'}"]
+    assert bench_record.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(spec["end_to_end"])
+    assert "w wall_s: slow 2 s, fast 1 s (-50.0%); fast won 3, lost 0 of 3 pairs" in lines
+    assert (tmp_path / "BENCH_t.json").exists()

@@ -198,6 +198,43 @@ class TestTheorem2Check:
         assert rep.witness_prior is not None
         assert rep.witness_outcome in ((0,), (1,))
 
+    @pytest.mark.parametrize("name, value", [
+        ("num_entries", 2.0), ("num_entries", True), ("prior_samples", 2.5),
+        ("prior_samples", True), ("grid_resolution", 3.5), ("grid_resolution", False),
+        ("seed", 1.5), ("seed", True),
+    ])
+    def test_non_integer_counts_are_rejected(self, name, value):
+        args = dict(num_entries=1, prior_samples=5, grid_resolution=3, seed=0)
+        args[name] = value
+        mech = product_mechanism(randomized_response(0.25), 1)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {value!r}$"):
+            theorem2_check(mech, 1.0, alphabet=(0, 1), **args)
+
+    @pytest.mark.parametrize("name", ["prior_samples", "grid_resolution"])
+    def test_negative_counts_are_rejected(self, name):
+        mech = product_mechanism(randomized_response(0.25), 1)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0, not -1$"):
+            theorem2_check(mech, 1.0, 1, (0, 1), **{name: -1})
+
+    @pytest.mark.parametrize("epsilon_dp", [math.nan, -0.5, -math.inf])
+    def test_dp_level_must_be_at_least_zero(self, epsilon_dp):
+        mech = product_mechanism(randomized_response(0.25), 1)
+        with pytest.raises(ValueError, match="epsilon_dp must be at least 0"):
+            theorem2_check(mech, epsilon_dp, 1, (0, 1), prior_samples=5)
+
+    @pytest.mark.parametrize("epsilon_dp, forward_ok", [(0.0, False), (math.inf, True)])
+    def test_zero_and_infinite_dp_levels_are_checked(self, epsilon_dp, forward_ok):
+        mech = product_mechanism(randomized_response(0.25), 1)
+        rep = theorem2_check(mech, epsilon_dp, 1, (0, 1), prior_samples=5, grid_resolution=3)
+        assert rep.epsilon_dp == epsilon_dp and rep.forward_ok is forward_ok
+
+    @pytest.mark.parametrize("span", [(math.nan, 0.99), (0.01, math.nan), (-0.1, 0.5),
+                                      (0.5, 1.5)])
+    def test_grid_span_outside_the_unit_interval_is_rejected(self, span):
+        mech = product_mechanism(randomized_response(0.25), 1)
+        with pytest.raises(ValueError, match=r"^grid_span must lie within \[0, 1\]"):
+            theorem2_check(mech, 1.0, 1, (0, 1), prior_samples=5, grid_span=span)
+
 
 def loop_priors(alphabet, n, prior_samples, grid_resolution, seed, grid_span):
     """The checked priors drawn one Dirichlet row at a time, as a (P, n, k) array."""
@@ -232,14 +269,27 @@ def zero_cell_channel():
 TERNARY_BASE = FiniteMechanism.from_probs((0, 1, 2), (0, 1),
                                           [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
 
+
+def permuted_rows(mech, seed):
+    """mech with its rows, and their x labels, in a random order."""
+    perm = np.random.default_rng(seed).permutation(len(mech.x_labels))
+    return FiniteMechanism(tuple(mech.x_labels[i] for i in perm), mech.y_labels,
+                           mech.logp[perm])
+
+
+NON_PRODUCT = random_channel(np.random.default_rng(11), tuple(itertools.product((0, 1), repeat=2)),
+                             ("a", "b", "c"))
+RR_N3 = product_mechanism(randomized_response(0.4), 3)
+
 # (mechanism, entries, alphabet, grid resolution)
 BATCH_CASES = {
     "rr-n1": (product_mechanism(randomized_response(0.25), 1), 1, (0, 1), 9),
     "rr-n2": (product_mechanism(randomized_response(0.1), 2), 2, (0, 1), 9),
-    "rr-n3": (product_mechanism(randomized_response(0.4), 3), 3, (0, 1), 9),
-    "non-product": (random_channel(np.random.default_rng(11),
-                                   tuple(itertools.product((0, 1), repeat=2)),
-                                   ("a", "b", "c")), 2, (0, 1), 9),
+    "rr-n3": (RR_N3, 3, (0, 1), 9),
+    "non-product": (NON_PRODUCT, 2, (0, 1), 9),
+    # the same channel, its rows read by label from another order
+    "non-product-permuted": (permuted_rows(NON_PRODUCT, 5), 2, (0, 1), 9),
+    "rr-n3-permuted": (permuted_rows(RR_N3, 6), 3, (0, 1), 9),
     "zero-cells": (zero_cell_channel(), 2, (0, 1), 9),
     "ternary-no-grid": (product_mechanism(TERNARY_BASE, 2), 2, (0, 1, 2), 0),
 }
@@ -276,6 +326,15 @@ class TestTheorem2Batch:
             want = scalar_entry_pml(alphabet, probs[p].tolist(), mech, int(i),
                                     mech.y_labels[y])
             assert abs(values[p, i, y] - want) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["non-product", "rr-n3"])
+    def test_rows_are_read_by_label_in_any_order(self, case):
+        mech, n, alphabet, res = BATCH_CASES[case]
+        permuted = BATCH_CASES[f"{case}-permuted"][0]
+        assert permuted.x_labels != mech.x_labels
+        probs = leakage._product_priors(alphabet, n, 20, res, 4, (0.01, 0.99))
+        assert np.array_equal(leakage._entry_pmls(permuted, alphabet, probs),
+                              leakage._entry_pmls(mech, alphabet, probs))
 
     def test_zero_mass_outcome_leaks_nothing(self):
         mech, n, alphabet, res = BATCH_CASES["zero-cells"]
@@ -334,6 +393,8 @@ class TestTheorem2Batch:
         ((0, 0), 1, "duplicate labels"),
         ((0, 1), 0, "at least one entry"),
         ((0, 1), 17, "enumeration cutoff exceeded"),
+        ((0, 1), 2.0, "num_entries must be an integer, not 2.0"),
+        ((0, 1), True, "num_entries must be an integer, not True"),
     ])
     def test_bad_alphabet_or_size_is_rejected(self, alphabet, n, message):
         mech = product_mechanism(randomized_response(0.25), 1)

@@ -1,12 +1,14 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_array
+from pmleak.logdomain import (LOG_ZERO, SplitCounts, log_add, log_sum_exp,
+                              log_sum_exp_array)
 
 finite_logs = st.floats(min_value=-300.0, max_value=300.0)
 
@@ -116,6 +118,48 @@ def test_counted_lse_equals_the_expanded_list_bit_for_bit(case):
     vals, counts = case
     expanded = [v for v, c in zip(vals, counts) for _ in range(c)]
     assert log_sum_exp(vals, counts).hex() == log_sum_exp(expanded).hex()
+
+
+def exact_counted_lse(vals, counts):
+    """The counted log-sum-exp from the exact rational sum of its shifted
+    exps, rounded to a float once."""
+    m = max(vals)
+    if m == LOG_ZERO:
+        return m
+    return m + math.log(float(sum(Fraction(math.exp(v - m)) * c for v, c in zip(vals, counts))))
+
+
+@st.composite
+def _counted_to_c1000(draw):
+    """(values, counts) as in `_counted`, with counts up to C(1000, 500) ~ 2^995,
+    the largest that `constructions._entry0_channel` claims to handle."""
+    top = draw(finite_logs)
+    offsets = st.one_of(st.floats(0.0, 40.0), st.floats(700.0, 760.0), st.just(math.inf))
+    vals = [top - o for o in draw(st.lists(offsets, min_size=1, max_size=8))]
+    binomials = st.builds(math.comb, st.just(1000), st.integers(0, 1000))
+    counts = draw(st.lists(st.one_of(st.integers(1, 2 ** 16), binomials),
+                           min_size=len(vals), max_size=len(vals)))
+    return vals, counts
+
+
+@settings(deadline=None, max_examples=500)
+@given(_counted_to_c1000())
+@example(([0.0] * 11, [math.comb(1000, w) for w in range(0, 1001, 100)]))
+@example(([0.0, -740.0, -745.0, -760.0, LOG_ZERO],
+          [1, math.comb(1000, 500), math.comb(1000, 499), math.comb(1000, 3), 5]))
+@example(([-0.25 * w for w in range(1001)], [math.comb(1000, w) for w in range(1001)]))
+def test_counted_lse_equals_the_exact_sum_up_to_c_1000(case):
+    vals, counts = case
+    assert log_sum_exp(vals, counts).hex() == exact_counted_lse(vals, counts).hex()
+
+
+def test_split_counts_are_shared_with_the_same_bits():
+    # one split of the counts serves any number of reductions
+    counts = [math.comb(15, w) for w in range(16)]
+    split = SplitCounts(counts)
+    for shift in (0.0, -0.3, -700.0):
+        vals = [shift - 0.41 * w for w in range(16)]
+        assert log_sum_exp(vals, split).hex() == log_sum_exp(vals, counts).hex()
 
 
 def test_counted_lse_rejects_bad_counts():
