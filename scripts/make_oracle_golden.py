@@ -15,7 +15,8 @@ loops, and a report's maxima may fall on such a lane, so the pins are keyed
 by the loops numpy runs, and both sets are recorded: in this process, and
 in a child with the AVX-512 loops switched off.  Each report must pass.
 The values come from pmleak itself; tests/test_oracle.py recomputes them
-with `pins()`.
+with `pins()`.  Before it writes, the script prints each report field and
+block digest that differs from the file it replaces, old -> new.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/make_oracle_golden.py
@@ -104,6 +105,23 @@ def child_pins():
     return json.loads(out.strip().splitlines()[-1])
 
 
+def differences(old, new):
+    """One line per report field and block digest that differs between two
+    {loops: {"reports": ..., "blocks": ...}} records, "-" where one has none."""
+    lines = []
+    for loops in sorted(old.keys() | new.keys()):
+        for section in ("reports", "blocks"):
+            was = old.get(loops, {}).get(section, {})
+            now = new.get(loops, {}).get(section, {})
+            for name in sorted(was.keys() | now.keys()):
+                fields_was, fields_now = was.get(name, {}), now.get(name, {})
+                for field in sorted(fields_was.keys() | fields_now.keys()):
+                    a, b = fields_was.get(field, "-"), fields_now.get(field, "-")
+                    if a != b:
+                        lines.append(f"{loops} | {section} | {name} | {field}: {a} -> {b}")
+    return lines
+
+
 def main():
     if sys.argv[1:] == ["--print"]:
         print(json.dumps(pins()))
@@ -115,6 +133,9 @@ def main():
         recorded[p["loops"]] = {
             "reports": {name: fields for name, (fields, _) in p["reports"].items()},
             "blocks": p["blocks"]}
+    old = json.loads(OUT.read_text())["loops"] if OUT.exists() else {}
+    moved = differences(old, recorded)
+    print("\n".join(moved) if moved else "no pin moved")
     OUT.write_text(json.dumps({"about": "bits of run_adversary_trials and its blocks, by "
                                         "numpy loops; written by scripts/make_oracle_golden.py",
                                "loops": recorded}, indent=1) + "\n")

@@ -38,6 +38,8 @@ class FiniteMechanism:
                 raise ValueError(f"channel row for {x!r} has mass exp({mass:.6g})")
         object.__setattr__(self, "_xi", {x: i for i, x in enumerate(self.x_labels)})
         object.__setattr__(self, "_yi", {y: i for i, y in enumerate(self.y_labels)})
+        if len(self._xi) != len(self.x_labels) or len(self._yi) != len(self.y_labels):
+            raise ValueError("duplicate labels")
 
     @classmethod
     def from_probs(cls, x_labels, y_labels, rows):
@@ -63,10 +65,9 @@ class FiniteMechanism:
 
     def rows(self, atoms: np.ndarray) -> np.ndarray:
         """The logp row of every row of an (A, m) label table, each read as
-        the tuple x label; logp itself where those are the distinct x labels
-        in order."""
+        the tuple x label; logp itself where those are the x labels in order."""
         labels = tuple(map(tuple, atoms.tolist()))
-        if labels == self.x_labels and len(self._xi) == len(labels):
+        if labels == self.x_labels:
             return self.logp
         return self.logp[[self.x_index(x) for x in labels]]
 

@@ -33,11 +33,11 @@ class GainFunction:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError("gain table must be 2-dimensional")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("gain values must be finite")
-        if np.any(v < 0):
+        if (v < 0).any():
             raise ValueError("gain values must be non-negative")
-        if not np.any(v > 0):
+        if not (v > 0).any():
             raise ValueError("degenerate gain")
         object.__setattr__(self, "values", v)
         v.flags.writeable = False
@@ -53,9 +53,9 @@ class GuessKernel:
         r = np.asarray(self.rows, dtype=float)
         if r.ndim != 2:
             raise ValueError("kernel must be 2-dimensional")
-        if np.any(r < 0):
+        if (r < 0).any():
             raise ValueError("negative kernel probability")
-        if not np.all(np.abs(r.sum(axis=1) - 1.0) <= NORMALIZATION_TOL):
+        if not (np.abs(r.sum(axis=1) - 1.0) <= NORMALIZATION_TOL).all():
             raise ValueError("kernel rows must sum to 1")
         object.__setattr__(self, "rows", r)
         r.flags.writeable = False
@@ -88,8 +88,8 @@ def gain_ratio(prior: FiniteDistribution, log_likelihoods, gain: GainFunction) -
     if g.shape[0] != prior.size:
         raise ValueError("gain table does not match the secret alphabet")
     post = posterior_probs(prior, log_likelihoods)
-    num = float(np.max(post @ g))
-    den = float(np.max(prior.probs() @ g))
+    num = float((post @ g).max())
+    den = float((prior.probs() @ g).max())
     if den <= 0:
         raise ValueError("degenerate gain")
     if num <= 0:
@@ -106,26 +106,30 @@ def randomized_function_ratio(prior: FiniteDistribution, log_likelihoods,
     post = posterior_probs(prior, log_likelihoods)
     p_u = prior.probs() @ k
     p_u_post = post @ k
-    peak = float(np.max(p_u))
+    peak = float(p_u.max())
     if peak <= 0:
         raise ValueError("kernel assigns no mass")
-    return math.log(float(np.max(p_u_post))) - math.log(peak)
+    return math.log(float(p_u_post.max())) - math.log(peak)
 
 
 # --- randomized adversary trials ------------------------------------------
 #
 # The trials run in groups of one secret count nx, and each group in chunks
-# of at most _BLOCK trials.  Every array of a chunk is C-contiguous with the
-# trial axis last, (nx, ..., trial), so a sum or maximum over secrets or
+# of at most 2 * _BLOCK trials.  Every array of a chunk is C-contiguous with
+# the trial axis last, (nx, ..., trial), so a sum or maximum over secrets or
 # guesses runs over a leading axis: elementwise passes over whole rows of
 # trials, not a short reduction per trial.  A random-channel phase first
 # draws how many of its trials take each count 2..max_alphabet, in one
 # multinomial: the trials are iid and a phase only folds maxima and minima,
 # so this is the law of one count drawn per trial, and no secret lane is
-# padding.  A fixed channel is one group.  Only the guess axis is padded to
-# max_guesses, by gains and kernel entries of 0, which no exp or log takes.
+# padding.  A fixed channel is one group.  The guess counts 1..max_guesses
+# of a chunk's gains or kernels are drawn the same way, one multinomial a
+# chunk, and its trials take them largest first, so guess slot j is live on
+# a prefix of the trials: only those lanes are drawn, into a table of 0s,
+# which no exp or log takes.  Trials 0, _BLOCK, 2 * _BLOCK, ... of each
+# chunk are replayed through the scalar functions above.
 
-#: most trials drawn and scored together
+#: one trial in every _BLOCK of a chunk is replayed; a chunk holds at most 2 * _BLOCK
 _BLOCK = 1024
 
 
@@ -151,25 +155,12 @@ class OracleReport:
                 and self.max_reference_gap <= self.tolerance)
 
 
-def _first(counts, width):
-    """(width, T) mask of the first counts[t] entries of each column t."""
-    return np.arange(width)[:, None] < counts
-
-
 def _chunk(nx, max_guesses):
-    """Trials per chunk at nx secrets: it fixes each trial's draws, and so what a seed reports.
-    Its largest (nx, guesses, trial) array holds at most _BLOCK_ENTRIES floats, so
-    wider alphabets get fewer trials and memory does not grow with them."""
-    return min(_BLOCK, max(1, _BLOCK_ENTRIES // (nx * max_guesses)))
-
-
-def _dirichlet(rng, shape, axis, mask=None):
-    """Uniform Dirichlet draws along `axis`, 0 off the mask if one is given."""
-    e = rng.standard_exponential(shape)
-    if mask is not None:
-        e *= mask
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+    """Trials per chunk at nx secrets, at most 2 * _BLOCK: it fixes each trial's draws,
+    and so what a seed reports.  Its largest (nx, guesses, trial) array holds at most
+    _BLOCK_ENTRIES floats, so wider alphabets get fewer trials and memory does not
+    grow with them."""
+    return min(2 * _BLOCK, max(1, _BLOCK_ENTRIES // (nx * max_guesses)))
 
 
 @dataclass(frozen=True)
@@ -219,7 +210,8 @@ def _draw_scenarios(rng, nx, size, max_alphabet, channel) -> _Scenarios:
         lls = _random_channels(rng, nx, size, max_alphabet)
     else:
         lls = channel.logp.take(rng.integers(len(channel.y_labels), size=size), axis=1)
-    prior = _dirichlet(rng, lls.shape, 0)
+    prior = rng.standard_exponential(lls.shape)  # uniform Dirichlet over the secrets
+    prior /= prior.sum(axis=0)
     np.maximum(prior, PRIOR_FLOOR, out=prior)
     prior /= prior.sum(axis=0)
     if not (prior > 0).all():
@@ -237,25 +229,39 @@ def _draw_scenarios(rng, nx, size, max_alphabet, channel) -> _Scenarios:
     return _Scenarios(prior, lls, target, post)
 
 
+def _guess_lanes(rng, shape, max_guesses, draw):
+    """(nx, max_guesses, T) table of 0s with `draw`'s values in each trial's live
+    guess lanes, and each trial's guess count, uniform on 1..max_guesses.
+
+    One multinomial draws how many trials take each count, and the trials take
+    them largest first, so slot j is live on the trials [0, live[j]).  Each
+    slot is drawn into one reused buffer, so no second table is allocated."""
+    nx, size = shape
+    counts = rng.multinomial(size, [1 / max_guesses] * max_guesses)[::-1]  # largest first
+    table = np.zeros((nx, max_guesses, size))
+    buffer = np.empty(nx * size)
+    for j, live in enumerate(np.cumsum(counts)[::-1].tolist()):
+        lanes = buffer[:nx * live].reshape(nx, live)
+        draw(out=lanes)
+        table[:, j, :live] = lanes
+    return table, np.repeat(np.arange(max_guesses, 0, -1), counts)
+
+
 def _draw_gains(rng, shape, max_guesses):
     """Uniform gain tables (nx, W, T) over 1..max_guesses guesses, for (nx, T) scenarios."""
-    nx, size = shape
-    nw = rng.integers(1, max_guesses + 1, size=size)
-    g = rng.random((nx, max_guesses, size))
-    g *= _first(nw, max_guesses)
-    if np.any(g < 0):
+    g, nw = _guess_lanes(rng, shape, max_guesses, rng.random)
+    if (g < 0).any():
         raise ValueError("gain values must be non-negative")
-    if not np.all(np.any(g > 0, axis=(0, 1))):
+    if not (g > 0).any(axis=(0, 1)).all():
         raise ValueError("degenerate gain")
     return g, nw
 
 
 def _draw_kernels(rng, shape, max_guesses):
     """Uniform Dirichlet kernel rows P(u | x), (nx, U, T), over 1..max_guesses features."""
-    nx, size = shape
-    nu = rng.integers(1, max_guesses + 1, size=size)
-    k = _dirichlet(rng, (nx, max_guesses, size), 1, _first(nu, max_guesses))
-    if np.any(k < 0):
+    k, nu = _guess_lanes(rng, shape, max_guesses, rng.standard_exponential)
+    k /= k.sum(axis=1, keepdims=True)
+    if (k < 0).any():
         raise ValueError("negative kernel probability")
     if not (np.abs(k.sum(axis=1) - 1.0) <= NORMALIZATION_TOL).all():
         raise ValueError("kernel rows must sum to 1")
@@ -271,7 +277,7 @@ def _gain_ratios(s: _Scenarios, g) -> np.ndarray:
     """`gain_ratio` per trial: best posterior over best prior expected gain."""
     num = np.einsum("at,awt->wt", s.post, g).max(axis=0)
     den = np.einsum("at,awt->wt", s.prior, g).max(axis=0)
-    if not np.all(den > 0):
+    if not (den > 0).all():
         raise ValueError("degenerate gain")
     return log_array(num) - np.log(den)
 
@@ -279,7 +285,7 @@ def _gain_ratios(s: _Scenarios, g) -> np.ndarray:
 def _kernel_ratios(s: _Scenarios, k) -> np.ndarray:
     """`randomized_function_ratio` per trial: best-guess posterior over prior."""
     peak = np.einsum("at,aut->ut", s.prior, k).max(axis=0)
-    if not np.all(peak > 0):
+    if not (peak > 0).all():
         raise ValueError("kernel assigns no mass")
     return np.log(np.einsum("at,aut->ut", s.post, k).max(axis=0)) - np.log(peak)
 
@@ -289,38 +295,42 @@ def _gap(batch, scalar) -> float:
     return 0.0 if batch == scalar else abs(float(batch) - scalar)
 
 
-# Adversaries: (rng, chunk, its first trial's prior and lls, max_guesses) ->
-# (log-ratio per trial, the scalar function's log-ratio on that first trial).
+# Adversaries: (rng, chunk, max_guesses) -> (log-ratio per trial, the scalar
+# function's log-ratio on trial t as (t, prior, lls) -> float).
 
-def _indicators(rng, s: _Scenarios, prior, lls, max_guesses):
-    # the best indicator is at the largest posterior-to-prior ratio, so the
-    # replay scores only the secret each of the scalar and the batch ranks first
-    targets = {int(np.argmax(posterior_probs(prior, lls) / prior.probs())),
-               int(np.argmax(s.post[:, 0] / s.prior[:, 0]))}
-    scalar = max(gain_ratio(prior, lls, indicator_gain(prior.size, j)) for j in targets)
+def _indicators(rng, s: _Scenarios, max_guesses):
+    def scalar(t, prior, lls):
+        # the best indicator is at the largest posterior-to-prior ratio, so the
+        # replay scores only the secret each of the scalar and the batch ranks first
+        targets = {int((posterior_probs(prior, lls) / prior.probs()).argmax()),
+                   int((s.post[:, t] / s.prior[:, t]).argmax())}
+        return max(gain_ratio(prior, lls, indicator_gain(prior.size, j)) for j in targets)
     return _indicator_ratios(s), scalar
 
 
-def _gains(rng, s: _Scenarios, prior, lls, max_guesses):
+def _gains(rng, s: _Scenarios, max_guesses):
     g, nw = _draw_gains(rng, s.prior.shape, max_guesses)
-    return _gain_ratios(s, g), gain_ratio(prior, lls, GainFunction(g[:, :nw[0], 0]))
+    return _gain_ratios(s, g), lambda t, prior, lls: gain_ratio(
+        prior, lls, GainFunction(g[:, :nw[t], t]))
 
 
-def _kernels(rng, s: _Scenarios, prior, lls, max_guesses):
+def _kernels(rng, s: _Scenarios, max_guesses):
     k, nu = _draw_kernels(rng, s.prior.shape, max_guesses)
-    return _kernel_ratios(s, k), randomized_function_ratio(
-        prior, lls, GuessKernel(k[:, :nu[0], 0]))
+    return _kernel_ratios(s, k), lambda t, prior, lls: randomized_function_ratio(
+        prior, lls, GuessKernel(k[:, :nu[t], t]))
 
 
 def _block(rng, nx, size, adversary, max_alphabet, max_guesses, channel):
     """Largest and smallest log-ratio minus PML over `size` new trials of nx
-    secrets, and the largest |batch - scalar| of the PML and the ratio on the
-    first of them, the scalar PML from `leakage.pml`."""
+    secrets, and the largest |batch - scalar| of the PML and the ratio on
+    trials 0, _BLOCK, 2 * _BLOCK, ... of them, the scalar PML from `leakage.pml`."""
     s = _draw_scenarios(rng, nx, size, max_alphabet, channel)
-    prior, lls = s.trial(0)
-    ratios, scalar = adversary(rng, s, prior, lls, max_guesses)
+    ratios, scalar = adversary(rng, s, max_guesses)
+    gap = 0.0
+    for t in range(0, size, _BLOCK):
+        prior, lls = s.trial(t)
+        gap = max(gap, _gap(s.target[t], pml(prior, lls)), _gap(ratios[t], scalar(t, prior, lls)))
     excess = ratios - s.target
-    gap = max(_gap(s.target[0], pml(prior, lls)), _gap(ratios[0], scalar))
     return float(excess.max()), float(excess.min()), gap
 
 
@@ -356,9 +366,9 @@ def run_adversary_trials(seed: int = 2024, achievability_trials: int = 1000,
     secrets equals the PML exactly; soundness samples arbitrary gains and
     kernels and records the worst excess over the PML (which should be
     pure floating-point noise).  Trials are drawn and scored a chunk of one
-    secret count at a time; each chunk's first trial is replayed through
-    `leakage.pml` and the scalar ratio functions above, and the worst
-    disagreement is reported.
+    secret count at a time; one trial in every _BLOCK of each chunk is
+    replayed through `leakage.pml` and the scalar ratio functions above, and
+    the worst disagreement is reported.
     """
     _require_integers(achievability_trials=achievability_trials, gain_trials=gain_trials,
                       kernel_trials=kernel_trials, max_alphabet=max_alphabet,

@@ -86,7 +86,10 @@ class FiniteDistribution:
 
     @classmethod
     def from_probs(cls, labels, probs, normalize=False):
-        probs = [float(p) for p in probs]
+        labels, probs = tuple(labels), [float(p) for p in probs]
+        for label, p in zip(labels, probs):
+            if math.isnan(p):
+                raise ValueError(f"probability for {label!r} is nan")
         if any(p < 0 for p in probs):
             raise ValueError("negative probability")
         if normalize:
@@ -95,7 +98,7 @@ class FiniteDistribution:
                 raise ValueError("cannot normalize zero mass")
             probs = [p / total for p in probs]
         logp = tuple(math.log(p) if p > 0 else LOG_ZERO for p in probs)
-        return cls(tuple(labels), logp)
+        return cls(labels, logp)
 
     @classmethod
     def uniform(cls, labels):

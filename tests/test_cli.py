@@ -128,6 +128,14 @@ class TestAnalyze:
         assert main(["analyze", "--mechanism", spec]) == EXIT_VALIDATION
 
 
+    def test_nan_prior_is_named(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {
+            "kind": "finite", "x_labels": [0, 1], "y_labels": [0, 1],
+            "rows": [[0.5, 0.5], [0.25, 0.75]], "prior": [math.nan, 1.0]})
+        assert main(["analyze", "--mechanism", spec]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: probability for 0 is nan\n"
+
+
 class TestThm3:
     def test_rows_are_sandwiched(self, tmp_path):
         _, header, rows = run_table(tmp_path, ["thm3", "--n-range", "4", "256", "5"])

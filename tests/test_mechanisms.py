@@ -236,6 +236,17 @@ class TestSpecFiles:
         with pytest.raises(ValueError, match="unknown mechanism kind"):
             mechanism_from_dict({"kind": "gaussian"})
 
+    @pytest.mark.parametrize("x_labels, y_labels", [([0, 0], [0, 1]), ([0, 1], [1, 1])],
+                             ids=["secrets", "outcomes"])
+    def test_duplicate_labels_rejected(self, x_labels, y_labels):
+        # a repeated label would read its last row or column only
+        rows = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="^duplicate labels$"):
+            FiniteMechanism.from_probs(x_labels, y_labels, rows)
+        with pytest.raises(ValueError, match="^duplicate labels$"):
+            read_spec({"kind": "finite", "x_labels": x_labels, "y_labels": y_labels,
+                       "rows": rows})
+
     def test_bad_row_mass_rejected(self):
         with pytest.raises(ValueError, match="mass"):
             mechanism_from_dict({"kind": "finite", "x_labels": [0, 1],

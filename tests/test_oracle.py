@@ -225,15 +225,21 @@ class TestBatch:
         for drawn in (s.prior, s.lls, s.post, g, k):
             assert drawn.shape[0] == nx and drawn.shape[-1] == oracle._BLOCK
             assert drawn.flags.c_contiguous
+        # the trials take their guess counts largest first, and every count
+        # 1..8 is among the checked trials, for gains and kernels alike
+        checked = range(0, oracle._BLOCK, 4)
+        for counts in (nw, nu):
+            assert (np.diff(counts) <= 0).all() and set(counts[checked]) == set(range(1, 9))
         best = oracle._indicator_ratios(s)
         gains = oracle._gain_ratios(s, g)
         kernels = oracle._kernel_ratios(s, k)
-        for t in range(256):
+        for t in checked:
             prior = FiniteDistribution.from_probs(range(nx), s.prior[:, t])
             lls = list(s.lls[:, t])
             assert s.target[t] == pytest.approx(pml(prior, lls), abs=1e-13)
             indicator = max(gain_ratio(prior, lls, indicator_gain(nx, j)) for j in range(nx))
             assert best[t] == pytest.approx(indicator, abs=1e-13)
+            assert not g[:, nw[t]:, t].any() and not k[:, nu[t]:, t].any()
             gain = GainFunction(g[:, :nw[t], t])
             assert gains[t] == pytest.approx(gain_ratio(prior, lls, gain), abs=1e-13)
             kernel = GuessKernel(k[:, :nu[t], t])
@@ -256,12 +262,12 @@ class TestBatch:
         assert 1 <= len(calls) <= 2
         assert max(high, -low, gap) <= 1e-12
 
-    @pytest.mark.parametrize("nx", [2, 8])
+    @pytest.mark.parametrize("nx", [2, 4, 5, 8])
     @pytest.mark.parametrize("adversary", [oracle._gains, oracle._kernels],
                              ids=["gains", "kernels"])
     def test_three_dimensional_blocks_stay_small(self, adversary, nx):
-        # a float copy of an (nx, W, T) mask alone would take _BLOCK_ENTRIES
-        # floats at nx = 8; at nx = 2 the chunk is capped at _BLOCK trials
+        # a second (nx, W, T) table alone would take _BLOCK_ENTRIES floats at
+        # nx = 4, 5 and 8; at nx = 2 the chunk is capped at 2 * _BLOCK trials
         rng = np.random.default_rng(0)
         with traced_peak() as peak:
             oracle._block(rng, nx, oracle._chunk(nx, 8), adversary, 8, 8, None)
@@ -280,12 +286,21 @@ class TestBatch:
         monkeypatch.setattr(oracle, "_block", recording)
         return chunks
 
+    @staticmethod
+    def record_replays(monkeypatch):
+        """[t] of every trial a run replays through the scalar functions, in order."""
+        replayed = []
+        trial = oracle._Scenarios.trial
+        monkeypatch.setattr(oracle._Scenarios, "trial",
+                            lambda s, t: replayed.append(t) or trial(s, t))
+        return replayed
+
     def test_counts_off_the_block_size_run_exactly(self, monkeypatch):
-        counts = dict(achievability_trials=1, gain_trials=1023, kernel_trials=1025)
+        counts = dict(achievability_trials=1, gain_trials=2047, kernel_trials=2049)
         chunks = self.record_chunks(monkeypatch)
         report = run_adversary_trials(seed=3, channel=ZERO_MASS_CHANNEL, **counts)
-        assert oracle._BLOCK == 1024
-        assert [size for _, _, size in chunks] == [1, 1023, 1024, 1]
+        assert oracle._BLOCK == 1024 and oracle._chunk(3, 8) == 2048
+        assert [size for _, _, size in chunks] == [1, 2047, 2048, 1]
         assert report.passed
         chunks.clear()
         report = run_adversary_trials(seed=3, **counts)
@@ -308,6 +323,54 @@ class TestBatch:
         assert counts[:2].sum() == 0 and counts.sum() == 70_000
         statistic = stats.chisquare(counts[2:]).statistic
         assert statistic < stats.chi2.ppf(0.99, 6)
+
+    def test_guess_counts_are_uniform(self, monkeypatch):
+        # one multinomial per chunk draws the same law as one count per trial:
+        # uniform on 1..max_guesses, which an off-by-one in the range breaks
+        tallies = []
+        for name in ("_draw_gains", "_draw_kernels"):
+            tally = np.zeros(9, dtype=int)
+            tallies.append(tally)
+
+            def recording(rng, shape, max_guesses, draw=getattr(oracle, name), tally=tally):
+                table, counts = draw(rng, shape, max_guesses)
+                tally += np.bincount(counts, minlength=9)
+                return table, counts
+
+            monkeypatch.setattr(oracle, name, recording)
+        run_adversary_trials(seed=4, achievability_trials=1, gain_trials=30_000,
+                             kernel_trials=30_000, max_guesses=8)
+        for tally in tallies:
+            assert tally[0] == 0 and tally.sum() == 30_000
+            assert stats.chisquare(tally[1:]).statistic < stats.chi2.ppf(0.99, 7)
+
+    @pytest.mark.parametrize("size", [1, oracle._BLOCK, oracle._BLOCK + 1, 2 * oracle._BLOCK])
+    @pytest.mark.parametrize("adversary, scorer", [
+        (oracle._indicators, "gain_ratio"), (oracle._gains, "gain_ratio"),
+        (oracle._kernels, "randomized_function_ratio")], ids=["indicators", "gains", "kernels"])
+    def test_chunks_replay_one_trial_per_block(self, monkeypatch, adversary, scorer, size):
+        # trials 0, _BLOCK, ... of a chunk: ceil(size / _BLOCK) replays
+        replayed, calls = self.record_replays(monkeypatch), []
+        score = getattr(oracle, scorer)
+        monkeypatch.setattr(oracle, scorer, lambda *a: calls.append(a) or score(*a))
+        rng = np.random.default_rng(2)
+        high, low, gap = oracle._block(rng, 2, size, adversary, 8, 8, None)
+        assert replayed == list(range(0, size, oracle._BLOCK))
+        assert len(replayed) == -(-size // oracle._BLOCK) <= len(calls) <= 2 * len(replayed)
+        assert max(high, gap) <= 1e-12
+
+    def test_default_call_replays_a_trial_per_block_of_each_group(self, monkeypatch):
+        # at least one replay per _BLOCK trials of a secret count, as many as
+        # chunks of at most _BLOCK trials would replay: 7 + 14 + 14 at the
+        # default counts
+        replayed = self.record_replays(monkeypatch)
+        chunks = self.record_chunks(monkeypatch)
+        assert run_adversary_trials(seed=2024).passed
+        groups = {}
+        for adversary, nx, size in chunks:
+            groups[adversary, nx] = groups.get((adversary, nx), 0) + size
+        assert len(replayed) == sum(-(-size // oracle._BLOCK) for _, _, size in chunks)
+        assert len(replayed) >= sum(-(-count // oracle._BLOCK) for count in groups.values()) >= 35
 
     def test_wide_channel_takes_smaller_blocks(self, monkeypatch):
         # 256 secrets x 8 guesses: 32 trials keep a chunk at _BLOCK_ENTRIES
@@ -337,9 +400,16 @@ class _StubGenerator:
         self._fills = fills
 
     def __getattr__(self, name):
-        if name in self._fills:
-            return lambda shape: np.full(shape, self._fills[name])
-        return getattr(self._rng, name)
+        if name not in self._fills:
+            return getattr(self._rng, name)
+        fill = self._fills[name]
+
+        def draw(size=None, out=None):
+            if out is None:
+                return np.full(size, fill)
+            out[...] = fill
+            return out
+        return draw
 
 
 #: (secrets, trials)
@@ -431,6 +501,22 @@ def test_loop_sets_agree_to_rounding():
                                         rel_tol=0.0, abs_tol=1e-15), (name, field)
                 else:
                     assert value == other[name][field], (name, field)
+
+
+def test_generator_lists_the_pins_that_move():
+    old = PINS["loops"]
+    assert make_oracle_golden.differences(old, old) == []
+    loops = next(iter(old))
+    new = json.loads(json.dumps(old))
+    new[loops]["reports"]["default-counts"]["max_gain_excess"] = "0x0.0p+0"
+    del new[loops]["blocks"]["zero-mass-channel"]["gains"]
+    new["other loops"] = {"reports": {}, "blocks": {"zero-mass-channel": {"gains": "ab"}}}
+    was_gain = old[loops]["reports"]["default-counts"]["max_gain_excess"]
+    was_digest = old[loops]["blocks"]["zero-mass-channel"]["gains"]
+    assert sorted(make_oracle_golden.differences(old, new)) == sorted([
+        f"{loops} | reports | default-counts | max_gain_excess: {was_gain} -> 0x0.0p+0",
+        f"{loops} | blocks | zero-mass-channel | gains: {was_digest} -> -",
+        "other loops | blocks | zero-mass-channel | gains: - -> ab"])
 
 
 @pytest.mark.parametrize("name", make_oracle_golden.REPORT_RUNS)

@@ -71,6 +71,12 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError, match="duplicate"):
             FiniteDistribution.from_probs(("a", "a"), (0.5, 0.5))
 
+    @pytest.mark.parametrize("normalize", [False, True], ids=["as-given", "normalized"])
+    def test_nan_probability_rejected(self, normalize):
+        # a NaN once became zero mass, and so a missing-support error
+        with pytest.raises(ValueError, match=r"^probability for 'b' is nan$"):
+            FiniteDistribution.from_probs(("a", "b"), (1.0, math.nan), normalize=normalize)
+
     def test_full_support_flag(self):
         assert FiniteDistribution.uniform((1, 2, 3)).full_support
         assert not FiniteDistribution.from_probs((1, 2), (1.0, 0.0)).full_support
