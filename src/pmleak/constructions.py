@@ -60,6 +60,12 @@ _CIRCLE_S2 = np.square(np.sin(0.5 * _CIRCLE_U))
 #: trapezoid rule then errs by about e^(-0.3 * 128) < 2e-17 of the integrand
 _CIRCLE_GAP = 0.3
 
+#: the names of the paths `_cond_densities_binomial` takes; "residue alone"
+#: leaves the integral out, and on the circle names the moved one too
+_PATHS = ("closed form", "mirror image", "line", "line + erfc pole", "line + residue",
+          "line, residue alone", "circle", "moved circle", "circle + residue",
+          "moved circle + residue", "circle, residue alone")
+
 #: largest n whose sweep row is cross-checked by enumerating the 2^(n+1) atoms
 SWEEP_ENUM_LIMIT = 15
 
@@ -191,30 +197,35 @@ def cond_density_binomial(model: CorrelatedBinaryModel, b: float, d1: int, y: fl
     """
     if d1 not in (0, 1):
         raise ValueError("d1 must be a bit")
-    if not b > 0:
-        raise ValueError("scale must be positive")
+    _check_scale(b)
+    if not math.isfinite(1.0 / (b * (model.n + 1))):
+        raise ValueError("scale is too small: t = 1/(b(n+1)) overflows")
     if not math.isfinite(y):
         raise ValueError("y must be finite")
-    anchor, rel = _cond_densities_binomial(model, b, y, anchored=False)
+    anchor, rel, _ = _cond_densities_binomial(model, b, y, anchored=False)
     return anchor + rel[d1]
 
 
 def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float,
                              anchored: bool) -> tuple:
-    """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]), the evaluator
-    of `cond_density_binomial`.  At 0 < k < n the anchor is n-sized and
-    cancels from the rows' difference; at the ends it is so only if
-    `anchored`, for a caller that reads that difference, and is 0 otherwise:
-    the rows are then absolute values, which its rounding would spoil."""
+    """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1], the name in
+    `_PATHS` of the path taken), the evaluator of `cond_density_binomial`.  At
+    0 < k < n the anchor is n-sized and cancels from the rows' difference; at
+    the ends it is so only if `anchored`, for a caller that reads that difference,
+    and is 0 otherwise: the rows are then absolute values, which its rounding would spoil."""
     n = model.n
     # the d1 = 0 kink, the d1 = 1 kink being one lower; beyond [-1, 2] only
     # its side of the ends matters, and y(n+1) may overflow
     k = math.floor(y * (n + 1)) if -1.0 <= y <= 2.0 else (n if y > 0 else 0)
     if 0 < k < n:
         return _contour_sums(model, b, y, k)
-    # at k >= n the mirror image swaps the two rows; y >= 1/2 there, so
-    # 1 - y is exact up to y = 2
-    mirrored = k > 0
+    return (*_end_rows(model, b, y, k > 0, anchored), _PATHS[k > 0])
+
+
+def _end_rows(model: CorrelatedBinaryModel, b: float, y: float, mirrored: bool,
+              anchored: bool) -> tuple:
+    """`_closed_forms` at y, or its mirror image: at 1 - y with the rows swapped,
+    taken where y >= 1/2, so 1 - y is exact up to y = 2."""
     anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored)
     return anchor, rel[::-1] if mirrored else rel
 
@@ -225,8 +236,8 @@ def _log_shift(n: int, a: float, k: int, x: float) -> float:
 
 
 def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> tuple:
-    """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1]) from the
-    Hamming-weight sums as contour integrals, in a fixed number of steps.
+    """(anchor, [log P(Y = y | D_1 = d1) - anchor for d1 = 0, 1], path) from
+    the Hamming-weight sums as contour integrals, in a fixed number of steps.
 
     With s = y(n+1) = k + f, t = 1/((n+1)b) and q = e^-t, the sum
     F_0 = sum_{i > 0} C(n, i) e^{-t|s - i|} is [z^k] ((1+z)^n - 1) K(z), where
@@ -276,6 +287,7 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     # the circle takes a and k on the side of 1/2 where a is smaller, mirrored
     # by flip = -1, and shift = log A(rho) - log A(saddle) where rho moves
     ks, flip, shift = k, 1, 0.0
+    path = 2 if on_line else 6  # "line", "circle"
     if not on_line:
         if log_rho > 0 or (log_rho == 0 and y >= 0.5):  # the side where 1 - y is exact
             ks, flip = n - k, -1
@@ -283,7 +295,7 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
         if t - gap < x < t + gap:
             moved = t - gap if t >= gap and x - (t - gap) < t + gap - x else t + gap
             shift = _log_shift(n, ks / n, ks, x - moved)
-            x = moved
+            x, path = moved, 7  # "moved circle"
         log_rho = -flip * x
         a = 1.0 / (1.0 + math.exp(x))
     d = (t - log_rho, t + log_rho)
@@ -302,18 +314,17 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     crossed = next((p for p in (0, 1)
                     if (sigma * d[p] <= -_POLE_ZONE if on_line else d[p] < 0)), None)
     if crossed is not None:
-        mirrored = crossed == 0
-        anchor, rel = _closed_forms(model, b, 1.0 - y if mirrored else y, anchored=True)
-        # the residue's uniform part is e^{anchor + r} in row d1
-        r = [0.0, -t]
-        if mirrored:
-            rel, r = rel[::-1], r[::-1]
-        scale = [r[d1] - w - rel[d1] for d1, w in enumerate(residue(crossed))]
+        path += 2  # "line + residue", "circle + residue", "moved circle + residue"
+        anchor, rel = _end_rows(model, b, y, crossed == 0, anchored=True)
+        # the residue's uniform part is e^anchor, times e^-t in row d1 = crossed
+        scale = [(-t if d1 == crossed else 0.0) - w - rel[d1]
+                 for d1, w in enumerate(residue(crossed))]
     weights = [math.exp(c[p]) for p in (0, 1)]
     share = [0.0, 0.0]
     if crossed is not None and max(scale) + math.log(  # |E - P_d1| <= 2
             2.0 * sum(w / abs(1.0 - math.exp(-v)) for w, v in zip(weights, d))) < -60 * LOG_TWO:
         line = [0.0, 0.0]
+        path = 5 if on_line else 10  # "line, residue alone", "circle, residue alone"
     else:
         if on_line:
             u = _SADDLE_NODES * (1.0 / sigma)
@@ -336,6 +347,7 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
                 dist = sigma * d[p]
                 if abs(dist) >= _POLE_ZONE:
                     continue
+                path = 3  # "line + erfc pole"
                 # the singular part C/(u - u_p), C = +-iw, times e^{-sigma^2 (u^2 + d^2)/2}
                 # is taken out at the nodes, where its real part is w d e^{...}/(u^2 + d^2),
                 # and added back integrated: (w/2) erfc(sigma d / sqrt 2)
@@ -355,7 +367,8 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
                        - (math.exp(mass + c[p] + (m + 2.0 * g) * t) if d[1 - p] < 0 else 0.0))
                     for p, (v, m, g) in enumerate(zip(line, (k, n - k), (f, 1.0 - f)))]
     if crossed is not None:
-        return anchor, [rel[d1] + math.log1p(line[d1] * math.exp(scale[d1])) for d1 in (0, 1)]
+        return (anchor, [rel[d1] + math.log1p(line[d1] * math.exp(scale[d1])) for d1 in (0, 1)],
+                _PATHS[path])
     # log [(1-eta)/(2^n - 1) ((1+rho)^n rho^-k)/(2b)] at the saddle, with
     # (1+rho)^n rho^-k = 2^n e^{-n KL(k/n || 1/2)}: n log 2 cancels before it is rounded
     x = (2 * k - n) / n
@@ -363,7 +376,7 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
               - k * math.log1p(x) - (n - k) * math.log1p(-x)) + shift
     return anchor, [log_add(math.log(model.eta) + laplace_log_density(float(d1), b, y) - anchor,
                             d1 * log_rho + math.log(line[d1] + share[d1]))
-                    for d1 in (0, 1)]
+                    for d1 in (0, 1)], _PATHS[path]
 
 
 def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y: float) -> LogReal:
@@ -397,7 +410,7 @@ def _closed_forms(model: CorrelatedBinaryModel, b: float, y: float, anchored: bo
     before their logs are added, so it cancels from their difference;
     otherwise the anchor is 0 and each conditional is the sum
     -log 2b + y/b + bracket, in the order that fixes the bits of
-    `cond_density_closed_form` and the committed sweeps; lifted, at y > 0,
+    `cond_density_closed_form`; lifted, at y > 0,
     the uniform parts take y/b - t whole instead.  q enters as -t
     (or, lifted below, with q = 0 apart), so q = e^-t underflowing to 0
     stays finite, and (1+q)^n - 1 and (1+q)^n - q^n only through log1p and
@@ -465,7 +478,7 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     if y == 0.5:  # i -> n - i, d1 -> 1 - d1 maps each conditional onto the other
         return 0.0
     log_alpha, log_rest = math.log(model.alpha), math.log1p(-model.alpha)
-    _, (c0, c1) = _cond_densities_binomial(model, b, y, anchored=True)
+    _, (c0, c1), _ = _cond_densities_binomial(model, b, y, anchored=True)
     # log P_Y(y), the two conditionals weighted by the law of D_1, less the
     # larger of them: a peak term can leave one n-sized even relative to the
     # anchor, and subtracted from itself it rounds to nothing
@@ -486,8 +499,7 @@ def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:
     log(1/alpha) once the other terms fall below the last bit.
     """
     CorrelatedBinaryModel(n, alpha, eta)  # checks n, alpha and eta
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     # log [(1-eta)/eta ((1+e^-eps)/2)^n]: the uniform strings' share
     log_uniform = (math.log1p(-eta) - math.log(eta)
                    + n * math.log1p(math.expm1(-epsilon) / 2))
@@ -506,14 +518,16 @@ def find_limit_n(alpha: float, schedule: EtaSchedule, epsilon: float,
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
+    CorrelatedBinaryModel(1, alpha, 0.5)  # checks alpha
+    _check_epsilon(epsilon)
     target = -math.log(alpha)
     n = 1
     while n <= 10 ** 6:
         try:
-            gap = target - lower_bound(n, alpha, schedule.eta(n), epsilon)
-        except ValueError:
-            gap = math.inf
-        if gap < delta:
+            eta = schedule.eta(n)
+        except ValueError:  # eta leaves (0, 1) at this n
+            eta = None
+        if eta is not None and target - lower_bound(n, alpha, eta, epsilon) < delta:
             return n
         n *= 2
     raise ValueError(f"no n <= 1000000 brings the bound within {delta} of log(1/alpha)")

@@ -88,12 +88,17 @@ class FiniteDistribution:
     def from_probs(cls, labels, probs, normalize=False):
         labels, probs = tuple(labels), [float(p) for p in probs]
         for label, p in zip(labels, probs):
-            if math.isnan(p):
-                raise ValueError(f"probability for {label!r} is nan")
+            if not math.isfinite(p):
+                raise ValueError(f"probability for {label!r} is {p}")
         if any(p < 0 for p in probs):
             raise ValueError("negative probability")
         if normalize:
-            total = math.fsum(probs)
+            try:
+                total = math.fsum(probs)
+            except OverflowError:  # a sum past the float range: scale by the largest first
+                top = max(probs)
+                probs = [p / top for p in probs]
+                total = math.fsum(probs)
             if total <= 0:
                 raise ValueError("cannot normalize zero mass")
             probs = [p / total for p in probs]

@@ -1,5 +1,6 @@
 """What the test modules share: the repository's paths, its scripts as
-modules, a child process with numpy's AVX-512 loops off, and traced peaks."""
+modules, a child process with numpy's AVX-512 loops off, traced peaks, and
+the path `pml_d1` takes."""
 
 import contextlib
 import functools
@@ -10,6 +11,8 @@ import sys
 import tracemalloc
 import types
 from pathlib import Path
+
+from pmleak.constructions import _cond_densities_binomial, _pml_outcome, calibrated_scale
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -40,6 +43,13 @@ def run_without_avx512(code):
     if child.returncode != 0:
         raise RuntimeError(f"child exited with code {child.returncode}:\n{child.stderr}")
     return child.stdout.strip().splitlines()[-1]
+
+
+def density_path(model, epsilon, y):
+    """The name of the path that `pml_d1` takes at y; at y = 1/2, where it
+    reads 0 without one, the path named there."""
+    return _cond_densities_binomial(model, calibrated_scale(model.n, epsilon),
+                                    _pml_outcome(y), anchored=True)[2]
 
 
 @contextlib.contextmanager

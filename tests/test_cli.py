@@ -390,6 +390,8 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
     # n ** r overflows the float range, so eta = c / n**r is 0
     pytest.param(["thm3", "--n", "1128", "--eta-poly", "1024", "1024"],
                  "eta schedule leaves (0, 1) at n=1128", id="thm3-eta-poly-overflow"),
+    pytest.param(["thm3", "--n", "5", "--eta-poly", "0.5", "0.5"],
+                 "polynomial rate r must be at least 1", id="thm3-eta-poly-slow-rate"),
 ])
 def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv, message):
     spec = write_spec(tmp_path, NAN_LAPLACE)

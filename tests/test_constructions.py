@@ -19,7 +19,7 @@ from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_array
 from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism, dp_level_laplace,
                                laplace_log_density, product_mechanism)
 from pmleak.probability import ExplicitJointModel, FiniteDistribution, ProductModel
-from support import RESULTS, load_script, traced_peak
+from support import RESULTS, density_path, load_script, traced_peak
 from test_probability import defined_log_mass, explicit_joint
 
 make_golden = load_script("make_golden")
@@ -92,16 +92,6 @@ def mp_log_cond_densities(n, etas, b, y, dps=50):
     with mpmath.workdps(dps):
         return [[float(mpmath.log(c / (2 * mpmath.mpf(b)))) for c in row]
                 for row in make_golden.cond_sums(n, etas, b, y, dps)]
-
-
-def reaches_the_line_nodes(model, epsilon, y):
-    """Whether `pml_d1` at y uses the line's nodes, which must have been
-    replaced by None: the integral was not left out."""
-    try:
-        pml_d1(model, epsilon, y)
-    except TypeError:
-        return True
-    return False
 
 
 def mp_log_closed_forms(n, eta, b, y, dps=60):
@@ -281,6 +271,19 @@ class TestCondDensities:
         with pytest.raises(ValueError, match="y must be finite"):
             cond_density_closed_form(model, calibrated_scale(4, 1.0), d1, y)
 
+    @pytest.mark.parametrize("n, b, d1, y, message", [
+        (4, 0.1, 2, 0.5, "d1 must be a bit"),
+        (4, 0.0, 0, 0.5, "scale must be positive"),
+        (4, math.inf, 0, 0.5, "scale must be finite"),
+        # t = 1/(b(n+1)) overflows: these rows were NaN
+        (10, 1e-310, 0, 0.3, "scale is too small"),
+        (10, 1e-310, 1, 0.5, "scale is too small"),
+        (1, 1e-309, 0, 0.5, "scale is too small"),
+        (1000, 1e-315, 1, 0.3, "scale is too small")])
+    def test_binomial_rejects_bad_arguments(self, n, b, d1, y, message):
+        with pytest.raises(ValueError, match=message):
+            cond_density_binomial(CorrelatedBinaryModel(n, 0.25, 0.5), b, d1, y)
+
     @pytest.mark.parametrize("y", [-1e308, 1e308])
     def test_binomial_where_y_times_n_overflows(self, y):
         # y(n+1) is +-inf, and the kink is taken on the same side of the ends
@@ -381,9 +384,8 @@ class TestCondDensities:
             for y in (edge - 1 / m, math.nextafter(edge, 0.0), edge,
                       math.nextafter(edge, 2.0), edge + 1 / m):
                 summed = window_cond_densities(model, b, y, *window(n, b, y))
-                anchor, rel = constructions._closed_forms(
-                    model, b, 1.0 - y if mirrored else y, anchored=True)
-                closed = [anchor + r for r in (rel[::-1] if mirrored else rel)]
+                anchor, rel = constructions._end_rows(model, b, y, mirrored, anchored=True)
+                closed = [anchor + r for r in rel]
                 # the window's absolute values carry the rounding of
                 # log C(n, lo), about ulp(lgamma(n+1)); their difference does not
                 assert closed == pytest.approx(summed, rel=1e-12)
@@ -417,6 +419,7 @@ class TestCondDensities:
         # its ends, where the path has passed a pole and the integral still
         # adds to the closed form
         m = n + 1
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
         for epsilon in (0.01, 0.1, 1.0):
             ys = [0.5]
             for sign in (1, -1):
@@ -425,30 +428,28 @@ class TestCondDensities:
                 ys += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)]
                 past = epsilon + 5 / math.sqrt(end * (n - end) / n)
                 ys.append(round(n / (1 + math.exp(sign * past))) / m)
-            for y in ys:
-                k = math.floor(y * m)
-                assert k * (n - k) >= constructions._SADDLE_MIN_VARIANCE * n
+            paths = [density_path(model, epsilon, y) for y in ys]
+            assert paths[0] in ("line", "line + erfc pole")
+            assert paths[1:] == 2 * (3 * ["line + erfc pole"] + ["line + residue"])
             assert_rows_match_direct_sum(n, epsilon, ys, etas=(1e-12, 0.5))
 
     @pytest.mark.parametrize("n", [1000, 3000])
     @pytest.mark.parametrize("epsilon", [0.1, 1.0])
-    def test_line_kinks_where_the_integral_is_left_out(self, n, epsilon, monkeypatch):
+    def test_line_kinks_where_the_integral_is_left_out(self, n, epsilon):
         # outward from each end of the band of modes, the first kinks whose
         # integral a bound puts below 2^-60 of the crossed pole's closed form:
         # there the rows are that closed form alone
-        monkeypatch.setattr(constructions, "_SADDLE_NODES", None)
         m = n + 1
         model = CorrelatedBinaryModel(n, 0.25, 0.5)
         ys = []
         for step in (-1, 1):
             # in quarters of a bin, from the band's end outward
             j = 4 * round(n / (1 + math.exp(-step * epsilon)))
-            while reaches_the_line_nodes(model, epsilon, j / (4 * m)):
+            while density_path(model, epsilon, j / (4 * m)) != "line, residue alone":
                 j += step
             ys += [(j + i * step) / (4 * m) for i in (0, 1, 2, 3, 10)]
         for y in ys:
-            k = math.floor(y * m)
-            assert k * (n - k) >= constructions._SADDLE_MIN_VARIANCE * n
+            assert density_path(model, epsilon, y) == "line, residue alone"
             want = make_golden.reference_pml(n, 0.25, 0.5, epsilon, y)
             assert abs(pml_d1(model, epsilon, y) - want) <= 1e-14
         assert_rows_match_direct_sum(n, epsilon, ys, etas=(0.5,))
@@ -484,27 +485,29 @@ class TestCondDensities:
 
     @pytest.mark.parametrize("n", [2 * 10 ** 15, 2 ** 53 - 1])
     def test_binomial_window_near_an_end_at_any_n(self, n):
-        # ten ones in the tail: a variance below the line rule's 25, so the
-        # circle rule applies; at epsilon = 40 the band of modes reaches down
-        # to them, inside the window oracle's window.  The all-0 peak term
-        # outweighs the rest of either row by e^Theta(n), so the PML is log(1/alpha)
+        # ten ones in the tail: too few for the line, so the circle applies;
+        # at epsilon = 40 the band of modes reaches down to them, inside the
+        # window oracle's window.  The all-0 peak term outweighs the rest of
+        # either row by e^Theta(n), so the PML is log(1/alpha)
         model = CorrelatedBinaryModel(n, 0.25, 0.5)
         b = calibrated_scale(n, 40.0)
         y = 10.5 / (n + 1)
         assert not outside_window(n, b, y)
+        # the paths of the calls below
+        paths = [density_path(model, e, v) for e, v in ((40.0, y), (0.1, 0.5), (0.1, -0.3))]
+        assert paths == ["circle", "line", "closed form"]
         with traced_peak() as peak:
             for d1 in (0, 1):
                 assert math.isfinite(cond_density_binomial(model, b, d1, y))
             assert abs(pml_d1(model, 40.0, y) - math.log(4.0)) <= 1e-15
-            # y = 0.5 takes the line rule, y <= 0 the closed form
             assert pml_d1(model, 0.1, 0.5) == 0.0
             assert math.isfinite(pml_d1(model, 0.1, -0.3))
         assert peak.bytes < 1 << 20
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30, 99, 100, 1000, 10 ** 6])
     def test_circle_rule_meets_the_window_oracle(self, n):
-        # every small-variance kink within 12 of either end, at mid-bin and on
-        # its edges, where the window oracle and the circle rule overlap
+        # every kink within 12 of either end off the line, at mid-bin and on
+        # its edges, where the window oracle and the circle or closed forms overlap
         m = n + 1
         ks = {k for k in (*range(13), *range(n - 12, n + 1)) if 0 <= k <= n}
         for epsilon in (0.01, 0.29, 1.0, 40.0):
@@ -512,7 +515,7 @@ class TestCondDensities:
             model = CorrelatedBinaryModel(n, 0.25, 0.5)
             for k in sorted(ks):
                 for y in (k / m, (k + 0.5) / m, math.nextafter((k + 1) / m, 0.0)):
-                    if k * (n - k) >= 25 * n or not 0 < y < 1:
+                    if not 0 < y < 1 or density_path(model, epsilon, y).startswith("line"):
                         continue
                     c0, c1 = window_cond_densities(model, b, y, *window(n, b, y))
                     want = max(c0, c1) - log_add(math.log(0.75) + c1, math.log(0.25) + c0)
@@ -639,14 +642,14 @@ class TestPmlD1:
             for epsilon in (0.01, 0.1, 1.0, 5.0, 15.6, 40.0, 100.0, 200.0):
                 assert pml_d1(model, epsilon, 0.5) == 0.0, (n, epsilon)
 
-    def test_line_leaves_out_an_integral_below_the_last_bit(self, monkeypatch):
-        # with the line's nodes gone, kinks far outside the band of modes
-        # still evaluate: a crossed pole's closed form is the whole value
-        monkeypatch.setattr(constructions, "_SADDLE_NODES", None)
+    def test_line_leaves_out_an_integral_below_the_last_bit(self):
+        # at kinks far outside the band of modes a crossed pole's closed form
+        # is the whole value
         far = [(n, y) for n in (10 ** 6, 10 ** 10) for y in (0.1, 0.4, 0.6, 0.9)]
         for n, y in far + [(1000, 0.1), (1000, 0.9)]:
-            assert not reaches_the_line_nodes(CorrelatedBinaryModel(n, 0.25, 0.5), 0.1, y)
-        # where the integral still counts, the nodes run: 5/sigma past the
+            model = CorrelatedBinaryModel(n, 0.25, 0.5)
+            assert density_path(model, 0.1, y) == "line, residue alone"
+        # where the integral still counts, it is added to it: 5/sigma past the
         # band's ends (test_saddle_integral_matches_mpmath_inside_the_band)
         # and at n = 1000, y = 0.4 and 0.6, n KL about 20 nats from the band
         near = [(1000, 0.1, 0.4), (1000, 0.1, 0.6)]
@@ -657,7 +660,8 @@ class TestPmlD1:
                     past = epsilon + 5 / math.sqrt(end * (n - end) / n)
                     near.append((n, epsilon, round(n / (1 + math.exp(sign * past))) / (n + 1)))
         for n, epsilon, y in near:
-            assert reaches_the_line_nodes(CorrelatedBinaryModel(n, 0.25, 0.5), epsilon, y)
+            model = CorrelatedBinaryModel(n, 0.25, 0.5)
+            assert density_path(model, epsilon, y) == "line + residue"
 
     def test_calibrated_mechanism_dp_level(self):
         model = CorrelatedBinaryModel(7, 0.25, 0.5)
@@ -682,6 +686,20 @@ class TestLowerBound:
         value = lower_bound(1, 0.25, 1e-9, 50.0)
         assert math.isfinite(value)
         assert value < 0
+
+    @pytest.mark.parametrize("alpha, epsilon, delta, message", [
+        (0.25, -1.0, 0.1, "epsilon must be positive"),
+        (0.25, 0.0, 0.1, "epsilon must be positive"),
+        (0.25, math.nan, 0.1, "epsilon must be positive"),
+        (0.25, math.inf, 0.1, "epsilon must be finite"),
+        (0.6, 0.1, 0.1, "alpha must lie in"),
+        (math.nan, 0.1, 0.1, "alpha must lie in"),
+        (0.0, 0.1, 0.1, "alpha must lie in"),
+        (0.25, 0.1, 0.0, "delta must be positive")])
+    def test_find_limit_n_rejects_bad_parameters(self, alpha, epsilon, delta, message):
+        # once lower_bound's errors were taken for n where eta leaves (0, 1)
+        with pytest.raises(ValueError, match=message):
+            find_limit_n(alpha, EtaSchedule.constant(0.5), epsilon, delta)
 
     def test_polynomial_eta_still_converges(self):
         schedule = EtaSchedule.polynomial(1.0, 1.0)
@@ -721,6 +739,8 @@ class TestLowerBound:
             lower_bound(10, 0.6, 0.5, 0.1)
         with pytest.raises(ValueError):
             lower_bound(10, 0.25, 0.5, -1.0)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            lower_bound(10, 0.25, 0.5, math.inf)
         with pytest.raises(ValueError, match="below 2\\^53"):
             lower_bound(2 ** 53, 0.25, 0.5, 0.1)
 

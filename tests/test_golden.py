@@ -7,44 +7,44 @@ process and once in a child with numpy's AVX-512 loops off.
 """
 
 import json
-import math
 
-from pmleak.constructions import _SADDLE_MIN_VARIANCE, CorrelatedBinaryModel, pml_d1
-from support import GOLDEN, load_script, run_without_avx512
+from pmleak.constructions import _PATHS, CorrelatedBinaryModel, pml_d1
+from support import GOLDEN, density_path, load_script, run_without_avx512
 
 CORPUS = GOLDEN / "pml_d1_small_variance.json"
 
-#: the error each rule may leave; the line's n-sized constants all go into
-#: the anchor, so its rows keep their last bits
-BOUNDS = {"line": 2e-15, "circle": 1e-14, "closed form": 1e-14}
-
-
-def rule(n, y):
-    """The rule of `pml_d1` at (n, y): by the kink k = floor(y(n+1)) of
-    clip(y, 0, 1), the line or the circle inside (0, n), else the closed form."""
-    k = math.floor(min(max(y, 0.0), 1.0) * (n + 1))
-    if not 0 < k < n:
-        return "closed form"
-    return "line" if k * (n - k) >= _SADDLE_MIN_VARIANCE * n else "circle"
+#: the error each path may leave, by the name `_cond_densities_binomial`
+#: returns; the line's n-sized constants all go into the anchor, so its rows
+#: keep their last bits
+BOUNDS = {"closed form": 1e-14, "mirror image": 1e-14,
+          "line": 2e-15, "line + erfc pole": 2e-15, "line + residue": 2e-15,
+          "line, residue alone": 2e-15,
+          "circle": 1e-14, "moved circle": 1e-14, "circle + residue": 1e-14,
+          "moved circle + residue": 1e-14, "circle, residue alone": 1e-14}
 
 
 def worst_cell():
-    """{rule: (largest |pml_d1 - reference|, its row)} over the corpus."""
+    """{path: (largest |pml_d1 - reference|, its row)} over the corpus, by the
+    path `pml_d1` takes at the cell."""
     worst = {}
     for row in json.loads(CORPUS.read_text())["cells"]:
         n = row[1]
         alpha, eta, epsilon, y, want = (float.fromhex(v) for v in row[2:])
-        err = abs(pml_d1(CorrelatedBinaryModel(n, alpha, eta), epsilon, y) - want)
-        name = rule(n, y)
-        if name not in worst or not err <= worst[name][0]:  # a NaN is the worst
-            worst[name] = (err, row)
+        model = CorrelatedBinaryModel(n, alpha, eta)
+        err = abs(pml_d1(model, epsilon, y) - want)
+        path = density_path(model, epsilon, y)
+        if path not in worst or not err <= worst[path][0]:  # a NaN is the worst
+            worst[path] = (err, row)
     return worst
 
 
 def assert_within_bounds(worst):
-    assert worst.keys() == BOUNDS.keys()
-    for name, (err, row) in worst.items():
-        assert err <= BOUNDS[name], (name, row)
+    assert BOUNDS.keys() == set(_PATHS)
+    assert worst.keys() == BOUNDS.keys(), "a path without a corpus cell"
+    for path in _PATHS:
+        err, row = worst[path]
+        print(f"{path}: {err:.2g}")
+        assert err <= BOUNDS[path], (path, row)
 
 
 def test_corpus_covers_its_groups():

@@ -66,6 +66,9 @@ class TestFiniteDistribution:
     def test_normalize(self):
         d = FiniteDistribution.from_probs(("a", "b"), (2.0, 6.0), normalize=True)
         assert math.exp(d.logprob("b")) == pytest.approx(0.75)
+        # weights whose sum passes the float range
+        d = FiniteDistribution.from_probs(("a", "b"), (1e308, 1e308), normalize=True)
+        assert d.logp == (math.log(0.5),) * 2
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -76,6 +79,11 @@ class TestFiniteDistribution:
         # a NaN once became zero mass, and so a missing-support error
         with pytest.raises(ValueError, match=r"^probability for 'b' is nan$"):
             FiniteDistribution.from_probs(("a", "b"), (1.0, math.nan), normalize=normalize)
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["as-given", "normalized"])
+    def test_infinite_probability_rejected(self, normalize):
+        with pytest.raises(ValueError, match=r"^probability for 'a' is inf$"):
+            FiniteDistribution.from_probs(("a", "b"), (math.inf, 1.0), normalize=normalize)
 
     def test_full_support_flag(self):
         assert FiniteDistribution.uniform((1, 2, 3)).full_support
