@@ -14,7 +14,9 @@ cell it moves.  The cells:
   channel, at n = 1 ... 4, for every entry and outcome.
 
 The values come from pmleak itself; tests/test_enumeration_bits.py
-recomputes them with `cells()`.  Run from the repository root:
+recomputes them with `cells()`.  Before it writes, the script prints each
+cell that differs from the file it replaces, old -> new.  Run from the
+repository root:
 
     PYTHONPATH=src python3 scripts/make_enum_golden.py
 """
@@ -82,8 +84,23 @@ def cells():
     return dict(itertools.chain(theorem2_cells(), correlated_cells(), ternary_cells()))
 
 
+def differences(old, new):
+    """One line per cell whose value differs between two {name: value}
+    records, "-" where one has none."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        was, now = (json.dumps(c[name]) if name in c else "-" for c in (old, new))
+        if was != now:
+            lines.append(f"{name}: {was} -> {now}")
+    return lines
+
+
 def main():
-    rows = [json.dumps(name) + ": " + json.dumps(value) for name, value in cells().items()]
+    new = cells()
+    old = json.loads(OUT.read_text())["cells"] if OUT.exists() else {}
+    moved = differences(old, new)
+    print("\n".join(moved) if moved else "no cell moved")
+    rows = [json.dumps(name) + ": " + json.dumps(value) for name, value in new.items()]
     head = json.dumps({"about": "bits of theorem2_check and entry_channel; written by "
                                 "scripts/make_enum_golden.py"})
     # one cell a line, so a regenerated file diffs cell by cell

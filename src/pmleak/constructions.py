@@ -24,6 +24,7 @@ each other and, for small n, full enumeration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,14 +116,17 @@ class CorrelatedBinaryModel(DatabaseModel):
     def num_entries(self):
         return self.n + 1
 
-    def log_masses(self, digits):
-        # four values, picked by d1 and whether the tail equals it:
-        # (log P(d1) + log(1 - eta)) - log(2^n - 1), or log P(d1) + log eta
+    def log_mass_table(self) -> tuple:
+        """The four atom log-masses, [d1][tail equals d1]: (log P(d1) +
+        log(1 - eta)) - log(2^n - 1) for the 2^n - 1 other tails, and
+        log P(d1) + log eta for the tail of n copies of d1."""
         log_rest, log_norm = math.log1p(-self.eta), _log_two_pow_minus_one(self.n)
-        values = np.array([[lp + log_rest - log_norm, lp + math.log(self.eta)]
-                           for lp in (math.log(self.alpha), math.log1p(-self.alpha))])
+        return tuple((lp + log_rest - log_norm, lp + math.log(self.eta))
+                     for lp in (math.log(self.alpha), math.log1p(-self.alpha)))
+
+    def log_masses(self, digits):
         all_equal = (digits[:, 1:] == digits[:, :1]).all(axis=1)
-        return values[digits[:, 0], all_equal.astype(np.intp)]
+        return np.array(self.log_mass_table())[digits[:, 0], all_equal.astype(np.intp)]
 
 
 @dataclass(frozen=True)
@@ -564,23 +568,25 @@ def bob_pml(model: BobModel, epsilon: float, y: float) -> float:
 
 def _entry0_channel(model: CorrelatedBinaryModel, epsilon: float, y) -> tuple:
     """`entry_channel(model, calibrated_mechanism(model, epsilon), 0, y)` from
-    one row per class (d_0, tail weight w) of C(n, w) atoms, all of which
-    share the row's mass and likelihood: each reduction takes the counts,
-    which gives the bits of the reduction over every atom.  Valid for
-    n <= 1000: C(n, w) enters log_sum_exp as terms e 2^j with j < n, and
-    these overflow past j = 1023."""
-    n = model.n
-    # row [d, w]: d, then w ones; stored column by column, as `atom_table` is
-    columns = np.empty((n + 1, 2, n + 1), dtype=np.uint8)
-    columns[0] = [[0], [1]]
-    columns[1:] = np.arange(n + 1) > np.arange(n)[:, None, None]
-    rows = columns.reshape(n + 1, -1).T
-    log_mass = model.log_masses(rows).reshape(2, -1).tolist()
-    lls = calibrated_mechanism(model, epsilon).log_likelihoods(rows, y).reshape(2, -1).tolist()
-    counts = SplitCounts(math.comb(n, w) for w in range(n + 1))
-    law = [log_sum_exp(lp, counts) for lp in log_mass]
-    cond = [log_sum_exp([m - c + ll for m, ll in zip(lp, row)], counts)
-            for lp, c, row in zip(log_mass, law, lls)]
+    the 2(n+1) classes (d_0, tail weight w) of C(n, w) atoms, all of which
+    share the class's mass and likelihood: each reduction takes the counts,
+    which gives the bits of the reduction over every atom.  A class's mass
+    is its `log_mass_table` entry, its likelihood the Laplace density at
+    (d_0 + w)/(n+1), both summed as floats: the centers, distances and
+    divisions are correctly rounded, as in `entry_channel`'s arrays.  Valid for n <= 1000: C(n, w)
+    enters log_sum_exp as terms e 2^j with j < n, and these overflow past
+    j = 1023."""
+    n, m = model.n, model.num_entries
+    b = calibrated_scale(n, epsilon)
+    counts = SplitCounts(math.comb(n, w) for w in range(m))
+    law, cond = [], []
+    for d, (rest, peak) in enumerate(model.log_mass_table()):
+        masses = [rest] * m
+        masses[n * d] = peak  # the tail of n copies of d
+        lp = log_sum_exp(masses, counts)
+        law.append(lp)
+        cond.append(log_sum_exp([(v - lp) + laplace_log_density((d + w) / m, b, y)
+                                 for w, v in enumerate(masses)], counts))
     return FiniteDistribution(model.alphabet, tuple(law)), cond
 
 
@@ -595,6 +601,14 @@ class SweepRow:
     eps_max: float
 
 
+def _whole_number(v) -> int:
+    """An n value as an int; a bool, a fraction, NaN or a non-number is rejected."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) and (
+            isinstance(v, numbers.Integral) or float(v).is_integer()):
+        return int(v)
+    raise ValueError(f"n must be a whole number, not {v!r}")
+
+
 def sweep(n_values, alpha: float, schedule: EtaSchedule, epsilon: float,
           y: float) -> list[SweepRow]:
     """Bound vs exact PML across n; enumeration cross-check up to SWEEP_ENUM_LIMIT.
@@ -602,7 +616,7 @@ def sweep(n_values, alpha: float, schedule: EtaSchedule, epsilon: float,
     lower_bound holds only for y <= 0, so rows at y > 0 carry no bound.
     """
     rows = []
-    for n in sorted(set(int(v) for v in n_values)):
+    for n in sorted(set(_whole_number(v) for v in n_values)):
         eta = schedule.eta(n)
         model = CorrelatedBinaryModel(n, alpha, eta)
         bound = lower_bound(n, alpha, eta, epsilon) if y <= 0 else None

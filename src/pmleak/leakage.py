@@ -179,7 +179,8 @@ def _product_priors(alphabet: tuple, num_entries: int, prior_samples: int,
     alphabet the iid grid rows (1 - q, q), each row renormalized."""
     _require_integers(num_entries=num_entries, prior_samples=prior_samples,
                       grid_resolution=grid_resolution, seed=seed)
-    for name, count in (("prior_samples", prior_samples), ("grid_resolution", grid_resolution)):
+    for name, count in (("prior_samples", prior_samples), ("grid_resolution", grid_resolution),
+                        ("seed", seed)):
         if count < 0:
             raise ValueError(f"{name} must be at least 0, not {count!r}")
     k = len(alphabet)

@@ -370,14 +370,15 @@ def run_adversary_trials(seed: int = 2024, achievability_trials: int = 1000,
     replayed through `leakage.pml` and the scalar ratio functions above, and
     the worst disagreement is reported.
     """
-    _require_integers(achievability_trials=achievability_trials, gain_trials=gain_trials,
-                      kernel_trials=kernel_trials, max_alphabet=max_alphabet,
-                      max_guesses=max_guesses)
+    _require_integers(seed=seed, achievability_trials=achievability_trials,
+                      gain_trials=gain_trials, kernel_trials=kernel_trials,
+                      max_alphabet=max_alphabet, max_guesses=max_guesses)
     if achievability_trials <= 0 or gain_trials <= 0 or kernel_trials <= 0:
         raise ValueError("empty trial set")
     if not 0.0 <= tolerance < math.inf:  # NaN fails too
         raise ValueError("tolerance must be finite and at least 0")
-    for name, size, least in (("max_alphabet", max_alphabet, 2), ("max_guesses", max_guesses, 1)):
+    for name, size, least in (("seed", seed, 0), ("max_alphabet", max_alphabet, 2),
+                              ("max_guesses", max_guesses, 1)):
         if size < least:
             raise ValueError(f"{name} must be at least {least}, not {size!r}")
     rng = np.random.default_rng(seed)

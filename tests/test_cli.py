@@ -309,6 +309,12 @@ class TestConfigAndReproducibility:
         err = capsys.readouterr().err
         assert err == f"error: config field {key!r} must be an integer, not {value!r}\n"
 
+    def test_config_negative_seed_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -4}))
+        assert main(["oracle", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: seed must be at least 0, not -4\n"
+
     def test_config_float_option_takes_an_integer(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epsilon": 1, "alpha": 0.3}))
@@ -392,6 +398,8 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
                  "eta schedule leaves (0, 1) at n=1128", id="thm3-eta-poly-overflow"),
     pytest.param(["thm3", "--n", "5", "--eta-poly", "0.5", "0.5"],
                  "polynomial rate r must be at least 1", id="thm3-eta-poly-slow-rate"),
+    pytest.param(["oracle", "--seed", "-1"], "seed must be at least 0, not -1",
+                 id="oracle-negative-seed"),
 ])
 def test_invalid_numbers_are_validation_errors(tmp_path, capsys, argv, message):
     spec = write_spec(tmp_path, NAN_LAPLACE)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -853,6 +854,17 @@ class TestSweep:
         assert abs(rows[0].exact_pml - rows[0].enum_pml) <= 1e-9
         assert rows[0].exact_pml > 0.01
 
+    @pytest.mark.parametrize("n", [4.7, math.nan, "7", True], ids=["fraction", "nan",
+                                                                  "string", "bool"])
+    def test_n_must_be_whole(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be a whole number, not {n!r}")):
+            sweep([8, n], 0.25, EtaSchedule.constant(0.5), 0.5, -0.3)
+
+    def test_whole_float_n_is_taken(self):
+        rows = sweep([4.0, np.int64(5)], 0.25, EtaSchedule.constant(0.5), 0.5, -0.3)
+        assert [row.n for row in rows] == [4, 5]
+        assert all(type(row.n) is int for row in rows)
+
     def test_enum_column_only_for_small_n(self):
         rows = sweep([8, 64], 0.25, EtaSchedule.constant(0.5), 0.5, -0.3)
         assert rows[0].enum_pml is not None
@@ -861,7 +873,7 @@ class TestSweep:
     def test_enumeration_allocates_no_atom_table(self):
         # the row at n = 15 enumerating its 2^16 atoms peaked at 10,619,416
         # bytes (numpy 2.4) with an (A, 16) index and int64 label table; its
-        # 32 classes peak at 7,888
+        # 32 classes, summed as floats, peak at 7,416
         schedule = EtaSchedule.constant(0.5)
         sweep([15], 0.25, schedule, 0.1, -0.3)  # first-call caches
         with traced_peak() as peak:
@@ -884,6 +896,27 @@ class TestClassSums:
             exact = pml_d1(model, epsilon, y)
             got = pml(*constructions._entry0_channel(model, epsilon, y))
             assert abs(got - exact) <= 1e-13 * (1.0 + exact), y
+
+    def test_entry_channel_bits_at_random_cells(self):
+        # seeded draws off the fixed grids: n <= 15, alpha in (0, 1/2), eta
+        # down to 1e-12, epsilon log-uniform on [1e-3, 1e2], and y at 0,
+        # below 0, above 1, inside, and at a bin edge (d + w)/(n+1) or 1 ulp off it
+        rng = np.random.default_rng(29)
+        for k in range(1000):
+            n = int(rng.integers(1, 16))
+            alpha = float(rng.uniform(0.0, 0.5)) or 0.25
+            eta = float(10.0 ** rng.uniform(-12.0, 0.0) if k % 2 else rng.uniform(0.0, 1.0))
+            eta = min(eta, math.nextafter(1.0, 0.0)) or 0.5
+            epsilon = float(10.0 ** rng.uniform(-3.0, 2.0))
+            edge = int(rng.integers(0, n + 2)) / (n + 1)
+            y = [0.0, -float(rng.exponential()), 1.0 + float(rng.exponential()),
+                 float(rng.uniform()), edge, math.nextafter(edge, -1.0),
+                 math.nextafter(edge, 2.0)][k % 7]
+            model = CorrelatedBinaryModel(n, alpha, eta)
+            law, lls = constructions._entry0_channel(model, epsilon, y)
+            want = entry_channel(model, calibrated_mechanism(model, epsilon), 0, y)
+            assert as_hex(law.logp, lls) == as_hex(want[0].logp, want[1]), (
+                n, alpha, eta, epsilon, y)
 
 
 def as_hex(law, lls):

@@ -50,6 +50,20 @@ def test_pins_cover_every_path():
     assert sum(name.startswith("theorem2") for name in names) == 9
 
 
+def test_generator_lists_the_cells_that_move():
+    old = json.loads(PINS.read_text())["cells"]
+    assert make_enum_golden.differences(old, old) == []
+    new = dict(old)
+    moved, gone = "theorem2 p=0.1 n=1", "ternary n=1 i=0 y=a"
+    new[moved] = [["0x0.0p+0"]]
+    del new[gone]
+    new["correlated n=16"] = [["0x1.0p+0"]]
+    assert make_enum_golden.differences(old, new) == [
+        'correlated n=16: - -> [["0x1.0p+0"]]',
+        f"{gone}: {json.dumps(old[gone])} -> -",
+        f'{moved}: {json.dumps(old[moved])} -> [["0x0.0p+0"]]']
+
+
 def test_pins_in_this_process():
     assert moved_cells() == []
 

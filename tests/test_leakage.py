@@ -210,7 +210,7 @@ class TestTheorem2Check:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, not {value!r}$"):
             theorem2_check(mech, 1.0, alphabet=(0, 1), **args)
 
-    @pytest.mark.parametrize("name", ["prior_samples", "grid_resolution"])
+    @pytest.mark.parametrize("name", ["prior_samples", "grid_resolution", "seed"])
     def test_negative_counts_are_rejected(self, name):
         mech = product_mechanism(randomized_response(0.25), 1)
         with pytest.raises(ValueError, match=f"^{name} must be at least 0, not -1$"):

@@ -198,6 +198,15 @@ class TestTrials:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, not {count!r}$"):
             run_adversary_trials(**counts)
 
+    @pytest.mark.parametrize("seed, message", [
+        (None, "seed must be an integer, not None"), (True, "seed must be an integer, not True"),
+        (2.5, "seed must be an integer, not 2.5"), (-1, "seed must be at least 0, not -1"),
+    ], ids=["none", "bool", "fraction", "negative"])
+    def test_seed_validated(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_adversary_trials(seed=seed, achievability_trials=1, gain_trials=1,
+                                 kernel_trials=1)
+
     def test_deterministic_under_seed(self):
         a = run_adversary_trials(seed=9, achievability_trials=20,
                                  gain_trials=50, kernel_trials=50)
