@@ -7,7 +7,10 @@ and stores each run's `env =` record and final JSON line, with the median
 and quartiles of every metric per workload and checkout and, for two
 checkouts, how many seed pairs the second won on each metric.  At the end it
 prints one line per workload and end-to-end metric: each checkout's median
-and, for two checkouts, the pairs the second won and lost:
+and, for two checkouts, the pairs the second won and lost.  Cached bytecode
+lowers `setup_s`, so it records which of each checkout's `src/pmleak` and
+`perfbench` hold a __pycache__, refuses checkouts that differ in that, and
+runs perfbench with PYTHONDONTWRITEBYTECODE=1 so that no run adds a cache:
 
     python3 scripts/bench_record.py --tag NAME --workloads adversary_trials \\
         --seeds 1-10 --seconds 10 --checkout parent=../parent --checkout change=.
@@ -15,6 +18,7 @@ and, for two checkouts, the pairs the second won and lost:
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -39,10 +43,15 @@ def run(path, workload, seed, seconds):
     """One perfbench run of the checkout at `path`: its env record and final JSON."""
     argv = [sys.executable, str(path / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    lines = subprocess.run(argv, cwd=path, capture_output=True, text=True,
-                           check=True).stdout.strip().splitlines()
+    lines = subprocess.run(argv, cwd=path, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                           capture_output=True, text=True, check=True).stdout.strip().splitlines()
     env = next(line.removeprefix("env = ") for line in lines if line.startswith("env = "))
     return json.loads(env), json.loads(lines[-1])
+
+
+def cached_bytecode(path):
+    """Which of the checkout's `src/pmleak` and `perfbench` hold a __pycache__."""
+    return [d for d in ("src/pmleak", "perfbench") if (path / d / "__pycache__").is_dir()]
 
 
 def benchmark_spec():
@@ -123,6 +132,13 @@ def main(argv=None):
                         help="a checkout to run, repeatable; default: this one")
     args = parser.parse_args(argv)
     checkouts = args.checkout or [("this", ROOT)]
+    bytecode = {label: cached_bytecode(path) for label, path in checkouts}
+    if len({tuple(dirs) for dirs in bytecode.values()}) > 1:
+        print("the checkouts differ in cached bytecode, which biases setup_s; delete "
+              "it or make it alike:", *(f"{label}: {', '.join(dirs) or 'no __pycache__'}"
+                                         for label, dirs in bytecode.items()),
+              sep="\n", file=sys.stderr)
+        return 1
     runs = []
     for i, seed in enumerate(args.seeds):
         for workload in args.workloads:
@@ -141,8 +157,8 @@ def main(argv=None):
     labels = [label for label, _ in checkouts]
     table = summary(runs, labels, directions())
     out = ROOT / f"BENCH_{args.tag}.json"
-    out.write_text(json.dumps({"tag": args.tag, "seconds": args.seconds, "summary": table,
-                               "runs": runs}, indent=1) + "\n")
+    out.write_text(json.dumps({"tag": args.tag, "seconds": args.seconds, "bytecode": bytecode,
+                               "summary": table, "runs": runs}, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     print(*verdicts(table, labels, benchmark_spec()["end_to_end"]), sep="\n")
     return 0

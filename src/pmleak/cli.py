@@ -22,7 +22,7 @@ from . import __version__
 from .constructions import BobModel, EtaSchedule, bob_mechanism, sweep
 from .leakage import pml_report
 from .mechanisms import (FiniteMechanism, dp_level_finite, dp_level_laplace,
-                         mechanism_from_dict)
+                         mechanism_from_dict, spec_field)
 from .oracle import run_adversary_trials
 from .probability import FiniteDistribution
 from .svgplot import Series, write_line_chart
@@ -83,16 +83,10 @@ def _load_analysis_spec(path):
     with open(path) as fh:
         raw = json.load(fh)
     mech = mechanism_from_dict(raw)
-    prior_probs = raw.get("prior")
-    if isinstance(mech, FiniteMechanism):
-        labels = mech.x_labels
-    elif mech.labels is not None:
-        labels = mech.labels
-    else:
-        raise ValueError("mechanism spec needs labels")
-    if prior_probs is None:
+    labels = mech.x_labels if isinstance(mech, FiniteMechanism) else mech.labels
+    if raw.get("prior") is None:
         return mech, FiniteDistribution.uniform(labels)
-    return mech, FiniteDistribution.from_probs(labels, prior_probs)
+    return mech, FiniteDistribution.from_probs(labels, spec_field(raw, "prior", float))
 
 
 def _base_meta(command, opts):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, log_sum_exp, log_sum_exp_array
+from .logdomain import _LOWEST, LOG_ZERO, log_sum_exp, log_sum_exp_array
 from .mechanisms import FiniteMechanism, LaplaceMechanism
 from .probability import (DatabaseModel, FiniteDistribution, ProductModel, atom_labels,
                           atom_table)
@@ -59,12 +59,11 @@ def pml(prior: FiniteDistribution, log_likelihoods) -> float:
     return max(max(lls) - log_py, 0.0)  # NaN stays NaN
 
 
-def pml_batch(log_prior, lls, axis, out=None):
+def pml_batch(log_prior, lls, axis):
     """`pml` along `axis` of arrays of log P(x) and log P(y | x), which
-    broadcast: (PML, log P(y)), with PML 0 where P(y) = 0 and floored at 0.
-    The PML is written into `out` where given, a zeroed array of any layout."""
+    broadcast: (PML, log P(y)), with PML 0 where P(y) = 0 and floored at 0."""
     log_py = log_sum_exp_array(log_prior + lls, axis, overwrite=True)
-    value = np.zeros_like(log_py) if out is None else out
+    value = np.zeros_like(log_py)
     np.subtract(lls.max(axis=axis), log_py, out=value, where=log_py > LOG_ZERO)
     return np.maximum(value, 0.0, out=value), log_py
 
@@ -160,8 +159,8 @@ class Theorem2Report:
     reference_gap: float  # |batch - scalar| at the witness, replayed through pml
 
 
-#: entries of the largest array one block scores (512 KB of floats): a block
-#: of priors here, a chunk of trials in `oracle`
+#: floats in the largest array of one block (512 KB): the (A, Y + 1, P) joint
+#: of a block of priors here, an (nx, guesses, T) table of a chunk of trials in `oracle`
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -191,8 +190,8 @@ def _product_priors(alphabet: tuple, num_entries: int, prior_samples: int,
     if num_entries < 1:
         raise ValueError("product model needs at least one entry")
     grid = grid_resolution if k == 2 else 0
-    if grid and not all(0.0 <= q <= 1.0 for q in grid_span):  # NaN fails too
-        raise ValueError(f"grid_span must lie within [0, 1], not {tuple(grid_span)!r}")
+    if grid and not all(q == 0 or np.finfo(float).tiny <= q <= 1 for q in grid_span):  # not NaN
+        raise ValueError(f"grid_span must lie within [0, 1], none subnormal: {tuple(grid_span)!r}")
     if prior_samples + grid == 0:
         raise ValueError("no priors to check")
     probs = np.empty((num_entries, k, prior_samples + grid))
@@ -210,38 +209,39 @@ def _product_priors(alphabet: tuple, num_entries: int, prior_samples: int,
     return probs.transpose(2, 0, 1)
 
 
-def _block_pmls(log_prior, grouped, channel, out):
-    """`_entry_pmls` on one block of priors, given as log marginals (n, k, P),
-    with the digits (n, k, A/k, n) and channel rows (n, k, A/k, Y) of the
-    atoms with D_i = d; the values go to `out` (n, Y, P)."""
-    # left to right, as ProductModel.log_masses sums the marginals; the prior
-    # axis last, so each reduction runs over rows of Y P floats
-    mass = log_prior[0][grouped[..., 0]]                              # (n, k, A/k, P)
-    for j in range(1, len(log_prior)):
-        mass += log_prior[j][grouped[..., j]]
-    law = log_sum_exp_array(mass, 2)                                  # log P(D_i = d)
-    mass -= law[:, :, None]
-    cond = log_sum_exp_array(mass[..., None, :] + channel[..., None], 2, overwrite=True)
-    pml_batch(law[:, :, None], cond, axis=1, out=out)                 # over d
-
-
 def _entry_pmls(mech: FiniteMechanism, alphabet: tuple, probs) -> np.ndarray:
     """PML of every (prior, entry, outcome) as a (P, n, |Y|) array, for the
-    product priors with marginals probs (P, n, k) over alphabet: the
-    batched `pml(*entry_channel(...))`.  Atoms are the rows of
-    `atom_table` and read their channel rows by label, as in `entry_channel`."""
+    product priors with marginals probs (P, n, k) over alphabet: the batched
+    `pml(*entry_channel(...))`, channel rows read by label.  A block's joint
+    P(a) P(y | a), with a last outcome of likelihood 1 for the masses, is
+    shifted by its maximum over atoms and exponentiated once; digit i of
+    `atom_table` is axis i of its (k,)*n reshape, so entry i's groups
+    D_i = d, and its law, are sums over the other entries' axes."""
     size, n, k = probs.shape
-    digits = atom_table(alphabet, n)
-    # order[i, d]: the atoms with D_i = d, in table order
-    order = np.argsort(digits, axis=0, kind="stable").T.reshape(n, k, -1)
-    grouped, channel = digits[order], mech.rows(atom_labels(alphabet, n))[order]
+    rows = mech.rows(atom_labels(alphabet, n))
+    channel = np.concatenate((rows, np.zeros((len(rows), 1))), axis=1)  # (A, Y + 1)
     log_prior = np.log(probs).transpose(1, 2, 0)  # (n, k, P), as `_product_priors` stores it
-    values = np.zeros((size, n, channel.shape[-1]))
-    block = max(1, _BLOCK_ENTRIES // channel.size)  # (n, k, A/k, Y, P) per block
+    values = np.zeros((size, n, rows.shape[1]))
+    block = max(1, _BLOCK_ENTRIES // channel.size)  # (A, Y + 1, P) per block
     for start in range(0, size, block):
-        _block_pmls(log_prior[..., start:start + block], grouped, channel,
-                    values[start:start + block].transpose(1, 2, 0))
-    return values
+        mass = log_prior[0, :, start:start + block]
+        for lp in log_prior[1:, :, start:start + block]:  # left to right, as log_masses
+            mass = mass[..., None, :] + lp                            # (k,)*j + (P,)
+        joint = mass.reshape(len(rows), 1, -1) + channel[..., None]
+        top = joint.max(axis=0, initial=_LOWEST)  # a zero column shifts by a finite top
+        joint = np.exp(np.subtract(joint, top, out=joint), out=joint).reshape((k,) * n + top.shape)
+        groups = np.empty((n, k) + top.shape)                         # (n, k, Y + 1, P)
+        for i in range(n):
+            joint.sum(axis=tuple(j for j in range(n) if j != i), out=groups[i])
+        total = groups[:, :, :-1].sum(axis=1)
+        out = values[start:start + block].transpose(1, 2, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0, and -inf - -inf
+            np.log(groups, out=groups)
+            groups[:, :, -1:] += top[-1]                              # log P(D_i = d)
+            ratio = groups[:, :, :-1] - groups[:, :, -1:]
+            np.subtract(ratio.max(axis=1), np.log(total), out=out)
+        out[total == 0] = 0.0  # where P(y) = 0
+    return np.maximum(values, 0.0, out=values)
 
 
 def theorem2_check(mech: FiniteMechanism, epsilon_dp: float, num_entries: int,
@@ -262,8 +262,7 @@ def theorem2_check(mech: FiniteMechanism, epsilon_dp: float, num_entries: int,
                             seed, grid_span)
     values = _entry_pmls(mech, alphabet, probs)
     # the first maximum in (prior, entry, outcome) order
-    p, rest = divmod(int(values.argmax()), values[0].size)
-    i, y = divmod(rest, values.shape[2])
+    p, i, y = map(int, np.unravel_index(values.argmax(), values.shape))
     best = float(values[p, i, y])
     spec = tuple(tuple(row) for row in probs[p].tolist())
     model = ProductModel(tuple(

@@ -238,30 +238,48 @@ def dp_level_finite(mech: FiniteMechanism, num_entries: int = 1) -> float:
 #   {"kind": "laplace", "labels": [...], "centers": [...], "scale": b,
 #    "sensitivity": d?}
 #   {"kind": "randomized_response", "p": 0.25}
-# Labels may be scalars or lists (lists become tuples).  An optional
+# Labels may be scalars or lists (lists, nested too, become tuples).  An optional
 # top-level "prior": [...] gives the CLI's prior over the secret labels.
 
 
 def _label_from_json(v):
-    return tuple(v) if isinstance(v, list) else v
+    """A JSON label as a hashable value: lists, at any depth, become tuples."""
+    if isinstance(v, dict):
+        raise ValueError(f"a label must be a number, string or list, not {v!r}")
+    return tuple(map(_label_from_json, v)) if isinstance(v, list) else v
+
+
+def spec_field(spec: dict, key: str, item=None):
+    """Field `key` of a spec object: a float, or with `item` a list read
+    through it; a missing or unreadable field is a ValueError that names it."""
+    if key not in spec:
+        raise ValueError(f"mechanism spec has no {key!r} field")
+    try:
+        if item is not None and not isinstance(spec[key], list):
+            raise ValueError(f"expected a list, not {spec[key]!r}")
+        return float(spec[key]) if item is None else [item(v) for v in spec[key]]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"mechanism spec field {key!r}: {exc}") from None
 
 
 def mechanism_from_dict(d: dict):
+    """The mechanism of a spec object (schema above); a malformed spec is a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"mechanism spec must be a JSON object, not {d!r}")
     kind = d.get("kind")
     if kind == "finite":
-        return FiniteMechanism.from_probs(
-            [_label_from_json(x) for x in d["x_labels"]],
-            [_label_from_json(y) for y in d["y_labels"]],
-            d["rows"],
-        )
+        return FiniteMechanism.from_probs(spec_field(d, "x_labels", _label_from_json),
+                                          spec_field(d, "y_labels", _label_from_json),
+                                          spec_field(d, "rows", list))
     if kind == "laplace":
-        labels = tuple(_label_from_json(x) for x in d["labels"])
-        centers = dict(zip(labels, map(float, d["centers"])))
-        if not all(map(math.isfinite, centers.values())):
-            raise ValueError("Laplace centers must be finite")
-        return LaplaceMechanism(centers.__getitem__, float(d["scale"]),
-                                sensitivity=d.get("sensitivity"), labels=labels)
+        labels = spec_field(d, "labels", _label_from_json)
+        centers = spec_field(d, "centers", float)
+        if len(centers) != len(labels) or not all(map(math.isfinite, centers)):
+            raise ValueError(f"Laplace centers must be finite, one per label: {centers!r} "
+                             f"for {len(labels)} labels")
+        sensitivity = None if d.get("sensitivity") is None else spec_field(d, "sensitivity")
+        return LaplaceMechanism(dict(zip(labels, centers)).__getitem__, spec_field(d, "scale"),
+                                sensitivity=sensitivity, labels=labels)
     if kind == "randomized_response":
-        return randomized_response(float(d["p"]))
+        return randomized_response(spec_field(d, "p"))
     raise ValueError(f"unknown mechanism kind {kind!r}")
-

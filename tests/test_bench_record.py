@@ -66,8 +66,10 @@ def test_verdicts_give_each_end_to_end_metric_one_line():
     assert bench_record.verdicts(table, ["parent"], metrics[:1]) == ["w wall_s: parent 2 s"]
 
 
-def test_a_recorded_run_ends_with_its_verdicts(tmp_path, monkeypatch, capsys):
-    # a stand-in perfbench whose wall_s is 2 s for the checkout named "slow", else 1 s
+def stand_in_checkouts(tmp_path):
+    """(BENCHMARK.json's spec, argv): in tmp_path, that spec and two checkouts,
+    "slow" and "fast", whose perfbench reports every end-to-end metric as 2
+    and 1 and its env as PYTHONDONTWRITEBYTECODE; argv records them at seeds 1-3."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     for name in ("slow", "fast"):
@@ -75,12 +77,37 @@ def test_a_recorded_run_ends_with_its_verdicts(tmp_path, monkeypatch, capsys):
         wall = 2.0 if name == "slow" else 1.0
         metrics = {m["name"]: {"value": wall, "unit": m["unit"]} for m in spec["end_to_end"]}
         (tmp_path / name / "perfbench" / "run.py").write_text(
-            f"import json\nprint('env = {{}}')\nprint(json.dumps({{'metrics': {metrics!r}}}))\n")
+            "import json, os\nprint('env = ' + json.dumps(os.environ.get("
+            "'PYTHONDONTWRITEBYTECODE')))\n"
+            f"print(json.dumps({{'metrics': {metrics!r}}}))\n")
+    return spec, ["--tag", "t", "--workloads", "w", "--seeds", "1-3", "--seconds", "1",
+                  "--checkout", f"slow={tmp_path / 'slow'}",
+                  "--checkout", f"fast={tmp_path / 'fast'}"]
+
+
+def test_a_recorded_run_ends_with_its_verdicts(tmp_path, monkeypatch, capsys):
+    spec, argv = stand_in_checkouts(tmp_path)
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
-    argv = ["--tag", "t", "--workloads", "w", "--seeds", "1-3", "--seconds", "1",
-            "--checkout", f"slow={tmp_path / 'slow'}", "--checkout", f"fast={tmp_path / 'fast'}"]
     assert bench_record.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(spec["end_to_end"])
     assert "w wall_s: slow 2 s, fast 1 s (-50.0%); fast won 3, lost 0 of 3 pairs" in lines
     assert (tmp_path / "BENCH_t.json").exists()
+
+
+def test_checkouts_that_differ_in_cached_bytecode_are_refused(tmp_path, monkeypatch, capsys):
+    _, argv = stand_in_checkouts(tmp_path)
+    (tmp_path / "fast" / "src" / "pmleak" / "__pycache__").mkdir(parents=True)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    assert bench_record.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "differ in cached bytecode" in err
+    assert "slow: no __pycache__\nfast: src/pmleak" in err
+    assert not (tmp_path / "BENCH_t.json").exists()
+    # alike, with a cache in both, they are paired; the record says so, and no
+    # run may write bytecode
+    (tmp_path / "slow" / "src" / "pmleak" / "__pycache__").mkdir(parents=True)
+    assert bench_record.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["bytecode"] == {"slow": ["src/pmleak"], "fast": ["src/pmleak"]}
+    assert {run["env"] for run in record["runs"]} == {"1"}

@@ -327,6 +327,62 @@ class TestConfigAndReproducibility:
 
 
 
+FINITE = {"kind": "finite", "x_labels": [0, 1], "y_labels": [0, 1],
+          "rows": [[0.75, 0.25], [0.25, 0.75]]}
+TWO_LABEL_LAPLACE = {"kind": "laplace", "labels": [0, 1], "centers": [0.0, 1.0], "scale": 1.0}
+
+
+def without(spec, field):
+    return {key: value for key, value in spec.items() if key != field}
+
+
+# each of these printed a traceback, a bare KeyError or nothing at all
+@pytest.mark.parametrize("payload, message", [
+    pytest.param([1, 2], "mechanism spec must be a JSON object, not [1, 2]", id="list"),
+    pytest.param("x", "mechanism spec must be a JSON object, not 'x'", id="string"),
+    pytest.param(dict(FINITE, x_labels=[{"a": 1}, 1]), "mechanism spec field 'x_labels': a "
+                 "label must be a number, string or list, not {'a': 1}", id="object-label"),
+    pytest.param(dict(TWO_LABEL_LAPLACE, labels=[0, [{"a": 1}]]), "mechanism spec field "
+                 "'labels': a label must be a number, string or list, not {'a': 1}",
+                 id="object-inside-a-list-label"),
+    pytest.param(dict(FINITE, x_labels="01"),
+                 "mechanism spec field 'x_labels': expected a list, not '01'", id="string-labels"),
+    pytest.param(without(TWO_LABEL_LAPLACE, "centers"), "mechanism spec has no 'centers' field",
+                 id="missing-centers"),
+    pytest.param(without(FINITE, "y_labels"), "mechanism spec has no 'y_labels' field",
+                 id="missing-y-labels"),
+    pytest.param(dict(TWO_LABEL_LAPLACE, centers=[0.0, 1.0, 2.0]),
+                 "Laplace centers must be finite, one per label: [0.0, 1.0, 2.0] for 2 labels",
+                 id="more-centers"),
+    pytest.param(dict(TWO_LABEL_LAPLACE, centers=[0.0]),
+                 "Laplace centers must be finite, one per label: [0.0] for 2 labels",
+                 id="fewer-centers"),
+    pytest.param(dict(TWO_LABEL_LAPLACE, centers=[0.0, None]),
+                 "mechanism spec field 'centers': float() argument", id="null-center"),
+    pytest.param(dict(TWO_LABEL_LAPLACE, scale=None), "mechanism spec field 'scale': ",
+                 id="null-scale"),
+    pytest.param({"kind": "randomized_response", "p": [0.25]}, "mechanism spec field 'p': ",
+                 id="list-p"),
+    pytest.param(dict(FINITE, prior=[0.5, None]), "mechanism spec field 'prior': ",
+                 id="null-prior-entry"),
+    pytest.param(dict(FINITE, prior={"0": 1.0}),
+                 "mechanism spec field 'prior': expected a list, not {'0': 1.0}",
+                 id="object-prior"),
+])
+def test_malformed_spec_is_one_error_line(tmp_path, capsys, payload, message):
+    spec = write_spec(tmp_path, payload)
+    assert main(["analyze", "--mechanism", spec, "--y", "0"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["dp-check"], ["oracle", "--achievability-trials", "5"]])
+def test_spec_that_is_not_an_object_is_one_error_line(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, [1, 2])
+    assert main([*command, "--mechanism", spec]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: mechanism spec must be a JSON object, not [1, 2]\n"
+
+
 NAN_LAPLACE = {"kind": "laplace", "scale": float("nan"), "sensitivity": 1.0,
                "labels": [0, 1], "centers": [0.0, 1.0]}
 LAPLACE = dict(NAN_LAPLACE, scale=1.0)

@@ -228,8 +228,9 @@ class TestTheorem2Check:
         rep = theorem2_check(mech, epsilon_dp, 1, (0, 1), prior_samples=5, grid_resolution=3)
         assert rep.epsilon_dp == epsilon_dp and rep.forward_ok is forward_ok
 
+    # a subnormal end gives a prior mass that the batch's shifted joint would round
     @pytest.mark.parametrize("span", [(math.nan, 0.99), (0.01, math.nan), (-0.1, 0.5),
-                                      (0.5, 1.5)])
+                                      (0.5, 1.5), (1e-310, 0.5), (0.01, 5e-324)])
     def test_grid_span_outside_the_unit_interval_is_rejected(self, span):
         mech = product_mechanism(randomized_response(0.25), 1)
         with pytest.raises(ValueError, match=r"^grid_span must lie within \[0, 1\]"):
@@ -348,16 +349,39 @@ class TestTheorem2Batch:
         monkeypatch.setattr(leakage, "_BLOCK_ENTRIES", 3 * mech.logp.size)
         assert np.array_equal(leakage._entry_pmls(mech, alphabet, probs), whole)
 
+    # the smallest grid mass is 1e-200, so atoms span 1e-600 and a cell of 1e-12
+    # sits next to cells near 1: the joint spans far more than a float
+    @pytest.mark.parametrize("n, alphabet", [(1, (0, 1)), (2, (0, 1)), (3, (0, 1)),
+                                             (2, (0, 1, 2))])
+    def test_extreme_priors_and_cells_match_the_scalar_path(self, n, alphabet):
+        rng = np.random.default_rng(n)
+        x_labels = tuple(itertools.product(alphabet, repeat=n))
+        rows = rng.dirichlet(np.ones(3), size=len(x_labels))
+        rows[rng.random(rows.shape) < 0.3] = 1e-12
+        mech = FiniteMechanism.from_probs(x_labels, ("a", "b", "c"),
+                                          rows / rows.sum(axis=1, keepdims=True))
+        if len(alphabet) == 2:
+            probs = leakage._product_priors(alphabet, n, 4, 9, 4, (1e-200, 0.5))
+        else:  # no grid: a prior with a 1e-200 mass first in one entry, last in the other
+            probs = leakage._product_priors(alphabet, n, 4, 0, 4, None)
+            probs[0] = [[1e-200, 0.5, 0.5], [0.5, 0.5, 1e-200]]
+        values = leakage._entry_pmls(mech, alphabet, probs)
+        assert np.all(np.isfinite(values))
+        for p, i, y in itertools.product(range(len(probs)), range(n), range(3)):
+            want = scalar_entry_pml(alphabet, probs[p].tolist(), mech, i, mech.y_labels[y])
+            assert abs(values[p, i, y] - want) <= 1e-12
+
     def test_blocks_stay_within_their_bound(self):
-        # |X| |Y| = 2^16, the most product_mechanism allows: a block sized
-        # without its entry axis would hold 8 arrays of 8 MB at once
+        # |X| |Y| = 2^16, the most product_mechanism allows: a block of all
+        # 40 priors would hold a joint of 21 MB
         mech = product_mechanism(randomized_response(0.25), 8)
         probs = leakage._product_priors((0, 1), 8, 20, 20, 0, (0.01, 0.99))
         with traced_peak() as peak:
             leakage._entry_pmls(mech, (0, 1), probs)
-        # a loop over entries, one (P, k, A/k, Y) array at a time, peaked at
-        # 18,697,544 bytes here (numpy 2.4)
-        assert peak.bytes <= 18_697_544
+        # one (A, Y + 1, P) joint of 2^16 + 2^8 floats per block, next to the
+        # channel with its added column and the (P, n, Y) result, peaked at
+        # 2,427,040 to 2,454,472 bytes here (numpy 2.4)
+        assert peak.bytes <= 2_500_000
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_witness_replays_to_the_supremum(self, case):

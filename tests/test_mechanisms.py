@@ -215,6 +215,11 @@ class TestSpecFiles:
         assert lap.labels == ((0, 1), (1, 1))
         assert lap.center((1, 1)) == 1.0
 
+    def test_nested_list_labels_become_nested_tuples(self):
+        back = read_spec({"kind": "finite", "x_labels": [[0, [1]], [1, [0]]],
+                          "y_labels": [0, 1], "rows": [[0.75, 0.25], [0.25, 0.75]]})
+        assert back.x_labels == ((0, (1,)), (1, (0,)))
+
     def test_laplace_round_trip(self):
         mech = LaplaceMechanism(lambda j: 10.0 * j, 2.0, sensitivity=1.0,
                                 labels=(1, 2, 3))
