@@ -86,7 +86,11 @@ def _load_analysis_spec(path):
     labels = mech.x_labels if isinstance(mech, FiniteMechanism) else mech.labels
     if raw.get("prior") is None:
         return mech, FiniteDistribution.uniform(labels)
-    return mech, FiniteDistribution.from_probs(labels, spec_field(raw, "prior", float))
+    prior = spec_field(raw, "prior", float)
+    if len(prior) != len(labels):
+        raise ValueError(f"mechanism spec field 'prior': expected {len(labels)} probabilities, "
+                         f"one per label, not {len(prior)}")
+    return mech, FiniteDistribution.from_probs(labels, prior)
 
 
 def _base_meta(command, opts):

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .leakage import pml, pml_report
-from .logdomain import LOG_TWO, LOG_ZERO, LogReal, SplitCounts, log_add, log_sum_exp
+from .logdomain import LOG_TWO, LOG_ZERO, LogReal, log_add, log_sum_exp
 from .mechanisms import (LaplaceMechanism, _check_epsilon, _check_scale, laplace_for_query,
                          laplace_log_density)
 from .probability import DatabaseModel, FiniteDistribution
@@ -441,12 +441,15 @@ def _closed_forms(model: CorrelatedBinaryModel, b: float, y: float, anchored: bo
     peak = log_eta - (abs(y) + y) / b
     tail = log_add(log_eta - n * t, uniform + _log1mexp(-n * (t + log1p_q)))
     base = -math.log(2.0 * b) + y / b
-    if anchored:
-        return base + log_uniform - lift, [log_add(peak + lift, uniform + rest), (lift - t) + tail]
     if lift:
-        # y/b - t = -t (1 - y(n+1)), from y's integer ratio: the two nearly
-        # cancel where y(n+1) nears 1, so neither is rounded on its own
+        # y/b - t = -t (1 - y(n+1)) and row 0's peak + lift = log_eta +
+        # t (1 - 2y(n+1)), from y's integer ratio: each nearly cancels where
+        # y(n+1) nears 1 (or 1/2), and peak + lift would round at ulp(t)
         num, den = y.as_integer_ratio()
+    if anchored:
+        first = log_eta + t * ((den - 2 * num * (n + 1)) / den) if lift else peak
+        return base + log_uniform - lift, [log_add(first, uniform + rest), (lift - t) + tail]
+    if lift:
         near = -t * ((den - num * (n + 1)) / den)
         base = -math.log(2.0 * b)
         # -log 2b and the uniform part's O(1) terms nearly cancel in row 0:
@@ -573,12 +576,12 @@ def _entry0_channel(model: CorrelatedBinaryModel, epsilon: float, y) -> tuple:
     which gives the bits of the reduction over every atom.  A class's mass
     is its `log_mass_table` entry, its likelihood the Laplace density at
     (d_0 + w)/(n+1), both summed as floats: the centers, distances and
-    divisions are correctly rounded, as in `entry_channel`'s arrays.  Valid for n <= 1000: C(n, w)
-    enters log_sum_exp as terms e 2^j with j < n, and these overflow past
-    j = 1023."""
+    divisions are correctly rounded, as in `entry_channel`'s arrays.  Valid
+    for n < 1024: log_sum_exp sums the counts exactly, and past that their
+    total 2^n can leave the float range."""
     n, m = model.n, model.num_entries
     b = calibrated_scale(n, epsilon)
-    counts = SplitCounts(math.comb(n, w) for w in range(m))
+    counts = [math.comb(n, w) for w in range(m)]
     law, cond = [], []
     for d, (rest, peak) in enumerate(model.log_mass_table()):
         masses = [rest] * m

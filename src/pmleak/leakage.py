@@ -124,15 +124,13 @@ _DIRECT_MAX = 32
 
 
 def _log_sum_exp_distinct(v) -> float:
-    """`log_sum_exp` of a 1-D array, over its distinct values with counts:
-    one sort, then each run of equal neighbours by the index of its last.
+    """`log_sum_exp` of a 1-D array, over its distinct values with counts.
     Up to _DIRECT_MAX values are summed as they are, which costs less than
-    the sort; by the counts' rule the bits are the same."""
+    finding the distinct ones; by the counts' rule the bits are the same."""
     if v.size <= _DIRECT_MAX:
         return log_sum_exp(v.tolist())
-    v = np.sort(v)
-    ends = [*(v[1:] != v[:-1]).nonzero()[0].tolist(), v.size - 1]
-    return log_sum_exp(v[ends].tolist(), [b - a for a, b in zip([-1, *ends], ends)])
+    distinct, counts = np.unique(v, return_counts=True)
+    return log_sum_exp(distinct.tolist(), counts.tolist())
 
 
 def pml_entry(model: DatabaseModel, mech, i: int, y) -> LeakageReport:

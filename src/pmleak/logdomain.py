@@ -34,50 +34,36 @@ def log_add(a: LogReal, b: LogReal) -> LogReal:
     return a + math.log1p(math.exp(b - a))
 
 
-class SplitCounts:
-    """Counts 1 <= c_k < 2^1024 of the values of a `log_sum_exp`, split once
-    into the powers 2^j of their set bits j, so reductions over the same
-    counts share the split: term t is `powers[t]` copies of value `index[t]`."""
-
-    def __init__(self, counts):
-        self.size, self.index, self.powers = 0, [], []
-        for k, c in enumerate(counts):
-            c = int(c)
-            if c < 1:
-                raise ValueError("counts must be at least 1")
-            while c:
-                low = c & -c  # the lowest set bit
-                self.index.append(k)
-                self.powers.append(float(low))
-                c ^= low
-            self.size = k + 1
-
-
 def log_sum_exp(values: Iterable[LogReal], counts=None) -> LogReal:
     """log sum of exponentials, max-shifted; fsum keeps the tail accurate.
 
-    With `counts` (or their `SplitCounts`), the k-th value stands for
-    counts[k] >= 1 copies of itself: it is exponentiated once, and its
-    multiple enters fsum as the terms e * 2^j, one for each set bit j of its
-    count.  Scaling e <= 1 by 2^j is exact, subnormals included, for any
-    count a list could hold, and fsum rounds the exact sum once, so the
-    result is that of the expanded list, bit for bit."""
+    With `counts`, a list of whole numbers, the k-th value stands for
+    counts[k] >= 1 copies of itself: it is exponentiated once, and each
+    shifted exp e = p/q <= 1 is a whole number p 2^1074 / q of units
+    2^-1074, subnormals included.  The counted sum is one exact int sum of
+    those units, and its one division by 2^1074 is correctly rounded, as
+    fsum is, so the result is that of the expanded list, bit for bit: NaN
+    where an exp is NaN (a NaN or +inf value), and OverflowError where the
+    sum leaves the float range."""
     vals = list(values)
     if not vals:
         raise ValueError("empty aggregation")
     if counts is not None:
-        if not isinstance(counts, SplitCounts):
-            counts = SplitCounts(counts)
-        if counts.size != len(vals):
-            raise ValueError(f"{len(vals)} values but {counts.size} counts")
+        if len(counts) != len(vals):
+            raise ValueError(f"{len(vals)} values but {len(counts)} counts")
+        if min(counts) < 1:
+            raise ValueError("counts must be at least 1")
     m = max(vals)
     if m == LOG_ZERO or math.isnan(m):
         return m
     exps = [math.exp(v - m) for v in vals]
     if counts is None:
         return m + math.log(math.fsum(exps))
-    return m + math.log(math.fsum([exps[k] * power
-                                   for k, power in zip(counts.index, counts.powers)]))
+    if any(map(math.isnan, exps)):
+        return math.nan
+    total = sum((p * c) << (1075 - q.bit_length())  # q = 2^k, so p/q is p 2^(1074-k) units
+                for (p, q), c in zip(map(float.as_integer_ratio, exps), map(int, counts)))
+    return m + math.log(total / (1 << 1074))
 
 
 def log_sum_exp_array(v, axis=-1, overwrite=False):

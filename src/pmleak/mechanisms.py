@@ -268,9 +268,13 @@ def mechanism_from_dict(d: dict):
         raise ValueError(f"mechanism spec must be a JSON object, not {d!r}")
     kind = d.get("kind")
     if kind == "finite":
-        return FiniteMechanism.from_probs(spec_field(d, "x_labels", _label_from_json),
-                                          spec_field(d, "y_labels", _label_from_json),
-                                          spec_field(d, "rows", list))
+        x_labels = spec_field(d, "x_labels", _label_from_json)
+        y_labels = spec_field(d, "y_labels", _label_from_json)
+        rows = spec_field(d, "rows", lambda row: [float(p) for p in row])
+        if len(rows) != len(x_labels) or any(len(row) != len(y_labels) for row in rows):
+            raise ValueError(f"mechanism spec field 'rows': expected {len(x_labels)} rows of "
+                             f"{len(y_labels)} probabilities, not {d['rows']!r}")
+        return FiniteMechanism.from_probs(x_labels, y_labels, rows)
     if kind == "laplace":
         labels = spec_field(d, "labels", _label_from_json)
         centers = spec_field(d, "centers", float)

@@ -368,6 +368,16 @@ def without(spec, field):
     pytest.param(dict(FINITE, prior={"0": 1.0}),
                  "mechanism spec field 'prior': expected a list, not {'0': 1.0}",
                  id="object-prior"),
+    pytest.param(dict(FINITE, prior=[0.25, 0.25, 0.5]),
+                 "mechanism spec field 'prior': expected 2 probabilities, one per label, not 3\n",
+                 id="prior-longer-than-labels"),
+    pytest.param(dict(FINITE, rows=[[0.5, 0.5], [0.5]]), "mechanism spec field 'rows': "
+                 "expected 2 rows of 2 probabilities, not [[0.5, 0.5], [0.5]]\n", id="ragged-rows"),
+    pytest.param(dict(FINITE, rows=[[0.5, 0.5], [0.5, None]]),
+                 "mechanism spec field 'rows': float() argument", id="null-cell"),
+    pytest.param(dict(FINITE, rows=[[0.5, 0.5]] * 3), "mechanism spec field 'rows': expected "
+                 "2 rows of 2 probabilities, not [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]\n",
+                 id="more-rows"),
 ])
 def test_malformed_spec_is_one_error_line(tmp_path, capsys, payload, message):
     spec = write_spec(tmp_path, payload)

@@ -643,6 +643,17 @@ class TestPmlD1:
             for epsilon in (0.01, 0.1, 1.0, 5.0, 15.6, 40.0, 100.0, 200.0):
                 assert pml_d1(model, epsilon, 0.5) == 0.0, (n, epsilon)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+    @pytest.mark.parametrize("epsilon", [1e4, 1e6, 1e12, 1e100])
+    def test_end_bins_at_large_epsilon(self, n, epsilon):
+        # in the end bins at t > 53 log 2, the lifted closed forms: row 0's
+        # peak term e^{t (1 - 2y(n+1))} passes 1 at y(n+1) = 1/2
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        for j in (1, 2, 3):
+            for y in (j / (4 * (n + 1)), 1.0 - j / (4 * (n + 1))):
+                want = make_golden.reference_pml(n, 0.25, 0.5, epsilon, y)
+                assert abs(pml_d1(model, epsilon, y) - want) <= 1e-14 * (1.0 + want), y
+
     def test_line_leaves_out_an_integral_below_the_last_bit(self):
         # at kinks far outside the band of modes a crossed pole's closed form
         # is the whole value
@@ -886,13 +897,15 @@ class TestClassSums:
     `entry_channel` in hex in TestEntryChannelAgainstLoop and on the
     enumeration pins (test_enumeration_bits), and to `pml_d1` beyond them."""
 
-    @pytest.mark.parametrize("n", [16, 64, 200])
+    @pytest.mark.parametrize("n", [16, 64, 200, 1000])
     @pytest.mark.parametrize("epsilon", [0.1, 5.0])
     def test_pml_d1_above_the_sweep_enumeration(self, n, epsilon):
+        # n = 1000 lies near the class sums' n < 1024 limit; there four outcomes
         model = CorrelatedBinaryModel(n, 0.25, 0.5)
         edge = 3 / (n + 1)
-        for y in (-0.3, 0.0, 0.2, 0.4999, 0.77, 1.0, math.nextafter(edge, 0.0), edge,
-                  math.nextafter(edge, 1.0), (n - 1) / (n + 1)):
+        ys = (-0.3, 0.0, 0.2, 0.4999, 0.77, 1.0, math.nextafter(edge, 0.0), edge,
+              math.nextafter(edge, 1.0), (n - 1) / (n + 1))
+        for y in ys[2:6] if n == 1000 else ys:
             exact = pml_d1(model, epsilon, y)
             got = pml(*constructions._entry0_channel(model, epsilon, y))
             assert abs(got - exact) <= 1e-13 * (1.0 + exact), y

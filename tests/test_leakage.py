@@ -162,7 +162,12 @@ class TestLogSumExpDistinct:
         [0.0, -0.0, -0.0, math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0)],
         [-1.0, math.nextafter(-1.0, 0.0), -1.0, math.nextafter(-1.0, -2.0)],
         np.random.default_rng(3).choice([-0.7, -2.1, -40.0, -745.2], size=8192).tolist(),
-    ], ids=["repeats", "single", "-inf", "signed-zeros", "ulp-neighbours", "8192-over-4"])
+        [-1.0, math.nan, 0.5] * 12,
+        [math.nan] + [-1.0, 0.5] * 20,
+        [0.0, -0.0, -3.0] * 12,
+        [-0.0, 0.0, -745.0] * 12,
+    ], ids=["repeats", "single", "-inf", "signed-zeros", "ulp-neighbours", "8192-over-4",
+            "nan-over-32", "nan-first-over-32", "signed-zeros-over-32", "-0-first-over-32"])
     def test_bits_of_the_expanded_list(self, values):
         got = leakage._log_sum_exp_distinct(np.array(values))
         assert got.hex() == log_sum_exp(values).hex()

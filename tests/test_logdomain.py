@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmleak.logdomain import (LOG_ZERO, SplitCounts, log_add, log_sum_exp,
-                              log_sum_exp_array)
+from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_array
 
 finite_logs = st.floats(min_value=-300.0, max_value=300.0)
 
@@ -153,13 +152,17 @@ def test_counted_lse_equals_the_exact_sum_up_to_c_1000(case):
     assert log_sum_exp(vals, counts).hex() == exact_counted_lse(vals, counts).hex()
 
 
-def test_split_counts_are_shared_with_the_same_bits():
-    # one split of the counts serves any number of reductions
-    counts = [math.comb(15, w) for w in range(16)]
-    split = SplitCounts(counts)
-    for shift in (0.0, -0.3, -700.0):
-        vals = [shift - 0.41 * w for w in range(16)]
-        assert log_sum_exp(vals, split).hex() == log_sum_exp(vals, counts).hex()
+@pytest.mark.parametrize("vals", [[-1.0, math.nan, 0.0], [math.nan, -2.0], [0.5, math.inf],
+                                  [math.inf, math.inf, 1.0]])
+def test_counted_lse_of_a_nan_or_inf_value_is_nan(vals):
+    assert math.isnan(log_sum_exp(vals, [3] * len(vals)))
+    assert math.isnan(log_sum_exp(vals))
+
+
+def test_counted_lse_past_the_float_range_overflows():
+    with pytest.raises(OverflowError):
+        log_sum_exp([0.0, 0.0], [2 ** 1023, 2 ** 1023])
+    assert log_sum_exp([0.0, -1.0], [2 ** 1023, 1]) == math.log(2.0 ** 1023)
 
 
 def test_counted_lse_rejects_bad_counts():
