@@ -80,11 +80,12 @@ def block_digests(name):
     rng = np.random.default_rng(11)
     s = oracle._draw_scenarios(rng, nx, oracle._BLOCK, 8, channel)
     g, nw = oracle._draw_gains(rng, s.prior.shape, 8)
-    k, nu = oracle._draw_kernels(rng, s.prior.shape, 8)
+    k, sums, nu = oracle._draw_kernels(rng, s.prior.shape, 8)
     arrays = {field.name: getattr(s, field.name) for field in dataclasses.fields(s)}
-    arrays.update(gains=g, guesses=nw, kernels=k, features=nu,
+    arrays.update(gains=g, guesses=nw, kernels=k, kernel_sums=sums, features=nu,
                   indicator_ratios=oracle._indicator_ratios(s),
-                  gain_ratios=oracle._gain_ratios(s, g), kernel_ratios=oracle._kernel_ratios(s, k))
+                  gain_ratios=oracle._gain_ratios(s, g),
+                  kernel_ratios=oracle._kernel_ratios(s, k, sums))
     return {key: hashlib.sha256(a.tobytes()).hexdigest() for key, a in arrays.items()}
 
 

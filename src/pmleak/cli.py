@@ -38,6 +38,9 @@ _NOT_META = frozenset({"command", "config", "mechanism", "out", "svg", "reproduc
 #: most points a grid or n-range COUNT may ask for
 MAX_COUNT = 1_000_000
 
+#: largest |exact_pml - enum_pml| that `thm3` accepts on a row it enumerates
+ENUM_TOL = 1e-9
+
 
 def _load_config(path, command):
     """Config-file values keyed by option dest; every key must name an option
@@ -177,7 +180,12 @@ def cmd_thm3(opts) -> int:
         write_line_chart(opts.svg, series, title="Per-entry PML vs database size",
                          xlabel="n", ylabel="PML (nats)",
                          hlines=[("eps_max", em)], logx=len(ns) > 1 and min(ns) > 0)
-    return EXIT_OK
+    gaps = [(row.n, abs(row.exact_pml - row.enum_pml)) for row in rows if row.enum_pml is not None]
+    misses = [(n, gap) for n, gap in gaps if not gap <= ENUM_TOL]  # NaN misses too
+    for n, gap in misses:
+        print(f"thm3: n = {n}: |exact_pml - enum_pml| = {gap:.3g}, more than {ENUM_TOL:g}",
+              file=sys.stderr)
+    return EXIT_TOLERANCE if misses else EXIT_OK
 
 
 def cmd_bob(opts) -> int:

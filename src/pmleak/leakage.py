@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import _LOWEST, LOG_ZERO, log_sum_exp, log_sum_exp_array
+from .logdomain import _LOWEST, LOG_ZERO, log_sum_exp
 from .mechanisms import FiniteMechanism, LaplaceMechanism
 from .probability import (DatabaseModel, FiniteDistribution, ProductModel, atom_labels,
                           atom_table)
@@ -57,15 +57,6 @@ def pml(prior: FiniteDistribution, log_likelihoods) -> float:
     if log_py == LOG_ZERO:
         return 0.0
     return max(max(lls) - log_py, 0.0)  # NaN stays NaN
-
-
-def pml_batch(log_prior, lls, axis):
-    """`pml` along `axis` of arrays of log P(x) and log P(y | x), which
-    broadcast: (PML, log P(y)), with PML 0 where P(y) = 0 and floored at 0."""
-    log_py = log_sum_exp_array(log_prior + lls, axis, overwrite=True)
-    value = np.zeros_like(log_py)
-    np.subtract(lls.max(axis=axis), log_py, out=value, where=log_py > LOG_ZERO)
-    return np.maximum(value, 0.0, out=value), log_py
 
 
 def _report(prior: FiniteDistribution, lls) -> LeakageReport:

@@ -66,14 +66,14 @@ def log_sum_exp(values: Iterable[LogReal], counts=None) -> LogReal:
     return m + math.log(total / (1 << 1074))
 
 
-def log_sum_exp_array(v, axis=-1, overwrite=False):
+def log_sum_exp_array(v, axis=-1):
     """`log_sum_exp` along `axis` of an array, max-shifted; LOG_ZERO where
     every entry is (or there is none), NaN where one is +inf, without a
-    warning.  With `overwrite`, `v` is shifted and exponentiated in place."""
+    warning."""
     top = v.max(axis=axis, keepdims=True, initial=LOG_ZERO)
     np.maximum(top, _LOWEST, out=top)  # a slice of LOG_ZERO shifts by a finite top
     with np.errstate(divide="ignore", invalid="ignore"):
-        shifted = np.subtract(v, top, out=v if overwrite else None)
+        shifted = v - top
         return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + top.squeeze(axis)
 
 

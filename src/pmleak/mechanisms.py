@@ -270,10 +270,17 @@ def mechanism_from_dict(d: dict):
     if kind == "finite":
         x_labels = spec_field(d, "x_labels", _label_from_json)
         y_labels = spec_field(d, "y_labels", _label_from_json)
+        for key, labels in (("x_labels", x_labels), ("y_labels", y_labels)):
+            if not labels:
+                raise ValueError(f"mechanism spec field {key!r}: the alphabet is empty")
         rows = spec_field(d, "rows", lambda row: [float(p) for p in row])
         if len(rows) != len(x_labels) or any(len(row) != len(y_labels) for row in rows):
             raise ValueError(f"mechanism spec field 'rows': expected {len(x_labels)} rows of "
                              f"{len(y_labels)} probabilities, not {d['rows']!r}")
+        for (i, j), p in np.ndenumerate(rows):
+            if not math.isfinite(p):  # json reads NaN and Infinity
+                raise ValueError(f"mechanism spec field 'rows': rows[{i}][{j}] is {p}, "
+                                 "not a finite probability")
         return FiniteMechanism.from_probs(x_labels, y_labels, rows)
     if kind == "laplace":
         labels = spec_field(d, "labels", _label_from_json)

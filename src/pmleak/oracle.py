@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, log_array, log_sum_exp
-from .leakage import _BLOCK_ENTRIES, PRIOR_FLOOR, _require_integers, pml, pml_batch
+from .logdomain import _LOWEST, LOG_ZERO, log_array, log_sum_exp
+from .leakage import _BLOCK_ENTRIES, PRIOR_FLOOR, _require_integers, pml
 from .mechanisms import FiniteMechanism
 from .probability import NORMALIZATION_TOL, FiniteDistribution
 
@@ -126,8 +126,11 @@ def randomized_function_ratio(prior: FiniteDistribution, log_likelihoods,
 # of a chunk's gains or kernels are drawn the same way, one multinomial a
 # chunk, and its trials take them largest first, so guess slot j is live on
 # a prefix of the trials: only those lanes are drawn, into a table of 0s,
-# which no exp or log takes.  Trials 0, _BLOCK, 2 * _BLOCK, ... of each
-# chunk are replayed through the scalar functions above.
+# which no exp or log takes.  A chunk is scored in linear domain, so a trial
+# takes one log, that of its PML, and a kernel's row sums are folded into the
+# (nx, T) prior and posterior.  Trials 0, _BLOCK, 2 * _BLOCK, ... of each chunk
+# are replayed through the scalar functions above, from the log of the drawn
+# entries or the fixed channel's own log table.
 
 #: one trial in every _BLOCK of a chunk is replayed; a chunk holds at most 2 * _BLOCK
 _BLOCK = 1024
@@ -168,65 +171,69 @@ class _Scenarios:
     """A chunk of trials over nx secrets: a prior and one outcome's likelihoods each."""
 
     prior: np.ndarray      # (nx, T) P(x)
-    lls: np.ndarray        # (nx, T) log P(y | x)
+    lik: np.ndarray        # (nx, T) P(y | x); a fixed channel's over its column maximum
     target: np.ndarray     # (T,) PML of y
     post: np.ndarray       # (nx, T) P(x | y); the prior where P_Y(y) = 0
+    logp: np.ndarray       # a fixed channel's (nx, ny) log P(y | x); (nx, 0) for random ones
+    outcome: np.ndarray    # (T,) each trial's column of logp; empty for random channels
 
     def trial(self, t):
         """Trial t as the scalar functions take it: (prior, log-likelihoods)."""
         log_prior = np.log(self.prior[:, t])
+        lls = self.logp[:, self.outcome[t]] if self.outcome.size else log_array(self.lik[:, t])
         return (FiniteDistribution(tuple(range(len(log_prior))), tuple(log_prior.tolist())),
-                self.lls[:, t].tolist())
+                lls.tolist())
 
 
 def _random_channels(rng, nx, size, width):
-    """(nx, size) log P(y | x) at one outcome y of a channel with uniform
+    """(nx, size) P(y | x) at one outcome y of a channel with uniform
     Dirichlet rows over 2..width outcomes, one channel per trial.
 
     Only the scored column is drawn: an entry of a uniform Dirichlet row over
     ny outcomes is Beta(1, ny - 1), independently over rows, so it is
-    1 - (1 - U)^(1 / (ny - 1)) for one uniform U, taken in log domain."""
+    1 - (1 - U)^(1 / (ny - 1)) for one uniform U."""
     ny = rng.integers(2, width + 1, size=size)
-    lls = rng.random((nx, size))  # -expm1(log1p(-U) / (ny - 1)), in place
-    np.negative(lls, out=lls)
-    np.log1p(lls, out=lls)
-    lls /= ny - 1
-    np.expm1(lls, out=lls)
-    np.negative(lls, out=lls)
-    with np.errstate(divide="ignore"):  # log 0 = LOG_ZERO
-        np.log(lls, out=lls)
-    probability = lls <= 0
+    lik = rng.random((nx, size))  # -expm1(log1p(-U) / (ny - 1)), in place
+    np.negative(lik, out=lik)
+    np.log1p(lik, out=lik)
+    lik /= ny - 1
+    np.expm1(lik, out=lik)
+    np.negative(lik, out=lik)
+    probability = (lik >= 0) & (lik <= 1)  # NaN fails
     if not probability.all():
         x, t = np.argwhere(~probability)[0]
-        raise ValueError(f"channel entry for {int(x)!r} is exp({lls[x, t]:.6g}), "
-                         "not a probability")
-    return lls
+        raise ValueError(f"channel entry for {int(x)!r} is {lik[x, t]:.6g}, not a probability")
+    return lik
 
 
 def _draw_scenarios(rng, nx, size, max_alphabet, channel) -> _Scenarios:
     """`size` trials over nx secrets: a random channel (or the given one), a
     floored uniform Dirichlet prior and a uniform outcome each, scored for their PML."""
     if channel is None:
-        lls = _random_channels(rng, nx, size, max_alphabet)
-    else:
-        lls = channel.logp.take(rng.integers(len(channel.y_labels), size=size), axis=1)
-    prior = rng.standard_exponential(lls.shape)  # uniform Dirichlet over the secrets
+        lik = _random_channels(rng, nx, size, max_alphabet)
+        logp, outcome = np.empty((nx, 0)), np.empty(0, dtype=int)
+    else:  # a zero column shifts by a finite top, so its entries stay 0
+        logp = channel.logp
+        table = np.exp(logp - logp.max(axis=0, initial=_LOWEST))
+        outcome = rng.integers(len(channel.y_labels), size=size)
+        lik = table.take(outcome, axis=1)
+    prior = rng.standard_exponential(lik.shape)  # uniform Dirichlet over the secrets
     prior /= prior.sum(axis=0)
     np.maximum(prior, PRIOR_FLOOR, out=prior)
     prior /= prior.sum(axis=0)
     if not (prior > 0).all():
         raise ValueError("PML requires full-support prior")
 
-    log_prior = np.log(prior)
-    target, log_py = pml_batch(log_prior, lls, 0)
-    post = np.add(lls, log_prior, out=log_prior)
-    with np.errstate(invalid="ignore"):  # -inf - -inf where P_Y(y) = 0
-        post -= log_py
-    np.exp(post, out=post)
-    dead = log_py == LOG_ZERO
-    if dead.any():
-        post[:, dead] = prior[:, dead]
-    return _Scenarios(prior, lls, target, post)
+    post = prior * lik
+    py = post.sum(axis=0)  # P_Y(y), a fixed channel's over its column maximum
+    live = py > 0
+    ratio = np.divide(lik.max(axis=0), py, out=np.ones_like(py), where=live)
+    target = np.maximum(np.log(ratio, out=ratio), 0.0, out=ratio)  # PML 0 where P_Y(y) = 0
+    with np.errstate(invalid="ignore"):  # 0 / 0 where P_Y(y) = 0
+        post /= py
+    if not live.all():
+        post[:, ~live] = prior[:, ~live]
+    return _Scenarios(prior, lik, target, post, logp, outcome)
 
 
 def _guess_lanes(rng, shape, max_guesses, draw):
@@ -258,14 +265,16 @@ def _draw_gains(rng, shape, max_guesses):
 
 
 def _draw_kernels(rng, shape, max_guesses):
-    """Uniform Dirichlet kernel rows P(u | x), (nx, U, T), over 1..max_guesses features."""
+    """Uniform Dirichlet kernel rows P(u | x) over 1..max_guesses features: weights
+    (nx, U, T) over each row's sum (nx, T), which is positive and finite exactly
+    where the rows would pass `GuessKernel`'s sum-to-1 check."""
     k, nu = _guess_lanes(rng, shape, max_guesses, rng.standard_exponential)
-    k /= k.sum(axis=1, keepdims=True)
     if (k < 0).any():
         raise ValueError("negative kernel probability")
-    if not (np.abs(k.sum(axis=1) - 1.0) <= NORMALIZATION_TOL).all():
+    sums = k.sum(axis=1)
+    if not ((sums > 0) & (sums < math.inf)).all():  # NaN fails too
         raise ValueError("kernel rows must sum to 1")
-    return k, nu
+    return k, sums, nu
 
 
 def _indicator_ratios(s: _Scenarios) -> np.ndarray:
@@ -282,12 +291,12 @@ def _gain_ratios(s: _Scenarios, g) -> np.ndarray:
     return log_array(num) - np.log(den)
 
 
-def _kernel_ratios(s: _Scenarios, k) -> np.ndarray:
-    """`randomized_function_ratio` per trial: best-guess posterior over prior."""
-    peak = np.einsum("at,aut->ut", s.prior, k).max(axis=0)
+def _kernel_ratios(s: _Scenarios, k, sums) -> np.ndarray:
+    """`randomized_function_ratio` per trial of rows k / sums: best-guess posterior over prior."""
+    peak = np.einsum("at,aut->ut", s.prior / sums, k).max(axis=0)
     if not (peak > 0).all():
         raise ValueError("kernel assigns no mass")
-    return np.log(np.einsum("at,aut->ut", s.post, k).max(axis=0)) - np.log(peak)
+    return np.log(np.einsum("at,aut->ut", s.post / sums, k).max(axis=0)) - np.log(peak)
 
 
 def _gap(batch, scalar) -> float:
@@ -315,9 +324,9 @@ def _gains(rng, s: _Scenarios, max_guesses):
 
 
 def _kernels(rng, s: _Scenarios, max_guesses):
-    k, nu = _draw_kernels(rng, s.prior.shape, max_guesses)
-    return _kernel_ratios(s, k), lambda t, prior, lls: randomized_function_ratio(
-        prior, lls, GuessKernel(k[:, :nu[t], t]))
+    k, sums, nu = _draw_kernels(rng, s.prior.shape, max_guesses)
+    return _kernel_ratios(s, k, sums), lambda t, prior, lls: randomized_function_ratio(
+        prior, lls, GuessKernel(k[:, :nu[t], t] / sums[:, t, None]))
 
 
 def _block(rng, nx, size, adversary, max_alphabet, max_guesses, channel):

@@ -13,7 +13,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmleak import cli
+from pmleak import cli, constructions
 from pmleak.constructions import BobModel
 from pmleak.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from support import RESULTS, ROOT, load_script, run_without_avx512, traced_peak
@@ -167,6 +167,35 @@ class TestThm3:
                                           "--n-range", "16", "256", "3"])
         for row in rows:
             assert float(row[1]) <= float(row[2]) + 1e-12
+
+    def test_enumeration_miss_exits_2_and_names_the_row(self, tmp_path, capsys, monkeypatch):
+        # an enumeration that reads PML 0 at n = 8 only, of the rows n = 4, 8, 16
+        entry0 = constructions._entry0_channel
+
+        def perturbed(model, epsilon, y):
+            prior, lls = entry0(model, epsilon, y)
+            return prior, [0.0] * len(lls) if model.n == 8 else lls
+
+        monkeypatch.setattr(constructions, "_entry0_channel", perturbed)
+        out = tmp_path / "out.csv"
+        assert main(["thm3", "--n-range", "4", "16", "3", "--out", str(out)]) == EXIT_TOLERANCE
+        err = capsys.readouterr().err
+        assert err.startswith("thm3: n = 8: |exact_pml - enum_pml| = ")
+        assert err.endswith(", more than 1e-09\n") and err.count("\n") == 1
+        _, _, rows = read_table(out)  # the table is written as before
+        assert [row[0] for row in rows] == ["4", "8", "16"] and rows[1][3] == "0"
+
+    def test_large_epsilon_enumeration_miss_exits_2(self, tmp_path, capsys):
+        # at y in (0, 1) and large epsilon the enumeration loses the PML: it
+        # reads 0 where the PML is log 2 (ROADMAP item 13 (b)); once it keeps
+        # its last bits, this command exits 0
+        out = tmp_path / "out.csv"
+        argv = ["thm3", "--n", "3", "--epsilon", "1e17", "--y", "0.3", "--out", str(out)]
+        assert main(argv) == EXIT_TOLERANCE
+        assert capsys.readouterr().err == (
+            "thm3: n = 3: |exact_pml - enum_pml| = 0.693, more than 1e-09\n")
+        assert read_table(out)[2] == [["3", "", "0.69314718055994518", "0",
+                                       "1.3862943611198906"]]
 
 
 class TestBob:
@@ -378,6 +407,10 @@ def without(spec, field):
     pytest.param(dict(FINITE, rows=[[0.5, 0.5]] * 3), "mechanism spec field 'rows': expected "
                  "2 rows of 2 probabilities, not [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]\n",
                  id="more-rows"),
+    pytest.param(dict(FINITE, x_labels=[], y_labels=[], rows=[]),
+                 "mechanism spec field 'x_labels': the alphabet is empty\n", id="empty-alphabets"),
+    pytest.param(dict(FINITE, y_labels=[], rows=[[], []]),
+                 "mechanism spec field 'y_labels': the alphabet is empty\n", id="empty-y-labels"),
 ])
 def test_malformed_spec_is_one_error_line(tmp_path, capsys, payload, message):
     spec = write_spec(tmp_path, payload)
@@ -391,6 +424,19 @@ def test_spec_that_is_not_an_object_is_one_error_line(tmp_path, capsys, command)
     spec = write_spec(tmp_path, [1, 2])
     assert main([*command, "--mechanism", spec]) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: mechanism spec must be a JSON object, not [1, 2]\n"
+
+
+@pytest.mark.parametrize("literal, cell", [("NaN", "nan"), ("Infinity", "inf")])
+@pytest.mark.parametrize("command", [["analyze", "--y", "0"],
+                                     ["oracle", "--achievability-trials", "5"]])
+def test_non_finite_spec_cell_is_one_error_line(tmp_path, capsys, command, literal, cell):
+    # Python's json reads both literals as floats
+    spec = tmp_path / "mech.json"
+    spec.write_text('{"kind": "finite", "x_labels": [0, 1], "y_labels": [0, 1], '
+                    f'"rows": [[0.5, 0.5], [{literal}, 0.5]]}}')
+    assert main([*command, "--mechanism", str(spec)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: mechanism spec field 'rows': rows[1][0] is {cell}, not a finite probability\n")
 
 
 NAN_LAPLACE = {"kind": "laplace", "scale": float("nan"), "sensitivity": 1.0,

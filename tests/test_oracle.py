@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -228,10 +229,10 @@ class TestBatch:
         rng = np.random.default_rng(11)
         s = oracle._draw_scenarios(rng, nx, oracle._BLOCK, 8, channel)
         g, nw = oracle._draw_gains(rng, s.prior.shape, 8)
-        k, nu = oracle._draw_kernels(rng, s.prior.shape, 8)
+        k, sums, nu = oracle._draw_kernels(rng, s.prior.shape, 8)
         # dense over the secrets, the trial axis last and contiguous, so each
         # reduction runs over rows
-        for drawn in (s.prior, s.lls, s.post, g, k):
+        for drawn in (s.prior, s.lik, s.post, g, k, sums):
             assert drawn.shape[0] == nx and drawn.shape[-1] == oracle._BLOCK
             assert drawn.flags.c_contiguous
         # the trials take their guess counts largest first, and every count
@@ -241,22 +242,22 @@ class TestBatch:
             assert (np.diff(counts) <= 0).all() and set(counts[checked]) == set(range(1, 9))
         best = oracle._indicator_ratios(s)
         gains = oracle._gain_ratios(s, g)
-        kernels = oracle._kernel_ratios(s, k)
+        kernels = oracle._kernel_ratios(s, k, sums)
         for t in checked:
             prior = FiniteDistribution.from_probs(range(nx), s.prior[:, t])
-            lls = list(s.lls[:, t])
+            lls = s.trial(t)[1]
             assert s.target[t] == pytest.approx(pml(prior, lls), abs=1e-13)
             indicator = max(gain_ratio(prior, lls, indicator_gain(nx, j)) for j in range(nx))
             assert best[t] == pytest.approx(indicator, abs=1e-13)
             assert not g[:, nw[t]:, t].any() and not k[:, nu[t]:, t].any()
             gain = GainFunction(g[:, :nw[t], t])
             assert gains[t] == pytest.approx(gain_ratio(prior, lls, gain), abs=1e-13)
-            kernel = GuessKernel(k[:, :nu[t], t])
+            kernel = GuessKernel(k[:, :nu[t], t] / sums[:, t, None])
             assert kernels[t] == pytest.approx(
                 randomized_function_ratio(prior, lls, kernel), abs=1e-13)
         if channel is not None:  # the zero-mass outcome leaks nothing
-            dead = s.lls.max(axis=0) == -math.inf
-            assert dead.any() and np.all(s.target[dead] == 0.0)
+            dead = s.outcome == 2
+            assert dead.any() and not s.lik[:, dead].any() and np.all(s.target[dead] == 0.0)
             assert np.array_equal(s.post[:, dead], s.prior[:, dead])
 
     def test_indicator_replay_scores_two_secrets(self, monkeypatch):
@@ -342,9 +343,9 @@ class TestBatch:
             tallies.append(tally)
 
             def recording(rng, shape, max_guesses, draw=getattr(oracle, name), tally=tally):
-                table, counts = draw(rng, shape, max_guesses)
+                *tables, counts = draw(rng, shape, max_guesses)
                 tally += np.bincount(counts, minlength=9)
-                return table, counts
+                return *tables, counts
 
             monkeypatch.setattr(oracle, name, recording)
         run_adversary_trials(seed=4, achievability_trials=1, gain_trials=30_000,
@@ -401,6 +402,33 @@ class TestBatch:
         assert not report.passed
 
 
+# outcome 2's column lies wholly below e^-690: a log-domain sum of log P(x) +
+# log P(y | x) rounds at ulp(690), about 1e-13
+TINY_COLUMN_CHANNEL = FiniteMechanism.from_probs((0, 1, 2), (0, 1, 2), [
+    [0.5, 0.5 - 1e-300, 1e-300], [0.5, 0.5 - 1e-305, 1e-305], [0.9, 0.1 - 1e-302, 1e-302]])
+
+
+def reference_pml(prior, lls):
+    """log max P(y | x) / P(y) in 50-digit mpmath, each float input taken as exact."""
+    with mpmath.workdps(50):
+        lls = [mpmath.mpf(float(v)) for v in lls]
+        log_py = mpmath.log(mpmath.fsum(mpmath.mpf(float(p)) * mpmath.exp(v)
+                                        for p, v in zip(prior, lls)))
+        return max(lls) - log_py
+
+
+def test_tiny_column_keeps_its_last_bits():
+    # a fixed channel is scored from exp(log P(y | x) - its column maximum)
+    rng = np.random.default_rng(11)
+    s = oracle._draw_scenarios(rng, 3, oracle._BLOCK, 8, TINY_COLUMN_CHANNEL)
+    assert set(s.outcome.tolist()) == {0, 1, 2}
+    for t in range(oracle._BLOCK):
+        lls = TINY_COLUMN_CHANNEL.logp[:, s.outcome[t]]
+        assert abs(s.target[t] - float(reference_pml(s.prior[:, t], lls))) <= 2e-15
+        # the replay reads the channel's own log table, not the shifted one
+        assert s.trial(t)[1] == lls.tolist()
+
+
 class _StubGenerator:
     """A seeded generator whose draws of the named kinds are one constant."""
 
@@ -427,14 +455,24 @@ SHAPE = (3, 4)
 
 @pytest.mark.parametrize("draw, fills, message", [
     (lambda rng: oracle._draw_scenarios(rng, 3, 4, 3, None),
-     {"random": 2.0}, "channel entry for 0 is exp"),
+     {"random": 2.0}, "channel entry for 0 is nan, not a probability"),
+    (lambda rng: oracle._draw_scenarios(rng, 3, 4, 2, None),
+     {"random": -1.0}, "channel entry for 0 is -1, not a probability"),
     (lambda rng: oracle._draw_scenarios(rng, 3, 4, 3, ZERO_MASS_CHANNEL),
      {"standard_exponential": 0.0}, "full-support prior"),
     (lambda rng: oracle._draw_gains(rng, SHAPE, 3), {"random": -0.5}, "non-negative"),
     (lambda rng: oracle._draw_gains(rng, SHAPE, 3), {"random": 0.0}, "degenerate gain"),
     (lambda rng: oracle._draw_kernels(rng, SHAPE, 3),
      {"standard_exponential": 0.0}, "kernel rows must sum to 1"),
-], ids=["channel-row-mass", "prior-support", "negative-gain", "zero-gain", "kernel-rows"])
+    (lambda rng: oracle._draw_kernels(rng, SHAPE, 3),
+     {"standard_exponential": math.inf}, "kernel rows must sum to 1"),
+    (lambda rng: oracle._draw_kernels(rng, SHAPE, 3),
+     {"standard_exponential": math.nan}, "kernel rows must sum to 1"),
+    (lambda rng: oracle._draw_kernels(rng, SHAPE, 3),
+     {"standard_exponential": -1.0}, "negative kernel probability"),
+], ids=["channel-row-mass", "channel-entry-negative", "prior-support", "negative-gain",
+        "zero-gain", "kernel-rows", "kernel-rows-infinite", "kernel-rows-nan",
+        "kernel-negative"])
 def test_block_draws_are_validated(draw, fills, message):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
         draw(_StubGenerator(**fills))
@@ -469,9 +507,9 @@ class TestRandomChannels:
         # drawn as a phase draws them: a group of trials at each secret count
         n = 10 ** 6
         rng = np.random.default_rng(1)
-        drawn = np.exp(np.concatenate([
+        drawn = np.concatenate([
             oracle._random_channels(rng, nx, count, 8).ravel()
-            for nx, count in enumerate(rng.multinomial(210_000, [1 / 7] * 7), 2)]))
+            for nx, count in enumerate(rng.multinomial(210_000, [1 / 7] * 7), 2)])
         reference = full_channel_entries(np.random.default_rng(2), 210_000, 8)
         assert len(drawn) >= n and len(reference) >= n
         assert np.all((drawn >= 0) & (drawn <= 1))
