@@ -574,22 +574,22 @@ def _entry0_channel(model: CorrelatedBinaryModel, epsilon: float, y) -> tuple:
     the 2(n+1) classes (d_0, tail weight w) of C(n, w) atoms, all of which
     share the class's mass and likelihood: each reduction takes the counts,
     which gives the bits of the reduction over every atom.  A class's mass
-    is its `log_mass_table` entry, its likelihood the Laplace density at
-    (d_0 + w)/(n+1), both summed as floats: the centers, distances and
-    divisions are correctly rounded, as in `entry_channel`'s arrays.  Valid
-    for n < 1024: log_sum_exp sums the counts exactly, and past that their
-    total 2^n can leave the float range."""
+    is its `log_mass_table` entry, its likelihood `lls[d_0 + w]`, from one
+    `laplace_log_density` call per center i/(n+1), both summed as floats:
+    the centers, distances and divisions are correctly rounded, as in
+    `entry_channel`'s arrays.  Valid for n < 1024: log_sum_exp sums the
+    counts exactly, and past that their total 2^n can leave the float range."""
     n, m = model.n, model.num_entries
     b = calibrated_scale(n, epsilon)
     counts = [math.comb(n, w) for w in range(m)]
+    lls = [laplace_log_density(i / m, b, y) for i in range(m + 1)]
     law, cond = [], []
     for d, (rest, peak) in enumerate(model.log_mass_table()):
         masses = [rest] * m
         masses[n * d] = peak  # the tail of n copies of d
         lp = log_sum_exp(masses, counts)
         law.append(lp)
-        cond.append(log_sum_exp([(v - lp) + laplace_log_density((d + w) / m, b, y)
-                                 for w, v in enumerate(masses)], counts))
+        cond.append(log_sum_exp([(v - lp) + lls[d + w] for w, v in enumerate(masses)], counts))
     return FiniteDistribution(model.alphabet, tuple(law)), cond
 
 

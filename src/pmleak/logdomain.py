@@ -66,17 +66,6 @@ def log_sum_exp(values: Iterable[LogReal], counts=None) -> LogReal:
     return m + math.log(total / (1 << 1074))
 
 
-def log_sum_exp_array(v, axis=-1):
-    """`log_sum_exp` along `axis` of an array, max-shifted; LOG_ZERO where
-    every entry is (or there is none), NaN where one is +inf, without a
-    warning."""
-    top = v.max(axis=axis, keepdims=True, initial=LOG_ZERO)
-    np.maximum(top, _LOWEST, out=top)  # a slice of LOG_ZERO shifts by a finite top
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shifted = v - top
-        return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + top.squeeze(axis)
-
-
 def log_array(v):
     """Elementwise log of a non-negative array, LOG_ZERO at 0 without a warning."""
     return np.log(v, out=np.full(v.shape, LOG_ZERO), where=v != 0)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, LogReal, log_array, log_sum_exp_array
+from .logdomain import LOG_ZERO, LogReal, log_array
 from .probability import ENUMERATION_LIMIT, NORMALIZATION_TOL, require_enumerable
 
 
@@ -33,7 +33,10 @@ class FiniteMechanism:
             raise ValueError("channel matrix shape mismatch")
         object.__setattr__(self, "logp", m)
         m.flags.writeable = False
-        for x, mass in zip(self.x_labels, log_sum_exp_array(m, axis=1)):
+        # unshifted: a valid row's largest entry is at least 1/|Y|
+        with np.errstate(over="ignore", divide="ignore"):
+            masses = np.log(np.exp(m).sum(axis=1))
+        for x, mass in zip(self.x_labels, masses):
             if not abs(mass) <= NORMALIZATION_TOL:
                 raise ValueError(f"channel row for {x!r} has mass exp({mass:.6g})")
         object.__setattr__(self, "_xi", {x: i for i, x in enumerate(self.x_labels)})
@@ -101,13 +104,13 @@ class LaplaceMechanism:
 
     def log_likelihoods(self, atoms: np.ndarray, y) -> np.ndarray:
         """log P(y | x) for every row x of an (A, m) label table: the query
-        applied row-wise, then `laplace_log_density` elementwise."""
+        applied row-wise, then `laplace_log_density` on the array of centers."""
         centers = np.asarray(self.query(atoms), dtype=float)
         if centers.shape != atoms.shape[:1]:
             raise ValueError(f"query gives shape {centers.shape} on {len(atoms)} atoms, "
                              "not one value per atom")
         with np.errstate(over="ignore"):  # an overflowing distance gives -inf, as on floats
-            return -math.log(2.0 * self.scale) - np.abs(y - centers) / self.scale
+            return laplace_log_density(centers, self.scale, y)
 
 
 def _check_epsilon(epsilon: float):
@@ -125,7 +128,7 @@ def _check_scale(scale: float):
 
 
 def laplace_log_density(center: float, b: float, y: float) -> LogReal:
-    """log of the Lap(center, b) density at y."""
+    """log of the Lap(center, b) density at y; elementwise for an array of centers."""
     if not b > 0:
         raise ValueError("scale must be positive")
     return -math.log(2.0 * b) - abs(y - center) / b
@@ -208,7 +211,6 @@ def dp_level_finite(mech: FiniteMechanism, num_entries: int = 1) -> float:
     """
     if num_entries < 1:
         raise ValueError("need at least one entry")
-    index = {x: i for i, x in enumerate(mech.x_labels)}
     if num_entries == 1:
         pairs = itertools.permutations(mech.x_labels, 2)
     else:
@@ -218,11 +220,11 @@ def dp_level_finite(mech: FiniteMechanism, num_entries: int = 1) -> float:
         # the maximum over neighbors does not depend on the alphabet's order
         alphabet = tuple(dict.fromkeys(d for x in mech.x_labels for d in x))
         pairs = ((x, x2) for x in mech.x_labels for x2 in neighbors(x, alphabet)
-                 if x2 in index)
+                 if x2 in mech._xi)
     worst = 0.0
     for x, x2 in pairs:
-        a = mech.logp[index[x]]
-        b = mech.logp[index[x2]]
+        a = mech.logp[mech._xi[x]]
+        b = mech.logp[mech._xi[x2]]
         mask = a > LOG_ZERO
         if np.any(b[mask] == LOG_ZERO):
             return float("inf")

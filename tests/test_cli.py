@@ -112,6 +112,19 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1 and "--y-grid" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, message", [
+        pytest.param(["analyze"], "continuous mechanism needs --y or --y-grid",
+                     id="analyze-without-outcomes"),
+        pytest.param(["oracle", "--achievability-trials", "5"],
+                     "oracle trials need a finite mechanism", id="oracle"),
+    ])
+    def test_laplace_spec_the_command_cannot_use_is_one_error_line(self, tmp_path, capsys,
+                                                                    command, message):
+        spec = write_spec(tmp_path, {"kind": "laplace", "scale": 1.0, "labels": [0, 1],
+                                     "centers": [0, 1]})
+        assert main([*command, "--mechanism", spec]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_identical_rows_leak_exactly_nothing(self, tmp_path):
         # max(lls) - log P(y) rounded to -2.2e-16 at y = 0
         spec = write_spec(tmp_path, {

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import laplace as scipy_laplace
 
 from pmleak import constructions
@@ -16,7 +17,7 @@ from pmleak.constructions import (BobModel, CorrelatedBinaryModel, EtaSchedule,
                                   cond_density_binomial, cond_density_closed_form,
                                   find_limit_n, lower_bound, pml_d1, sweep)
 from pmleak.leakage import entry_channel, pml, pml_entry
-from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_array
+from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp
 from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism, dp_level_laplace,
                                laplace_log_density, product_mechanism)
 from pmleak.probability import ExplicitJointModel, FiniteDistribution, ProductModel
@@ -190,7 +191,7 @@ def window_cond_densities(model, b, y, lo, hi):
     # is then the same at d1 = 0 and 1 and cancels from the PML
     log_scale = (math.log1p(-model.eta) - _log_two_pow_minus_one(n)
                  + log_binom(n, lo) - math.log(2.0 * b))
-    uniform_part = (log_scale + log_sum_exp_array(terms)).tolist()
+    uniform_part = (log_scale + logsumexp(terms, axis=-1)).tolist()
     # the all-d1 tail: its center is d1 itself
     return [log_add(math.log(model.eta) + laplace_log_density(float(d1), b, y), uniform)
             for d1, uniform in enumerate(uniform_part)]
@@ -712,6 +713,11 @@ class TestLowerBound:
         # once lower_bound's errors were taken for n where eta leaves (0, 1)
         with pytest.raises(ValueError, match=message):
             find_limit_n(alpha, EtaSchedule.constant(0.5), epsilon, delta)
+
+    def test_find_limit_n_without_a_qualifying_n(self):
+        # eta = 1.5 leaves (0, 1) at every n, so every n is skipped
+        with pytest.raises(ValueError, match=r"^no n <= 1000000 brings the bound within"):
+            find_limit_n(0.25, EtaSchedule.constant(1.5), 0.1, 0.1)
 
     def test_polynomial_eta_still_converges(self):
         schedule = EtaSchedule.polynomial(1.0, 1.0)

@@ -57,6 +57,10 @@ class TestPml:
         with pytest.raises(ValueError, match="full-support prior"):
             pml(prior, [0.0, 0.0])
 
+    def test_likelihood_vector_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^likelihood vector length mismatch$"):
+            pml(FiniteDistribution.uniform((0, 1)), [0.0])
+
     def test_identity_attains_eps_max(self):
         prior = FiniteDistribution.from_probs((0, 1), (0.25, 0.75))
         mech = FiniteMechanism.from_probs((0, 1), (0, 1), [[1, 0], [0, 1]])

@@ -1,13 +1,11 @@
 import math
-import warnings
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp, log_sum_exp_array
+from pmleak.logdomain import LOG_ZERO, log_add, log_sum_exp
 
 finite_logs = st.floats(min_value=-300.0, max_value=300.0)
 
@@ -44,21 +42,6 @@ def test_lse_empty_rejected():
 
 def test_lse_all_zero_mass():
     assert log_sum_exp([LOG_ZERO, LOG_ZERO]) == LOG_ZERO
-
-
-def test_lse_array_matches_scalar_row_by_row():
-    rng = np.random.default_rng(3)
-    rows = rng.uniform(20.0, 700.0, (40, 6)) * rng.choice([-1.0, 1.0], (40, 1))
-    rows[5:10, :3] = LOG_ZERO   # some entries of zero mass
-    rows[10] = LOG_ZERO         # and a row of them only
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = log_sum_exp_array(rows, axis=1)
-        assert np.array_equal(log_sum_exp_array(rows.T, axis=0), got)
-    assert got[10] == LOG_ZERO
-    for row, value in zip(rows, got):
-        want = log_sum_exp(row.tolist())
-        assert math.isclose(value, want, rel_tol=1e-15)
 
 
 @given(st.lists(finite_logs, min_size=1, max_size=30))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pmleak.logdomain import LOG_ZERO
 from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism,
                                dp_level_finite, dp_level_laplace,
                                l1_sensitivity, laplace_for_query,
@@ -257,6 +258,53 @@ class TestSpecFiles:
             mechanism_from_dict({"kind": "finite", "x_labels": [0, 1],
                                  "y_labels": [0, 1],
                                  "rows": [[0.5, 0.4], [0.5, 0.5]]})
+
+
+HALF = math.log(0.5)
+
+
+@pytest.mark.parametrize("row, mass", [
+    pytest.param([math.inf, LOG_ZERO], "inf", id="inf-cell"),
+    pytest.param([1000.0, LOG_ZERO], "inf", id="overflowing-cell"),
+    pytest.param([LOG_ZERO, LOG_ZERO], "-inf", id="zero-row"),
+    pytest.param([math.nan, HALF], "nan", id="nan-cell"),
+    pytest.param([HALF + 2e-9, HALF + 2e-9], "2e-09", id="mass-just-outside-tolerance"),
+])
+def test_row_mass_check_at_its_edges(row, mass):
+    # the row sums are taken unshifted, and pytest's error::RuntimeWarning
+    # filter fails the test if an overflow or a log of 0 warns
+    with pytest.raises(ValueError) as info:
+        FiniteMechanism((0, 1), ("a", "b"), np.array([[HALF, HALF], row]))
+    assert str(info.value) == f"channel row for 1 has mass exp({mass})"
+
+
+def test_row_mass_within_tolerance_builds():
+    FiniteMechanism((0, 1), ("a", "b"), np.array([[HALF, HALF], [HALF + 5e-10] * 2]))
+    mech = product_mechanism(randomized_response(0.25), 8)
+    assert mech.logp.shape == (256, 256)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: FiniteMechanism((0, 1), (0, 1), np.zeros((2, 3))), ValueError,
+                 "^channel matrix shape mismatch$", id="finite-wrong-shape"),
+    pytest.param(lambda: randomized_response(0.25).log_likelihood(0, 7), KeyError,
+                 "outcome 7 not in channel", id="finite-unknown-outcome"),
+    pytest.param(lambda: laplace_log_density(0.0, 0.0, 1.0), ValueError,
+                 "^scale must be positive$", id="density-zero-scale"),
+    pytest.param(lambda: laplace_log_density(0.0, -1.0, 1.0), ValueError,
+                 "^scale must be positive$", id="density-negative-scale"),
+    pytest.param(lambda: product_mechanism(randomized_response(0.25), 0), ValueError,
+                 "^need at least one entry$", id="product-of-no-entries"),
+    pytest.param(lambda: laplace_for_query(sum, 1.0), ValueError,
+                 "^sensitivity requires analytic form$", id="query-without-sensitivity"),
+    pytest.param(lambda: laplace_for_query(sum, 1.0, sensitivity=math.inf), ValueError,
+                 "^sensitivity must be finite$", id="query-infinite-sensitivity"),
+    pytest.param(lambda: dp_level_laplace(LaplaceMechanism(sum, 1.0)), ValueError,
+                 "^sensitivity requires analytic form$", id="dp-level-without-sensitivity"),
+])
+def test_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestAtomLogLikelihoods:

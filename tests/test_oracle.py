@@ -97,6 +97,27 @@ class TestGainRatio:
             GainFunction(np.array([[bad], [1.0]]))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: GainFunction(np.ones(3)), "^gain table must be 2-dimensional$",
+                 id="gain-1d"),
+    pytest.param(lambda: GuessKernel(np.full(2, 0.5)), "^kernel must be 2-dimensional$",
+                 id="kernel-1d"),
+    pytest.param(lambda: GuessKernel(np.array([[1.5, -0.5]])),
+                 "^negative kernel probability$", id="kernel-negative-cell"),
+    pytest.param(lambda: gain_ratio(*scenario(), GainFunction(np.ones((3, 2)))),
+                 "^gain table does not match the secret alphabet$", id="gain-secret-count"),
+    pytest.param(lambda: randomized_function_ratio(*scenario(), GuessKernel(np.eye(3))),
+                 "^kernel does not match the secret alphabet$", id="kernel-secret-count"),
+    # prior @ g = 1e-300 * 1e-300 underflows to 0
+    pytest.param(lambda: gain_ratio(FiniteDistribution.from_probs((0, 1), (1e-300, 1.0)),
+                                    [0.0, 0.0], GainFunction(np.array([[1e-300], [0.0]]))),
+                 "^degenerate gain$", id="gain-underflowing-prior-mass"),
+])
+def test_malformed_adversary_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestRandomizedFunctionRatio:
     def test_independent_feature_leaks_nothing(self):
         prior, lls = scenario()

@@ -85,6 +85,25 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError, match=r"^probability for 'a' is inf$"):
             FiniteDistribution.from_probs(("a", "b"), (math.inf, 1.0), normalize=normalize)
 
+    @pytest.mark.parametrize("labels, logp, message", [
+        pytest.param((), (), "^empty alphabet$", id="no-labels"),
+        pytest.param(("a", "b"), (0.0,), "^labels and logp length mismatch$",
+                     id="fewer-log-masses"),
+        pytest.param(("a", "b"), (0.1, LOG_ZERO), "^log-probability above 0$",
+                     id="log-probability-above-0"),
+    ])
+    def test_malformed_distribution_rejected(self, labels, logp, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteDistribution(labels, logp)
+
+    def test_zero_weights_cannot_be_normalized(self):
+        with pytest.raises(ValueError, match="^cannot normalize zero mass$"):
+            FiniteDistribution.from_probs(("a", "b"), (0.0, 0.0), normalize=True)
+
+    def test_index_of_a_missing_label(self):
+        with pytest.raises(KeyError, match="label 'c' not in alphabet"):
+            FiniteDistribution.uniform(("a", "b")).index("c")
+
     def test_full_support_flag(self):
         assert FiniteDistribution.uniform((1, 2, 3)).full_support
         assert not FiniteDistribution.from_probs((1, 2), (1.0, 0.0)).full_support
@@ -118,6 +137,19 @@ class TestProductModel:
         model = ProductModel((BERNOULLI_03,) * 3)
         with pytest.raises(IndexError):
             model.conditional_rest(3, 0)
+
+    @pytest.mark.parametrize("marginals, message", [
+        pytest.param((), "^product model needs at least one entry$", id="no-entries"),
+        pytest.param((BERNOULLI_03, FiniteDistribution.uniform(("a", "b"))),
+                     "^entries must share one alphabet$", id="two-alphabets"),
+    ])
+    def test_malformed_product_rejected(self, marginals, message):
+        with pytest.raises(ValueError, match=message):
+            ProductModel(marginals)
+
+    def test_one_entry_conditions_to_the_empty_tuple(self):
+        cond = ProductModel((BERNOULLI_03,)).conditional_rest(0, 1)
+        assert cond.labels == ((),) and cond.logp == (0.0,)
 
     def test_condition_on_impossible_symbol(self):
         model = ProductModel((FiniteDistribution.from_probs((0, 1), (1.0, 0.0)),) * 2)
