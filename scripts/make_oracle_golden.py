@@ -97,13 +97,23 @@ def pins():
             "blocks": {name: block_digests(name) for name in BLOCKS}}
 
 
-def child_pins():
-    """`pins()` in a child process that has numpy's AVX-512 loops switched off."""
+def run_without_avx512(code, cwd):
+    """The last line that Python `code` prints in a child process run from
+    `cwd` with this process's sys.path and NPY_DISABLE_CPU_FEATURES set to
+    WITHOUT_AVX512, where numpy's float64 loops match math's."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
                PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, __file__, "--print"], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, cwd=cwd)
+    if child.returncode != 0:
+        raise RuntimeError(f"child exited with code {child.returncode}:\n{child.stderr}")
+    return child.stdout.strip().splitlines()[-1]
+
+
+def child_pins():
+    """`pins()` in a child process that has numpy's AVX-512 loops switched off."""
+    code = "import json, make_oracle_golden; print(json.dumps(make_oracle_golden.pins()))"
+    return json.loads(run_without_avx512(code, Path(__file__).resolve().parent))
 
 
 def differences(old, new):
@@ -124,9 +134,6 @@ def differences(old, new):
 
 
 def main():
-    if sys.argv[1:] == ["--print"]:
-        print(json.dumps(pins()))
-        return
     recorded = {}
     for p in (pins(), child_pins()):
         if not all(passed for _, passed in p["reports"].values()):

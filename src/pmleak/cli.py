@@ -96,16 +96,14 @@ def _load_analysis_spec(path):
     return mech, FiniteDistribution.from_probs(labels, prior)
 
 
-def _base_meta(command, opts):
-    meta = {"tool": "pmleak", "version": __version__, "command": command}
+def _emit(opts, columns, meta):
+    """Write the command's table: a header of every run parameter given or
+    defaulted, then `meta`, then the columns; to --out, or to stdout."""
+    header = {"tool": "pmleak", "version": __version__, "command": opts.command}
     for key, value in sorted(vars(opts).items()):
         if key not in _NOT_META and value is not None:
-            meta[key.replace("_", "-")] = value
-    return meta
-
-
-def _emit(table, opts):
-    text = table.to_csv(reproducible=bool(opts.reproducible))
+            header[key.replace("_", "-")] = value
+    text = ResultTable(columns, meta=header | meta).to_csv(reproducible=bool(opts.reproducible))
     if opts.out:
         with open(opts.out, "w") as fh:
             fh.write(text)
@@ -131,12 +129,10 @@ def cmd_analyze(opts) -> int:
         if not all(math.isfinite(y) for y in ys):
             raise ValueError("outcome y must be finite")
     reports = [pml_report(prior, mech, y) for y in ys]
-    table = ResultTable({"y": ys, "pml_nats": [rep.pml for rep in reports],
-                         "argmax_label": [rep.argmax_label for rep in reports],
-                         "eps_max": [rep.eps_max for rep in reports]},
-                        meta=_base_meta("analyze", opts))
-    table.meta["mechanism-file"] = opts.mechanism
-    _emit(table, opts)
+    _emit(opts, {"y": ys, "pml_nats": [rep.pml for rep in reports],
+                 "argmax_label": [rep.argmax_label for rep in reports],
+                 "eps_max": [rep.eps_max for rep in reports]},
+          {"mechanism-file": opts.mechanism})
     return EXIT_OK
 
 
@@ -148,11 +144,8 @@ def _parse_finite_y(v, mech):
 
 
 def cmd_thm3(opts) -> int:
-    if opts.eta_poly is not None:
-        c, r = opts.eta_poly
-        schedule = EtaSchedule.polynomial(float(c), float(r))
-    else:
-        schedule = EtaSchedule.constant(float(opts.eta))
+    c, r = opts.eta_poly if opts.eta_poly is not None else (opts.eta, 0.0)
+    schedule = EtaSchedule(float(c), float(r))
     if opts.n is not None:
         n_values = [int(opts.n)]
     else:
@@ -166,11 +159,9 @@ def cmd_thm3(opts) -> int:
     rows = sweep(n_values, float(opts.alpha), schedule, float(opts.epsilon), y)
     ns, bounds, exact = ([row.n for row in rows], [row.bound for row in rows],
                          [row.exact_pml for row in rows])
-    table = ResultTable({"n": ns, "lower_bound": bounds, "exact_pml": exact,
-                         "enum_pml": [row.enum_pml for row in rows],
-                         "eps_max": [row.eps_max for row in rows]},
-                        meta=_base_meta("thm3", opts))
-    _emit(table, opts)
+    _emit(opts, {"n": ns, "lower_bound": bounds, "exact_pml": exact,
+                 "enum_pml": [row.enum_pml for row in rows],
+                 "eps_max": [row.eps_max for row in rows]}, {})
     if opts.svg:
         series = []
         if rows and rows[0].bound is not None:  # no bound is drawn for y > 0
@@ -203,11 +194,9 @@ def cmd_bob(opts) -> int:
         ys = _grid((0.0, (k + 1) * model.scale, 4 * k + 5))
     prior, mech = model.attribute_prior(), bob_mechanism(model, epsilon)
     reports = [pml_report(prior, mech, y) for y in ys]
-    table = ResultTable({"y": ys, "pml_nats": [rep.pml for rep in reports],
-                         "eps_max": [rep.eps_max for rep in reports]},
-                        meta=_base_meta("bob", opts))
-    table.meta["dp-level"] = dp_level_laplace(mech)
-    _emit(table, opts)
+    _emit(opts, {"y": ys, "pml_nats": [rep.pml for rep in reports],
+                 "eps_max": [rep.eps_max for rep in reports]},
+          {"dp-level": dp_level_laplace(mech)})
     return EXIT_OK
 
 

@@ -131,35 +131,32 @@ class CorrelatedBinaryModel(DatabaseModel):
 
 @dataclass(frozen=True)
 class EtaSchedule:
-    """Correlation weight as a function of n: constant or c / n**r."""
+    """Correlation weight as a function of n: c / n**r, constant at r = 0."""
 
-    mode: str = "constant"
     c: float = 0.5
-    r: float = 1.0
+    r: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("constant", "polynomial"):
-            raise ValueError(f"unknown eta schedule mode {self.mode!r}")
         if not self.c > 0:
             raise ValueError("c must be positive")
-        if self.mode == "polynomial" and self.r < 1:
-            raise ValueError("polynomial rate r must be at least 1")
+        if self.r < 1 and self.r != 0:
+            raise ValueError("rate r must be 0 or at least 1")
 
     @classmethod
     def constant(cls, c):
-        return cls("constant", c)
+        return cls(c)
 
     @classmethod
     def polynomial(cls, c, r=1.0):
-        return cls("polynomial", c, r)
+        return cls(c, r)
 
     def eta(self, n: int) -> float:
         if not n >= 1:  # c / n**r is complex at n < 0 and divides by 0 at n = 0
             raise ValueError("n must be at least 1")
         try:
-            value = self.c if self.mode == "constant" else self.c / n ** self.r
-        except OverflowError:  # n ** r beyond the float range: eta is 0
-            value = 0.0
+            value = self.c / n ** self.r
+        except OverflowError:  # n beyond the float range: eta is 0, or c at r = 0
+            value = self.c if self.r == 0 else 0.0
         if not 0.0 < value < 1.0:
             raise ValueError(f"eta schedule leaves (0, 1) at n={n}")
         return value
@@ -528,15 +525,20 @@ def find_limit_n(alpha: float, schedule: EtaSchedule, epsilon: float,
     CorrelatedBinaryModel(1, alpha, 0.5)  # checks alpha
     _check_epsilon(epsilon)
     target = -math.log(alpha)
+    bounded = False
     n = 1
     while n <= 10 ** 6:
         try:
             eta = schedule.eta(n)
         except ValueError:  # eta leaves (0, 1) at this n
             eta = None
-        if eta is not None and target - lower_bound(n, alpha, eta, epsilon) < delta:
-            return n
+        if eta is not None:
+            bounded = True
+            if target - lower_bound(n, alpha, eta, epsilon) < delta:
+                return n
         n *= 2
+    if not bounded:
+        raise ValueError("the schedule's eta lies outside (0, 1) at every n <= 1000000")
     raise ValueError(f"no n <= 1000000 brings the bound within {delta} of log(1/alpha)")
 
 

@@ -74,8 +74,11 @@ def pml_report(prior: FiniteDistribution, mech, y) -> LeakageReport:
     nearest center's, so no large |y - center| / b is rounded into the PML."""
     if not isinstance(mech, LaplaceMechanism):
         return _report(prior, [mech.log_likelihood(x, y) for x in prior.labels])
+    y = float(y)
+    if y != y:  # NaN: no center is nearest
+        raise ValueError("outcome y is NaN")
     centers = [mech.center(x) for x in prior.labels]
-    y = min(max(float(y), min(centers)), max(centers))
+    y = min(max(y, min(centers)), max(centers))
     dist = [abs(y - c) for c in centers]
     nearest = min(dist)
     return _report(prior, [(nearest - d) / mech.scale for d in dist])

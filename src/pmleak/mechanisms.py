@@ -131,6 +131,8 @@ def laplace_log_density(center: float, b: float, y: float) -> LogReal:
     """log of the Lap(center, b) density at y; elementwise for an array of centers."""
     if not b > 0:
         raise ValueError("scale must be positive")
+    if y != y:  # NaN
+        raise ValueError("outcome y is NaN")
     return -math.log(2.0 * b) - abs(y - center) / b
 
 

@@ -99,17 +99,11 @@ def gain_ratio(prior: FiniteDistribution, log_likelihoods, gain: GainFunction) -
 
 def randomized_function_ratio(prior: FiniteDistribution, log_likelihoods,
                               kernel: GuessKernel) -> float:
-    """log of the posterior-to-prior best-guess probability ratio for U | X."""
-    k = kernel.rows
-    if k.shape[0] != prior.size:
+    """log of the posterior-to-prior best-guess probability ratio for U | X:
+    the gain ratio of g(x, u) = P(u | x)."""
+    if kernel.rows.shape[0] != prior.size:
         raise ValueError("kernel does not match the secret alphabet")
-    post = posterior_probs(prior, log_likelihoods)
-    p_u = prior.probs() @ k
-    p_u_post = post @ k
-    peak = float(p_u.max())
-    if peak <= 0:
-        raise ValueError("kernel assigns no mass")
-    return math.log(float(p_u_post.max())) - math.log(peak)
+    return gain_ratio(prior, log_likelihoods, GainFunction(kernel.rows))
 
 
 # --- randomized adversary trials ------------------------------------------

@@ -114,10 +114,6 @@ class FiniteDistribution:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
-    def full_support(self) -> bool:
-        return LOG_ZERO not in self.logp  # logp holds no NaN: its mass is checked
-
     def index(self, label) -> int:
         try:
             return self.labels.index(label)
@@ -131,7 +127,7 @@ class FiniteDistribution:
         return np.exp(np.asarray(self.logp))
 
     def require_full_support(self, message="distribution lacks full support"):
-        if not self.full_support:
+        if LOG_ZERO in self.logp:  # logp holds no NaN: its mass is checked
             raise ValueError(message)
 
 

@@ -28,10 +28,9 @@ class Series:
             raise ValueError("empty series")
 
 
-def _ticks(lo: float, hi: float, count: int = 6):
-    if hi == lo:
-        return [lo]
-    raw = (hi - lo) / max(count - 1, 1)
+def _ticks(lo: float, hi: float):
+    """About six round ticks in [lo, hi], hi > lo."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -43,7 +42,7 @@ def _ticks(lo: float, hi: float, count: int = 6):
     while t <= hi + 1e-9 * abs(step):
         out.append(0.0 if abs(t) < 1e-12 * abs(step) else t)
         t += step
-    return out or [lo, hi]
+    return out
 
 
 def write_line_chart(path, series, *, title, xlabel, ylabel, hlines, logx):

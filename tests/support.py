@@ -5,9 +5,6 @@ the path `pml_d1` takes."""
 import contextlib
 import functools
 import importlib.util
-import os
-import subprocess
-import sys
 import tracemalloc
 import types
 from pathlib import Path
@@ -29,20 +26,11 @@ def load_script(name):
     return module
 
 
-WITHOUT_AVX512 = load_script("make_oracle_golden").WITHOUT_AVX512
-
-
 def run_without_avx512(code):
     """The last line that Python `code` prints in a child process run from
-    tests/ with this process's sys.path and NPY_DISABLE_CPU_FEATURES set to
-    WITHOUT_AVX512, where numpy's float64 loops match math's."""
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512,
-               PYTHONPATH=os.pathsep.join(sys.path))
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, cwd=TESTS)
-    if child.returncode != 0:
-        raise RuntimeError(f"child exited with code {child.returncode}:\n{child.stderr}")
-    return child.stdout.strip().splitlines()[-1]
+    tests/ with this process's sys.path and numpy's AVX-512 loops switched
+    off (`make_oracle_golden.run_without_avx512`)."""
+    return load_script("make_oracle_golden").run_without_avx512(code, TESTS)
 
 
 def density_path(model, epsilon, y):

@@ -181,6 +181,13 @@ class TestThm3:
         for row in rows:
             assert float(row[1]) <= float(row[2]) + 1e-12
 
+    @pytest.mark.parametrize("y", ["-0.3", "0.3"])
+    def test_rate_zero_eta_poly_is_the_constant_eta(self, tmp_path, y):
+        # eta(n) = c n^-r reads c at r = 0, bit for bit
+        common = ["thm3", "--n-range", "4", "64", "5", "--y", y]
+        _, header, rows = run_table(tmp_path, [*common, "--eta-poly", "0.5", "0"])
+        assert (header, rows) == run_table(tmp_path, [*common, "--eta", "0.5"])[1:]
+
     def test_enumeration_miss_exits_2_and_names_the_row(self, tmp_path, capsys, monkeypatch):
         # an enumeration that reads PML 0 at n = 8 only, of the rows n = 4, 8, 16
         entry0 = constructions._entry0_channel
@@ -522,7 +529,7 @@ LAPLACE = dict(NAN_LAPLACE, scale=1.0)
     pytest.param(["thm3", "--n", "1128", "--eta-poly", "1024", "1024"],
                  "eta schedule leaves (0, 1) at n=1128", id="thm3-eta-poly-overflow"),
     pytest.param(["thm3", "--n", "5", "--eta-poly", "0.5", "0.5"],
-                 "polynomial rate r must be at least 1", id="thm3-eta-poly-slow-rate"),
+                 "rate r must be 0 or at least 1", id="thm3-eta-poly-slow-rate"),
     pytest.param(["oracle", "--seed", "-1"], "seed must be at least 0, not -1",
                  id="oracle-negative-seed"),
 ])

@@ -715,9 +715,17 @@ class TestLowerBound:
             find_limit_n(alpha, EtaSchedule.constant(0.5), epsilon, delta)
 
     def test_find_limit_n_without_a_qualifying_n(self):
-        # eta = 1.5 leaves (0, 1) at every n, so every n is skipped
+        # at epsilon = 1e-9 the uniform strings keep the bound far below log 4
         with pytest.raises(ValueError, match=r"^no n <= 1000000 brings the bound within"):
-            find_limit_n(0.25, EtaSchedule.constant(1.5), 0.1, 0.1)
+            find_limit_n(0.25, EtaSchedule.constant(0.5), 1e-9, 0.1)
+
+    @pytest.mark.parametrize("schedule", [EtaSchedule.constant(1.5), EtaSchedule.constant(1.0),
+                                          EtaSchedule.polynomial(1e300, 1.0)])
+    def test_find_limit_n_when_eta_never_lies_in_the_unit_interval(self, schedule):
+        # every n is skipped, so no bound was computed to blame
+        with pytest.raises(ValueError, match=r"^the schedule's eta lies outside \(0, 1\) "
+                                             r"at every n <= 1000000$"):
+            find_limit_n(0.25, schedule, 0.1, 0.1)
 
     def test_polynomial_eta_still_converges(self):
         schedule = EtaSchedule.polynomial(1.0, 1.0)
@@ -780,16 +788,27 @@ class TestEtaSchedule:
     def test_constant(self):
         assert EtaSchedule.constant(0.5).eta(10 ** 6) == 0.5
 
+    @pytest.mark.parametrize("c", [0.5, 1e-300, 0.1, 1 - 2 ** -53])
+    def test_constant_is_the_rate_zero_law(self, c):
+        schedule = EtaSchedule.constant(c)
+        assert schedule == EtaSchedule(c, 0.0) == EtaSchedule.polynomial(c, 0)
+        for n in (1, 2, 3, 1000, 10 ** 6, 2 ** 53 - 1, 1e12, 10 ** 12, 10 ** 400):
+            assert schedule.eta(n) == c
+
     def test_polynomial(self):
         assert EtaSchedule.polynomial(2.0, 2.0).eta(10) == pytest.approx(0.02)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="leaves"):
             EtaSchedule.polynomial(1.0, 1.0).eta(1)
+        # n ** r overflows the float range, so eta = c / n**r is 0
+        with pytest.raises(ValueError, match="leaves"):
+            EtaSchedule.polynomial(0.5, 1.0).eta(10 ** 400)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            EtaSchedule("exponential", 0.5)
+    @pytest.mark.parametrize("r", [0.5, -1.0, -math.inf, 1 - 2 ** -53])
+    def test_rate_between_zero_and_one_rejected(self, r):
+        with pytest.raises(ValueError, match=r"^rate r must be 0 or at least 1$"):
+            EtaSchedule.polynomial(0.5, r)
 
 
 class TestBob:

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmleak.constructions import (BobModel, CorrelatedBinaryModel, bob_mechanism,
-                                  calibrated_mechanism, pml_d1)
+                                  bob_pml, calibrated_mechanism, pml_d1)
 from pmleak import leakage
 from pmleak.leakage import (entry_channel, eps_max, pml, pml_entry, pml_report,
                             theorem2_check)
 from pmleak.logdomain import LOG_ZERO, log_sum_exp
-from pmleak.mechanisms import (FiniteMechanism, product_mechanism,
+from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism, product_mechanism,
                                randomized_response)
 from pmleak.probability import (ExplicitJointModel, FiniteDistribution,
                                 ProductModel)
@@ -154,6 +154,41 @@ class TestPmlEntry:
         mech = product_mechanism(randomized_response(0.25), 3)
         with pytest.raises(IndexError):
             pml_entry(model, mech, i, (0, 0, 0))
+
+
+CORRELATED = CorrelatedBinaryModel(3, 0.25, 0.5)
+UNIT_LAPLACE = LaplaceMechanism(lambda x: x, 1.0)
+BINARY = FiniteDistribution.from_probs((0, 1), (0.25, 0.75))
+
+#: every public path from a Laplace outcome y to a value, by name
+LAPLACE_OUTCOME_CALLS = {
+    "pml_report": lambda y: pml_report(BINARY, UNIT_LAPLACE, y).pml,
+    "bob_pml": lambda y: bob_pml(BobModel(k=3), 0.1, y),
+    "pml_entry": lambda y: pml_entry(CORRELATED, calibrated_mechanism(CORRELATED, 0.1), 0, y).pml,
+    "log_likelihood": lambda y: UNIT_LAPLACE.log_likelihood(1, y),
+    "log_likelihoods": lambda y: UNIT_LAPLACE.log_likelihoods(np.array([0.0, 1.0]), y)[1],
+}
+
+
+@pytest.mark.parametrize("call", LAPLACE_OUTCOME_CALLS.values(), ids=LAPLACE_OUTCOME_CALLS)
+@pytest.mark.parametrize("nan", [math.nan, np.float64("nan"), -math.nan])
+def test_nan_outcome_is_one_error(call, nan):
+    with pytest.raises(ValueError, match="^outcome y is NaN$"):
+        call(nan)
+
+
+@pytest.mark.parametrize("name, y, value", [
+    # the outer center's PML: the outcome is clipped to the hull of the centers
+    ("pml_report", math.inf, -math.log(0.25 / math.e + 0.75)),
+    ("pml_report", -math.inf, -math.log(0.25 + 0.75 / math.e)),
+    ("bob_pml", math.inf, math.log(3.0)),
+    ("bob_pml", -math.inf, math.log(3.0)),
+    ("log_likelihood", math.inf, LOG_ZERO),
+    ("log_likelihood", -math.inf, LOG_ZERO),
+    ("log_likelihoods", math.inf, LOG_ZERO),
+    ("log_likelihoods", -math.inf, LOG_ZERO)])
+def test_infinite_outcome_keeps_its_value(name, y, value):
+    assert LAPLACE_OUTCOME_CALLS[name](y) == pytest.approx(value, rel=1e-15)
 
 
 class TestLogSumExpDistinct:

@@ -144,6 +144,19 @@ class TestRandomizedFunctionRatio:
             k = random_kernel(rng, prior.size, int(rng.integers(1, 7)))
             assert randomized_function_ratio(prior, lls, k) <= target + 1e-12
 
+    def test_bits_of_the_best_guess_ratio(self):
+        # log max(post k) - log max(prior k), as the ratio was once written
+        # out; it is now the gain ratio of g(x, u) = P(u | x)
+        rng = np.random.default_rng(11)
+        for seed in range(300):
+            nx = int(rng.integers(2, 9))
+            prior, lls = scenario(seed, nx=nx, ny=int(rng.integers(3, 7)))
+            k = random_kernel(rng, nx, int(rng.integers(1, 9)))
+            post = oracle.posterior_probs(prior, lls)
+            want = (math.log(float((post @ k.rows).max()))
+                    - math.log(float((prior.probs() @ k.rows).max())))
+            assert randomized_function_ratio(prior, lls, k).hex() == want.hex()
+
     def test_kernel_rows_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
             GuessKernel(np.array([[0.5, 0.4]]))

@@ -104,9 +104,13 @@ class TestFiniteDistribution:
         with pytest.raises(KeyError, match="label 'c' not in alphabet"):
             FiniteDistribution.uniform(("a", "b")).index("c")
 
-    def test_full_support_flag(self):
-        assert FiniteDistribution.uniform((1, 2, 3)).full_support
-        assert not FiniteDistribution.from_probs((1, 2), (1.0, 0.0)).full_support
+    def test_full_support_required(self):
+        FiniteDistribution.uniform((1, 2, 3)).require_full_support()
+        with pytest.raises(ValueError, match="^distribution lacks full support$"):
+            FiniteDistribution.from_probs((1, 2), (1.0, 0.0)).require_full_support()
+        with pytest.raises(ValueError, match="^no zero masses$"):
+            FiniteDistribution.from_probs((1, 2), (1.0, 0.0)).require_full_support(
+                "no zero masses")
 
     @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=8))
     def test_normalized_construction_has_unit_mass(self, weights):
