@@ -17,7 +17,8 @@ inputs.  Every float is stored as float.hex.  The cells:
 
 Each cell takes epsilon in {0.001, 0.1, 1, 15.6, 200}, eta in {1e-12, 0.5,
 0.99} and alpha in {0.01, 0.25, 0.45} in turn (the moved saddles take their
-own epsilon).  Run from the repository root:
+own epsilon).  Before it writes, the script prints each cell whose PML
+differs from the file it replaces, old -> new.  Run from the repository root:
 
     python3 scripts/make_golden.py
 """
@@ -36,6 +37,7 @@ EPSILONS = (0.001, 0.1, 1.0, 15.6, 200.0)
 ETAS = (1e-12, 0.5, 0.99)
 ALPHAS = (0.01, 0.25, 0.45)
 DPS = 50
+COLUMNS = ["group", "n", "alpha", "eta", "epsilon", "y", "pml"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,6 +121,16 @@ def moved_saddles():
                 yield n, epsilon, (n // 2 + 0.5) / (n + 1)
 
 
+def differences(old, new):
+    """One line per cell whose PML differs between two lists of corpus rows,
+    keyed by group and inputs, "-" where one list has none."""
+    def key(row):  # "small-n n=1 alpha=0x1.0p-2 ..."
+        return " ".join([row[0]] + [f"{c}={v}" for c, v in zip(COLUMNS[1:-1], row[1:-1])])
+    was, now = ({key(row): row[-1] for row in rows} for rows in (old, new))
+    return [f"{cell}: {was.get(cell, '-')} -> {now.get(cell, '-')}"
+            for cell in sorted(was.keys() | now.keys()) if was.get(cell) != now.get(cell)]
+
+
 def main():
     params = itertools.cycle(itertools.product(EPSILONS, ETAS, ALPHAS))
     mixture = itertools.cycle(itertools.product(ETAS, ALPHAS))
@@ -132,11 +144,14 @@ def main():
     rows = [[group, n, *(float(v).hex() for v in (alpha, eta, epsilon, y,
                                                    reference_pml(n, alpha, eta, epsilon, y)))]
             for group, n, alpha, eta, epsilon, y in cells]
+    old = json.loads(OUT.read_text())["cells"] if OUT.exists() else []
+    moved = differences(old, rows)
+    print("\n".join(moved) if moved else "no cell moved")
     OUT.parent.mkdir(exist_ok=True)
     head = json.dumps({
         "about": "pml_d1(CorrelatedBinaryModel(n, alpha, eta), epsilon, y) against its "
                  f"{DPS}-digit mpmath value by direct sum; written by scripts/make_golden.py",
-        "columns": ["group", "n", "alpha", "eta", "epsilon", "y", "pml"]})
+        "columns": COLUMNS})
     # one cell a line, so a regenerated corpus diffs cell by cell
     OUT.write_text(head[:-1] + ', "cells": [\n' + ",\n".join(map(json.dumps, rows)) + "\n]}\n")
     print(f"{len(rows)} cells written to {OUT}")

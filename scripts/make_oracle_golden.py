@@ -85,7 +85,7 @@ def block_digests(name):
     arrays.update(gains=g, guesses=nw, kernels=k, kernel_sums=sums, features=nu,
                   indicator_ratios=oracle._indicator_ratios(s),
                   gain_ratios=oracle._gain_ratios(s, g),
-                  kernel_ratios=oracle._kernel_ratios(s, k, sums))
+                  kernel_ratios=oracle._gain_ratios(s, k, sums))
     return {key: hashlib.sha256(a.tobytes()).hexdigest() for key, a in arrays.items()}
 
 

@@ -164,13 +164,12 @@ def cmd_thm3(opts) -> int:
                  "eps_max": [row.eps_max for row in rows]}, {})
     if opts.svg:
         series = []
-        if rows and rows[0].bound is not None:  # no bound is drawn for y > 0
+        if rows[0].bound is not None:  # no bound is drawn for y > 0
             series.append(Series("lower bound", tuple(ns), tuple(bounds)))
         series.append(Series("exact PML", tuple(ns), tuple(exact)))
-        em = rows[0].eps_max if rows else 0.0
         write_line_chart(opts.svg, series, title="Per-entry PML vs database size",
                          xlabel="n", ylabel="PML (nats)",
-                         hlines=[("eps_max", em)], logx=len(ns) > 1 and min(ns) > 0)
+                         hlines=[("eps_max", rows[0].eps_max)], logx=len(ns) > 1)
     gaps = [(row.n, abs(row.exact_pml - row.enum_pml)) for row in rows if row.enum_pml is not None]
     misses = [(n, gap) for n, gap in gaps if not gap <= ENUM_TOL]  # NaN misses too
     for n, gap in misses:

@@ -526,17 +526,14 @@ def find_limit_n(alpha: float, schedule: EtaSchedule, epsilon: float,
     _check_epsilon(epsilon)
     target = -math.log(alpha)
     bounded = False
-    n = 1
-    while n <= 10 ** 6:
+    for n in (2 ** j for j in range(20)):  # 2^19 <= 10^6 < 2^20
         try:
             eta = schedule.eta(n)
         except ValueError:  # eta leaves (0, 1) at this n
-            eta = None
-        if eta is not None:
-            bounded = True
-            if target - lower_bound(n, alpha, eta, epsilon) < delta:
-                return n
-        n *= 2
+            continue
+        bounded = True
+        if target - lower_bound(n, alpha, eta, epsilon) < delta:
+            return n
     if not bounded:
         raise ValueError("the schedule's eta lies outside (0, 1) at every n <= 1000000")
     raise ValueError(f"no n <= 1000000 brings the bound within {delta} of log(1/alpha)")

@@ -74,14 +74,18 @@ def pml_report(prior: FiniteDistribution, mech, y) -> LeakageReport:
     nearest center's, so no large |y - center| / b is rounded into the PML."""
     if not isinstance(mech, LaplaceMechanism):
         return _report(prior, [mech.log_likelihood(x, y) for x in prior.labels])
-    y = float(y)
-    if y != y:  # NaN: no center is nearest
-        raise ValueError("outcome y is NaN")
     centers = [mech.center(x) for x in prior.labels]
-    y = min(max(y, min(centers)), max(centers))
+    y = _in_hull(y, min(centers), max(centers))
     dist = [abs(y - c) for c in centers]
     nearest = min(dist)
     return _report(prior, [(nearest - d) / mech.scale for d in dist])
+
+
+def _in_hull(y, lo, hi) -> float:
+    """A Laplace outcome clipped to the hull [lo, hi] of the centers, where the PML is the same."""
+    if (y := float(y)) != y:  # NaN: no center is nearest
+        raise ValueError("outcome y is NaN")
+    return min(max(y, float(lo)), float(hi))
 
 
 def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
@@ -128,7 +132,10 @@ def _log_sum_exp_distinct(v) -> float:
 
 
 def pml_entry(model: DatabaseModel, mech, i: int, y) -> LeakageReport:
-    """PML of database entry i at mechanism outcome y."""
+    """PML of database entry i at outcome y; a Laplace y is first clipped as in `pml_report`."""
+    if isinstance(mech, LaplaceMechanism):
+        centers = mech.query(atom_labels(model.alphabet, model.num_entries))
+        y = _in_hull(y, np.min(centers), np.max(centers))
     prior, lls = entry_channel(model, mech, i, y)
     return _report(prior, lls)
 

@@ -276,21 +276,14 @@ def _indicator_ratios(s: _Scenarios) -> np.ndarray:
     return np.log((s.post / s.prior).max(axis=0))
 
 
-def _gain_ratios(s: _Scenarios, g) -> np.ndarray:
-    """`gain_ratio` per trial: best posterior over best prior expected gain."""
-    num = np.einsum("at,awt->wt", s.post, g).max(axis=0)
-    den = np.einsum("at,awt->wt", s.prior, g).max(axis=0)
+def _gain_ratios(s: _Scenarios, g, sums=None) -> np.ndarray:
+    """`gain_ratio` per trial: best posterior over best prior expected gain.  Kernel
+    weights pass their (nx, T) row sums, which divide the posterior, then the prior."""
+    num, den = (np.einsum("at,awt->wt", p if sums is None else p / sums, g).max(axis=0)
+                for p in (s.post, s.prior))
     if not (den > 0).all():
         raise ValueError("degenerate gain")
     return log_array(num) - np.log(den)
-
-
-def _kernel_ratios(s: _Scenarios, k, sums) -> np.ndarray:
-    """`randomized_function_ratio` per trial of rows k / sums: best-guess posterior over prior."""
-    peak = np.einsum("at,aut->ut", s.prior / sums, k).max(axis=0)
-    if not (peak > 0).all():
-        raise ValueError("kernel assigns no mass")
-    return np.log(np.einsum("at,aut->ut", s.post / sums, k).max(axis=0)) - np.log(peak)
 
 
 def _gap(batch, scalar) -> float:
@@ -319,7 +312,7 @@ def _gains(rng, s: _Scenarios, max_guesses):
 
 def _kernels(rng, s: _Scenarios, max_guesses):
     k, sums, nu = _draw_kernels(rng, s.prior.shape, max_guesses)
-    return _kernel_ratios(s, k, sums), lambda t, prior, lls: randomized_function_ratio(
+    return _gain_ratios(s, k, sums), lambda t, prior, lls: randomized_function_ratio(
         prior, lls, GuessKernel(k[:, :nu[t], t] / sums[:, t, None]))
 
 
@@ -337,24 +330,19 @@ def _block(rng, nx, size, adversary, max_alphabet, max_guesses, channel):
     return float(excess.max()), float(excess.min()), gap
 
 
-def _chunks(rng, trials, max_alphabet, max_guesses, channel):
-    """(nx, size) of each chunk of a phase of `trials` trials."""
+def _phase(rng, trials, adversary, max_alphabet, max_guesses, channel):
+    """`_block` over `trials` trials, a chunk at a time, folded."""
     if channel is None:  # how many of the trials take each count 2..max_alphabet
         p = [1 / (max_alphabet - 1)] * (max_alphabet - 1)
         groups = enumerate(rng.multinomial(trials, p).tolist(), 2)
     else:
         groups = [(len(channel.x_labels), trials)]
+    folds = []
     for nx, count in groups:
         step = _chunk(nx, max_guesses)
-        for start in range(0, count, step):
-            yield nx, min(step, count - start)
-
-
-def _phase(rng, trials, adversary, max_alphabet, max_guesses, channel):
-    """`_block` over `trials` trials, a chunk at a time, folded."""
-    highs, lows, gaps = zip(*(
-        _block(rng, nx, size, adversary, max_alphabet, max_guesses, channel)
-        for nx, size in _chunks(rng, trials, max_alphabet, max_guesses, channel)))
+        folds += [_block(rng, nx, min(step, count - start), adversary, max_alphabet,
+                         max_guesses, channel) for start in range(0, count, step)]
+    highs, lows, gaps = zip(*folds)
     return max(highs), min(lows), max(gaps)
 
 

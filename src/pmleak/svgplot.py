@@ -62,10 +62,11 @@ def write_line_chart(path, series, *, title, xlabel, ylabel, hlines, logx):
     xs_all = [x for sx in xs for x in sx]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
+    # widen a flat range by 0.5, or past |v| = 2^39 by 2^-40 |v|, so that its ticks advance
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+        x_lo, x_hi = x_lo - max(0.5, abs(x_lo) * 2 ** -40), x_hi + max(0.5, abs(x_hi) * 2 ** -40)
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        y_lo, y_hi = y_lo - max(0.5, abs(y_lo) * 2 ** -40), y_hi + max(0.5, abs(y_hi) * 2 ** -40)
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -727,6 +727,14 @@ class TestLowerBound:
                                              r"at every n <= 1000000$"):
             find_limit_n(0.25, schedule, 0.1, 0.1)
 
+    def test_find_limit_n_reaches_two_to_the_nineteen(self):
+        # the doubling search ends at 2^19 = 524288, the last power of two <= 10^6:
+        # c = 300000 leaves (0, 1) below it and c = 600000 at every power
+        assert find_limit_n(0.25, EtaSchedule.polynomial(300000, 1), 0.1, 0.1) == 2 ** 19
+        with pytest.raises(ValueError, match=r"^the schedule's eta lies outside \(0, 1\) "
+                                             r"at every n <= 1000000$"):
+            find_limit_n(0.25, EtaSchedule.polynomial(600000, 1), 0.1, 0.1)
+
     def test_polynomial_eta_still_converges(self):
         schedule = EtaSchedule.polynomial(1.0, 1.0)
         n = find_limit_n(0.25, schedule, 0.1, 0.01)

@@ -70,3 +70,17 @@ def test_generator_reproduces_the_corpus():
     for row in cells:
         alpha, eta, epsilon, y = (float.fromhex(v) for v in row[2:6])
         assert make_golden.reference_pml(row[1], alpha, eta, epsilon, y).hex() == row[6], row
+
+
+def test_generator_lists_the_cells_that_move():
+    make_golden = load_script("make_golden")
+    old = json.loads(CORPUS.read_text())["cells"]
+    assert make_golden.differences(old, old) == []
+    moved, gone, added = old[0], old[1], ["ends", 5000] + old[2][2:]
+    new = [moved[:-1] + ["0x0.0p+0"]] + old[2:] + [added]
+    inputs = [" ".join([row[0], *(f"{c}={v}" for c, v in zip(
+        ("n", "alpha", "eta", "epsilon", "y"), row[1:-1]))]) for row in (moved, gone, added)]
+    assert make_golden.differences(old, new) == sorted([
+        f"{inputs[0]}: {moved[-1]} -> 0x0.0p+0",
+        f"{inputs[1]}: {gone[-1]} -> -",
+        f"{inputs[2]}: - -> {added[-1]}"])

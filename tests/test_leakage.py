@@ -191,6 +191,17 @@ def test_infinite_outcome_keeps_its_value(name, y, value):
     assert LAPLACE_OUTCOME_CALLS[name](y) == pytest.approx(value, rel=1e-15)
 
 
+@pytest.mark.parametrize("y", [1e6, 1e10, 1e100, 1e300, math.inf])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pml_entry_beyond_the_hull(y, sign):
+    # n = 3, epsilon = 0.1: clipped to the hull [0, 1] of the atoms' centers,
+    # no full-size |y - c| / b rounds into the PML; pml_d1 rejects an infinite
+    # y, so +-inf is held to its value at +-1e300
+    got = LAPLACE_OUTCOME_CALLS["pml_entry"](sign * y)
+    want = pml_d1(CORRELATED, 0.1, sign * min(y, 1e300))
+    assert abs(got - want) <= 1e-15 * (1 + want)
+
+
 class TestLogSumExpDistinct:
     """The reduction over distinct values with counts against the expanded list."""
 

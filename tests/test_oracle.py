@@ -276,7 +276,7 @@ class TestBatch:
             assert (np.diff(counts) <= 0).all() and set(counts[checked]) == set(range(1, 9))
         best = oracle._indicator_ratios(s)
         gains = oracle._gain_ratios(s, g)
-        kernels = oracle._kernel_ratios(s, k, sums)
+        kernels = oracle._gain_ratios(s, k, sums)
         for t in checked:
             prior = FiniteDistribution.from_probs(range(nx), s.prior[:, t])
             lls = s.trial(t)[1]
@@ -293,6 +293,18 @@ class TestBatch:
             dead = s.outcome == 2
             assert dead.any() and not s.lik[:, dead].any() and np.all(s.target[dead] == 0.0)
             assert np.array_equal(s.post[:, dead], s.prior[:, dead])
+
+    @pytest.mark.parametrize("nx, channel", make_oracle_golden.BLOCKS.values(),
+                             ids=["random-2", "random-5", "random-8", "zero-mass-channel"])
+    def test_kernel_weights_over_their_sums_are_a_gain(self, nx, channel):
+        # the batch scores kernels as gains: dividing the prior and posterior by
+        # the row sums is dividing the (nx, U, T) weights by them
+        rng = np.random.default_rng(11)
+        s = oracle._draw_scenarios(rng, nx, oracle._BLOCK, 8, channel)
+        oracle._draw_gains(rng, s.prior.shape, 8)
+        k, sums, _ = oracle._draw_kernels(rng, s.prior.shape, 8)
+        folded = oracle._gain_ratios(s, k, sums)
+        assert np.abs(folded - oracle._gain_ratios(s, k / sums[:, None, :])).max() <= 4e-15
 
     def test_indicator_replay_scores_two_secrets(self, monkeypatch):
         # replaying every indicator gain would cost O(nx^2) per chunk
