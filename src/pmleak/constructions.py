@@ -261,10 +261,11 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     about e^{-128 d}, d the distance to the nearer pole, so the saddle is
     moved to _CIRCLE_GAP from the poles (outside both where they are closer
     than twice that).  E's phase is taken on the smaller of a and 1 - a (E is
-    then the conjugate), so no n-sized angle is rounded.  On either path f
-    is exact, from y's integer ratio, K's two weights are taken over the
-    larger from their difference t(2f - 1) - log rho, and the larger joins
-    the anchor, so no rounding at the size of t enters the rows.
+    then the conjugate), so no n-sized angle is rounded.  On either path f,
+    2f - 1 and 1 - f are each rounded once from y's integer ratio, K's two
+    weights are taken over the larger from their difference t(2f - 1) -
+    log rho, and the larger joins the anchor, so no rounding at the size of
+    t enters the rows.
 
     A pole the path has passed (y outside the band of modes, or the circle
     moved past it) adds its residue, the closed form of
@@ -280,7 +281,8 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     n = model.n
     t = 1.0 / (b * (n + 1))
     num, den = y.as_integer_ratio()  # f to the last bit, since t multiplies it
-    f = max(0.0, (num * (n + 1) - k * den) / den)
+    r = max(0, num * (n + 1) - k * den)
+    f = r / den
     a = k / n
     log_rho = math.log(k / (n - k))
     sigma = math.sqrt(k * (n - k) / n)
@@ -301,9 +303,9 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
         a = 1.0 / (1.0 + math.exp(x))
     d = (t - log_rho, t + log_rho)
     # the kernel's weights over the larger, from their difference; the larger
-    # joins shift, and so the anchor
-    delta = t * (2.0 * f - 1.0) - log_rho
-    shift += max(-t * f, -t * (1.0 - f) - log_rho)
+    # joins shift, and so the anchor; 2f - 1 is rounded once, from the integers
+    delta = t * ((2 * r - den) / den) - log_rho
+    shift += max(-t * f, -t * ((den - r) / den) - log_rho)
     c = (min(0.0, -delta), min(0.0, delta))
 
     def residue(p):

@@ -352,6 +352,23 @@ class TestCondDensities:
         # most about U (1 + |log P| + y (n+1) epsilon); allow 256 times that
         assert abs(got - want) <= 256 * U * (1 + abs(want) + y * (n + 1) * epsilon)
 
+    @pytest.mark.parametrize("n", [4, 10, 20])
+    @pytest.mark.parametrize("epsilon", [1e10, 1e20, 1e60, 1e100])
+    def test_contour_rows_keep_their_last_bits_at_large_epsilon(self, n, epsilon):
+        # one ulp below a bin edge the exact 1 - f is tiny: formed as 1.0 - f
+        # it rounded at the size of t into the anchor, and both absolute rows
+        # missed mpmath by 0.33 relative at n = 4, y = 0.4 - ulp, epsilon 5.5e90
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        b = calibrated_scale(n, epsilon)
+        m = n + 1
+        for k in sorted({1, 2, n // 2}):
+            for y in (math.nextafter(k / m, 0.0), math.nextafter((k + 1) / m, 0.0),
+                      (k + 0.5) / m):
+                want = mp_log_cond_densities(n, (0.5,), b, y)[0]
+                for d1 in (0, 1):
+                    got = cond_density_binomial(model, b, d1, y)
+                    assert abs(got - want[d1]) <= 1e-15 * (1 + abs(want[d1])), (y, d1)
+
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 60), d1=st.sampled_from((0, 1)), eta=st.floats(1e-12, 0.5),
            epsilon=st.floats(0.01, 200.0), y=st.floats(-2.0, 0.0))

@@ -62,6 +62,38 @@ def test_corpus_without_avx512_loops():
     assert_within_bounds(json.loads(run_without_avx512(code)))
 
 
+def mid_bin_values():
+    """[[n, epsilon, y, pml_d1 as hex, its path]] at mid-bin outcomes past the
+    corpus's epsilon range: n in {5, 30, 200}, k in {1, n // 2, n - 1}, and
+    the rounding tie y = 13.5/31, whose exact f is 1/2 + 5.6e-17."""
+    cells = [(n, (k + 0.5) / (n + 1)) for n in (5, 30, 200) for k in sorted({1, n // 2, n - 1})]
+    out = []
+    for n, y in cells + [(30, 13.5 / 31)]:
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        for epsilon in (200.0, 1e4, 1e6, 1e10, 1e20, 1e100):
+            out.append([n, epsilon, y, pml_d1(model, epsilon, y).hex(),
+                        density_path(model, epsilon, y)])
+    return out
+
+
+def assert_mid_bin_within_bounds(values):
+    # 2f - 1 rounded from a rounded f moved the PML by up to 0.035 here at
+    # epsilon >= 1e20 (y = 13.5/31), and by 6.8e-10 at n = 30, k = 1, epsilon = 1e10
+    make_golden = load_script("make_golden")
+    for n, epsilon, y, got, path in values:
+        want = make_golden.reference_pml(n, 0.25, 0.5, epsilon, y)
+        assert abs(float.fromhex(got) - want) <= BOUNDS[path], (n, epsilon, y, path)
+
+
+def test_mid_bin_at_large_epsilon_in_this_process():
+    assert_mid_bin_within_bounds(mid_bin_values())
+
+
+def test_mid_bin_at_large_epsilon_without_avx512_loops():
+    code = "import json, test_golden; print(json.dumps(test_golden.mid_bin_values()))"
+    assert_mid_bin_within_bounds(json.loads(run_without_avx512(code)))
+
+
 def test_generator_reproduces_the_corpus():
     # the constructions tests share the generator's direct sum, so an edit
     # made for them must leave every 10th cell with n <= 100 bit for bit
