@@ -220,7 +220,9 @@ def _cond_densities_binomial(model: CorrelatedBinaryModel, b: float, y: float,
     k = math.floor(y * (n + 1)) if -1.0 <= y <= 2.0 else (n if y > 0 else 0)
     if 0 < k < n:
         return _contour_sums(model, b, y, k)
-    return (*_end_rows(model, b, y, k > 0, anchored), _PATHS[k > 0])
+    anchor, rel = (_end_rows(model, b, y, True, anchored) if k > 0
+                   else _closed_forms(model, b, y, anchored))
+    return anchor, rel, _PATHS[k > 0]
 
 
 def _end_rows(model: CorrelatedBinaryModel, b: float, y: float, mirrored: bool,
@@ -234,6 +236,13 @@ def _end_rows(model: CorrelatedBinaryModel, b: float, y: float, mirrored: bool,
 def _log_shift(n: int, a: float, k: int, x: float) -> float:
     """log [A(rho e^x) / A(rho)] for A(r) = (1+r)^n r^-k and a = rho/(1+rho)."""
     return n * math.log1p(a * math.expm1(x)) - k * x
+
+
+def _residue(n: int, a: float, ks: int, flip: int, p: int, c_p: float, d_p: float) -> tuple:
+    """log of the residue at pole p, in rows d1 = 0, 1, in `_contour_sums`' units"""
+    sign = 1 - 2 * p
+    row_0 = c_p + (d_p if p else 0.0) + _log_shift(n, a, ks, flip * sign * d_p)
+    return row_0, row_0 + sign * d_p
 
 
 def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> tuple:
@@ -262,19 +271,18 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     moved to _CIRCLE_GAP from the poles (outside both where they are closer
     than twice that).  E's phase is taken on the smaller of a and 1 - a (E is
     then the conjugate), so no n-sized angle is rounded.  On either path f,
-    2f - 1 and 1 - f are each rounded once from y's integer ratio, K's two
-    weights are taken over the larger from their difference t(2f - 1) -
-    log rho, and the larger joins the anchor, so no rounding at the size of
-    t enters the rows.
+    2f - 1 and 1 - f are rounded once from y's integer ratio, K's two weights
+    are taken over the larger from their difference t(2f - 1) - log rho, and
+    the larger joins the anchor, so no rounding at the size of t enters the rows.
 
     A pole the path has passed (y outside the band of modes, or the circle
     moved past it) adds its residue, the closed form of
-    `cond_density_closed_form` or its mirror image, which keeps its own
-    anchor and bits; the integral is added relative to it, and on either
-    path left out where a bound puts it below 2^-60 of the residue.  The
-    bound is on the exact integral around the circle through the saddle,
-    whatever rule computes it: there |E - P_d1| <= 2 and |K| is at most the
-    sum of w_p/|1 - e^-d_p|.  On the line the crossed pole lies at least
+    `cond_density_closed_form` or its mirror image, which keeps its own anchor
+    and bits; the integral is added relative to it, and on either path left
+    out, before any node is evaluated, where a bound puts it below 2^-60 of
+    the residue.  The bound is on the exact integral around the circle through
+    the saddle, whatever rule computes it: there |E - P_d1| <= 2 and |K| is at
+    most the sum of w_p/|1 - e^-d_p|.  On the line the crossed pole lies at least
     4/sigma past the path and the other, d_0 + d_1 = 2t > 0, more than
     4/sigma before it, so no erfc share is left out with the integral.
     """
@@ -282,7 +290,6 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     t = 1.0 / (b * (n + 1))
     num, den = y.as_integer_ratio()  # f to the last bit, since t multiplies it
     r = max(0, num * (n + 1) - k * den)
-    f = r / den
     a = k / n
     log_rho = math.log(k / (n - k))
     sigma = math.sqrt(k * (n - k) / n)
@@ -301,85 +308,89 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
             x, path = moved, 7  # "moved circle"
         log_rho = -flip * x
         a = 1.0 / (1.0 + math.exp(x))
-    d = (t - log_rho, t + log_rho)
-    # the kernel's weights over the larger, from their difference; the larger
-    # joins shift, and so the anchor; 2f - 1 is rounded once, from the integers
+    d_0, d_1 = t - log_rho, t + log_rho
+    # the kernel's weights over the larger, from their difference, in which
+    # 2f - 1 is rounded once from the integers; the larger joins the anchor
     delta = t * ((2 * r - den) / den) - log_rho
-    shift += max(-t * f, -t * ((den - r) / den) - log_rho)
-    c = (min(0.0, -delta), min(0.0, delta))
-
-    def residue(p):
-        """log of the residue at pole p, in rows d1 = 0, 1, in the units of the integral"""
-        sign = 1 - 2 * p
-        phi = _log_shift(n, a, ks, flip * sign * d[p])
-        return [c[p] + (d[p] if sign < 0 else 0.0) + phi + sign * d1 * d[p] for d1 in (0, 1)]
-
-    crossed = next((p for p in (0, 1)
-                    if (sigma * d[p] <= -_POLE_ZONE if on_line else d[p] < 0)), None)
-    if crossed is not None:
+    c_0, c_1 = min(0.0, -delta), min(0.0, delta)
+    w_0, w_1 = math.exp(c_0), math.exp(c_1)
+    crossed = ((0 if sigma * d_0 <= -_POLE_ZONE else 1 if sigma * d_1 <= -_POLE_ZONE else -1)
+               if on_line else 0 if d_0 < 0 else 1 if d_1 < 0 else -1)
+    if crossed >= 0:
         path += 2  # "line + residue", "circle + residue", "moved circle + residue"
-        anchor, rel = _end_rows(model, b, y, crossed == 0, anchored=True)
+        anchor, (rel_0, rel_1) = _end_rows(model, b, y, crossed == 0, True)
         # the residue's uniform part is e^anchor, times e^-t in row d1 = crossed
-        scale = [(-t if d1 == crossed else 0.0) - w - rel[d1]
-                 for d1, w in enumerate(residue(crossed))]
-    weights = [math.exp(c[p]) for p in (0, 1)]
-    share = [0.0, 0.0]
-    if crossed is not None and max(scale) + math.log(  # |E - P_d1| <= 2
-            2.0 * sum(w / abs(1.0 - math.exp(-v)) for w, v in zip(weights, d))) < -60 * LOG_TWO:
-        line = [0.0, 0.0]
-        path = 5 if on_line else 10  # "line, residue alone", "circle, residue alone"
+        res_0, res_1 = _residue(n, a, ks, flip, crossed, (c_0, c_1)[crossed], (d_0, d_1)[crossed])
+        scale_0 = (0.0 if crossed else -t) - res_0 - rel_0
+        scale_1 = (-t if crossed else 0.0) - res_1 - rel_1
+        bound = 2.0 * (w_0 / abs(1.0 - math.exp(-d_0)) + w_1 / abs(1.0 - math.exp(-d_1)))
+        if max(scale_0, scale_1) + math.log(bound) < -60 * LOG_TWO:  # |E - P_d1| <= 2
+            # "line, residue alone", "circle, residue alone": the integral adds log1p(0)
+            return anchor, [rel_0 + 0.0, rel_1 + 0.0], _PATHS[5 if on_line else 10]
+    f = r / den
+    if on_line:
+        u = _SADDLE_NODES * (1.0 / sigma)
+        z, s2 = np.multiply(1j, u), np.multiply(0.5, u)
+        np.exp(z, out=z)
+        s2 *= np.sin(s2, out=s2)
+        sin_u = z.imag
     else:
-        if on_line:
-            u = _SADDLE_NODES * (1.0 / sigma)
-            z = np.exp(1j * u)
-            s2 = np.sin(0.5 * u)
-            s2 *= s2
-            sin_u = z.imag
-        else:
-            u, z, s2, sin_u = _CIRCLE_U, _CIRCLE_Z, _CIRCLE_S2, _CIRCLE_SIN
-        # E(u) = e^{n log(1 + a(e^iu - 1)) - i ks u} (its conjugate if flipped),
-        # whose modulus is (1 - 4a(1-a) sin^2(u/2))^(n/2), without cancellation
-        arg = np.arctan2(a * sin_u, 1.0 - (2.0 * a) * s2)
-        arg -= (ks / n) * u
-        e = np.exp((0.5 * n) * np.log1p((-4.0 * a * (1.0 - a)) * s2) + (1j * (flip * n)) * arg)
-        e *= weights[0] / (1.0 - math.exp(-d[0]) * z) + weights[1] / (z - math.exp(-d[1]))
-        # rows d1 = 0, 1 over the positive nodes; the negative ones are their conjugates
-        line = [e.sum().real, np.dot(e, z).real]
-        if on_line:
-            for p in (0, 1):
-                dist = sigma * d[p]
-                if abs(dist) >= _POLE_ZONE:
-                    continue
-                path = 3  # "line + erfc pole"
-                # the singular part C/(u - u_p), C = +-iw, times e^{-sigma^2 (u^2 + d^2)/2}
-                # is taken out at the nodes, where its real part is w d e^{...}/(u^2 + d^2),
-                # and added back integrated: (w/2) erfc(sigma d / sqrt 2)
-                logw = residue(p)
-                tail = dist * (_SADDLE_GAUSS / (_SADDLE_SQUARES + dist * dist)).sum()
-                for d1 in (0, 1):
-                    line[d1] -= sigma * math.exp(logw[d1] - 0.5 * dist * dist) * tail
-                    share[d1] += 0.5 * math.exp(logw[d1]) * math.erfc(dist / math.sqrt(2.0))
-            line = [v / (2.0 * math.pi * sigma) for v in line]
-        else:
-            # less the left-out terms: (1-a)^n rho^k = a^n rho^-(n-k) = e^mass times
-            # K's exact coefficients at z^k and z^-(n-k+1), from its two geometric
-            # series, of which one changes sides where the circle passed its pole
-            mass = ks * math.log(a) + (n - ks) * math.log1p(-a)
-            line = [v / (_CIRCLE_NODES // 2)
-                    - ((math.exp(mass + c[p] - m * t) if d[p] > 0 else 0.0)
-                       - (math.exp(mass + c[p] + (m + 2.0 * g) * t) if d[1 - p] < 0 else 0.0))
-                    for p, (v, m, g) in enumerate(zip(line, (k, n - k), (f, 1.0 - f)))]
-    if crossed is not None:
-        return (anchor, [rel[d1] + math.log1p(line[d1] * math.exp(scale[d1])) for d1 in (0, 1)],
-                _PATHS[path])
+        u, z, s2, sin_u = _CIRCLE_U, _CIRCLE_Z, _CIRCLE_S2, _CIRCLE_SIN
+    # E(u) = e^{n log(1 + a(e^iu - 1)) - i ks u} (its conjugate if flipped), whose
+    # modulus is (1 - 4a(1-a) sin^2(u/2))^(n/2), without cancellation, in place
+    arg, tmp = a * sin_u, (2.0 * a) * s2
+    np.arctan2(arg, np.subtract(1.0, tmp, out=tmp), out=arg)
+    arg -= np.multiply(ks / n, u, out=tmp)
+    np.log1p(np.multiply(-4.0 * a * (1.0 - a), s2, out=tmp), out=tmp)
+    e = (1j * (flip * n)) * arg
+    np.exp(np.add(np.multiply(0.5 * n, tmp, out=tmp), e, out=e), out=e)
+    kernel, other = np.multiply(math.exp(-d_0), z), np.subtract(z, math.exp(-d_1))
+    np.divide(w_0, np.subtract(1.0, kernel, out=kernel), out=kernel)
+    e *= np.add(kernel, np.divide(w_1, other, out=other), out=kernel)
+    # rows d1 = 0, 1 over the positive nodes; the negative ones are their conjugates
+    row_0, row_1 = float(e.sum().real), float(np.dot(e, z).real)
+    share_0 = share_1 = 0.0
+    if on_line:
+        for p, c_p, d_p in ((0, c_0, d_0), (1, c_1, d_1)):
+            dist = sigma * d_p
+            if abs(dist) >= _POLE_ZONE:
+                continue
+            path = 3  # "line + erfc pole"
+            # the singular part C/(u - u_p), C = +-iw, times e^{-sigma^2 (u^2 + d^2)/2}
+            # is taken out at the nodes, where its real part is w d e^{...}/(u^2 + d^2),
+            # and added back integrated: (w/2) erfc(sigma d / sqrt 2)
+            res_0, res_1 = _residue(n, a, ks, flip, p, c_p, d_p)
+            tail = dist * (_SADDLE_GAUSS / (_SADDLE_SQUARES + dist * dist)).sum()
+            row_0 -= sigma * math.exp(res_0 - 0.5 * dist * dist) * tail
+            row_1 -= sigma * math.exp(res_1 - 0.5 * dist * dist) * tail
+            share_0 += 0.5 * math.exp(res_0) * math.erfc(dist / math.sqrt(2.0))
+            share_1 += 0.5 * math.exp(res_1) * math.erfc(dist / math.sqrt(2.0))
+        row_0, row_1 = row_0 / (2.0 * math.pi * sigma), row_1 / (2.0 * math.pi * sigma)
+    else:
+        # less the left-out terms: (1-a)^n rho^k = a^n rho^-(n-k) = e^mass times
+        # K's exact coefficients at z^k and z^-(n-k+1), from its two geometric
+        # series, of which one changes sides where the circle passed its pole
+        mass = ks * math.log(a) + (n - ks) * math.log1p(-a)
+        row_0 = row_0 / (_CIRCLE_NODES // 2) - (
+            (math.exp(mass + c_0 - k * t) if d_0 > 0 else 0.0)
+            - (math.exp(mass + c_0 + (k + 2.0 * f) * t) if d_1 < 0 else 0.0))
+        row_1 = row_1 / (_CIRCLE_NODES // 2) - (
+            (math.exp(mass + c_1 - (n - k) * t) if d_1 > 0 else 0.0)
+            - (math.exp(mass + c_1 + ((n - k) + 2.0 * (1.0 - f)) * t) if d_0 < 0 else 0.0))
+    if crossed >= 0:
+        return anchor, [rel_0 + math.log1p(row_0 * math.exp(scale_0)),
+                        rel_1 + math.log1p(row_1 * math.exp(scale_1))], _PATHS[path]
     # log [(1-eta)/(2^n - 1) ((1+rho)^n rho^-k)/(2b)] at the saddle, with
     # (1+rho)^n rho^-k = 2^n e^{-n KL(k/n || 1/2)}: n log 2 cancels before it is rounded
     x = (2 * k - n) / n
+    shift += max(-t * f, -t * ((den - r) / den) - log_rho)  # the larger weight
     anchor = (math.log1p(-model.eta) - _log1mexp(-n * LOG_TWO) - math.log(2.0 * b)
               - k * math.log1p(x) - (n - k) * math.log1p(-x)) + shift
-    return anchor, [log_add(math.log(model.eta) + laplace_log_density(float(d1), b, y) - anchor,
-                            d1 * log_rho + math.log(line[d1] + share[d1]))
-                    for d1 in (0, 1)], _PATHS[path]
+    log_eta = math.log(model.eta)
+    return anchor, [log_add(log_eta + laplace_log_density(0.0, b, y) - anchor,
+                            math.log(row_0 + share_0)),
+                    log_add(log_eta + laplace_log_density(1.0, b, y) - anchor,
+                            log_rho + math.log(row_1 + share_1))], _PATHS[path]
 
 
 def cond_density_closed_form(model: CorrelatedBinaryModel, b: float, d1: int, y: float) -> LogReal:
@@ -484,7 +495,7 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     if y == 0.5:  # i -> n - i, d1 -> 1 - d1 maps each conditional onto the other
         return 0.0
     log_alpha, log_rest = math.log(model.alpha), math.log1p(-model.alpha)
-    _, (c0, c1), _ = _cond_densities_binomial(model, b, y, anchored=True)
+    _, (c0, c1), _ = _cond_densities_binomial(model, b, y, True)
     # log P_Y(y), the two conditionals weighted by the law of D_1, less the
     # larger of them: a peak term can leave one n-sized even relative to the
     # anchor, and subtracted from itself it rounds to nothing

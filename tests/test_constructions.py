@@ -693,6 +693,27 @@ class TestPmlD1:
             model = CorrelatedBinaryModel(n, 0.25, 0.5)
             assert density_path(model, epsilon, y) == "line + residue"
 
+    def test_residue_alone_returns_the_anchored_end_rows(self):
+        # where the integral is left out, the rows are the crossed pole's
+        # closed form, anchored, and mirrored where the pole above the band
+        # (y > 1/2) was crossed; the integral's log1p(0) adds nothing
+        rng = np.random.default_rng(37)
+        seen = {"line, residue alone": 0, "circle, residue alone": 0}
+        for _ in range(400):
+            n = int(10 ** rng.uniform(2.0, 12.0))
+            epsilon = 10 ** rng.uniform(-2.0, 0.5)
+            k = int(rng.choice([rng.integers(1, 6), n - rng.integers(1, 6), rng.integers(1, n)]))
+            y = (k + rng.uniform(0.1, 0.9)) / (n + 1)
+            model = CorrelatedBinaryModel(n, 0.25, 0.5)
+            b = calibrated_scale(n, epsilon)
+            _, rows, path = constructions._cond_densities_binomial(model, b, y, anchored=True)
+            if path not in seen:
+                continue
+            seen[path] += 1
+            _, want = constructions._end_rows(model, b, y, y > 0.5, anchored=True)
+            assert [v.hex() for v in rows] == [v.hex() for v in want], (n, epsilon, y)
+        assert min(seen.values()) >= 10, seen
+
     def test_calibrated_mechanism_dp_level(self):
         model = CorrelatedBinaryModel(7, 0.25, 0.5)
         assert dp_level_laplace(calibrated_mechanism(model, 0.3)) == pytest.approx(0.3)
