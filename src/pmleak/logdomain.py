@@ -68,4 +68,5 @@ def log_sum_exp(values: Iterable[LogReal], counts=None) -> LogReal:
 
 def log_array(v):
     """Elementwise log of a non-negative array, LOG_ZERO at 0 without a warning."""
-    return np.log(v, out=np.full(v.shape, LOG_ZERO), where=v != 0)
+    with np.errstate(divide="ignore"):
+        return np.log(v)
