@@ -28,8 +28,10 @@ class Series:
             raise ValueError("empty series")
 
 
-def _ticks(lo: float, hi: float):
-    """About six round ticks in [lo, hi], hi > lo."""
+def _ticks(lo: float, hi: float, logx: bool = False):
+    """About six round ticks t in [lo, hi], hi > lo, each with the label of t
+    (10^t if logx) at the fewest significant digits, from 4 (3) up to 17, that
+    tell the labels apart: a flat chart at 1e16 has ticks 1e16 (1 + 2^-40 j)."""
     raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -42,7 +44,11 @@ def _ticks(lo: float, hi: float):
     while t <= hi + 1e-9 * abs(step):
         out.append(0.0 if abs(t) < 1e-12 * abs(step) else t)
         t += step
-    return out
+    values = [10 ** t for t in out] if logx else out
+    for digits in range(3 if logx else 4, 18):
+        if len({f"{v:.{digits}g}" for v in values}) == len(values):
+            break
+    return [(t, f"{v:.{digits}g}") for t, v in zip(out, values)]
 
 
 def write_line_chart(path, series, *, title, xlabel, ylabel, hlines, logx):
@@ -89,19 +95,18 @@ def write_line_chart(path, series, *, title, xlabel, ylabel, hlines, logx):
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="black"/>',
     ]
-    for t in _ticks(x_lo, x_hi):
+    for t, label in _ticks(x_lo, x_hi, logx):
         x = px(t)
-        label = f"{10 ** t:.3g}" if logx else f"{t:.4g}"
         out.append(f'<line x1="{x:.1f}" y1="{MARGIN_TOP + plot_h}" x2="{x:.1f}" '
                    f'y2="{MARGIN_TOP + plot_h + 4}" stroke="black"/>')
         out.append(f'<text x="{x:.1f}" y="{MARGIN_TOP + plot_h + 18}" '
                    f'text-anchor="middle">{label}</text>')
-    for t in _ticks(y_lo, y_hi):
+    for t, label in _ticks(y_lo, y_hi):
         y = py(t)
         out.append(f'<line x1="{MARGIN_LEFT - 4}" y1="{y:.1f}" x2="{MARGIN_LEFT}" '
                    f'y2="{y:.1f}" stroke="black"/>')
         out.append(f'<text x="{MARGIN_LEFT - 7}" y="{y + 4:.1f}" '
-                   f'text-anchor="end">{t:.4g}</text>')
+                   f'text-anchor="end">{label}</text>')
     out.append(f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 8}" '
                f'text-anchor="middle">{xlabel}</text>')
     cy = MARGIN_TOP + plot_h / 2

@@ -39,7 +39,8 @@ def coordinates(root):
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_flat_chart_at_a_large_value(tmp_path, axis, value):
     # +-0.5 rounds away at |v| >= 2^53, so a flat range widens by 2^-40 |v|:
-    # at least 2^12 ulps, and the ticks advance
+    # at least 2^12 ulps, and the ticks advance, each with its own label
+    # (at 4 significant digits they all read "1e+16")
     path = tmp_path / "flat.svg"
     flat, other = (value, value), (1.0, 2.0)
     xs, ys = (flat, other) if axis == "x" else (other, flat)
@@ -49,6 +50,8 @@ def test_flat_chart_at_a_large_value(tmp_path, axis, value):
     x_ticks = [t for t in root.iter(f"{SVG}text") if t.get("y") == str(HEIGHT - MARGIN_BOTTOM + 18)]
     y_ticks = [t for t in root.iter(f"{SVG}text") if t.get("x") == str(MARGIN_LEFT - 7)]
     assert 2 <= len(x_ticks) <= 7 and 2 <= len(y_ticks) <= 7
+    for ticks in (x_ticks, y_ticks):
+        assert len({t.text for t in ticks}) == len(ticks), [t.text for t in ticks]
 
 
 @pytest.mark.parametrize("make, logx, message", [
