@@ -7,7 +7,8 @@ and stores each run's `env =` record and final JSON line, with the median
 and quartiles of every metric per workload and checkout and, for two
 checkouts, how many seed pairs the second won on each metric.  At the end it
 prints one line per workload and end-to-end metric: each checkout's median
-and, for two checkouts, the pairs the second won and lost.  Cached bytecode
+and, for two checkouts, the change against the metric's bound in
+BENCHMARK.json and the pairs the second won and lost.  Cached bytecode
 lowers `setup_s`, so it records which of each checkout's `src/pmleak` and
 `perfbench` hold a __pycache__, refuses checkouts that differ in that, and
 runs perfbench with PYTHONDONTWRITEBYTECODE=1 so that no run adds a cache:
@@ -101,8 +102,9 @@ def summary(runs, labels, better):
 def verdicts(summary, labels, metrics):
     """One line per workload and end-to-end metric of `summary`: each
     checkout's median and, with two checkouts, the second's change of the
-    median and the seed pairs it won and lost.  `metrics` are BENCHMARK.json's
-    end_to_end entries."""
+    median, the metric's bound (a change past it is marked "better beyond it"
+    or "worse beyond it", by the metric's `better` side) and the seed pairs
+    the second won and lost.  `metrics` are BENCHMARK.json's end_to_end entries."""
     lines = []
     for workload, sides in summary.items():
         for metric in metrics:
@@ -113,7 +115,14 @@ def verdicts(summary, labels, metrics):
                 f"{label} {value:.6g} {unit}" for label, value in medians.items())
             if len(labels) == 2 and len(medians) == 2 and medians[labels[0]]:
                 first, second = labels
-                line += f" ({medians[second] / medians[first] - 1:+.1%})"
+                change = medians[second] / medians[first] - 1
+                line += f" ({change:+.1%}"
+                if "bound" in metric:
+                    line += f", bound {metric['bound']:.0%}"
+                    if abs(change) > metric["bound"]:
+                        better = (change < 0) == (metric["better"] == "lower")
+                        line += f", {'better' if better else 'worse'} beyond it"
+                line += ")"
                 tally = sides.get(f"{second} vs {first}", {}).get(name)
                 if tally:
                     line += (f"; {second} won {tally['won']}, lost {tally['lost']} "

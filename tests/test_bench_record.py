@@ -66,6 +66,27 @@ def test_verdicts_give_each_end_to_end_metric_one_line():
     assert bench_record.verdicts(table, ["parent"], metrics[:1]) == ["w wall_s: parent 2 s"]
 
 
+def test_verdicts_mark_a_change_beyond_the_bound_on_either_side():
+    # the higher-is-better ops_per_s at +19 % stays inside a 25 % bound;
+    # wall_s at +50 % is worse beyond it, and at -30 % better beyond it
+    runs = synthetic_runs({(1, "parent"): (2.0, 10.0), (1, "change"): (3.0, 11.9),
+                           (2, "parent"): (2.0, 10.0), (2, "change"): (1.4, 11.9)})
+    labels = ["parent", "change"]
+    table = bench_record.summary(runs[:2], labels, {"wall_s": "lower", "ops_per_s": "higher"})
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+    assert bench_record.verdicts(table, labels, metrics) == [
+        "w wall_s: parent 2 s, change 3 s (+50.0%, bound 25%, worse beyond it); "
+        "change won 0, lost 1 of 1 pairs",
+        "w ops_per_s: parent 10 1/s, change 11.9 1/s (+19.0%, bound 25%); "
+        "change won 1, lost 0 of 1 pairs",
+    ]
+    table = bench_record.summary(runs[2:], labels, {"wall_s": "lower"})
+    assert bench_record.verdicts(table, labels, metrics[:1]) == [
+        "w wall_s: parent 2 s, change 1.4 s (-30.0%, bound 25%, better beyond it); "
+        "change won 1, lost 0 of 1 pairs"]
+
+
 def stand_in_checkouts(tmp_path):
     """(BENCHMARK.json's spec, argv): in tmp_path, that spec and two checkouts,
     "slow" and "fast", whose perfbench reports every end-to-end metric as 2
@@ -91,7 +112,8 @@ def test_a_recorded_run_ends_with_its_verdicts(tmp_path, monkeypatch, capsys):
     assert bench_record.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(spec["end_to_end"])
-    assert "w wall_s: slow 2 s, fast 1 s (-50.0%); fast won 3, lost 0 of 3 pairs" in lines
+    assert ("w wall_s: slow 2 s, fast 1 s (-50.0%, bound 25%, better beyond it); "
+            "fast won 3, lost 0 of 3 pairs") in lines
     assert (tmp_path / "BENCH_t.json").exists()
 
 
