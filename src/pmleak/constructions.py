@@ -289,7 +289,8 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     n = model.n
     t = 1.0 / (b * (n + 1))
     num, den = y.as_integer_ratio()  # f to the last bit, since t multiplies it
-    r = max(0, num * (n + 1) - k * den)
+    r = num * (n + 1) - k * den
+    r = r if r > 0 else 0  # here a call to min or max would cost more than its arithmetic
     a = k / n
     log_rho = math.log(k / (n - k))
     sigma = math.sqrt(k * (n - k) / n)
@@ -312,7 +313,7 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
     # the kernel's weights over the larger, from their difference, in which
     # 2f - 1 is rounded once from the integers; the larger joins the anchor
     delta = t * ((2 * r - den) / den) - log_rho
-    c_0, c_1 = min(0.0, -delta), min(0.0, delta)
+    c_0, c_1 = -delta if delta > 0.0 else 0.0, delta if delta < 0.0 else 0.0
     w_0, w_1 = math.exp(c_0), math.exp(c_1)
     crossed = ((0 if sigma * d_0 <= -_POLE_ZONE else 1 if sigma * d_1 <= -_POLE_ZONE else -1)
                if on_line else 0 if d_0 < 0 else 1 if d_1 < 0 else -1)
@@ -324,7 +325,7 @@ def _contour_sums(model: CorrelatedBinaryModel, b: float, y: float, k: int) -> t
         scale_0 = (0.0 if crossed else -t) - res_0 - rel_0
         scale_1 = (-t if crossed else 0.0) - res_1 - rel_1
         bound = 2.0 * (w_0 / abs(1.0 - math.exp(-d_0)) + w_1 / abs(1.0 - math.exp(-d_1)))
-        if max(scale_0, scale_1) + math.log(bound) < -60 * LOG_TWO:  # |E - P_d1| <= 2
+        if (scale_1 if scale_1 > scale_0 else scale_0) + math.log(bound) < -60 * LOG_TWO:
             # "line, residue alone", "circle, residue alone": the integral adds log1p(0)
             return anchor, [rel_0 + 0.0, rel_1 + 0.0], _PATHS[5 if on_line else 10]
     f = r / den
@@ -474,7 +475,7 @@ def _pml_outcome(y: float) -> float:
     [0, 1], so outside it the PML is constant, and ±y/b would drown the centers."""
     if not math.isfinite(y):
         raise ValueError("y must be finite")
-    return min(max(y, 0.0), 1.0)
+    return 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
 
 
 def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
@@ -494,13 +495,13 @@ def pml_d1(model: CorrelatedBinaryModel, epsilon: float, y: float) -> float:
     y = _pml_outcome(y)
     if y == 0.5:  # i -> n - i, d1 -> 1 - d1 maps each conditional onto the other
         return 0.0
-    log_alpha, log_rest = math.log(model.alpha), math.log1p(-model.alpha)
     _, (c0, c1), _ = _cond_densities_binomial(model, b, y, True)
     # log P_Y(y), the two conditionals weighted by the law of D_1, less the
     # larger of them: a peak term can leave one n-sized even relative to the
     # anchor, and subtracted from itself it rounds to nothing
-    top = max(c0, c1)
-    return max(0.0, -log_add(log_rest + (c1 - top), log_alpha + (c0 - top)))
+    top = c1 if c1 > c0 else c0
+    pml = -log_add(math.log1p(-model.alpha) + (c1 - top), math.log(model.alpha) + (c0 - top))
+    return pml if pml > 0.0 else 0.0
 
 
 def lower_bound(n: int, alpha: float, eta: float, epsilon: float) -> float:
