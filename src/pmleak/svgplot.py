@@ -31,7 +31,7 @@ class Series:
 def _ticks(lo: float, hi: float, logx: bool = False):
     """About six round ticks t in [lo, hi], hi > lo, each with the label of t
     (10^t if logx) at the fewest significant digits, from 4 (3) up to 17, that
-    tell the labels apart: a flat chart at 1e16 has ticks 1e16 (1 + 2^-40 j)."""
+    tell the labels apart, as a flat chart's at |y| >= 1e16 need."""
     raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
