@@ -15,7 +15,9 @@ cell it moves.  The cells:
 
 The values come from pmleak itself; tests/test_enumeration_bits.py
 recomputes them with `cells()`.  Before it writes, the script prints each
-cell that differs from the file it replaces, old -> new.  Run from the
+cell that differs from the file it replaces, old -> new, and then one
+summary line: how many cells moved, how many of those moved their law, and
+the largest move of a cell's PML relative to 1 + PML.  Run from the
 repository root:
 
     PYTHONPATH=src python3 scripts/make_enum_golden.py
@@ -28,7 +30,7 @@ import math
 from pathlib import Path
 
 from pmleak.constructions import CorrelatedBinaryModel, calibrated_mechanism
-from pmleak.leakage import entry_channel, theorem2_check
+from pmleak.leakage import entry_channel, pml, theorem2_check
 from pmleak.mechanisms import FiniteMechanism, product_mechanism, randomized_response
 from pmleak.probability import FiniteDistribution, ProductModel
 
@@ -95,11 +97,36 @@ def differences(old, new):
     return lines
 
 
+def law_and_pml(name, value):
+    """A pinned cell's law and PML: a theorem2 report's witness prior and
+    supremum, a channel cell's law of the entry and the PML of its channel."""
+    if name.startswith("theorem2"):
+        return value[2], float.fromhex(value[1])
+    law, cond = ([float.fromhex(v) for v in part] for part in value)
+    return value[0], pml(FiniteDistribution(tuple(range(len(law))), tuple(law)), cond)
+
+
+def summary(old, new):
+    """One line on the cells that differ between two {name: value} records:
+    how many, how many of those moved their law, and the largest move of a
+    cell's PML relative to 1 + PML, over the cells that both records hold."""
+    moved = [name for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+    laws, worst = 0, 0.0
+    for name in moved:
+        if name in old and name in new:
+            (law, was), (law_now, now) = law_and_pml(name, old[name]), law_and_pml(name, new[name])
+            laws += law != law_now
+            worst = max(worst, abs(now - was) / (1.0 + was))
+    return (f"{len(moved)} cells moved, {laws} of them in their law; largest PML move "
+            f"{worst:.2g} relative to 1 + PML")
+
+
 def main():
     new = cells()
     old = json.loads(OUT.read_text())["cells"] if OUT.exists() else {}
     moved = differences(old, new)
     print("\n".join(moved) if moved else "no cell moved")
+    print(summary(old, new))
     rows = [json.dumps(name) + ": " + json.dumps(value) for name, value in new.items()]
     head = json.dumps({"about": "bits of theorem2_check and entry_channel; written by "
                                 "scripts/make_enum_golden.py"})

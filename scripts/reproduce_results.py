@@ -4,9 +4,12 @@
 Thin wrapper over the CLI so every figure is reproducible from the command
 line with the same flags.  All runs use --reproducible so reruns diff
 cleanly; tests/test_cli.py reruns COMMANDS and compares the files with
-results/.
+results/.  It takes no options; run from the repository root:
+
+    PYTHONPATH=src python3 scripts/reproduce_results.py
 """
 
+import argparse
 import pathlib
 import sys
 
@@ -63,4 +66,5 @@ def run_all(directory=RESULTS) -> int:
 
 
 if __name__ == "__main__":
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     sys.exit(run_all())

@@ -33,7 +33,7 @@ import numpy as np
 from .leakage import pml, pml_report
 from .logdomain import LOG_TWO, LOG_ZERO, LogReal, log_add, log_sum_exp
 from .mechanisms import (LaplaceMechanism, _check_epsilon, _check_scale, laplace_for_query,
-                         laplace_log_density)
+                         laplace_log_density, relative_log_densities)
 from .probability import DatabaseModel, FiniteDistribution
 
 
@@ -587,15 +587,15 @@ def _entry0_channel(model: CorrelatedBinaryModel, epsilon: float, y) -> tuple:
     the 2(n+1) classes (d_0, tail weight w) of C(n, w) atoms, all of which
     share the class's mass and likelihood: each reduction takes the counts,
     which gives the bits of the reduction over every atom.  A class's mass
-    is its `log_mass_table` entry, its likelihood `lls[d_0 + w]`, from one
-    `laplace_log_density` call per center i/(n+1), both summed as floats:
+    is its `log_mass_table` entry, its likelihood `lls[d_0 + w]`, from
+    `relative_log_densities` on the centers i/(n+1), both summed as floats:
     the centers, distances and divisions are correctly rounded, as in
     `entry_channel`'s arrays.  Valid for n < 1024: log_sum_exp sums the
     counts exactly, and past that their total 2^n can leave the float range."""
     n, m = model.n, model.num_entries
     b = calibrated_scale(n, epsilon)
     counts = [math.comb(n, w) for w in range(m)]
-    lls = [laplace_log_density(i / m, b, y) for i in range(m + 1)]
+    lls = relative_log_densities([i / m for i in range(m + 1)], b, y)
     law, cond = [], []
     for d, (rest, peak) in enumerate(model.log_mass_table()):
         masses = [rest] * m

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logdomain import _LOWEST, LOG_ZERO, log_sum_exp
-from .mechanisms import FiniteMechanism, LaplaceMechanism
+from .mechanisms import FiniteMechanism, LaplaceMechanism, relative_log_densities
 from .probability import (DatabaseModel, FiniteDistribution, ProductModel, atom_labels,
                           atom_table)
 
@@ -67,33 +67,20 @@ def _report(prior: FiniteDistribution, lls) -> LeakageReport:
 
 
 def pml_report(prior: FiniteDistribution, mech, y) -> LeakageReport:
-    """PML of mechanism outcome y under the given prior, as a full report.
-
-    A Laplace outcome is clipped to the hull of the prior's centers, where
-    the PML is the same, and its log-likelihoods are taken relative to the
-    nearest center's, so no large |y - center| / b is rounded into the PML."""
+    """PML of mechanism outcome y under the given prior, as a full report; a
+    Laplace mechanism's log-likelihoods are the prior centers' `relative_log_densities`."""
     if not isinstance(mech, LaplaceMechanism):
         return _report(prior, [mech.log_likelihood(x, y) for x in prior.labels])
-    centers = [mech.center(x) for x in prior.labels]
-    y = _in_hull(y, min(centers), max(centers))
-    dist = [abs(y - c) for c in centers]
-    nearest = min(dist)
-    return _report(prior, [(nearest - d) / mech.scale for d in dist])
-
-
-def _in_hull(y, lo, hi) -> float:
-    """A Laplace outcome clipped to the hull [lo, hi] of the centers, where the PML is the same."""
-    if (y := float(y)) != y:  # NaN: no center is nearest
-        raise ValueError("outcome y is NaN")
-    return min(max(y, float(lo)), float(hi))
+    return _report(prior, relative_log_densities([mech.center(x) for x in prior.labels],
+                                                 mech.scale, y))
 
 
 def entry_channel(model: DatabaseModel, mech, i: int, y) -> tuple:
-    """(law of entry i, [log P(y | D_i = d) for each symbol d]) in one array
-    pass over the atoms: the model gives every atom's log-mass and the
-    mechanism every atom's log-likelihood, and for each symbol d the atoms
-    with D_i = d give the law of entry i and weight their likelihoods into
-    the induced channel, both reduced by the scalar `log_sum_exp`.  Atoms
+    """(law of entry i, [log P(y | D_i = d) - c for each d]), c one constant
+    that a PML cancels, in one array pass over the atoms: the model gives
+    every atom's log-mass and the mechanism its log-likelihood less c; the
+    atoms with D_i = d give the law of entry i and weight their likelihoods
+    into the induced channel, both reduced by the scalar `log_sum_exp`.  Atoms
     share few distinct values (the correlated model's depend only on the
     Hamming weight), so each reduction runs over the distinct values with
     their counts, which gives the bits of the reduction over every atom."""
@@ -132,12 +119,8 @@ def _log_sum_exp_distinct(v) -> float:
 
 
 def pml_entry(model: DatabaseModel, mech, i: int, y) -> LeakageReport:
-    """PML of database entry i at outcome y; a Laplace y is first clipped as in `pml_report`."""
-    if isinstance(mech, LaplaceMechanism):
-        centers = mech.query(atom_labels(model.alphabet, model.num_entries))
-        y = _in_hull(y, np.min(centers), np.max(centers))
-    prior, lls = entry_channel(model, mech, i, y)
-    return _report(prior, lls)
+    """PML of database entry i at outcome y."""
+    return _report(*entry_channel(model, mech, i, y))
 
 
 @dataclass(frozen=True)

@@ -103,14 +103,16 @@ class LaplaceMechanism:
         return laplace_log_density(self.center(x), self.scale, y)
 
     def log_likelihoods(self, atoms: np.ndarray, y) -> np.ndarray:
-        """log P(y | x) for every row x of an (A, m) label table: the query
-        applied row-wise, then `laplace_log_density` on the array of centers."""
+        """log P(y | x) - c, c one constant, for every row x of an (A, m) label
+        table: the query applied row-wise, then `relative_log_densities`'
+        IEEE steps on the array of centers, which give its bits."""
         centers = np.asarray(self.query(atoms), dtype=float)
         if centers.shape != atoms.shape[:1]:
             raise ValueError(f"query gives shape {centers.shape} on {len(atoms)} atoms, "
                              "not one value per atom")
-        with np.errstate(over="ignore"):  # an overflowing distance gives -inf, as on floats
-            return laplace_log_density(centers, self.scale, y)
+        dist = np.abs(_in_hull(y, centers.min(), centers.max()) - centers)
+        with np.errstate(over="ignore"):  # a quotient past the float range is -inf, as on floats
+            return (dist.min() - dist) / self.scale
 
 
 def _check_epsilon(epsilon: float):
@@ -128,12 +130,30 @@ def _check_scale(scale: float):
 
 
 def laplace_log_density(center: float, b: float, y: float) -> LogReal:
-    """log of the Lap(center, b) density at y; elementwise for an array of centers."""
+    """log of the Lap(center, b) density at y."""
     if not b > 0:
         raise ValueError("scale must be positive")
     if y != y:  # NaN
         raise ValueError("outcome y is NaN")
     return -math.log(2.0 * b) - abs(y - center) / b
+
+
+def relative_log_densities(centers, b: float, y) -> list:
+    """[log Lap(c, b)(y) less the nearest center's, for each center c]: y
+    is clipped to the hull of the centers, where the PML is the same, and
+    each value is (near - |y - c|) / b, so no full-size |y - c| / b is
+    rounded into a PML, which reads only differences."""
+    y = _in_hull(y, min(centers), max(centers))
+    dist = [abs(y - c) for c in centers]
+    nearest = min(dist)
+    return [(nearest - d) / b for d in dist]
+
+
+def _in_hull(y, lo, hi) -> float:
+    """A Laplace outcome clipped to the hull [lo, hi] of the centers, where the PML is the same."""
+    if (y := float(y)) != y:  # NaN: no center is nearest
+        raise ValueError("outcome y is NaN")
+    return min(max(y, float(lo)), float(hi))
 
 
 def randomized_response(p: float) -> FiniteMechanism:

@@ -205,16 +205,28 @@ class TestThm3:
         _, _, rows = read_table(out)  # the table is written as before
         assert [row[0] for row in rows] == ["4", "8", "16"] and rows[1][3] == "0"
 
-    def test_large_epsilon_enumeration_miss_exits_2(self, tmp_path, capsys):
-        # at y in (0, 1) and large epsilon the enumeration loses the PML: it
-        # reads 0 where the PML is log 2 (ROADMAP item 13 (b)); once it keeps
-        # its last bits, this command exits 0
+    def test_large_epsilon_enumeration_keeps_the_pml(self, tmp_path, capsys):
+        # at y in (0, 1) and large epsilon the enumeration, with each
+        # likelihood taken relative to the nearest center, keeps the PML log 2
+        # (it read 0 when it took full-size |y - c| / b)
         out = tmp_path / "out.csv"
         argv = ["thm3", "--n", "3", "--epsilon", "1e17", "--y", "0.3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert read_table(out)[2] == [["3", "", "0.69314718055994518", "0.69314718055994518",
+                                       "1.3862943611198906"]]
+
+    def test_large_epsilon_enumeration_miss_exits_2(self, tmp_path, capsys):
+        # mid-bin at n = 12, where m = 13 is no power of two, the float
+        # centers fl(j/13) decide the nearest one at epsilon = 1e17, and the
+        # enumeration misses the PML 1.2841697219484318 (ROADMAP item 13 (b))
+        out = tmp_path / "out.csv"
+        argv = ["thm3", "--n", "12", "--epsilon", "1e17", "--y", "0.038461538461538464",
+                "--out", str(out)]
         assert main(argv) == EXIT_TOLERANCE
         assert capsys.readouterr().err == (
-            "thm3: n = 3: |exact_pml - enum_pml| = 0.693, more than 1e-09\n")
-        assert read_table(out)[2] == [["3", "", "0.69314718055994518", "0",
+            "thm3: n = 12: |exact_pml - enum_pml| = 0.101, more than 1e-09\n")
+        assert read_table(out)[2] == [["12", "", "1.2841697219484318", "1.3855641675861685",
                                        "1.3862943611198906"]]
 
 
@@ -584,6 +596,25 @@ def test_python_dash_m_runs_the_cli(module):
 
 #: scripts/reproduce_results.py, whose COMMANDS write the committed results/
 REPRODUCE = load_script("reproduce_results")
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], EXIT_OK), (["--out", "x"], 2),
+                                         (["results"], 2)])
+def test_reproduce_script_runs_nothing_on_an_argument(tmp_path, args, code):
+    # a copy of the script writes to the results/ beside its own directory;
+    # --help prints a usage line and any other argument is a usage error, so
+    # neither runs a command or makes that directory
+    (tmp_path / "scripts").mkdir()
+    script = tmp_path / "scripts" / "reproduce_results.py"
+    script.write_bytes((ROOT / "scripts" / "reproduce_results.py").read_bytes())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(script), *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert (proc.stdout if code == EXIT_OK else proc.stderr).startswith(
+        "usage: reproduce_results.py")
+    assert "==" not in proc.stdout and not (tmp_path / "results").exists()
 
 
 def test_commands_write_every_committed_result():

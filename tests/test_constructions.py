@@ -72,14 +72,23 @@ def loop_cond_density(model, b, d1, y):
 def loop_entry_channel(model, mech, i, y, log_mass):
     """Per-atom oracle for entry_channel: each atom, as a tuple, joins the
     bucket of x[i] with its log-mass log_mass(x), from the model's
-    definition, and its scalar log_likelihood; returns (law of entry i,
-    induced channel) as lists of log values."""
+    definition, and its log-likelihood: a finite channel's scalar one, a
+    Laplace mechanism's relative to the nearest center of all atoms with
+    mass, at y clipped to their hull; returns (law of entry i, induced
+    channel) as lists of log values."""
     model._check_index(i)
+    atoms = [(x, lp) for x in itertools.product(model.alphabet, repeat=model.num_entries)
+             if (lp := log_mass(x)) > LOG_ZERO]
+    if isinstance(mech, LaplaceMechanism):
+        centers = [mech.center(x) for x, _ in atoms]
+        y = min(max(y, min(centers)), max(centers))
+        nearest = min(abs(y - c) for c in centers)
+        lls = [(nearest - abs(y - c)) / mech.scale for c in centers]
+    else:
+        lls = [mech.log_likelihood(x, y) for x, _ in atoms]
     buckets = {d: [] for d in model.alphabet}
-    for x in itertools.product(model.alphabet, repeat=model.num_entries):
-        lp = log_mass(x)
-        if lp > LOG_ZERO:
-            buckets[x[i]].append((lp, mech.log_likelihood(x, y)))
+    for (x, lp), ll in zip(atoms, lls):
+        buckets[x[i]].append((lp, ll))
     law, lls = [], []
     for atoms in buckets.values():
         lcond = log_sum_exp([lp for lp, _ in atoms]) if atoms else LOG_ZERO

@@ -8,15 +8,69 @@ features a process may use, so the bits are checked in this process and in
 a child with the AVX-512 loops off.  The entry-0 correlated cells are
 also recomputed through the sweep's class sums (`_entry0_channel`), in
 both.  A change that moves a cell lists the move in CHANGES.md.
+
+Both enumerations of entry 0, the class sums and `pml_entry`, are also
+held to the 50-digit direct sum (`make_golden.reference_pml`) on a grid
+of bin edges out to epsilon = 1e100, in both processes.
 """
 
+import functools
 import json
+import math
 
-from pmleak.constructions import CorrelatedBinaryModel, _entry0_channel
+from pmleak.constructions import CorrelatedBinaryModel, _entry0_channel, calibrated_mechanism
+from pmleak.leakage import pml, pml_entry
 from support import GOLDEN, load_script, run_without_avx512
 
 PINS = GOLDEN / "enumeration_bits.json"
 make_enum_golden = load_script("make_enum_golden")
+
+
+def direct_sum_grid():
+    """(n, epsilon, y) of 2,016 cells: n in {1, 2, 3, 5, 7, 12, 15}, nine
+    epsilons from 0.1 to 1e100, and in every bin k of n + 1 the edge k/(n+1),
+    one ulp either side of it and (k + 1/4)/(n+1), with the mid-bin
+    (k + 1/2)/(n+1) where n + 1 is a power of two; y = 0 and below are left
+    out, where the PML is the one at 0."""
+    cells = []
+    for n in (1, 2, 3, 5, 7, 12, 15):
+        m = n + 1
+        ys = []
+        for k in range(m):
+            edge = k / m
+            ys += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0), (k + 0.25) / m]
+            if m & (m - 1) == 0:  # elsewhere fl(j/m) can decide the nearest center (item 13 (b))
+                ys.append((k + 0.5) / m)
+        cells += [(n, epsilon, y) for epsilon in (0.1, 1.0, 10.0, 200.0, 1e4, 1e8, 1e17, 1e40,
+                                                  1e100) for y in ys if y > 0.0]
+    return cells
+
+
+@functools.cache
+def direct_sums():
+    make_golden = load_script("make_golden")
+    return [make_golden.reference_pml(n, 0.25, 0.5, epsilon, y)
+            for n, epsilon, y in direct_sum_grid()]
+
+
+def enumerated_pmls():
+    """[[the class sums' PML, pml_entry's at n <= 7 or None], floats as hex]
+    at entry 0 of the correlated model (alpha 1/4, eta 1/2), over the grid."""
+    out = []
+    for n, epsilon, y in direct_sum_grid():
+        model = CorrelatedBinaryModel(n, 0.25, 0.5)
+        entry = None
+        if n <= 7:
+            entry = pml_entry(model, calibrated_mechanism(model, epsilon), 0, y).pml.hex()
+        out.append([pml(*_entry0_channel(model, epsilon, y)).hex(), entry])
+    return out
+
+
+def assert_near_direct_sums(values):
+    assert len(values) == 2016
+    for cell, want, pmls in zip(direct_sum_grid(), direct_sums(), values):
+        for got in filter(None, pmls):
+            assert abs(float.fromhex(got) - want) <= 2e-15 * (1.0 + want), cell
 
 
 def moved_cells():
@@ -64,6 +118,25 @@ def test_generator_lists_the_cells_that_move():
         f'{moved}: {json.dumps(old[moved])} -> [["0x0.0p+0"]]']
 
 
+def test_generator_sums_up_the_moves():
+    old = json.loads(PINS.read_text())["cells"]
+    assert make_enum_golden.summary(old, old) == (
+        "0 cells moved, 0 of them in their law; largest PML move 0 relative to 1 + PML")
+    new = dict(old)
+    raised, witness = "theorem2 p=0.1 n=1", "theorem2 p=0.25 n=1"
+    top = float.fromhex(old[raised][1])
+    new[raised] = [old[raised][0], (top + 1e-3).hex(), *old[raised][2:]]
+    new[witness] = old[witness][:2] + [[["0x1.0p-1", "0x1.0p-1"]]] + old[witness][3:]
+    # a channel shifted by a constant keeps its PML
+    shifted = "ternary n=2 i=1 y=ab"
+    law, cond = old[shifted]
+    new[shifted] = [law, [(float.fromhex(v) + 1.0).hex() for v in cond]]
+    del new["ternary n=1 i=0 y=a"]
+    assert make_enum_golden.summary(old, new) == (
+        f"4 cells moved, 1 of them in their law; largest PML move {1e-3 / (1 + top):.2g} "
+        "relative to 1 + PML")
+
+
 def test_pins_in_this_process():
     assert moved_cells() == []
 
@@ -79,3 +152,12 @@ def test_pins_without_avx512_loops():
     code = ("import json, test_enumeration_bits as t; "
             "print(json.dumps(t.moved_cells() + t.moved_class_cells()))")
     assert json.loads(run_without_avx512(code)) == []
+
+
+def test_enumerations_against_the_direct_sum_in_this_process():
+    assert_near_direct_sums(enumerated_pmls())
+
+
+def test_enumerations_against_the_direct_sum_without_avx512_loops():
+    code = "import json, test_enumeration_bits as t; print(json.dumps(t.enumerated_pmls()))"
+    assert_near_direct_sums(json.loads(run_without_avx512(code)))

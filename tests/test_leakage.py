@@ -185,10 +185,11 @@ def test_nan_outcome_is_one_error(call, nan):
     ("bob_pml", -math.inf, math.log(3.0)),
     ("log_likelihood", math.inf, LOG_ZERO),
     ("log_likelihood", -math.inf, LOG_ZERO),
-    ("log_likelihoods", math.inf, LOG_ZERO),
-    ("log_likelihoods", -math.inf, LOG_ZERO)])
+    # center 1, relative to the nearest center: itself at +inf, center 0 at -inf
+    ("log_likelihoods", math.inf, 0.0),
+    ("log_likelihoods", -math.inf, -1.0)])
 def test_infinite_outcome_keeps_its_value(name, y, value):
-    assert LAPLACE_OUTCOME_CALLS[name](y) == pytest.approx(value, rel=1e-15)
+    assert LAPLACE_OUTCOME_CALLS[name](y) == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("y", [1e6, 1e10, 1e100, 1e300, math.inf])
@@ -454,6 +455,15 @@ class TestTheorem2Batch:
         worst = max(scalar_entry_pml(alphabet, spec.tolist(), mech, i, y)
                     for spec in priors for i in range(n) for y in mech.y_labels)
         assert abs(worst - rep.max_observed_pml) <= 1e-12
+
+    def test_reference_gap_catches_a_wrong_scalar_pml(self, monkeypatch):
+        # the witness is replayed through leakage.pml, which the batch does not use
+        mech = product_mechanism(randomized_response(0.25), 2)
+        check = lambda: theorem2_check(mech, math.log(3.0), 2, (0, 1), prior_samples=20,
+                                       grid_resolution=9, seed=4)
+        assert 0.0 <= check().reference_gap <= 1e-12
+        monkeypatch.setattr(leakage, "pml", lambda prior, lls: pml(prior, lls) + 1e-9)
+        assert check().reference_gap == pytest.approx(1e-9, rel=1e-3)
 
     def test_grid_reaching_the_simplex_edge_is_rejected(self):
         mech = product_mechanism(randomized_response(0.25), 2)

@@ -10,7 +10,8 @@ from pmleak.mechanisms import (FiniteMechanism, LaplaceMechanism,
                                dp_level_finite, dp_level_laplace,
                                l1_sensitivity, laplace_for_query,
                                laplace_log_density, mechanism_from_dict,
-                               product_mechanism, randomized_response)
+                               product_mechanism, randomized_response,
+                               relative_log_densities)
 
 
 class TestSensitivity:
@@ -308,22 +309,25 @@ def test_input_errors(call, error, message):
 
 
 class TestAtomLogLikelihoods:
-    """The array log-likelihoods over a label table against the scalar ones."""
+    """The array log-likelihoods over a label table against the scalar ones;
+    a Laplace mechanism's against the list form of its rule."""
 
     ATOMS = np.array(list(itertools.product((0, 1, 2), repeat=3)))
 
-    def test_laplace_rows_match_the_scalar_path_bit_for_bit(self):
+    def test_laplace_rows_match_the_list_form_bit_for_bit(self):
         mech = LaplaceMechanism(lambda x: np.sum(x, axis=-1) / 3, 0.07)
-        for y in (-0.4, 0.0, 1.0 / 3, 0.5, 2.0, 1e12):
+        centers = [mech.center(tuple(x)) for x in self.ATOMS.tolist()]
+        for y in (-0.4, 0.0, 1.0 / 3, 0.5, 0.7, 2.0, 1e12):
             got = mech.log_likelihoods(self.ATOMS, y)
-            want = [mech.log_likelihood(tuple(x), y) for x in self.ATOMS.tolist()]
-            assert got.tolist() == want
+            assert got.tolist() == relative_log_densities(centers, mech.scale, y)
 
     def test_laplace_overflowing_distance_is_zero_density(self):
         mech = LaplaceMechanism(lambda x: np.sum(x, axis=-1) / 3, 5e-324)
         got = mech.log_likelihoods(self.ATOMS, 1.0)
+        centers = [mech.center(tuple(x)) for x in self.ATOMS.tolist()]
+        assert got.tolist() == relative_log_densities(centers, mech.scale, 1.0)
         at_y = self.ATOMS.sum(axis=1) == 3  # the atoms whose center is y itself
-        assert np.all(got[at_y] > 0) and np.all(got[~at_y] == -math.inf)
+        assert np.all(got[at_y] == 0) and np.all(got[~at_y] == -math.inf)
 
     @pytest.mark.parametrize("query", [sum, lambda x: 1.0, lambda x: np.sum(x, axis=0)])
     def test_laplace_query_must_give_one_value_per_atom(self, query):

@@ -226,6 +226,13 @@ def brute_force_outcome_density(table, mech, y, keep=lambda x: True):
                      for x, p in table.items() if keep(x))
 
 
+def density_ratios(law, lls):
+    """[p(y | d) / p(y) for each symbol d] from an entry's law and its
+    induced channel, p(y) the channel re-mixed with the law."""
+    density = math.fsum(math.exp(lp + ll) for lp, ll in zip(law.logp, lls))
+    return [math.exp(ll) / density for ll in lls]
+
+
 class TestCorrelatedBinaryModel:
     def test_first_entry_marginal_is_alpha(self):
         model = CorrelatedBinaryModel(8, 0.25, 0.5)
@@ -248,17 +255,20 @@ class TestCorrelatedBinaryModel:
         assert math.exp(law.logprob(1)) == pytest.approx(want, rel=1e-12)
 
     def test_conditional_of_tail_entry_against_enumeration(self):
-        # the induced channel p(y | D_2 = d) mixes p(y | x) over P(x | D_2 = d)
+        # the induced channel p(y | D_2 = d) mixes p(y | x) over P(x | D_2 = d);
+        # entry_channel gives it up to a common factor, which p(y | d) / p(y) cancels
         n, alpha, eta = 3, 0.25, 0.5
         model = CorrelatedBinaryModel(n, alpha, eta)
         mech = calibrated_mechanism(model, 1.0)
         table = brute_force_correlated_joint(n, alpha, eta)
         for y in (-0.3, 0.2, 0.6):
-            _, lls = entry_channel(model, mech, 2, y)
+            law, lls = entry_channel(model, mech, 2, y)
+            got = density_ratios(law, lls)
+            density = brute_force_outcome_density(table, mech, y)
             for d in (0, 1):
                 mass = sum(p for x, p in table.items() if x[2] == d)
                 want = brute_force_outcome_density(table, mech, y, lambda x: x[2] == d) / mass
-                assert math.exp(lls[d]) == pytest.approx(want, rel=1e-12)
+                assert got[d] == pytest.approx(want / density, rel=1e-12)
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -280,18 +290,24 @@ class TestCorrelatedBinaryModel:
 ])
 def test_law_of_total_probability(source, explicit):
     """Re-mixing the induced channel with the entry law gives the outcome
-    density of the joint, for every entry."""
+    density of the joint, for every entry: each p(y | D_i = d) over that
+    mixture is the joint's p(y | D_i = d) / p(y), whatever common factor
+    entry_channel leaves in the channel."""
     model = ExplicitJointModel.from_model(source) if explicit else source
     mech = LaplaceMechanism(lambda x: np.sum(x, axis=-1) / np.shape(x)[-1], 0.5)
     log_mass = defined_log_mass(source)
     table = {x: math.exp(log_mass(x))
              for x in itertools.product(model.alphabet, repeat=model.num_entries)}
     for y in (-0.2, 0.4):
-        want = brute_force_outcome_density(table, mech, y)
+        density = brute_force_outcome_density(table, mech, y)
         for i in range(model.num_entries):
             law, lls = entry_channel(model, mech, i, y)
-            got = math.fsum(math.exp(lp + ll) for lp, ll in zip(law.logp, lls))
-            assert got == pytest.approx(want, rel=1e-12)
+            got = density_ratios(law, lls)
+            for d, ratio in zip(model.alphabet, got):
+                keep = lambda x: x[i] == d
+                mass = math.fsum(p for x, p in table.items() if keep(x))
+                want = brute_force_outcome_density(table, mech, y, keep) / mass / density
+                assert ratio == pytest.approx(want, rel=1e-12)
 
 
 def test_explicit_joint_respects_cutoff():
